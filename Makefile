@@ -10,11 +10,15 @@ JOBS ?= 1
 FUSE ?=
 FUSE_FLAG := $(if $(FUSE),--fuse,)
 
-.PHONY: test trace-smoke fidelity tables regress regress-serve regress-vm regress-mix docs-lint bench-parallel bench-vm bench-mix whatif-smoke serve-smoke bench-serve slo-smoke
+.PHONY: test bench-test trace-smoke fidelity tables regress regress-serve regress-vm regress-mix docs-lint bench-parallel bench-vm bench-mix whatif-smoke serve-smoke bench-serve slo-smoke
 
 # Tier-1 verification: the full test suite.
 test:
 	$(PYTHON) -m pytest -x -q
+
+# The benchmark harness's own tests (outside the root `testpaths`).
+bench-test:
+	$(PYTHON) -m pytest bench -q
 
 # Observability smoke: run one embedded app with tracing + metrics enabled,
 # validate the exported trace schema, and replay it as a stage-time table.

@@ -14,6 +14,8 @@ to the identification algorithms.
 
 from __future__ import annotations
 
+from collections.abc import Collection
+
 import networkx as nx
 
 from repro.ir.basicblock import BasicBlock
@@ -63,11 +65,13 @@ class DataFlowGraph:
         return id(instr) in self._body_ids
 
     # -- inputs / outputs ----------------------------------------------------
-    def inputs_of(self, nodes: set[Instruction] | frozenset[Instruction]) -> list[Value]:
+    def inputs_of(self, nodes: Collection[Instruction]) -> list[Value]:
         """Distinct external data inputs of a node subset.
 
         Constants are not counted as inputs (they are baked into the
         hardware datapath), matching common ISE I/O-constraint practice.
+        Inputs are listed in first-use order over *nodes*: pass a list, not
+        a set, where the order reaches generated hardware.
         """
         from repro.ir.values import Constant
 
@@ -82,8 +86,9 @@ class DataFlowGraph:
                 seen.setdefault(id(operand), operand)
         return list(seen.values())
 
-    def outputs_of(self, nodes: set[Instruction] | frozenset[Instruction]) -> list[Instruction]:
-        """Subset members whose results are consumed outside the subset."""
+    def outputs_of(self, nodes: Collection[Instruction]) -> list[Instruction]:
+        """Subset members whose results are consumed outside the subset,
+        in the iteration order of *nodes*."""
         node_ids = {id(n) for n in nodes}
         outs = []
         for instr in nodes:

@@ -216,6 +216,12 @@ class SpecializationServer:
         """Stop accepting, finish queued + in-flight work, close down."""
         self._stop.set()
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept() on
+            # Linux; shutdown() does, so the acceptor exits at once.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

@@ -95,3 +95,30 @@ def run_main(source: str, module_name: str = "t", dataset_size: int = 0, seed: i
     result = compile_source(source, module_name)
     interp = Interpreter(result.module, dataset_size=dataset_size, dataset_seed=seed)
     return interp.run("main")
+
+
+def implement_app_candidates(app: str) -> list:
+    """CAD implementations of *app*'s distinct selected candidates.
+
+    Compiles the app, profiles its training dataset and implements the
+    first candidate of every structural signature the default search
+    selects, in selection order: the candidates a cold analysis places.
+    """
+    from repro.apps import get_app
+    from repro.apps.base import compile_app
+    from repro.fpga import CadToolFlow
+    from repro.ise import CandidateSearch
+
+    spec = get_app(app)
+    compiled = compile_app(spec)
+    profile = compiled.run(spec.train).profile
+    flow = CadToolFlow()
+    first_of_signature = {}
+    for est in CandidateSearch().run(compiled.module, profile).selected:
+        first_of_signature.setdefault(est.candidate.signature, est.candidate)
+    return [flow.implement(c) for c in first_of_signature.values()]
+
+
+@pytest.fixture(scope="session")
+def fft_implementations() -> list:
+    return implement_app_candidates("fft")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -231,6 +232,18 @@ class TestServer:
         client = ServeClient(port=srv.port)
         assert client.shutdown()["status"] == "ok"
         assert srv.serve_forever(poll_seconds=0.01) == "ok"
+
+    def test_drain_wakes_the_acceptor_at_once(self, tmp_path):
+        srv = SpecializationServer(
+            ServerConfig(workers=1, store_root=str(tmp_path / "store")),
+            record_run=False,
+        )
+        srv.start()
+        assert ServeClient(port=srv.port).ping()["status"] == "ok"
+        started = time.perf_counter()
+        assert srv.drain() == "ok"
+        assert time.perf_counter() - started < 0.5
+        assert not srv._acceptor.is_alive()
 
     def test_backpressure_rejects_with_retry_after(self, tmp_path):
         srv = SpecializationServer(
