@@ -4,12 +4,6 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # Worker count for the parallel leg of `make regress` (1 = serial).
 JOBS ?= 1
 
-# FUSE=1 adds the superinstruction-fusion phase to `make bench-vm` and
-# `make regress-vm` (paired plain/fused runs; exits non-zero if fusion
-# bends block counts or the virtual clock).
-FUSE ?=
-FUSE_FLAG := $(if $(FUSE),--fuse,)
-
 .PHONY: test bench-test trace-smoke fidelity tables regress regress-serve regress-vm regress-mix docs-lint bench-parallel bench-vm bench-mix whatif-smoke serve-smoke bench-serve slo-smoke
 
 # Tier-1 verification: the full test suite.
@@ -87,11 +81,11 @@ slo-smoke:
 	$(PYTHON) scripts/slo_smoke.py
 
 # VM interpreter benchmark: calibrate the per-opcode-class dispatch cost,
-# then run the embedded suite plain + sampled (virtual clock must stay
-# bit-identical); rewrites BENCH_vm.json, the committed dispatch baseline
-# the ROADMAP's VM-speedup work is measured against.
+# then run the embedded suite in alternating plain/sampled pairs (virtual
+# clock must stay bit-identical; the sampler overhead is reported with its
+# quartiles); rewrites BENCH_vm.json, the committed dispatch baseline.
 bench-vm:
-	$(PYTHON) -m repro bench-vm --out BENCH_vm.json $(FUSE_FLAG)
+	$(PYTHON) -m repro bench-vm --out BENCH_vm.json
 
 # VM regression leg: record two vmprof runs of one app in the ledger and
 # gate the second against the first — opcode/digram/superinsn counts and
@@ -99,8 +93,8 @@ bench-vm:
 # dispatch-cost/wall cells stay informational until `--history` noise
 # bands promote them (`vm.*` tolerances in repro.obs.regress).
 regress-vm:
-	$(PYTHON) -m repro vmprof adpcm --ledger $(FUSE_FLAG)
-	$(PYTHON) -m repro vmprof adpcm --ledger $(FUSE_FLAG)
+	$(PYTHON) -m repro vmprof adpcm --ledger
+	$(PYTHON) -m repro vmprof adpcm --ledger
 	$(PYTHON) -m repro runs list --limit 5
 	$(PYTHON) -m repro regress --baseline latest~1 --history 5
 

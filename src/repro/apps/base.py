@@ -7,7 +7,7 @@ paper's Section IV-C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.frontend.compiler import CompilationResult, compile_files
@@ -59,10 +59,6 @@ class CompiledApp:
 
     spec: AppSpec
     compilation: CompilationResult
-    # Cached superinstruction fusion plan (built at most once per
-    # CompiledApp; the per-run cost of fusion is just binding sites to the
-    # fresh interpreter). Keyed implicitly by this app's module identity.
-    _fusion_plan: object = field(default=None, repr=False, compare=False)
 
     @property
     def module(self):
@@ -73,7 +69,6 @@ class CompiledApp:
         dataset: DatasetSpec | str | None = None,
         max_steps: int = 200_000_000,
         sampler=None,
-        fusion=None,
     ) -> ExecutionResult:
         if dataset is None:
             dataset = self.spec.train
@@ -85,39 +80,8 @@ class CompiledApp:
             dataset_seed=dataset.seed,
             max_steps=max_steps,
             sampler=sampler,
-            fusion=fusion,
         )
         return interp.run(self.spec.entry)
-
-    def fusion_plan(
-        self,
-        top: int | None = None,
-        dataset: DatasetSpec | str | None = None,
-        profile=None,
-    ):
-        """Mine this app's top-*top* superinstruction sequences and build
-        (and cache) the :class:`~repro.vm.fusion.FusionPlan` for them.
-
-        Without *profile*, one plain profiling run on *dataset* (train by
-        default) supplies the dynamic counts — the JIT-ISE loop of the
-        paper, aimed at the VM itself. Mining ranks on counts alone, so no
-        dispatch-cost calibration is needed here.
-        """
-        from repro.obs.vmprof import mine_superinsns
-        from repro.vm.fusion import DEFAULT_FUSE_TOP, plan_from_candidates
-
-        if self._fusion_plan is None:
-            if top is None:
-                top = DEFAULT_FUSE_TOP
-            if profile is None:
-                profile = self.run(dataset).profile
-            candidates = mine_superinsns(
-                self.module, profile, dispatch_overhead_seconds=0.0, top=top
-            )
-            self._fusion_plan = plan_from_candidates(
-                self.module, candidates, top
-            )
-        return self._fusion_plan
 
 
 def compile_app(spec: AppSpec, opt_level: int = 2) -> CompiledApp:

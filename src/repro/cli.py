@@ -434,7 +434,6 @@ def _cmd_vmprof(args: argparse.Namespace) -> int:
         sample_interval=args.sample,
         calibrate=not args.no_calibrate,
         max_candidates=args.candidates,
-        fuse=args.fuse_top if args.fuse else 0,
     )
     print(render_vmprof(prof, top=args.top))
     if args.json:
@@ -445,13 +444,6 @@ def _cmd_vmprof(args: argparse.Namespace) -> int:
     recorder = current_run()
     if recorder is not None:
         recorder.attach_extra("vm", vm_manifest_block(prof))
-    if prof.fusion is not None and not prof.fusion.identical:
-        print(
-            "error: fused run drifted from the plain path "
-            "(steps/blocks/virtual clock)",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -463,7 +455,6 @@ def _cmd_bench_vm(args: argparse.Namespace) -> int:
         sample_interval=args.sample,
         out=args.out,
         pairs=args.pairs,
-        fuse=args.fuse_top if args.fuse else 0,
     )
     print(render_vm_bench(report))
     if args.out:
@@ -471,13 +462,6 @@ def _cmd_bench_vm(args: argparse.Namespace) -> int:
     if not report["totals"]["virtual_identical"]:
         print(
             "error: virtual clock drifted under sampling", file=sys.stderr
-        )
-        return 1
-    if args.fuse and not report["totals"].get("fused_virtual_identical"):
-        print(
-            "error: fused run drifted from the plain path "
-            "(steps/blocks/virtual clock)",
-            file=sys.stderr,
         )
         return 1
     return 0
@@ -1495,19 +1479,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_vmprof.add_argument(
         "--json", metavar="FILE", default=None, help="write the full report"
     )
-    p_vmprof.add_argument(
-        "--fuse",
-        action="store_true",
-        help="splice the mined top-K sequences back in and re-run fused "
-        "(closing the JIT-ISE loop; fails on any accounting drift)",
-    )
-    p_vmprof.add_argument(
-        "--fuse-top",
-        type=int,
-        default=12,
-        metavar="K",
-        help="mined sequences to fuse with --fuse (default: 12)",
-    )
     p_vmprof.set_defaults(fn=_cmd_vmprof)
 
     p_fidelity = sub.add_parser(
@@ -1966,29 +1937,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench_vm.add_argument(
         "--pairs",
         type=int,
-        default=3,
+        default=8,
         metavar="N",
-        help="plain/sampled run pairs per app; the overhead is the median "
-        "paired ratio (default: 3)",
+        help="plain/sampled run pairs per app, alternating which runs "
+        "first; the overhead is the median paired ratio with its "
+        "quartiles (default: 8)",
     )
     p_bench_vm.add_argument(
         "--out",
         metavar="FILE",
         default="BENCH_vm.json",
         help="report path (default: BENCH_vm.json)",
-    )
-    p_bench_vm.add_argument(
-        "--fuse",
-        action="store_true",
-        help="add a fused phase per pair (top-K mined superinstructions "
-        "spliced in; fails on accounting drift)",
-    )
-    p_bench_vm.add_argument(
-        "--fuse-top",
-        type=int,
-        default=12,
-        metavar="K",
-        help="mined sequences to fuse with --fuse (default: 12)",
     )
     p_bench_vm.set_defaults(fn=_cmd_bench_vm)
 

@@ -37,6 +37,7 @@ import json
 import os
 import platform
 import shutil
+import statistics
 import tempfile
 import time
 
@@ -138,6 +139,32 @@ def run_parallel_bench(
     return report
 
 
+#: The sampler-overhead claim BENCH_vm.json tests (percent of plain wall).
+SAMPLER_OVERHEAD_CLAIM_PCT = 1.5
+
+
+def overhead_summary(ratios: list[float]) -> dict:
+    """Median sampled/plain overhead with its quartiles and a verdict.
+
+    The label is ``supported`` when even the upper quartile stays within
+    :data:`SAMPLER_OVERHEAD_CLAIM_PCT`, ``exceeded`` when even the lower
+    quartile lies above it, and ``inconclusive`` when the interquartile
+    range spans the claim.
+    """
+    if len(ratios) > 1:
+        q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    else:
+        q1 = median = q3 = ratios[0]
+    pct = [round(100.0 * (r - 1.0), 2) for r in (q1, median, q3)]
+    if pct[2] <= SAMPLER_OVERHEAD_CLAIM_PCT:
+        label = "supported"
+    elif pct[0] > SAMPLER_OVERHEAD_CLAIM_PCT:
+        label = "exceeded"
+    else:
+        label = "inconclusive"
+    return {"median_pct": pct[1], "iqr_pct": [pct[0], pct[2]], "label": label}
+
+
 def run_vm_bench(
     apps: list[str] | None = None,
     sample_interval: int = 64,
@@ -145,26 +172,18 @@ def run_vm_bench(
     calibration_iters: int = 6000,
     top_digrams_n: int = 10,
     top_candidates: int = 10,
-    pairs: int = 3,
-    fuse: int = 0,
+    pairs: int = 8,
 ) -> dict:
     """Interpreter macro benchmark over the embedded suite (BENCH_vm.json).
 
     Each app runs on its train set as *pairs* back-to-back (plain,
-    sampled) run pairs. Wall time is the min over the plain runs; the
-    sampler overhead is the **median of the per-pair ratios**, which
-    cancels the slow host drift that makes a difference of two
-    independent minima unusable on a shared machine. The PPC405 virtual
-    cycles of the two phases must be bit-identical — profiling may never
-    bend the virtual clock.
-
-    With ``fuse=K > 0``, each app additionally mines its own top-K
-    superinstruction sequences from a profiling run, splices them in via
-    :mod:`repro.vm.fusion`, and every pair gains a third *fused* phase.
-    The fused speedup is again the median of the per-pair plain/fused
-    ratios (per app, and pooled across apps in ``totals``), and the fused
-    phase must leave steps, block counts and the virtual clock
-    bit-identical — fusion may only move the real clock.
+    sampled) run pairs, alternating which phase runs first (ABBA), so a
+    warm-up or drift that favours the second run cancels across pairs.
+    Wall time is the min over the plain runs; the sampler overhead is the
+    **median of the per-pair sampled/plain ratios** with its quartiles
+    (:func:`overhead_summary`), per app and pooled over all pairs in
+    ``totals``. The PPC405 virtual cycles of the two phases must be
+    bit-identical — profiling may never bend the virtual clock.
     """
     from repro.apps import EMBEDDED_APPS, compile_app, get_app
     from repro.obs.vmprof import build_profile, top_digrams, vm_manifest_block
@@ -178,46 +197,31 @@ def run_vm_bench(
 
     app_reports: dict[str, dict] = {}
     all_identical = True
-    fused_all_identical = True
-    fused_all_ratios: list[float] = []
+    all_ratios: list[float] = []
     for name in apps:
         spec = get_app(name)
         compiled = compile_app(spec)
 
-        plan = None
-        if fuse > 0:
-            # Mine the plan from a dedicated profiling run, then time the
-            # fused phase inside the same pairs as plain/sampled so the
-            # speedup is a paired ratio, not a cross-drift difference.
-            profiling = compiled.run(spec.train)
-            plan = compiled.fusion_plan(top=fuse, profile=profiling.profile)
+        def timed(sampler):
+            t0 = time.perf_counter()
+            result = compiled.run(spec.train, sampler=sampler)
+            return result, time.perf_counter() - t0
 
-        wall_plain = wall_sampled = wall_fused = float("inf")
+        wall_plain = wall_sampled = float("inf")
         ratios: list[float] = []
-        fused_ratios: list[float] = []
-        fused = None
-        for _ in range(max(1, pairs)):
-            t0 = time.perf_counter()
-            plain = compiled.run(spec.train)
-            plain_wall = time.perf_counter() - t0
-
+        for index in range(max(1, pairs)):
             sampler = BlockTimeSampler(interval=sample_interval)
-            t0 = time.perf_counter()
-            sampled = compiled.run(spec.train, sampler=sampler)
-            sampled_wall = time.perf_counter() - t0
-
+            if index % 2 == 0:
+                plain, plain_wall = timed(None)
+                sampled, sampled_wall = timed(sampler)
+            else:
+                sampled, sampled_wall = timed(sampler)
+                plain, plain_wall = timed(None)
             wall_plain = min(wall_plain, plain_wall)
             wall_sampled = min(wall_sampled, sampled_wall)
             ratios.append(sampled_wall / max(plain_wall, 1e-9))
-
-            if plan is not None:
-                t0 = time.perf_counter()
-                fused = compiled.run(spec.train, fusion=plan)
-                fused_wall = time.perf_counter() - t0
-                wall_fused = min(wall_fused, fused_wall)
-                fused_ratios.append(plain_wall / max(fused_wall, 1e-9))
-        ratios.sort()
-        median_ratio = ratios[len(ratios) // 2]
+        all_ratios.extend(ratios)
+        overhead = overhead_summary(ratios)
 
         plain_cycles = plain.profile.total_cycles(
             compiled.module, PPC405_COST_MODEL
@@ -242,7 +246,9 @@ def run_vm_bench(
         app_reports[spec.name] = {
             "wall_seconds": round(wall_plain, 6),
             "sampled_wall_seconds": round(wall_sampled, 6),
-            "sampler_overhead_pct": round(100.0 * (median_ratio - 1.0), 2),
+            "sampler_overhead_pct": overhead["median_pct"],
+            "sampler_overhead_iqr_pct": overhead["iqr_pct"],
+            "sampler_overhead": overhead["label"],
             "instructions": sampled.steps,
             "instructions_per_second": round(
                 sampled.steps / max(wall_plain, 1e-9), 1
@@ -268,48 +274,6 @@ def run_vm_bench(
                 for candidate in prof.candidates
             ],
         }
-        if plan is not None:
-            from repro.obs.vmprof import FusionReport
-
-            fused_ratios.sort()
-            median_speedup = fused_ratios[len(fused_ratios) // 2]
-            fused_all_ratios.extend(fused_ratios)
-            fused_cycles = fused.profile.total_cycles(
-                compiled.module, PPC405_COST_MODEL
-            )
-            steps_identical = fused.steps == plain.steps
-            blocks_identical = {
-                k: p.count for k, p in fused.profile.blocks.items()
-            } == {k: p.count for k, p in plain.profile.blocks.items()}
-            cycles_identical = fused_cycles == plain_cycles
-            fused_identical = (
-                steps_identical and blocks_identical and cycles_identical
-            )
-            fused_all_identical = fused_all_identical and fused_identical
-            prof.fusion = FusionReport(
-                top=fuse,
-                sites=plan.site_count,
-                fused_instructions=plan.fused_instructions,
-                dispatches_removed=plan.dispatches_removed(fused.profile),
-                wall_seconds=wall_fused,
-                speedup=median_speedup,
-                steps_identical=steps_identical,
-                blocks_identical=blocks_identical,
-                virtual_identical=cycles_identical,
-                sequences=plan.describe()["sequences"],
-            )
-            app_reports[spec.name]["fused"] = {
-                "top": fuse,
-                "sites": plan.site_count,
-                "fused_instructions": plan.fused_instructions,
-                "dispatches_removed": plan.dispatches_removed(
-                    fused.profile
-                ),
-                "wall_seconds": round(wall_fused, 6),
-                "speedup": round(median_speedup, 3),
-                "virtual_identical": fused_identical,
-                "sequences": ["+".join(seq) for seq in plan.sequences],
-            }
         # Feed the current ledger run (if any): the vm block of the last
         # profiled app wins, which is what the regress-vm single-app leg
         # uses; multi-app wall data lives in this report instead.
@@ -319,6 +283,7 @@ def run_vm_bench(
         if recorder is not None:
             recorder.attach_extra("vm", vm_manifest_block(prof))
 
+    pooled = overhead_summary(all_ratios)
     totals = {
         "wall_seconds": round(
             sum(a["wall_seconds"] for a in app_reports.values()), 3
@@ -326,35 +291,18 @@ def run_vm_bench(
         "instructions": sum(
             a["instructions"] for a in app_reports.values()
         ),
-        "mean_sampler_overhead_pct": round(
-            sum(
-                a["sampler_overhead_pct"] for a in app_reports.values()
-            )
-            / max(len(app_reports), 1),
-            2,
-        ),
+        "sampler_overhead_pct": pooled["median_pct"],
+        "sampler_overhead_iqr_pct": pooled["iqr_pct"],
+        "sampler_overhead": pooled["label"],
         "virtual_identical": all_identical,
     }
-    if fuse > 0:
-        fused_all_ratios.sort()
-        totals["fused_speedup"] = round(
-            fused_all_ratios[len(fused_all_ratios) // 2], 3
-        ) if fused_all_ratios else 0.0
-        totals["fused_wall_seconds"] = round(
-            sum(
-                a["fused"]["wall_seconds"]
-                for a in app_reports.values()
-                if "fused" in a
-            ),
-            3,
-        )
-        totals["fused_virtual_identical"] = fused_all_identical
 
     report = {
         "schema": BENCH_VM_SCHEMA,
         "generated": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "sample_interval": sample_interval,
-        "fuse_top": fuse,
+        "pairs": max(1, pairs),
+        "sampler_overhead_claim_pct": SAMPLER_OVERHEAD_CLAIM_PCT,
         "host": {
             "cpus": os.cpu_count(),
             "python": platform.python_version(),
@@ -375,38 +323,30 @@ def render_vm_bench(report: dict) -> str:
     """ASCII rendering of a VM benchmark report for the CLI."""
     from repro.util.tables import Table
 
-    fused_mode = bool(report.get("fuse_top"))
-    columns = ["app", "wall [s]", "M instr/s", "sampler ovh %"]
-    if fused_mode:
-        columns += ["fused [s]", "fused x"]
-    columns.append("virt clock")
     table = Table(
-        columns=columns,
+        columns=[
+            "app", "wall [s]", "M instr/s", "sampler ovh %", "IQR %",
+            "claim", "virt clock",
+        ],
         title=(
             "VM interpreter benchmark "
-            f"(sample interval {report.get('sample_interval')}"
-            + (f", fuse top-{report.get('fuse_top')}" if fused_mode else "")
-            + ")"
+            f"(sample interval {report.get('sample_interval')}, "
+            f"{report.get('pairs', '?')} ABBA pairs)"
         ),
     )
     for name, app in (report.get("apps") or {}).items():
-        fused = app.get("fused") or {}
-        identical = app.get("virtual_identical") and (
-            not fused or fused.get("virtual_identical")
-        )
-        row = [
-            name,
-            f"{app.get('wall_seconds', 0.0):.2f}",
-            f"{app.get('instructions_per_second', 0.0) / 1e6:.2f}",
-            f"{app.get('sampler_overhead_pct', 0.0):+.1f}",
-        ]
-        if fused_mode:
-            row += [
-                f"{fused.get('wall_seconds', 0.0):.2f}" if fused else "-",
-                f"{fused.get('speedup', 0.0):.2f}" if fused else "-",
+        q1, q3 = app.get("sampler_overhead_iqr_pct") or (0.0, 0.0)
+        table.add_row(
+            [
+                name,
+                f"{app.get('wall_seconds', 0.0):.2f}",
+                f"{app.get('instructions_per_second', 0.0) / 1e6:.2f}",
+                f"{app.get('sampler_overhead_pct', 0.0):+.1f}",
+                f"{q1:+.1f}..{q3:+.1f}",
+                app.get("sampler_overhead", "-"),
+                "identical" if app.get("virtual_identical") else "DRIFTED",
             ]
-        row.append("identical" if identical else "DRIFTED")
-        table.add_row(row)
+        )
     lines = [table.render()]
     dispatch = (report.get("dispatch_cost") or {}).get("classes_ns") or {}
     if dispatch:
@@ -417,6 +357,7 @@ def render_vm_bench(report: dict) -> str:
         lines.append(f"dispatch cost (top classes): {costs}")
     totals = report.get("totals") or {}
     if totals:
+        q1, q3 = totals.get("sampler_overhead_iqr_pct") or (0.0, 0.0)
         lines.append(
             f"total: {totals.get('wall_seconds', 0.0):.2f}s for "
             f"{totals.get('instructions', 0):,} instructions; "
@@ -427,16 +368,13 @@ def render_vm_bench(report: dict) -> str:
                 else "DRIFTED under sampling"
             )
         )
-        if "fused_speedup" in totals:
-            lines.append(
-                f"fusion: {totals.get('fused_speedup', 0.0):.2f}x "
-                "median-of-paired-ratios; "
-                + (
-                    "blocks + virtual clock bit-identical under fusion"
-                    if totals.get("fused_virtual_identical")
-                    else "fused accounting DRIFTED"
-                )
-            )
+        median = totals.get("sampler_overhead_pct", 0.0)
+        claim = report.get("sampler_overhead_claim_pct", SAMPLER_OVERHEAD_CLAIM_PCT)
+        lines.append(
+            f"sampler overhead (pooled): {median:+.2f}% median, "
+            f"IQR {q1:+.2f}..{q3:+.2f}%; <= {claim}% claim "
+            f"{totals.get('sampler_overhead', '-')}"
+        )
     return "\n".join(lines)
 
 

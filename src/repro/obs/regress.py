@@ -121,13 +121,6 @@ DEFAULT_TOLERANCES: tuple[tuple[str, float | None], ...] = (
     ("vm.dispatch.*", None),
     ("vm.*saved_ms", None),
     ("vm.sampled.*", None),
-    # Superinstruction fusion: the vm.fused.* cells (fused wall seconds,
-    # speedup) are host-clock measurements, informational until noise
-    # bands promote them. The vm.fusion.* cells — site/sequence counts,
-    # dispatches removed, and the steps/blocks/virtual *_identical flags
-    # asserting the bit-identity invariant — are deterministic and fall
-    # through to the exact catch-all.
-    ("vm.fused.*", None),
     ("*", 1e-9),
 )
 

@@ -17,8 +17,10 @@ work:
    hot blocks ranked by estimated dispatch savings (dynamic frequency x
    measured per-dispatch cost from :mod:`repro.vm.dispatchcost`), the VM
    analogue of the paper's Section V ISE candidate ranking. The ranked
-   list persists as the ``vm.superinsn`` manifest block for the fusion PR
-   to consume.
+   list persists as the ``vm.superinsn`` manifest block. Since the
+   interpreter compiles every block into one generated function, these
+   candidates are observability only: they show which opcode chains
+   dominate dispatch, not sites to splice.
 """
 
 from __future__ import annotations
@@ -37,17 +39,14 @@ from repro.vm.profiler import (
     static_block_opcodes,
 )
 
-# The excluded-opcode set and n-gram lengths live in repro.vm.fusion so the
-# miner and the fusion-site matcher can never disagree about what is
-# fusible; re-exported here for backwards compatibility.
-from repro.vm.fusion import (  # noqa: F401  (re-export)
-    DEFAULT_FUSE_TOP,
-    FUSION_EXCLUDED,
-    FusionPlan,
-    MAX_SEQ_LEN,
-    MIN_SEQ_LEN,
-    plan_from_candidates,
-)
+#: Opcodes that end a straight-line sequence for the miner: calls and
+#: CUSTOM hide arbitrary work behind one instruction, phis are resolved at
+#: block entry, and terminators end the block.
+FUSION_EXCLUDED = frozenset({"call", "custom", "phi", "br", "condbr", "ret"})
+
+#: Candidate sequence lengths (straight-line opcode n-grams).
+MIN_SEQ_LEN = 2
+MAX_SEQ_LEN = 4
 
 
 @dataclass
@@ -81,36 +80,6 @@ class DivergenceRow:
 
 
 @dataclass
-class FusionReport:
-    """Measured outcome of running an app with fusion enabled.
-
-    The count cells (sites, covered/fused instructions, dispatches
-    removed, the per-sequence table, and the three ``identical`` flags)
-    are deterministic; only ``wall_seconds``/``speedup`` are wall-clock.
-    """
-
-    top: int
-    sites: int
-    fused_instructions: int
-    dispatches_removed: int
-    wall_seconds: float
-    speedup: float
-    steps_identical: bool
-    blocks_identical: bool
-    virtual_identical: bool
-    sequences: dict[str, dict]
-
-    @property
-    def identical(self) -> bool:
-        """Observational invisibility: all three invariants hold."""
-        return (
-            self.steps_identical
-            and self.blocks_identical
-            and self.virtual_identical
-        )
-
-
-@dataclass
 class VmProfile:
     """The observatory's full view of one profiled app run."""
 
@@ -131,7 +100,6 @@ class VmProfile:
     sample_interval: int
     candidates: list[SuperInsnCandidate]
     dispatch: DispatchCostTable | None = None
-    fusion: FusionReport | None = None
 
     @property
     def instructions_per_second(self) -> float:
@@ -171,16 +139,12 @@ def profile_app(
     dispatch: DispatchCostTable | None = None,
     calibrate: bool = True,
     max_candidates: int = 10,
-    fuse: int = 0,
 ) -> VmProfile:
     """Compile *app*, run it under the sampler, and assemble the profile.
 
     With ``sample_interval=0`` the run is unsampled (real shares empty).
     ``dispatch`` supplies a pre-measured cost table; otherwise one is
-    calibrated unless ``calibrate`` is false. With ``fuse=K > 0`` the
-    profiled run's own top-K mined sequences are spliced back in and the
-    app re-run fused — the closed JIT-ISE loop — and the profile gains a
-    :class:`FusionReport` comparing the two runs.
+    calibrated unless ``calibrate`` is false.
     """
     from repro.apps import compile_app, get_app
 
@@ -198,7 +162,7 @@ def profile_app(
     result = compiled.run(ds, sampler=sampler)
     wall = perf_counter() - start
 
-    prof = build_profile(
+    return build_profile(
         app=spec.name,
         dataset=ds.name,
         module=compiled.module,
@@ -209,72 +173,6 @@ def profile_app(
         cost_model=cost_model,
         dispatch=dispatch,
         max_candidates=max_candidates,
-    )
-    if fuse > 0:
-        prof.fusion = fuse_and_measure(
-            compiled,
-            ds,
-            result,
-            wall,
-            top=fuse,
-            cost_model=cost_model,
-            sample_interval=sample_interval,
-        )
-    return prof
-
-
-def fuse_and_measure(
-    compiled,
-    dataset,
-    plain_result,
-    plain_wall: float,
-    top: int,
-    cost_model: CostModel = PPC405_COST_MODEL,
-    sample_interval: int = 0,
-) -> FusionReport:
-    """Splice the plain run's top-*top* sequences back in; re-run fused.
-
-    The fused run uses the same sampler mode as the plain one so the
-    speedup compares like with like. Asserts observational invisibility by
-    comparing steps, per-block counts, and the virtual PPC405 clock of the
-    two runs bit-for-bit (the flags land in the regression-gated
-    ``vm.fusion`` manifest cells).
-    """
-    plan = compiled.fusion_plan(top=top, profile=plain_result.profile)
-    sampler = (
-        BlockTimeSampler(interval=sample_interval)
-        if sample_interval > 0
-        else None
-    )
-    start = perf_counter()
-    fused = compiled.run(dataset, sampler=sampler, fusion=plan)
-    fused_wall = perf_counter() - start
-
-    module = compiled.module
-    plain_counts = {
-        key: p.count for key, p in plain_result.profile.blocks.items()
-    }
-    fused_counts = {key: p.count for key, p in fused.profile.blocks.items()}
-    plain_cycles = plain_result.profile.total_cycles(module, cost_model)
-    fused_cycles = fused.profile.total_cycles(module, cost_model)
-
-    sequences: dict[str, dict] = {}
-    for site in plan.all_sites():
-        entry = sequences.setdefault(
-            site.name, {"length": site.length, "sites": 0}
-        )
-        entry["sites"] += 1
-    return FusionReport(
-        top=top,
-        sites=plan.site_count,
-        fused_instructions=plan.fused_instructions,
-        dispatches_removed=plan.dispatches_removed(fused.profile),
-        wall_seconds=fused_wall,
-        speedup=plain_wall / max(fused_wall, 1e-9),
-        steps_identical=plain_result.steps == fused.steps,
-        blocks_identical=plain_counts == fused_counts,
-        virtual_identical=plain_cycles == fused_cycles,
-        sequences=dict(sorted(sequences.items())),
     )
 
 
@@ -441,22 +339,6 @@ def vmprof_json(prof: VmProfile) -> dict:
             for candidate in prof.candidates
         ],
         "dispatch": prof.dispatch.to_dict() if prof.dispatch else None,
-        "fusion": (
-            {
-                "top": prof.fusion.top,
-                "sites": prof.fusion.sites,
-                "fused_instructions": prof.fusion.fused_instructions,
-                "dispatches_removed": prof.fusion.dispatches_removed,
-                "wall_seconds": prof.fusion.wall_seconds,
-                "speedup": prof.fusion.speedup,
-                "steps_identical": prof.fusion.steps_identical,
-                "blocks_identical": prof.fusion.blocks_identical,
-                "virtual_identical": prof.fusion.virtual_identical,
-                "sequences": prof.fusion.sequences,
-            }
-            if prof.fusion is not None
-            else None
-        ),
     }
 
 
@@ -504,28 +386,6 @@ def vm_manifest_block(prof: VmProfile, top_digrams_n: int = 20) -> dict:
         block["dispatch"] = {
             f"{name}_ns": seconds * 1e9
             for name, seconds in sorted(prof.dispatch.class_seconds.items())
-        }
-    if prof.fusion is not None:
-        # vm.fusion.* cells are deterministic (mining + matching are pure
-        # functions of the profile) and regression-gated at 1e-9, with the
-        # three *_identical flags as 0/1 sentinels for the bit-identity
-        # invariant; the measured vm.fused.* cells stay informational.
-        block["fusion"] = {
-            "top": prof.fusion.top,
-            "sites": prof.fusion.sites,
-            "fused_instructions": prof.fusion.fused_instructions,
-            "dispatches_removed": prof.fusion.dispatches_removed,
-            "steps_identical": int(prof.fusion.steps_identical),
-            "blocks_identical": int(prof.fusion.blocks_identical),
-            "virtual_identical": int(prof.fusion.virtual_identical),
-            "sequences": {
-                name: dict(entry)
-                for name, entry in prof.fusion.sequences.items()
-            },
-        }
-        block["fused"] = {
-            "wall_seconds": prof.fusion.wall_seconds,
-            "speedup": prof.fusion.speedup,
         }
     return block
 
@@ -631,23 +491,5 @@ def render_vmprof(prof: VmProfile, top: int = 12) -> str:
         ):
             disp.add_row([name, f"{seconds * 1e9:.0f}"])
         sections.append(disp.render())
-
-    if prof.fusion is not None:
-        fus = prof.fusion
-        fusion_table = Table(
-            ["sequence", "length", "sites"],
-            title=(
-                f"Fused superinstructions (top {fus.top}: {fus.sites} sites, "
-                f"{fus.dispatches_removed:,} dispatches removed)"
-            ),
-        )
-        for name, entry in fus.sequences.items():
-            fusion_table.add_row([name, entry["length"], entry["sites"]])
-        sections.append(fusion_table.render())
-        sections.append(
-            f"fused run: {fus.wall_seconds:.3f}s real "
-            f"({fus.speedup:.2f}x vs plain); outputs/blocks/virtual clock "
-            + ("bit-identical" if fus.identical else "DRIFTED")
-        )
 
     return "\n\n".join(sections)

@@ -4,8 +4,8 @@ The PPC405 model in :mod:`repro.vm.costmodel` prices the *virtual* clock;
 this module measures the *real* one — what each opcode class costs the
 CPython dispatch loop per executed instruction. The two disagree wildly
 (soft-float ops are 18-85 virtual cycles but a Python ``+`` is nearly
-free; a virtual 1-cycle integer add still pays the full closure-dispatch
-overhead), and that divergence is exactly what the dispatch-optimization
+free; a virtual 1-cycle integer add still pays its share of the
+generated block's dispatch and ``env`` traffic), and that divergence is exactly what the dispatch-optimization
 work must attack. The related microarchitecture-aware custom-instruction
 papers (see PAPERS.md) make the same argument for hardware: candidate
 selection must rank by *measured* cost on the actual machine, not by the
@@ -93,8 +93,9 @@ class DispatchCostTable:
         """Floor cost of one dispatched handler (the int-ALU class).
 
         An integer add does near-zero arithmetic work in Python, so its
-        measured cost *is* the closure-call + env-store dispatch overhead —
-        the per-instruction saving a fused superinstruction realizes.
+        measured cost *is* the per-instruction overhead of the generated
+        block (operand reads and the ``env`` store) — the miner prices
+        its superinstruction savings with it.
         """
         return self.class_seconds.get("int_alu", 0.0)
 

@@ -10,24 +10,37 @@ cycles (and hence virtual seconds) after the run by
 :class:`repro.vm.jitruntime.JitRuntimeModel`. This keeps app runs fast in
 Python while making the reported runtimes deterministic.
 
-Implementation note (profiled optimization): each basic block is compiled
-once into a list of Python closures with operands resolved at compile time
-— constants and global addresses are baked in, SSA values become direct
-dict lookups. This removes the per-execution isinstance/dispatch overhead
-that dominated the naive tree-walking interpreter (~2.5x faster).
+Implementation: each basic block is compiled once, lazily, into one
+``exec``-generated Python function ``blk(env, prev) -> (kind, payload)``
+(see :class:`_BlockCodegen`). The function resolves the block's phis for
+the actual predecessor ``prev`` (all incoming values are read before any
+is written), evaluates the body with operands inlined — constants as
+literals, global addresses bound at compile time, values computed earlier
+in the block as Python locals — and returns a prebuilt control tuple. One
+dispatch loop (:meth:`Interpreter._call`) records the block, charges its
+static size to the step and cycle counters, checks the step limit and
+calls ``blk``. Passing a :class:`repro.vm.profiler.BlockTimeSampler` as
+``sampler=`` compiles a real-clock tick into each block's ``record``
+closure; without it the closure has no sampling code at all.
 
-Passing a :class:`repro.vm.profiler.BlockTimeSampler` as ``sampler=``
-switches execution to a twin loop that attributes real wall time to
-compiled blocks (the dispatch observatory's real clock); without it the
-default loop runs unchanged, so the feature costs nothing when off.
+Invariants (pinned against the previous closure interpreter by
+``tests/test_vm_blockjit.py``):
 
-Passing a :class:`repro.vm.fusion.FusionPlan` as ``fusion=`` selects the
-*fused* twin loops instead: blocks compile to (body, terminator) handler
-lists with mined superinstruction sites spliced in as single exec-compiled
-handlers, so N dispatches become one call. Block counts and the virtual
-clock stay bit-identical to the plain loops — fusion never touches the
-module, and step/cycle accounting uses the static block size either way.
-See docs/VM.md for the loop matrix and the bit-identity invariant.
+- return values, ``output`` and ``steps`` are bit-identical;
+- every SSA result is still published to ``env``, and every block count
+  is identical;
+- ``ExecutionProfile.blocks`` keeps first-execution *key order*, because
+  ``total_cycles`` sums floats in dict order — hence the virtual clock is
+  bit-identical too;
+- error behaviour is unchanged: an undefined value raises
+  ``VMError("use of undefined value %name")`` (the missing ``env`` key is
+  mapped to its name through a table bound at compile time); a CUSTOM
+  instruction looks its evaluator up at run time, because the patcher
+  installs evaluators after construction; a ``fold_binary`` trap becomes
+  ``VMError("fn: ...")``; memory faults go through :class:`Memory`'s own
+  check, so every ``MemoryError_`` message is the same;
+- intrinsic-call counting for metrics is decided when the block is
+  compiled, so the disabled path pays nothing.
 
 This is the execution half of the paper's LLVM JIT VM (Figure 1); the
 profiles it records feed the coverage analysis of Section IV-C.
@@ -41,10 +54,10 @@ from time import perf_counter
 
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
-from repro.ir.instructions import Instruction, PhiInstruction
+from repro.ir.instructions import Instruction
 from repro.ir.module import Module
-from repro.ir.opcodes import FCmpPred, ICmpPred, Opcode
-from repro.ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
+from repro.ir.opcodes import BINARY_OPS, CAST_OPS, FCmpPred, ICmpPred, Opcode
+from repro.ir.values import Constant, GlobalVariable, UndefValue, Value
 from repro.ir.passes.constfold import (
     ConstantFoldError,
     fold_binary,
@@ -52,14 +65,9 @@ from repro.ir.passes.constfold import (
     fold_fcmp,
     fold_icmp,
 )
-from repro.ir.types import to_unsigned, wrap_int
-from typing import TYPE_CHECKING
 from repro.obs import get_metrics, metrics_enabled
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.vm.fusion import FusionPlan
 from repro.vm.intrinsics import INTRINSICS
-from repro.vm.memory import Memory, MemoryError_
+from repro.vm.memory import Memory, MemoryError_, accessor
 from repro.vm.profiler import BlockTimeSampler, ExecutionProfile
 
 
@@ -77,7 +85,7 @@ class ExecutionResult:
     steps: int = 0
 
 
-# Control-flow sentinels returned by terminator handlers.
+# Control-flow sentinels returned by compiled blocks.
 _JUMP = 0
 _RETURN = 1
 
@@ -99,7 +107,6 @@ class Interpreter:
         dataset_size: int = 0,
         dataset_seed: int = 1,
         sampler: BlockTimeSampler | None = None,
-        fusion: "FusionPlan | None" = None,
     ) -> None:
         self.module = module
         self.memory = Memory(memory_size)
@@ -110,22 +117,16 @@ class Interpreter:
         self.output: list = []
         self.rand_state = 1
         self.cycles_executed = 0  # coarse counter exposed to clock()
-        # Real-clock sampler: None by default, in which case _call() runs
-        # the unsampled loop and the hot path gains zero added work.
+        # Real-clock sampler: None by default, in which case the compiled
+        # record closures carry no sampling code.
         self.sampler = sampler
-        # Superinstruction fusion plan: None by default, in which case the
-        # plain/sampled loops run unchanged and blocks compile without
-        # fused handlers.
-        self.fusion = fusion
         self._steps = 0
         self._profile = ExecutionProfile(module.name)
         # Custom-instruction evaluators installed by the binary patcher:
         # custom_id -> callable(list_of_operand_values) -> value
         self.custom_evaluators: dict[int, object] = {}
-        # Compiled-block cache: id(block) -> (phi_plan, body_handlers)
-        self._compiled: dict[int, tuple] = {}
-        # Fused-block cache: id(block) -> (record, size, phi_plan, body, term)
-        self._compiled_fused: dict[int, tuple] = {}
+        # Compiled-block cache: block -> (record, size, blk)
+        self._compiled: dict[BasicBlock, tuple] = {}
         # Observability: intrinsic-call counts, flushed to the metrics
         # registry once per run (never touched on the hot path unless
         # metrics were enabled when the block was compiled).
@@ -161,12 +162,6 @@ class Interpreter:
 
     # -- execution core ------------------------------------------------------
     def _call(self, func: Function, args: list):
-        if self.fusion is not None:
-            if self.sampler is not None:
-                return self._call_fused_sampled(func, args)
-            return self._call_fused(func, args)
-        if self.sampler is not None:
-            return self._call_sampled(func, args)
         if func.is_declaration:
             raise VMError(f"call to undefined function {func.name}")
         if len(args) != len(func.args):
@@ -179,88 +174,19 @@ class Interpreter:
             env[id(formal)] = actual
 
         block = func.entry
-        prev_block_id = 0
-        fname = func.name
-        profile = self._profile
-        compiled = self._compiled
-        max_steps = self.max_steps
-
-        try:
-            while True:
-                plan = compiled.get(id(block))
-                if plan is None:
-                    plan = self._compile_block(fname, block)
-                    compiled[id(block)] = plan
-                record, size, phi_plan, handlers = plan
-
-                record(fname)
-                self._steps += size
-                self.cycles_executed += size
-                if self._steps > max_steps:
-                    raise VMError(
-                        f"step limit exceeded ({self.max_steps}) in {fname}"
-                    )
-
-                if phi_plan is not None:
-                    keys, tables = phi_plan
-                    values = [t[prev_block_id](env) for t in tables]
-                    for key, value in zip(keys, values):
-                        env[key] = value
-
-                # Straight-line body: only the last handler (the terminator)
-                # returns a control tuple.
-                for handler in handlers:
-                    ctl = handler(env)
-                    if ctl is not None:
-                        break
-                else:  # pragma: no cover - verifier guarantees a terminator
-                    raise VMError(f"{fname}/{block.name}: fell off block end")
-
-                kind, payload = ctl
-                if kind == _RETURN:
-                    return payload
-                prev_block_id = id(block)
-                block = payload
-        except MemoryError_ as exc:
-            raise VMError(f"{fname}: {exc}") from None
-        finally:
-            self.memory.pop_frame(frame_token)
-
-    def _call_sampled(self, func: Function, args: list):
-        # Twin of _call with real-clock sampling woven in. Kept as a
-        # separate loop (not an `if sampler` branch inside _call) so the
-        # default path pays nothing for the feature; any fix to one loop
-        # must be mirrored in the other. Nested calls re-enter through
-        # _call, which routes back here while self.sampler is set.
-        if func.is_declaration:
-            raise VMError(f"call to undefined function {func.name}")
-        if len(args) != len(func.args):
-            raise VMError(
-                f"{func.name}: expected {len(func.args)} args, got {len(args)}"
-            )
-        frame_token = self.memory.push_frame()
-        env: dict[int, object] = {}
-        for formal, actual in zip(func.args, args):
-            env[id(formal)] = actual
-
-        block = func.entry
-        prev_block_id = 0
+        prev = None
         fname = func.name
         compiled = self._compiled
         max_steps = self.max_steps
-        sampler = self.sampler
-        interval = sampler.interval
-        samples = sampler.samples
 
         try:
             while True:
-                plan = compiled.get(id(block))
+                plan = compiled.get(block)
                 if plan is None:
-                    plan = self._compile_block(fname, block)
-                    compiled[id(block)] = plan
-                record, size, phi_plan, handlers = plan
+                    plan = compiled[block] = self._compile_block(fname, block)
+                record, size, blk = plan
 
-                record(fname)
+                record()
                 self._steps += size
                 self.cycles_executed += size
                 if self._steps > max_steps:
@@ -268,162 +194,10 @@ class Interpreter:
                         f"step limit exceeded ({self.max_steps}) in {fname}"
                     )
 
-                # Sampling tick: every `interval` block executions, charge
-                # the elapsed wall time to the block running right now.
-                sampler.tick += 1
-                if sampler.tick >= interval:
-                    now = perf_counter()
-                    skey = (fname, block.name)
-                    samples[skey] = samples.get(skey, 0.0) + now - sampler.last
-                    sampler.last = now
-                    sampler.tick = 0
-                    sampler.sample_count += 1
-
-                if phi_plan is not None:
-                    keys, tables = phi_plan
-                    values = [t[prev_block_id](env) for t in tables]
-                    for key, value in zip(keys, values):
-                        env[key] = value
-
-                for handler in handlers:
-                    ctl = handler(env)
-                    if ctl is not None:
-                        break
-                else:  # pragma: no cover - verifier guarantees a terminator
-                    raise VMError(f"{fname}/{block.name}: fell off block end")
-
-                kind, payload = ctl
+                kind, payload = blk(env, prev)
                 if kind == _RETURN:
                     return payload
-                prev_block_id = id(block)
-                block = payload
-        except MemoryError_ as exc:
-            raise VMError(f"{fname}: {exc}") from None
-        finally:
-            self.memory.pop_frame(frame_token)
-
-    def _call_fused(self, func: Function, args: list):
-        # Fused twin of _call: blocks compile to (body, terminator) handler
-        # lists with superinstruction sites spliced in as single handlers.
-        # Accounting is identical to the plain loop — record() and the
-        # static block size don't change — so block counts and the virtual
-        # clock are bit-identical by construction; only the number of
-        # Python-level handler calls (the real clock) drops.
-        if func.is_declaration:
-            raise VMError(f"call to undefined function {func.name}")
-        if len(args) != len(func.args):
-            raise VMError(
-                f"{func.name}: expected {len(func.args)} args, got {len(args)}"
-            )
-        frame_token = self.memory.push_frame()
-        env: dict[int, object] = {}
-        for formal, actual in zip(func.args, args):
-            env[id(formal)] = actual
-
-        block = func.entry
-        prev_block_id = 0
-        fname = func.name
-        compiled = self._compiled_fused
-        max_steps = self.max_steps
-
-        try:
-            while True:
-                plan = compiled.get(id(block))
-                if plan is None:
-                    plan = self._compile_block_fused(fname, block)
-                    compiled[id(block)] = plan
-                record, size, phi_plan, body, term = plan
-
-                record(fname)
-                self._steps += size
-                self.cycles_executed += size
-                if self._steps > max_steps:
-                    raise VMError(
-                        f"step limit exceeded ({self.max_steps}) in {fname}"
-                    )
-
-                if phi_plan is not None:
-                    keys, tables = phi_plan
-                    values = [t[prev_block_id](env) for t in tables]
-                    for key, value in zip(keys, values):
-                        env[key] = value
-
-                # Straight-line body, then the terminator: the verifier
-                # guarantees exactly one terminator, last in the block, so
-                # the per-handler control check of the plain loop vanishes.
-                for handler in body:
-                    handler(env)
-                kind, payload = term(env)
-                if kind == _RETURN:
-                    return payload
-                prev_block_id = id(block)
-                block = payload
-        except MemoryError_ as exc:
-            raise VMError(f"{fname}: {exc}") from None
-        finally:
-            self.memory.pop_frame(frame_token)
-
-    def _call_fused_sampled(self, func: Function, args: list):
-        # Fused twin of _call_sampled: sampling ticks at block entry, so a
-        # fused sequence executing when the tick fires is attributed to its
-        # block exactly as the unfused handlers would be.
-        if func.is_declaration:
-            raise VMError(f"call to undefined function {func.name}")
-        if len(args) != len(func.args):
-            raise VMError(
-                f"{func.name}: expected {len(func.args)} args, got {len(args)}"
-            )
-        frame_token = self.memory.push_frame()
-        env: dict[int, object] = {}
-        for formal, actual in zip(func.args, args):
-            env[id(formal)] = actual
-
-        block = func.entry
-        prev_block_id = 0
-        fname = func.name
-        compiled = self._compiled_fused
-        max_steps = self.max_steps
-        sampler = self.sampler
-        interval = sampler.interval
-        samples = sampler.samples
-
-        try:
-            while True:
-                plan = compiled.get(id(block))
-                if plan is None:
-                    plan = self._compile_block_fused(fname, block)
-                    compiled[id(block)] = plan
-                record, size, phi_plan, body, term = plan
-
-                record(fname)
-                self._steps += size
-                self.cycles_executed += size
-                if self._steps > max_steps:
-                    raise VMError(
-                        f"step limit exceeded ({self.max_steps}) in {fname}"
-                    )
-
-                sampler.tick += 1
-                if sampler.tick >= interval:
-                    now = perf_counter()
-                    skey = (fname, block.name)
-                    samples[skey] = samples.get(skey, 0.0) + now - sampler.last
-                    sampler.last = now
-                    sampler.tick = 0
-                    sampler.sample_count += 1
-
-                if phi_plan is not None:
-                    keys, tables = phi_plan
-                    values = [t[prev_block_id](env) for t in tables]
-                    for key, value in zip(keys, values):
-                        env[key] = value
-
-                for handler in body:
-                    handler(env)
-                kind, payload = term(env)
-                if kind == _RETURN:
-                    return payload
-                prev_block_id = id(block)
+                prev = block
                 block = payload
         except MemoryError_ as exc:
             raise VMError(f"{fname}: {exc}") from None
@@ -432,394 +206,422 @@ class Interpreter:
 
     # -- block compilation -----------------------------------------------------
     def _compile_block(self, fname: str, block: BasicBlock):
-        phis = block.phis()
-        phi_plan = None
-        if phis:
-            keys = [id(p) for p in phis]
-            tables = []
-            for phi in phis:
-                table: dict[int, object] = {}
-                for value, inc_block in phi.incoming:
-                    table[id(inc_block)] = self._getter(value)
-                tables.append(table)
-            phi_plan = (keys, tables)
+        """Compile *block* into ``(record, size, blk)``.
 
-        handlers = [
-            self._compile_instr(fname, instr)
-            for instr in block.instructions[len(phis) :]
-        ]
-
+        ``size`` is the block's static instruction count (phis and the
+        terminator included): the unit of step and cycle accounting.
+        """
+        blk = _BlockCodegen(self, fname).compile(block)
         size = len(block.instructions)
         block_name = block.name
-        profile = self._profile
+        key = (fname, block_name)
+        sampler = self.sampler
 
-        def record(function_name: str, _size=size, _name=block_name) -> None:
-            # self._profile is replaced per run(); resolve dynamically.
-            self._profile.record(function_name, _name, _size)
+        # self._profile is replaced per run(), so record() resolves it at
+        # each call. A block's first execution inserts its key, which fixes
+        # the profile's key order.
+        if sampler is None:
 
-        return (record, size, phi_plan, handlers)
+            def record() -> None:
+                profile = self._profile
+                prof = profile.blocks.get(key)
+                if prof is None:
+                    profile.record(fname, block_name, size)
+                else:
+                    prof.count += 1
 
-    def _compile_block_fused(self, fname: str, block: BasicBlock):
-        """Compile *block* with fused-site handlers spliced into the body.
+            return (record, size, blk)
 
-        Returns ``(record, size, phi_plan, body, terminator)``: the body is
-        a tuple of handlers where each fused site contributes exactly one,
-        and the terminator handler is kept separate so the fused loops can
-        skip the per-handler control check. ``size`` stays the static
-        instruction count of the *unfused* block — that is the bit-identity
-        invariant: fusion changes how many Python calls execute a block,
-        never how the block is accounted.
-        """
-        phis = block.phis()
-        phi_plan = None
-        if phis:
-            keys = [id(p) for p in phis]
-            tables = []
-            for phi in phis:
-                table: dict[int, object] = {}
-                for value, inc_block in phi.incoming:
-                    table[id(inc_block)] = self._getter(value)
-                tables.append(table)
-            phi_plan = (keys, tables)
+        interval = sampler.interval
+        samples = sampler.samples
 
-        instrs = block.instructions
-        last = len(instrs) - 1
-        sites = {site.start: site for site in self.fusion.sites_for(block)}
-        body = []
-        i = len(phis)
-        while i < last:
-            site = sites.get(i)
-            if site is not None and i + site.length <= last:
-                body.append(site.bind(self))
-                i += site.length
+        def record() -> None:
+            profile = self._profile
+            prof = profile.blocks.get(key)
+            if prof is None:
+                profile.record(fname, block_name, size)
             else:
-                body.append(self._compile_instr(fname, instrs[i]))
-                i += 1
-        terminator = self._compile_instr(fname, instrs[last])
+                prof.count += 1
+            # Sampling tick: every `interval` block executions, charge the
+            # elapsed wall time to the block entered right now.
+            sampler.tick += 1
+            if sampler.tick >= interval:
+                now = perf_counter()
+                samples[key] = samples.get(key, 0.0) + now - sampler.last
+                sampler.last = now
+                sampler.tick = 0
+                sampler.sample_count += 1
 
-        size = len(instrs)
-        block_name = block.name
+        return (record, size, blk)
 
-        def record(function_name: str, _size=size, _name=block_name) -> None:
-            # self._profile is replaced per run(); resolve dynamically.
-            self._profile.record(function_name, _name, _size)
 
-        return (record, size, phi_plan, tuple(body), terminator)
+# -- block code generation -------------------------------------------------------
+_INT_FAST = {Opcode.ADD: "+", Opcode.SUB: "-", Opcode.MUL: "*"}
+_INT_BITWISE = {Opcode.AND: "&", Opcode.OR: "|", Opcode.XOR: "^"}
+_FLOAT_FAST = {Opcode.FADD: "+", Opcode.FSUB: "-", Opcode.FMUL: "*"}
+_INT_SHIFTS = frozenset({Opcode.SHL, Opcode.LSHR, Opcode.ASHR})
+_INT_DIVISIONS = frozenset({Opcode.SDIV, Opcode.SREM})
+_FCMP_FAST = {
+    FCmpPred.OEQ: "==",
+    FCmpPred.OLT: "<",
+    FCmpPred.OLE: "<=",
+    FCmpPred.OGT: ">",
+    FCmpPred.OGE: ">=",
+}
+_ICMP_FAST = {
+    ICmpPred.SLT: "<",
+    ICmpPred.SGT: ">",
+    ICmpPred.SLE: "<=",
+    ICmpPred.SGE: ">=",
+    ICmpPred.EQ: "==",
+    ICmpPred.NE: "!=",
+}
 
-    def _getter(self, value: Value):
-        """Compile an operand into a zero-branch accessor."""
+
+def _wrap_lines(res: str, bits: int) -> list[str]:
+    """Source wrapping *res* to the signed range of an int of *bits*."""
+    mask = (1 << bits) - 1
+    if bits == 1:
+        return [f"{res} &= 1"]
+    half = 1 << (bits - 1)
+    return [f"{res} &= {mask}", f"if {res} >= {half}: {res} -= {1 << bits}"]
+
+
+class _BlockCodegen:
+    """Generates the source of one block function and compiles it.
+
+    Objects the code needs (evaluators, types, global addresses, memory
+    functions, successor blocks) are bound by name in the ``exec``
+    namespace; integer constants and ``env`` keys are literals.
+    """
+
+    def __init__(self, interp: Interpreter, fname: str) -> None:
+        self.interp = interp
+        self.fname = fname
+        self.lines: list[str] = []
+        # id(value) -> name, for values read from env: a missing key
+        # becomes "use of undefined value %name".
+        self._names: dict[int, str] = {}
+        self.namespace: dict[str, object] = {"_VME": VMError, "_NAMES": self._names}
+        self._bound: dict[int, str] = {}
+        self._locals: dict[int, str] = {}
+
+    # -- bindings ----------------------------------------------------------
+    def bind(self, obj: object) -> str:
+        name = self._bound.get(id(obj))
+        if name is None:
+            name = f"_b{len(self._bound)}"
+            self._bound[id(obj)] = name
+            self.namespace[name] = obj
+        return name
+
+    def operand(self, value: Value) -> str:
+        """Expression for one operand."""
+        local = self._locals.get(id(value))
+        if local is not None:
+            return local
         if isinstance(value, Constant):
             v = value.value
-            return lambda env, _v=v: _v
+            return repr(v) if type(v) is int else self.bind(v)
         if isinstance(value, GlobalVariable):
             if value.address is None:
                 raise VMError(f"global @{value.name} has no address")
-            addr = value.address
-            return lambda env, _a=addr: _a
+            return repr(value.address)
         if isinstance(value, UndefValue):
-            v = 0.0 if value.type.is_float else 0
-            return lambda env, _v=v: _v
-        key = id(value)
+            return "0.0" if value.type.is_float else "0"
+        self._names[id(value)] = getattr(value, "name", "?")
+        return f"env[{id(value)}]"
 
-        def get(env, _k=key):
-            try:
-                return env[_k]
-            except KeyError:
-                name = getattr(value, "name", "?")
-                raise VMError(f"use of undefined value %{name}") from None
+    # -- whole block -------------------------------------------------------
+    def compile(self, block: BasicBlock):
+        instrs = block.instructions
+        phis = block.phis()
+        if phis:
+            self.emit_phis(phis)
+        for index in range(len(phis), len(instrs)):
+            self.emit(index, instrs[index])
+        if not instrs or not instrs[-1].is_terminator:
+            message = f"{self.fname}/{block.name}: fell off block end"
+            self.lines.append(f"raise _VME({message!r})")
+        body = "\n".join(f"        {line}" for line in self.lines)
+        source = (
+            "def blk(env, prev):\n"
+            "    try:\n"
+            f"{body}\n"
+            "    except KeyError as exc:\n"
+            "        key = exc.args[0] if exc.args else None\n"
+            "        if type(key) is int and key in _NAMES:\n"
+            '            raise _VME("use of undefined value %" + _NAMES[key]) '
+            "from None\n"
+            "        raise\n"
+        )
+        code = compile(source, f"<block {self.fname}/{block.name}>", "exec")
+        exec(code, self.namespace)
+        return self.namespace["blk"]
 
-        return get
+    def emit_phis(self, phis) -> None:
+        # Parallel-move semantics: every incoming value for the actual
+        # predecessor is read into a temporary before any phi is written.
+        # A predecessor listed twice in one phi keeps its last value.
+        preds: list[BasicBlock] = []
+        tables = []
+        for phi in phis:
+            table = {}
+            for value, inc in phi.incoming:
+                if not any(inc is p for p in preds):
+                    preds.append(inc)
+                table[id(inc)] = value
+            tables.append(table)
+        L = self.lines.append
+        keyword = "if"
+        for pred in preds:
+            L(f"{keyword} prev is {self.bind(pred)}:")
+            keyword = "elif"
+            for index, table in enumerate(tables):
+                value = table.get(id(pred))
+                if value is None:
+                    L("    raise KeyError(prev)")
+                    break
+                L(f"    p{index} = {self.operand(value)}")
+        L("else:")
+        L("    raise KeyError(prev)")
+        for index, phi in enumerate(phis):
+            L(f"env[{id(phi)}] = p{index}")
+            self._locals[id(phi)] = f"p{index}"
 
-    # -- instruction compilation ---------------------------------------------
-    def _compile_instr(self, fname: str, instr: Instruction):
+    def emit(self, index: int, instr: Instruction) -> None:
         op = instr.opcode
-        key = id(instr)
+        res = f"v{index}"
         operands = instr.operands
-        getters = [self._getter(o) for o in operands]
+        L = self.lines.append
 
-        # ---- integer binary ops with inlined wrapping --------------------
-        if op in _INT_FAST_OPS and instr.type.is_int:
-            g0, g1 = getters
+        if op in _INT_FAST and instr.type.is_int:
+            # The closure interpreter's wrap, kept exactly: unlike wrap_int
+            # it maps an i1 result of 1 to -1.
+            a, b = (self.operand(o) for o in operands)
             bits = instr.type.bits
             mask = (1 << bits) - 1
             half = 1 << (bits - 1) if bits > 1 else 1
-            size = 1 << bits
-            kind = op
-
-            if kind is Opcode.ADD:
-
-                def h(env):
-                    v = (g0(env) + g1(env)) & mask
-                    env[key] = v - size if v >= half else v
-
-            elif kind is Opcode.SUB:
-
-                def h(env):
-                    v = (g0(env) - g1(env)) & mask
-                    env[key] = v - size if v >= half else v
-
-            elif kind is Opcode.MUL:
-
-                def h(env):
-                    v = (g0(env) * g1(env)) & mask
-                    env[key] = v - size if v >= half else v
-
-            elif kind is Opcode.AND:
-
-                def h(env):
-                    env[key] = g0(env) & g1(env)
-
-            elif kind is Opcode.OR:
-
-                def h(env):
-                    env[key] = g0(env) | g1(env)
-
-            else:  # XOR
-
-                def h(env):
-                    env[key] = g0(env) ^ g1(env)
-
-            return h
-
-        # ---- float binary ops --------------------------------------------
-        if op in _FLOAT_FAST_OPS:
-            g0, g1 = getters
-            if op is Opcode.FADD:
-
-                def h(env):
-                    env[key] = g0(env) + g1(env)
-
-            elif op is Opcode.FSUB:
-
-                def h(env):
-                    env[key] = g0(env) - g1(env)
-
-            elif op is Opcode.FMUL:
-
-                def h(env):
-                    env[key] = g0(env) * g1(env)
-
-            else:  # FDIV
-
-                def h(env):
-                    b = g1(env)
-                    a = g0(env)
-                    if b == 0.0:
-                        env[key] = (
-                            math.inf if a > 0 else (-math.inf if a < 0 else math.nan)
-                        )
-                    else:
-                        env[key] = a / b
-
-            return h
-
-        # ---- remaining binary ops via the shared fold evaluators ---------
-        from repro.ir.opcodes import BINARY_OPS, CAST_OPS
-
-        if op in BINARY_OPS:
-            g0, g1 = getters
-            ty = instr.type
-
-            def h(env):
-                try:
-                    env[key] = fold_binary(op, ty, g0(env), g1(env))
-                except ConstantFoldError as exc:
-                    raise VMError(f"{fname}: {exc}") from None
-
-            return h
-
-        if op is Opcode.ICMP:
-            g0, g1 = getters
-            pred = instr.pred
-            oty = operands[0].type
-            if pred is ICmpPred.SLT:
-                return lambda env: env.__setitem__(key, 1 if g0(env) < g1(env) else 0)
-            if pred is ICmpPred.SGT:
-                return lambda env: env.__setitem__(key, 1 if g0(env) > g1(env) else 0)
-            if pred is ICmpPred.SLE:
-                return lambda env: env.__setitem__(key, 1 if g0(env) <= g1(env) else 0)
-            if pred is ICmpPred.SGE:
-                return lambda env: env.__setitem__(key, 1 if g0(env) >= g1(env) else 0)
-            if pred is ICmpPred.EQ:
-                return lambda env: env.__setitem__(key, 1 if g0(env) == g1(env) else 0)
-            if pred is ICmpPred.NE:
-                return lambda env: env.__setitem__(key, 1 if g0(env) != g1(env) else 0)
-
-            def h(env):
-                env[key] = fold_icmp(pred, oty, g0(env), g1(env))
-
-            return h
-
-        if op is Opcode.FCMP:
-            g0, g1 = getters
-            pred = instr.pred
-
-            def h(env):
-                env[key] = fold_fcmp(pred, g0(env), g1(env))
-
-            return h
-
-        if op in CAST_OPS:
-            g0 = getters[0]
-            src_ty = operands[0].type
-            dst_ty = instr.type
-
-            def h(env):
-                env[key] = fold_cast(op, src_ty, dst_ty, g0(env))
-
-            return h
-
-        if op is Opcode.SELECT:
-            gc, gt, gf = getters
-
-            def h(env):
-                env[key] = gt(env) if gc(env) else gf(env)
-
-            return h
-
-        if op is Opcode.FNEG:
-            g0 = getters[0]
-
-            def h(env):
-                env[key] = -g0(env)
-
-            return h
-
-        # ---- memory ----------------------------------------------------------
-        if op is Opcode.LOAD:
-            g0 = getters[0]
-            load = self.memory.load
-            ty = instr.type
-
-            def h(env):
-                env[key] = load(g0(env), ty)
-
-            return h
-
-        if op is Opcode.STORE:
-            gv, gp = getters
-            store = self.memory.store
-            ty = operands[0].type
-
-            def h(env):
-                store(gp(env), ty, gv(env))
-
-            return h
-
-        if op is Opcode.GEP:
-            gp, gi = getters
-            scale = instr.elem_size
-
-            def h(env):
-                env[key] = gp(env) + gi(env) * scale
-
-            return h
-
-        if op is Opcode.ALLOCA:
-            nbytes = instr.elem_size * instr.alloc_count
-            alloca = self.memory.alloca
-
-            def h(env):
-                env[key] = alloca(nbytes)
-
-            return h
-
-        # ---- calls -----------------------------------------------------------
-        if op is Opcode.CALL:
-            callee = instr.callee
-            has_result = instr.has_result
-            if isinstance(callee, str):
-                intr = INTRINSICS.get(callee)
-                if intr is None:
-                    raise VMError(f"unknown intrinsic {callee!r}")
-                fn = intr.fn
-
-                # Intrinsic-call counting is baked in at block-compile time:
-                # with metrics disabled (the default) the handlers below are
-                # count-free, so observability costs the hot loop nothing.
-                if metrics_enabled():
-                    counts = self._intrinsic_counts
-                    name = callee
-
-                    if has_result:
-
-                        def h(env):
-                            counts[name] = counts.get(name, 0) + 1
-                            env[key] = fn(self, *[g(env) for g in getters])
-
-                    else:
-
-                        def h(env):
-                            counts[name] = counts.get(name, 0) + 1
-                            fn(self, *[g(env) for g in getters])
-
-                    return h
-
-                if has_result:
-
-                    def h(env):
-                        env[key] = fn(self, *[g(env) for g in getters])
-
-                else:
-
-                    def h(env):
-                        fn(self, *[g(env) for g in getters])
-
-                return h
-
-            call = self._call
-
-            if has_result:
-
-                def h(env):
-                    env[key] = call(callee, [g(env) for g in getters])
-
+            L(f"{res} = ({a} {_INT_FAST[op]} {b}) & {mask}")
+            L(f"if {res} >= {half}: {res} -= {1 << bits}")
+        elif op in _INT_BITWISE and instr.type.is_int:
+            a, b = (self.operand(o) for o in operands)
+            L(f"{res} = {a} {_INT_BITWISE[op]} {b}")
+        elif op in _INT_SHIFTS and instr.type.is_int:
+            self.emit_shift(res, instr)
+        elif op in _INT_DIVISIONS and instr.type.is_int:
+            self.emit_division(res, instr)
+        elif op in _FLOAT_FAST:
+            a, b = (self.operand(o) for o in operands)
+            L(f"{res} = {a} {_FLOAT_FAST[op]} {b}")
+        elif op is Opcode.FDIV:
+            a, b = (self.operand(o) for o in operands)
+            inf = self.bind(math.inf)
+            L(f"den = {b}")
+            L(f"num = {a}")
+            L("if den == 0.0:")
+            L(
+                f"    {res} = {inf} if num > 0 else"
+                f" (-{inf} if num < 0 else {self.bind(math.nan)})"
+            )
+            L("else:")
+            L(f"    {res} = num / den")
+        elif op in BINARY_OPS:
+            a, b = (self.operand(o) for o in operands)
+            self.lines.extend(self.folded_binary(res, instr, a, b))
+        elif op is Opcode.ICMP:
+            a, b = (self.operand(o) for o in operands)
+            sym = _ICMP_FAST.get(instr.pred)
+            if sym is not None:
+                L(f"{res} = 1 if {a} {sym} {b} else 0")
             else:
+                L(
+                    f"{res} = {self.bind(fold_icmp)}({self.bind(instr.pred)}, "
+                    f"{self.bind(operands[0].type)}, {a}, {b})"
+                )
+        elif op is Opcode.FCMP:
+            a, b = (self.operand(o) for o in operands)
+            sym = _FCMP_FAST.get(instr.pred)
+            if sym is not None:
+                # Python comparisons with NaN are false, as fold_fcmp's are.
+                L(f"{res} = 1 if {a} {sym} {b} else 0")
+            else:
+                L(
+                    f"{res} = {self.bind(fold_fcmp)}({self.bind(instr.pred)}, "
+                    f"{a}, {b})"
+                )
+        elif op in CAST_OPS:
+            self.emit_cast(res, instr)
+        elif op is Opcode.SELECT:
+            c, t, f = (self.operand(o) for o in operands)
+            L(f"{res} = {t} if {c} else {f}")
+        elif op is Opcode.FNEG:
+            L(f"{res} = -{self.operand(operands[0])}")
+        elif op is Opcode.LOAD:
+            self.emit_load(res, instr)
+        elif op is Opcode.STORE:
+            self.emit_store(instr)
+            return
+        elif op is Opcode.GEP:
+            p, i = (self.operand(o) for o in operands)
+            L(f"{res} = {p} + {i} * {instr.elem_size}")
+        elif op is Opcode.ALLOCA:
+            alloca = self.bind(self.interp.memory.alloca)
+            L(f"{res} = {alloca}({instr.elem_size * instr.alloc_count})")
+        elif op is Opcode.CALL:
+            if not self.emit_call(res, instr):
+                return
+        elif op is Opcode.CUSTOM:
+            evaluators = self.bind(self.interp.custom_evaluators)
+            cid = instr.custom_id
+            args = ", ".join(self.operand(o) for o in operands)
+            L(f"ev = {evaluators}.get({cid})")
+            L("if ev is None:")
+            L(f'    raise _VME("no evaluator for custom instruction #{cid}")')
+            L(f"{res} = ev([{args}])")
+        elif op is Opcode.BR:
+            L(f"return {self.bind((_JUMP, instr.targets[0]))}")
+            return
+        elif op is Opcode.CONDBR:
+            c = self.operand(operands[0])
+            taken = self.bind((_JUMP, instr.targets[0]))
+            other = self.bind((_JUMP, instr.targets[1]))
+            L(f"return {taken} if {c} else {other}")
+            return
+        elif op is Opcode.RET:
+            if operands:
+                L(f"return ({_RETURN}, {self.operand(operands[0])})")
+            else:
+                L(f"return {self.bind((_RETURN, None))}")
+            return
+        else:
+            raise VMError(f"cannot interpret opcode {op}")  # pragma: no cover
 
-                def h(env):
-                    call(callee, [g(env) for g in getters])
+        # Every result is published to env: later blocks and phis read SSA
+        # values there.
+        L(f"env[{id(instr)}] = {res}")
+        self._locals[id(instr)] = res
 
-            return h
+    def folded_binary(self, res: str, instr: Instruction, a: str, b: str):
+        """Source calling fold_binary, its trap raised as a VMError."""
+        return [
+            "try:",
+            f"    {res} = {self.bind(fold_binary)}({self.bind(instr.opcode)}, "
+            f"{self.bind(instr.type)}, {a}, {b})",
+            f"except {self.bind(ConstantFoldError)} as exc:",
+            f"    raise _VME({self.fname!r} + ': ' + str(exc)) from None",
+        ]
 
-        if op is Opcode.CUSTOM:
-            custom_id = instr.custom_id
-            evaluators = self.custom_evaluators
+    def emit_shift(self, res: str, instr: Instruction) -> None:
+        # fold_binary's shifts: the amount is taken modulo the width, then
+        # the result is wrapped.
+        op = instr.opcode
+        bits = instr.type.bits
+        value, shift = instr.operands
+        a = self.operand(value)
+        if isinstance(shift, Constant) and type(shift.value) is int:
+            amount = str(shift.value % bits)
+        else:
+            amount = f"({self.operand(shift)} % {bits})"
+        if op is Opcode.SHL:
+            self.lines.append(f"{res} = {a} << {amount}")
+        elif op is Opcode.LSHR:
+            self.lines.append(f"{res} = ({a} & {(1 << bits) - 1}) >> {amount}")
+        else:  # ASHR
+            self.lines.append(f"{res} = {a} >> {amount}")
+        self.lines.extend(_wrap_lines(res, bits))
 
-            def h(env):
-                evaluator = evaluators.get(custom_id)
-                if evaluator is None:
-                    raise VMError(
-                        f"no evaluator for custom instruction #{custom_id}"
-                    )
-                env[key] = evaluator([g(env) for g in getters])
+    def emit_division(self, res: str, instr: Instruction) -> None:
+        # fold_binary's signed division and remainder; a zero divisor goes
+        # through fold_binary itself so the trap message stays its own.
+        L = self.lines.append
+        a, b = (self.operand(o) for o in instr.operands)
+        L(f"num = {a}")
+        L(f"den = {b}")
+        L("if den:")
+        if instr.opcode is Opcode.SDIV:
+            L(f"    {res} = int(num / den)")
+        else:  # SREM
+            L(f"    {res} = int({self.bind(math.fmod)}(num, den))")
+        self.lines.extend(f"    {line}" for line in _wrap_lines(res, instr.type.bits))
+        L("else:")
+        self.lines.extend(
+            f"    {line}" for line in self.folded_binary(res, instr, "num", "den")
+        )
 
-            return h
+    def emit_cast(self, res: str, instr: Instruction) -> None:
+        op = instr.opcode
+        src_ty = instr.operands[0].type
+        dst_ty = instr.type
+        a = self.operand(instr.operands[0])
+        L = self.lines.append
+        if op is Opcode.ZEXT and dst_ty.bits > src_ty.bits:
+            # The masked source fits below the wider type's sign bit.
+            L(f"{res} = {a} & {(1 << src_ty.bits) - 1}")
+        elif op in (Opcode.SEXT, Opcode.TRUNC):
+            L(f"{res} = {a}")
+            self.lines.extend(_wrap_lines(res, dst_ty.bits))
+        elif op in (Opcode.SITOFP, Opcode.FPEXT):
+            L(f"{res} = float({a})")
+        else:
+            L(
+                f"{res} = {self.bind(fold_cast)}({self.bind(op)}, "
+                f"{self.bind(src_ty)}, {self.bind(dst_ty)}, {a})"
+            )
 
-        # ---- terminators -----------------------------------------------------
-        if op is Opcode.BR:
-            target = instr.targets[0]
-            ctl = (_JUMP, target)
-            return lambda env, _c=ctl: _c
+    def _access_guard(self, nbytes: int) -> str:
+        """Condition under which Memory's check would pass."""
+        limit = self.interp.memory.size - nbytes
+        guard = f"8 <= addr <= {limit}"
+        if nbytes > 1:
+            guard += f" and not addr & {nbytes - 1}"
+        return guard
 
-        if op is Opcode.CONDBR:
-            g0 = getters[0]
-            ctl_true = (_JUMP, instr.targets[0])
-            ctl_false = (_JUMP, instr.targets[1])
-            return lambda env: ctl_true if g0(env) else ctl_false
+    def emit_load(self, res: str, instr: Instruction) -> None:
+        memory = self.interp.memory
+        acc = accessor(instr.type)
+        L = self.lines.append
+        L(f"addr = {self.operand(instr.operands[0])}")
+        L(f"if {self._access_guard(acc.nbytes)}:")
+        unpack = self.bind(acc.load.unpack_from)
+        mask = f" & {acc.load_mask}" if acc.load_mask is not None else ""
+        L(f"    {res} = {unpack}({self.bind(memory.data)}, addr)[0]{mask}")
+        L("else:")
+        # Out of range or misaligned: Memory.load raises the fault.
+        L(f"    {res} = {self.bind(memory.load)}(addr, {self.bind(instr.type)})")
 
-        if op is Opcode.RET:
-            if getters:
-                g0 = getters[0]
-                return lambda env: (_RETURN, g0(env))
-            none_ctl = (_RETURN, None)
-            return lambda env, _c=none_ctl: _c
+    def emit_store(self, instr: Instruction) -> None:
+        memory = self.interp.memory
+        value, pointer = instr.operands
+        acc = accessor(value.type)
+        L = self.lines.append
+        L(f"addr = {self.operand(pointer)}")
+        v = self.operand(value)
+        L(f"if {self._access_guard(acc.nbytes)}:")
+        stored = v if acc.store_mask is None else f"{v} & {acc.store_mask}"
+        pack = self.bind(acc.store.pack_into)
+        L(f"    {pack}({self.bind(memory.data)}, addr, {stored})")
+        L("else:")
+        L(f"    {self.bind(memory.store)}(addr, {self.bind(value.type)}, {v})")
 
-        raise VMError(f"cannot interpret opcode {op}")  # pragma: no cover
-
-
-_INT_FAST_OPS = frozenset(
-    {Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.AND, Opcode.OR, Opcode.XOR}
-)
-_FLOAT_FAST_OPS = frozenset(
-    {Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV}
-)
+    def emit_call(self, res: str, instr: Instruction) -> bool:
+        """Emit a call; returns whether it produces a result."""
+        callee = instr.callee
+        args = [self.operand(o) for o in instr.operands]
+        L = self.lines.append
+        if isinstance(callee, str):
+            intr = INTRINSICS.get(callee)
+            if intr is None:
+                raise VMError(f"unknown intrinsic {callee!r}")
+            if metrics_enabled():
+                counts = self.bind(self.interp._intrinsic_counts)
+                L(f"{counts}[{callee!r}] = {counts}.get({callee!r}, 0) + 1")
+            call = f"{self.bind(intr.fn)}({', '.join([self.bind(self.interp), *args])})"
+        else:
+            call_fn = self.bind(self.interp._call)
+            call = f"{call_fn}({self.bind(callee)}, [{', '.join(args)}])"
+        if instr.has_result:
+            L(f"{res} = {call}")
+            return True
+        L(call)
+        return False

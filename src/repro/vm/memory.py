@@ -2,8 +2,9 @@
 
 Globals are laid out at load time; each call frame gets a bump-allocated
 stack region for allocas; ``malloc`` draws from a heap region. Scalar
-loads/stores go through numpy structured views for correct fixed-width
-semantics.
+loads/stores go through one per-type :class:`Accessor` table of
+precompiled ``struct.Struct`` objects, which the interpreter's block
+compiler binds as well, so fixed-width semantics are written once.
 
 Layout (addresses are plain ints; address 0 is reserved as NULL):
 
@@ -19,10 +20,9 @@ counterparts.
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass
 
-import numpy as np
-
-from repro.ir.types import Type, wrap_int
+from repro.ir.types import Type
 from repro.ir.values import GlobalVariable
 
 
@@ -30,16 +30,47 @@ class MemoryError_(Exception):
     """VM memory fault (out-of-range access, overflow)."""
 
 
-_STRUCT_FMT = {
-    ("int", 1): "b",
-    ("int", 8): "b",
-    ("int", 16): "h",
-    ("int", 32): "i",
-    ("int", 64): "q",
-    ("float", 32): "f",
-    ("float", 64): "d",
-    ("ptr", 64): "q",
+@dataclass(frozen=True)
+class Accessor:
+    """Typed scalar access: byte width, precompiled structs, wrap rules.
+
+    Loads unpack with the signed/float format; an i1 load keeps only its
+    low bit (``load_mask``). Stores pack the value masked to the type's
+    width (``store_mask``) with the matching *unsigned* format, which
+    writes the same bytes as packing the two's-complement wrapped value;
+    float stores pack as-is, so an f32 store rounds to single precision.
+    """
+
+    nbytes: int
+    load: struct.Struct
+    store: struct.Struct
+    load_mask: int | None
+    store_mask: int | None
+
+
+def _accessor(load_fmt: str, store_fmt: str, load_mask=None, store_mask=None):
+    load = struct.Struct("<" + load_fmt)
+    return Accessor(
+        load.size, load, struct.Struct("<" + store_fmt), load_mask, store_mask
+    )
+
+
+#: (type kind, bits) -> Accessor, built once at import.
+ACCESSORS: dict[tuple[str, int], Accessor] = {
+    ("int", 1): _accessor("b", "B", load_mask=1, store_mask=1),
+    ("int", 8): _accessor("b", "B", store_mask=0xFF),
+    ("int", 16): _accessor("h", "H", store_mask=0xFFFF),
+    ("int", 32): _accessor("i", "I", store_mask=0xFFFFFFFF),
+    ("int", 64): _accessor("q", "Q", store_mask=(1 << 64) - 1),
+    ("float", 32): _accessor("f", "f"),
+    ("float", 64): _accessor("d", "d"),
+    ("ptr", 64): _accessor("q", "Q", store_mask=(1 << 64) - 1),
 }
+
+
+def accessor(ty: Type) -> Accessor:
+    """The :class:`Accessor` for scalar type *ty*."""
+    return ACCESSORS[(ty.kind, ty.bits)]
 
 
 class Memory:
@@ -124,30 +155,19 @@ class Memory:
             )
 
     def load(self, addr: int, ty: Type):
-        fmt = _STRUCT_FMT[(ty.kind, ty.bits)]
-        nbytes = struct.calcsize(fmt)
-        self._check(addr, nbytes)
-        (value,) = struct.unpack_from("<" + fmt, self.data, addr)
-        if ty.is_int:
-            return wrap_int(value, ty)
-        if ty.is_float:
-            return float(value)
-        return int(value)
+        acc = accessor(ty)
+        self._check(addr, acc.nbytes)
+        (value,) = acc.load.unpack_from(self.data, addr)
+        if acc.load_mask is not None:
+            value &= acc.load_mask
+        return value
 
     def store(self, addr: int, ty: Type, value) -> None:
-        fmt = _STRUCT_FMT[(ty.kind, ty.bits)]
-        nbytes = struct.calcsize(fmt)
-        self._check(addr, nbytes)
-        if ty.is_int:
-            value = wrap_int(int(value), ty)
-        elif ty.is_float:
-            value = float(value)
-            if ty.bits == 32:
-                # round-trip through f32 to keep stored precision honest
-                value = struct.unpack("f", struct.pack("f", value))[0]
-        else:
-            value = int(value)
-        struct.pack_into("<" + fmt, self.data, addr, value)
+        acc = accessor(ty)
+        self._check(addr, acc.nbytes)
+        if acc.store_mask is not None:
+            value = int(value) & acc.store_mask
+        acc.store.pack_into(self.data, addr, value)
 
     # -- bulk helpers (used by dataset loaders) -----------------------------
     def write_array(self, addr: int, ty: Type, values) -> None:

@@ -1,0 +1,1065 @@
+"""Whole-block compilation: differential tests against the closure oracle.
+
+The interpreter compiles every basic block into one generated function.
+The reference here is the interpreter it replaced — the per-instruction
+closure compiler with its plain and sampled dispatch loops, and the
+format-table memory access — copied verbatim into this file, where it
+lives only as an oracle. For every program below both run on the same
+inputs and must agree exactly on the return value, the output channel,
+the step count, the block profile *in insertion order*, and the virtual
+PPC405 clock (compared with ``==``: ``total_cycles`` sums floats in dict
+order, so a reordered profile would show here). Traps must raise the
+same exception type with the same message.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+import struct
+from dataclasses import fields
+from time import perf_counter
+
+import pytest
+
+from repro.ir.basicblock import BasicBlock
+from repro.ir.builder import IRBuilder
+from repro.ir.function import Function
+from repro.ir.instructions import Instruction
+from repro.ir.module import Module
+from repro.ir.opcodes import BINARY_OPS, CAST_OPS, FCmpPred, ICmpPred, Opcode
+from repro.ir.passes.constfold import (
+    ConstantFoldError,
+    fold_binary,
+    fold_cast,
+    fold_fcmp,
+    fold_icmp,
+)
+from repro.ir.types import F32, F64, I1, I8, I16, I32, I64, Type, wrap_int
+from repro.ir.values import Constant, GlobalVariable, UndefValue, Value
+from repro.obs import disable_metrics, enable_metrics, get_metrics, metrics_enabled
+from repro.vm.costmodel import PPC405_COST_MODEL, CostModel
+from repro.vm.interpreter import ExecutionResult, Interpreter, VMError
+from repro.vm.intrinsics import INTRINSICS
+from repro.vm.memory import Memory, MemoryError_
+from repro.vm.profiler import BlockTimeSampler, ExecutionProfile
+
+
+# -- the oracle: the closure interpreter and its memory access ---------------
+_STRUCT_FMT = {
+    ("int", 1): "b",
+    ("int", 8): "b",
+    ("int", 16): "h",
+    ("int", 32): "i",
+    ("int", 64): "q",
+    ("float", 32): "f",
+    ("float", 64): "d",
+    ("ptr", 64): "q",
+}
+
+
+class ClosureMemory(Memory):
+    """Memory with the format-table scalar access the accessors replaced."""
+
+    def load(self, addr: int, ty: Type):
+        fmt = _STRUCT_FMT[(ty.kind, ty.bits)]
+        nbytes = struct.calcsize(fmt)
+        self._check(addr, nbytes)
+        (value,) = struct.unpack_from("<" + fmt, self.data, addr)
+        if ty.is_int:
+            return wrap_int(value, ty)
+        if ty.is_float:
+            return float(value)
+        return int(value)
+
+    def store(self, addr: int, ty: Type, value) -> None:
+        fmt = _STRUCT_FMT[(ty.kind, ty.bits)]
+        nbytes = struct.calcsize(fmt)
+        self._check(addr, nbytes)
+        if ty.is_int:
+            value = wrap_int(int(value), ty)
+        elif ty.is_float:
+            value = float(value)
+            if ty.bits == 32:
+                # round-trip through f32 to keep stored precision honest
+                value = struct.unpack("f", struct.pack("f", value))[0]
+        else:
+            value = int(value)
+        struct.pack_into("<" + fmt, self.data, addr, value)
+
+
+_JUMP = 0
+_RETURN = 1
+
+
+class ClosureInterpreter:
+    """The previous closure-compiled interpreter (plain and sampled loops)."""
+
+    def __init__(
+        self,
+        module: Module,
+        memory_size: int = 1 << 22,
+        max_steps: int = 200_000_000,
+        dataset_size: int = 0,
+        dataset_seed: int = 1,
+        sampler: BlockTimeSampler | None = None,
+    ) -> None:
+        self.module = module
+        self.memory = ClosureMemory(memory_size)
+        self.memory.place_globals(list(module.globals.values()))
+        self.max_steps = max_steps
+        self.dataset_size = dataset_size
+        self.dataset_seed = dataset_seed
+        self.output: list = []
+        self.rand_state = 1
+        self.cycles_executed = 0  # coarse counter exposed to clock()
+        # Real-clock sampler: None by default, in which case _call() runs
+        # the unsampled loop and the hot path gains zero added work.
+        self.sampler = sampler
+        self._steps = 0
+        self._profile = ExecutionProfile(module.name)
+        # Custom-instruction evaluators installed by the binary patcher:
+        # custom_id -> callable(list_of_operand_values) -> value
+        self.custom_evaluators: dict[int, object] = {}
+        # Compiled-block cache: id(block) -> (phi_plan, body_handlers)
+        self._compiled: dict[int, tuple] = {}
+        # Observability: intrinsic-call counts, flushed to the metrics
+        # registry once per run (never touched on the hot path unless
+        # metrics were enabled when the block was compiled).
+        self._intrinsic_counts: dict[str, int] = {}
+
+    # -- public API ----------------------------------------------------------
+    def run(self, function_name="main", args=None) -> ExecutionResult:
+        """Execute *function_name* to completion and return its result."""
+        func = self.module.function(function_name)
+        self._steps = 0
+        self._profile = ExecutionProfile(self.module.name)
+        if self.sampler is not None:
+            self.sampler.begin()
+        value = self._call(func, list(args or []))
+        registry = get_metrics()
+        if registry.enabled:
+            # Counters are flushed once per run (sampled, not per step) so
+            # metrics collection never slows the interpretation loop.
+            registry.counter("vm.runs").inc()
+            registry.counter("vm.instructions").inc(self._steps)
+            registry.counter("vm.block_executions").inc(
+                self._profile.total_block_executions
+            )
+            for name, count in self._intrinsic_counts.items():
+                registry.counter(f"vm.intrinsic.{name}").inc(count)
+            self._intrinsic_counts.clear()
+        return ExecutionResult(
+            return_value=value,
+            profile=self._profile,
+            output=list(self.output),
+            steps=self._steps,
+        )
+
+    # -- execution core ------------------------------------------------------
+    def _call(self, func: Function, args: list):
+        if self.sampler is not None:
+            return self._call_sampled(func, args)
+        if func.is_declaration:
+            raise VMError(f"call to undefined function {func.name}")
+        if len(args) != len(func.args):
+            raise VMError(
+                f"{func.name}: expected {len(func.args)} args, got {len(args)}"
+            )
+        frame_token = self.memory.push_frame()
+        env: dict[int, object] = {}
+        for formal, actual in zip(func.args, args):
+            env[id(formal)] = actual
+
+        block = func.entry
+        prev_block_id = 0
+        fname = func.name
+        compiled = self._compiled
+        max_steps = self.max_steps
+
+        try:
+            while True:
+                plan = compiled.get(id(block))
+                if plan is None:
+                    plan = self._compile_block(fname, block)
+                    compiled[id(block)] = plan
+                record, size, phi_plan, handlers = plan
+
+                record(fname)
+                self._steps += size
+                self.cycles_executed += size
+                if self._steps > max_steps:
+                    raise VMError(
+                        f"step limit exceeded ({self.max_steps}) in {fname}"
+                    )
+
+                if phi_plan is not None:
+                    keys, tables = phi_plan
+                    values = [t[prev_block_id](env) for t in tables]
+                    for key, value in zip(keys, values):
+                        env[key] = value
+
+                # Straight-line body: only the last handler (the terminator)
+                # returns a control tuple.
+                for handler in handlers:
+                    ctl = handler(env)
+                    if ctl is not None:
+                        break
+                else:  # pragma: no cover - verifier guarantees a terminator
+                    raise VMError(f"{fname}/{block.name}: fell off block end")
+
+                kind, payload = ctl
+                if kind == _RETURN:
+                    return payload
+                prev_block_id = id(block)
+                block = payload
+        except MemoryError_ as exc:
+            raise VMError(f"{fname}: {exc}") from None
+        finally:
+            self.memory.pop_frame(frame_token)
+
+    def _call_sampled(self, func: Function, args: list):
+        # Twin of _call with real-clock sampling woven in. Kept as a
+        # separate loop (not an `if sampler` branch inside _call) so the
+        # default path pays nothing for the feature; any fix to one loop
+        # must be mirrored in the other. Nested calls re-enter through
+        # _call, which routes back here while self.sampler is set.
+        if func.is_declaration:
+            raise VMError(f"call to undefined function {func.name}")
+        if len(args) != len(func.args):
+            raise VMError(
+                f"{func.name}: expected {len(func.args)} args, got {len(args)}"
+            )
+        frame_token = self.memory.push_frame()
+        env: dict[int, object] = {}
+        for formal, actual in zip(func.args, args):
+            env[id(formal)] = actual
+
+        block = func.entry
+        prev_block_id = 0
+        fname = func.name
+        compiled = self._compiled
+        max_steps = self.max_steps
+        sampler = self.sampler
+        interval = sampler.interval
+        samples = sampler.samples
+
+        try:
+            while True:
+                plan = compiled.get(id(block))
+                if plan is None:
+                    plan = self._compile_block(fname, block)
+                    compiled[id(block)] = plan
+                record, size, phi_plan, handlers = plan
+
+                record(fname)
+                self._steps += size
+                self.cycles_executed += size
+                if self._steps > max_steps:
+                    raise VMError(
+                        f"step limit exceeded ({self.max_steps}) in {fname}"
+                    )
+
+                # Sampling tick: every `interval` block executions, charge
+                # the elapsed wall time to the block running right now.
+                sampler.tick += 1
+                if sampler.tick >= interval:
+                    now = perf_counter()
+                    skey = (fname, block.name)
+                    samples[skey] = samples.get(skey, 0.0) + now - sampler.last
+                    sampler.last = now
+                    sampler.tick = 0
+                    sampler.sample_count += 1
+
+                if phi_plan is not None:
+                    keys, tables = phi_plan
+                    values = [t[prev_block_id](env) for t in tables]
+                    for key, value in zip(keys, values):
+                        env[key] = value
+
+                for handler in handlers:
+                    ctl = handler(env)
+                    if ctl is not None:
+                        break
+                else:  # pragma: no cover - verifier guarantees a terminator
+                    raise VMError(f"{fname}/{block.name}: fell off block end")
+
+                kind, payload = ctl
+                if kind == _RETURN:
+                    return payload
+                prev_block_id = id(block)
+                block = payload
+        except MemoryError_ as exc:
+            raise VMError(f"{fname}: {exc}") from None
+        finally:
+            self.memory.pop_frame(frame_token)
+
+    # -- block compilation -----------------------------------------------------
+    def _compile_block(self, fname: str, block: BasicBlock):
+        phis = block.phis()
+        phi_plan = None
+        if phis:
+            keys = [id(p) for p in phis]
+            tables = []
+            for phi in phis:
+                table: dict[int, object] = {}
+                for value, inc_block in phi.incoming:
+                    table[id(inc_block)] = self._getter(value)
+                tables.append(table)
+            phi_plan = (keys, tables)
+
+        handlers = [
+            self._compile_instr(fname, instr)
+            for instr in block.instructions[len(phis) :]
+        ]
+
+        size = len(block.instructions)
+        block_name = block.name
+
+        def record(function_name: str, _size=size, _name=block_name) -> None:
+            # self._profile is replaced per run(); resolve dynamically.
+            self._profile.record(function_name, _name, _size)
+
+        return (record, size, phi_plan, handlers)
+    def _getter(self, value: Value):
+        """Compile an operand into a zero-branch accessor."""
+        if isinstance(value, Constant):
+            v = value.value
+            return lambda env, _v=v: _v
+        if isinstance(value, GlobalVariable):
+            if value.address is None:
+                raise VMError(f"global @{value.name} has no address")
+            addr = value.address
+            return lambda env, _a=addr: _a
+        if isinstance(value, UndefValue):
+            v = 0.0 if value.type.is_float else 0
+            return lambda env, _v=v: _v
+        key = id(value)
+
+        def get(env, _k=key):
+            try:
+                return env[_k]
+            except KeyError:
+                name = getattr(value, "name", "?")
+                raise VMError(f"use of undefined value %{name}") from None
+
+        return get
+
+    # -- instruction compilation ---------------------------------------------
+    def _compile_instr(self, fname: str, instr: Instruction):
+        op = instr.opcode
+        key = id(instr)
+        operands = instr.operands
+        getters = [self._getter(o) for o in operands]
+
+        # ---- integer binary ops with inlined wrapping --------------------
+        if op in _INT_FAST_OPS and instr.type.is_int:
+            g0, g1 = getters
+            bits = instr.type.bits
+            mask = (1 << bits) - 1
+            half = 1 << (bits - 1) if bits > 1 else 1
+            size = 1 << bits
+            kind = op
+
+            if kind is Opcode.ADD:
+
+                def h(env):
+                    v = (g0(env) + g1(env)) & mask
+                    env[key] = v - size if v >= half else v
+
+            elif kind is Opcode.SUB:
+
+                def h(env):
+                    v = (g0(env) - g1(env)) & mask
+                    env[key] = v - size if v >= half else v
+
+            elif kind is Opcode.MUL:
+
+                def h(env):
+                    v = (g0(env) * g1(env)) & mask
+                    env[key] = v - size if v >= half else v
+
+            elif kind is Opcode.AND:
+
+                def h(env):
+                    env[key] = g0(env) & g1(env)
+
+            elif kind is Opcode.OR:
+
+                def h(env):
+                    env[key] = g0(env) | g1(env)
+
+            else:  # XOR
+
+                def h(env):
+                    env[key] = g0(env) ^ g1(env)
+
+            return h
+
+        # ---- float binary ops --------------------------------------------
+        if op in _FLOAT_FAST_OPS:
+            g0, g1 = getters
+            if op is Opcode.FADD:
+
+                def h(env):
+                    env[key] = g0(env) + g1(env)
+
+            elif op is Opcode.FSUB:
+
+                def h(env):
+                    env[key] = g0(env) - g1(env)
+
+            elif op is Opcode.FMUL:
+
+                def h(env):
+                    env[key] = g0(env) * g1(env)
+
+            else:  # FDIV
+
+                def h(env):
+                    b = g1(env)
+                    a = g0(env)
+                    if b == 0.0:
+                        env[key] = (
+                            math.inf if a > 0 else (-math.inf if a < 0 else math.nan)
+                        )
+                    else:
+                        env[key] = a / b
+
+            return h
+
+        # ---- remaining binary ops via the shared fold evaluators ---------
+        if op in BINARY_OPS:
+            g0, g1 = getters
+            ty = instr.type
+
+            def h(env):
+                try:
+                    env[key] = fold_binary(op, ty, g0(env), g1(env))
+                except ConstantFoldError as exc:
+                    raise VMError(f"{fname}: {exc}") from None
+
+            return h
+
+        if op is Opcode.ICMP:
+            g0, g1 = getters
+            pred = instr.pred
+            oty = operands[0].type
+            if pred is ICmpPred.SLT:
+                return lambda env: env.__setitem__(key, 1 if g0(env) < g1(env) else 0)
+            if pred is ICmpPred.SGT:
+                return lambda env: env.__setitem__(key, 1 if g0(env) > g1(env) else 0)
+            if pred is ICmpPred.SLE:
+                return lambda env: env.__setitem__(key, 1 if g0(env) <= g1(env) else 0)
+            if pred is ICmpPred.SGE:
+                return lambda env: env.__setitem__(key, 1 if g0(env) >= g1(env) else 0)
+            if pred is ICmpPred.EQ:
+                return lambda env: env.__setitem__(key, 1 if g0(env) == g1(env) else 0)
+            if pred is ICmpPred.NE:
+                return lambda env: env.__setitem__(key, 1 if g0(env) != g1(env) else 0)
+
+            def h(env):
+                env[key] = fold_icmp(pred, oty, g0(env), g1(env))
+
+            return h
+
+        if op is Opcode.FCMP:
+            g0, g1 = getters
+            pred = instr.pred
+
+            def h(env):
+                env[key] = fold_fcmp(pred, g0(env), g1(env))
+
+            return h
+
+        if op in CAST_OPS:
+            g0 = getters[0]
+            src_ty = operands[0].type
+            dst_ty = instr.type
+
+            def h(env):
+                env[key] = fold_cast(op, src_ty, dst_ty, g0(env))
+
+            return h
+
+        if op is Opcode.SELECT:
+            gc, gt, gf = getters
+
+            def h(env):
+                env[key] = gt(env) if gc(env) else gf(env)
+
+            return h
+
+        if op is Opcode.FNEG:
+            g0 = getters[0]
+
+            def h(env):
+                env[key] = -g0(env)
+
+            return h
+
+        # ---- memory ----------------------------------------------------------
+        if op is Opcode.LOAD:
+            g0 = getters[0]
+            load = self.memory.load
+            ty = instr.type
+
+            def h(env):
+                env[key] = load(g0(env), ty)
+
+            return h
+
+        if op is Opcode.STORE:
+            gv, gp = getters
+            store = self.memory.store
+            ty = operands[0].type
+
+            def h(env):
+                store(gp(env), ty, gv(env))
+
+            return h
+
+        if op is Opcode.GEP:
+            gp, gi = getters
+            scale = instr.elem_size
+
+            def h(env):
+                env[key] = gp(env) + gi(env) * scale
+
+            return h
+
+        if op is Opcode.ALLOCA:
+            nbytes = instr.elem_size * instr.alloc_count
+            alloca = self.memory.alloca
+
+            def h(env):
+                env[key] = alloca(nbytes)
+
+            return h
+
+        # ---- calls -----------------------------------------------------------
+        if op is Opcode.CALL:
+            callee = instr.callee
+            has_result = instr.has_result
+            if isinstance(callee, str):
+                intr = INTRINSICS.get(callee)
+                if intr is None:
+                    raise VMError(f"unknown intrinsic {callee!r}")
+                fn = intr.fn
+
+                # Intrinsic-call counting is baked in at block-compile time:
+                # with metrics disabled (the default) the handlers below are
+                # count-free, so observability costs the hot loop nothing.
+                if metrics_enabled():
+                    counts = self._intrinsic_counts
+                    name = callee
+
+                    if has_result:
+
+                        def h(env):
+                            counts[name] = counts.get(name, 0) + 1
+                            env[key] = fn(self, *[g(env) for g in getters])
+
+                    else:
+
+                        def h(env):
+                            counts[name] = counts.get(name, 0) + 1
+                            fn(self, *[g(env) for g in getters])
+
+                    return h
+
+                if has_result:
+
+                    def h(env):
+                        env[key] = fn(self, *[g(env) for g in getters])
+
+                else:
+
+                    def h(env):
+                        fn(self, *[g(env) for g in getters])
+
+                return h
+
+            call = self._call
+
+            if has_result:
+
+                def h(env):
+                    env[key] = call(callee, [g(env) for g in getters])
+
+            else:
+
+                def h(env):
+                    call(callee, [g(env) for g in getters])
+
+            return h
+
+        if op is Opcode.CUSTOM:
+            custom_id = instr.custom_id
+            evaluators = self.custom_evaluators
+
+            def h(env):
+                evaluator = evaluators.get(custom_id)
+                if evaluator is None:
+                    raise VMError(
+                        f"no evaluator for custom instruction #{custom_id}"
+                    )
+                env[key] = evaluator([g(env) for g in getters])
+
+            return h
+
+        # ---- terminators -----------------------------------------------------
+        if op is Opcode.BR:
+            target = instr.targets[0]
+            ctl = (_JUMP, target)
+            return lambda env, _c=ctl: _c
+
+        if op is Opcode.CONDBR:
+            g0 = getters[0]
+            ctl_true = (_JUMP, instr.targets[0])
+            ctl_false = (_JUMP, instr.targets[1])
+            return lambda env: ctl_true if g0(env) else ctl_false
+
+        if op is Opcode.RET:
+            if getters:
+                g0 = getters[0]
+                return lambda env: (_RETURN, g0(env))
+            none_ctl = (_RETURN, None)
+            return lambda env, _c=none_ctl: _c
+
+        raise VMError(f"cannot interpret opcode {op}")  # pragma: no cover
+
+
+_INT_FAST_OPS = frozenset(
+    {Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.AND, Opcode.OR, Opcode.XOR}
+)
+_FLOAT_FAST_OPS = frozenset(
+    {Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV}
+)
+
+# -- the differential harness -------------------------------------------------
+def profile_items(result: ExecutionResult) -> list:
+    return [
+        (key, prof.count, prof.static_instructions)
+        for key, prof in result.profile.blocks.items()
+    ]
+
+
+def assert_same(
+    module, new: ExecutionResult, old: ExecutionResult, cost_model=PPC405_COST_MODEL
+) -> None:
+    assert new.return_value == old.return_value or (
+        isinstance(old.return_value, float)
+        and math.isnan(old.return_value)
+        and math.isnan(new.return_value)
+    )
+    assert new.output == old.output
+    assert new.steps == old.steps
+    assert profile_items(new) == profile_items(old)
+    assert new.profile.total_cycles(
+        module, cost_model
+    ) == old.profile.total_cycles(module, cost_model)
+
+
+def run_both(
+    module, entry="main", args=None, setup=None, cost_model=PPC405_COST_MODEL,
+    **kwargs,
+):
+    """Run *module* on the block compiler and on the oracle."""
+    results = []
+    for cls in (Interpreter, ClosureInterpreter):
+        interp = cls(module, **kwargs)
+        if setup is not None:
+            setup(interp)
+        results.append(interp.run(entry, args))
+    new, old = results
+    assert_same(module, new, old, cost_model)
+    return new, old
+
+
+def trap_of(cls, module, entry="main", args=None, **kwargs) -> Exception:
+    with pytest.raises(Exception) as info:
+        cls(module, **kwargs).run(entry, args)
+    return info.value
+
+
+def assert_same_trap(module, entry="main", args=None, match=None, **kwargs):
+    new = trap_of(Interpreter, module, entry, args, **kwargs)
+    old = trap_of(ClosureInterpreter, module, entry, args, **kwargs)
+    assert type(new) is type(old)
+    assert str(new) == str(old)
+    if match is not None:
+        assert match in str(new)
+
+
+# -- randomized programs -------------------------------------------------------
+def build_random_module(seed: int, body_ops: int = 28) -> Module:
+    """A random counted loop of straight-line int/float/memory operations.
+
+    The loop header carries two phis that swap through each other every
+    iteration, so a phi resolution that is not a parallel move changes the
+    result; the body stores wide bytes and reloads them as i1, so a load
+    that keeps more than the low bit does too. Divisors are forced
+    non-zero (``x | 1`` / ``x*x + 1.0``) so every generated program is
+    trap-free and the comparison checks values (traps have their own tests).
+    Every int result is folded into the accumulator, so none is dead.
+    """
+    rng = random.Random(seed)
+    module = Module(f"rand{seed}")
+    func = module.declare_function("main", I32, [])
+    entry = func.add_block("entry")
+    loop = func.add_block("loop")
+    body = func.add_block("body")
+    done = func.add_block("done")
+
+    b = IRBuilder(entry)
+    buf = b.alloca(I32, 16)
+    fbuf = b.alloca(F64, 8)
+    acc_slot = b.alloca(I32)
+    i_slot = b.alloca(I32)
+    byte_slot = b.alloca(I8, 8)
+    for k in range(16):
+        b.store(b.i32(rng.randrange(-50, 50)), b.gep(buf, b.i32(k), 4))
+    for k in range(8):
+        b.store(
+            b.f64(rng.uniform(-4.0, 4.0)), b.gep(fbuf, b.i32(k), 8)
+        )
+    b.store(b.i32(rng.randrange(100)), acc_slot)
+    b.store(b.i32(0), i_slot)
+    b.br(loop)
+
+    b.set_block(loop)
+    x = b.phi(I32, "x")
+    y = b.phi(I32, "y")
+    i = b.load(I32, i_slot)
+    cond = b.icmp(ICmpPred.SLT, i, b.i32(200))
+    b.condbr(cond, body, done)
+
+    b.set_block(body)
+    i = b.load(I32, i_slot)
+    ints = [i, b.load(I32, acc_slot), x, y]
+    floats = []
+    bools = []
+    for _ in range(body_ops):
+        kind = rng.randrange(13)
+        if kind < 3:
+            op = rng.choice([b.add, b.sub, b.mul, b.and_, b.or_, b.xor])
+            ints.append(op(rng.choice(ints), rng.choice(ints)))
+        elif kind == 3:
+            op = rng.choice([b.sdiv, b.srem])
+            ints.append(
+                op(rng.choice(ints), b.or_(rng.choice(ints), b.i32(1)))
+            )
+        elif kind == 4:
+            pred = rng.choice(list(ICmpPred))
+            bools.append(b.icmp(pred, rng.choice(ints), rng.choice(ints)))
+            ints.append(b.zext(bools[-1], I32))
+        elif kind == 5 and bools:
+            ints.append(
+                b.select(
+                    rng.choice(bools), rng.choice(ints), rng.choice(ints)
+                )
+            )
+        elif kind == 6:
+            idx = b.and_(rng.choice(ints), b.i32(15))
+            slot = b.gep(buf, idx, 4)
+            if rng.random() < 0.5:
+                b.store(rng.choice(ints), slot)
+            ints.append(b.load(I32, slot))
+        elif kind == 7:
+            floats.append(b.sitofp(rng.choice(ints), F64))
+        elif kind == 8 and floats:
+            op = rng.choice([b.fadd, b.fsub, b.fmul])
+            floats.append(op(rng.choice(floats), rng.choice(floats)))
+            if rng.random() < 0.3:
+                floats.append(b.fneg(rng.choice(floats)))
+        elif kind == 9 and floats:
+            f = rng.choice(floats)
+            den = b.fadd(b.fmul(f, f), b.f64(1.0))
+            floats.append(b.fdiv(rng.choice(floats), den))
+            pred = rng.choice(list(FCmpPred))
+            bools.append(
+                b.fcmp(pred, floats[-1], rng.choice(floats + [b.f64(1e6)]))
+            )
+            ints.append(b.zext(bools[-1], I32))
+        elif kind == 10:
+            slot = b.gep(byte_slot, b.and_(rng.choice(ints), b.i32(7)), 1)
+            b.store(b.trunc(rng.choice(ints), I8), slot)
+            bit = b.load(I1, slot)
+            bools.append(bit)
+            ints.append(b.sext(bit, I32))
+        elif kind == 12:
+            op = rng.choice([b.shl, b.lshr, b.ashr])
+            ints.append(op(rng.choice(ints), rng.choice(ints)))
+        elif kind == 11:
+            narrow = rng.choice([I8, I16])
+            ints.append(b.sext(b.trunc(rng.choice(ints), narrow), I32))
+        else:
+            ints.append(b.add(rng.choice(ints), b.i32(rng.randrange(7))))
+    if floats:
+        idx = b.and_(rng.choice(ints), b.i32(7))
+        b.store(rng.choice(floats), b.gep(fbuf, idx, 8))
+    # Fold every int into the accumulator so no generated value is dead.
+    digest = b.add(b.mul(x, b.i32(31)), y)
+    for value in ints:
+        digest = b.xor(b.mul(digest, b.i32(3)), value)
+    b.store(digest, acc_slot)
+    b.store(b.add(i, b.i32(1)), i_slot)
+    b.br(loop)
+
+    # Each iteration x takes a fresh value and y takes the *old* x.
+    x.add_incoming(b.i32(rng.randrange(-9, 9)), entry)
+    x.add_incoming(rng.choice(ints[4:] or [i]), body)
+    y.add_incoming(b.i32(rng.randrange(-9, 9)), entry)
+    y.add_incoming(x, body)
+
+    b.set_block(done)
+    b.ret(b.add(b.load(I32, acc_slot), b.mul(x, y)))
+    return module
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_programs_identical(seed):
+    module = build_random_module(seed)
+    new, _ = run_both(module)
+    assert new.steps > 1000
+
+
+@pytest.mark.parametrize("interval", [1, 3, 64])
+def test_sampler_intervals_identical(interval):
+    """The sampler tick compiled into ``record`` bends no accounting."""
+    module = build_random_module(3)
+    samplers = []
+
+    def attach(interp):
+        interp.sampler = BlockTimeSampler(interval=interval)
+        samplers.append(interp.sampler)
+
+    new, old = run_both(module, setup=attach)
+    new_sampler, old_sampler = samplers
+    assert new_sampler.sample_count == old_sampler.sample_count > 0
+    assert set(new_sampler.samples) == set(old_sampler.samples)
+    # And sampling leaves the plain run's results alone.
+    assert_same(module, Interpreter(module).run("main"), new)
+
+
+# -- straight-line coverage ------------------------------------------------------
+def _straightline_module(build) -> Module:
+    module = Module("straight")
+    func = module.declare_function("main", I32, [])
+    b = IRBuilder(func.add_block("entry"))
+    build(b)
+    return module
+
+
+def test_every_opcode_class_identical():
+    """One block exercising every inlined and every folded opcode kind."""
+
+    def build(b):
+        slot = b.alloca(I64)
+        fslot = b.alloca(F32)
+        a = b.add(b.i32(7), b.i32(35))
+        s = b.sub(a, b.i32(3))
+        m = b.mul(s, s)
+        d = b.sdiv(m, b.i32(5))
+        r = b.srem(d, b.i32(97))
+        sh = b.shl(r, b.i32(2))
+        lr = b.lshr(sh, b.i32(1))
+        ar = b.ashr(lr, b.i32(1))
+        w = b.xor(b.or_(b.and_(ar, b.i32(255)), b.i32(8)), b.i32(3))
+        c = b.icmp(ICmpPred.ULT, w, b.i32(100))
+        sel = b.select(c, w, b.i32(41))
+        wide = b.sext(sel, I64)
+        b.store(wide, slot)
+        back = b.load(I64, slot)
+        nar = b.trunc(back, I32)
+        f = b.sitofp(nar, F64)
+        g = b.fneg(b.fmul(b.fadd(f, b.f64(1.5)), b.f64(2.0)))
+        h = b.fdiv(b.fsub(g, b.f64(1.0)), b.f64(0.0))  # signed-inf path
+        q = b.frem(g, b.f64(3.0))
+        narrow = b.fptrunc(q)
+        b.store(narrow, fslot)
+        wider = b.fpext(b.load(F32, fslot))
+        t = b.fptosi(wider, I32)
+        bad = b.fcmp(FCmpPred.OLT, h, b.f64(0.0))
+        z = b.zext(bad, I32)
+        b.ret(b.add(b.add(z, nar), t))
+
+    run_both(_straightline_module(build))
+
+
+def test_global_operands_bind_addresses():
+    module = Module("g")
+    gv = module.add_global("table", I32, 4, initializer=[11, 22, 33, 44])
+    func = module.declare_function("main", I32, [])
+    b = IRBuilder(func.add_block("entry"))
+    p = b.gep(gv, b.i32(2), 4)
+    v = b.load(I32, p)
+    b.ret(b.add(v, b.i32(9)))
+    new, _ = run_both(module)
+    assert new.return_value == 42
+
+
+def test_metrics_enabled_intrinsic_counts():
+    """Intrinsic counting compiled in when metrics are on, counts equal."""
+
+    def build(b):
+        total = b.call("abs", [b.i32(-4)])
+        b.call("print_i32", [total])
+        b.call("print_f64", [b.call("sqrt", [b.f64(2.0)])])
+        b.call("print_i32", [b.call("rand", [])])
+        b.ret(total)
+
+    module = _straightline_module(build)
+    counters = []
+    for cls in (Interpreter, ClosureInterpreter):
+        registry = enable_metrics()
+        try:
+            cls(module).run("main")
+            counters.append(
+                {
+                    name: value
+                    for name, value in registry.snapshot()["counters"].items()
+                    if name.startswith("vm.")
+                }
+            )
+        finally:
+            disable_metrics()
+    assert counters[0] == counters[1]
+    assert counters[0]["vm.intrinsic.print_i32"] == 2
+    run_both(module)
+
+
+# -- trap parity -------------------------------------------------------------------
+def test_trap_parity_division_by_zero():
+    def build(b):
+        x = b.add(b.i32(5), b.i32(1))
+        b.ret(b.sdiv(x, b.sub(b.i32(3), b.i32(3))))
+
+    assert_same_trap(_straightline_module(build), match="main: ")
+
+
+def _faulting_module(elem_size: int, index: int) -> Module:
+    module = Module("fault")
+    module.add_global("buf", I8, 16, [0] * 16)
+    func = module.declare_function("main", I32, [])
+    b = IRBuilder(func.add_block("entry"))
+    p = b.gep(module.globals["buf"], b.i32(index), elem_size)
+    b.ret(b.load(I32, p))
+    return module
+
+
+def test_trap_parity_out_of_range():
+    assert_same_trap(_faulting_module(8, 1 << 24), match="out of range")
+
+
+def test_trap_parity_misaligned():
+    assert_same_trap(_faulting_module(1, 1), match="misaligned 4-byte")
+
+
+def test_trap_parity_misaligned_store():
+    module = Module("fault")
+    module.add_global("buf", I8, 16, [0] * 16)
+    func = module.declare_function("main", I32, [])
+    b = IRBuilder(func.add_block("entry"))
+    b.store(b.i64(5), b.gep(module.globals["buf"], b.i32(4), 1))
+    b.ret(b.i32(0))
+    assert_same_trap(module, match="misaligned 8-byte")
+
+
+def test_trap_parity_undefined_value():
+    """A value defined on the path not taken is missing from env."""
+    module = Module("undef")
+    func = module.declare_function("main", I32, [("flag", I32)])
+    entry = func.add_block("entry")
+    then = func.add_block("then")
+    join = func.add_block("join")
+    b = IRBuilder(entry)
+    b.condbr(b.icmp(ICmpPred.NE, func.args[0], b.i32(0)), then, join)
+    b.set_block(then)
+    defined = b.add(func.args[0], b.i32(1), "late")
+    b.br(join)
+    b.set_block(join)
+    b.ret(b.mul(defined, b.i32(2)))
+    run_both(module, args=[3])
+    assert_same_trap(module, args=[0], match="use of undefined value %late")
+
+
+def test_trap_parity_missing_custom_evaluator():
+    def build(b):
+        x = b.add(b.i32(1), b.i32(2))
+        b.ret(b.add(x, b.i32(3)))
+
+    module = _straightline_module(build)
+    entry = module.function("main").entry
+    custom = Instruction(
+        Opcode.CUSTOM, I32, [entry.instructions[0]], "c", custom_id=7
+    )
+    entry.insert(1, custom)
+    assert_same_trap(module, match="no evaluator for custom instruction #7")
+
+
+def test_trap_parity_step_limit():
+    module = Module("spin")
+    func = module.declare_function("main", I32, [])
+    entry = func.add_block("entry")
+    loop = func.add_block("loop")
+    b = IRBuilder(entry)
+    b.br(loop)
+    b.set_block(loop)
+    b.br(loop)
+    assert_same_trap(module, max_steps=1000, match="step limit exceeded")
+
+
+def test_trap_parity_call_to_declaration():
+    module = Module("decl")
+    ext = module.declare_function("ext", I32, [("x", I32)])
+    func = module.declare_function("main", I32, [])
+    b = IRBuilder(func.add_block("entry"))
+    b.ret(b.call(ext, [b.i32(1)]))
+    assert ext.is_declaration
+    assert_same_trap(module, match="call to undefined function ext")
+
+
+# -- patched modules and applications ----------------------------------------------
+def test_patched_custom_module_identical(fp_kernel_profile):
+    from repro.ise import CandidateSearch
+    from repro.vm.patcher import BinaryPatcher
+    from repro.woolcano import WoolcanoCostModel
+
+    module, profile, _ = fp_kernel_profile
+    search = CandidateSearch().run(module, profile)
+    assert search.candidate_count >= 1
+    patcher = BinaryPatcher()
+    patcher.patch_module(module, search.candidates())
+    assert any(
+        instr.opcode is Opcode.CUSTOM
+        for func in module.defined_functions()
+        for block in func.blocks
+        for instr in block.instructions
+    )
+    cost_model = WoolcanoCostModel(
+        **{f.name: getattr(PPC405_COST_MODEL, f.name) for f in fields(CostModel)},
+        custom_costs={p.custom_id: 3 + p.custom_id for p in patcher.patches},
+    )
+    run_both(
+        module,
+        setup=patcher.install,
+        cost_model=cost_model,
+        dataset_size=48,
+        dataset_seed=3,
+    )
+
+
+@pytest.mark.parametrize("app", ["fft", "adpcm"])
+def test_app_train_runs_identical(app):
+    from repro.apps import compile_app, get_app
+
+    spec = get_app(app)
+    compiled = compile_app(spec)
+    run_both(
+        compiled.module,
+        entry=spec.entry,
+        dataset_size=spec.train.size,
+        dataset_seed=spec.train.seed,
+    )

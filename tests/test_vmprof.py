@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.ir.opcodes import Opcode
+from repro.obs.bench import overhead_summary
 from repro.obs.ledger import RunLedger
 from repro.obs.vmprof import (
     FUSION_EXCLUDED,
@@ -358,21 +359,46 @@ class TestVmBench:
         assert report["totals"]["virtual_identical"] is True
         assert report["dispatch_cost"]["classes_ns"]
 
-    def test_run_vm_bench_fused_phase(self, tmp_path):
+    def test_run_vm_bench_alternates_phase_order(self, tmp_path, monkeypatch):
+        """Pairs run ABBA: plain first, then sampled first, and so on."""
+        from repro.apps.base import CompiledApp
         from repro.obs.bench import run_vm_bench
 
+        phases = []
+        original = CompiledApp.run
+
+        def recording_run(self, dataset=None, max_steps=200_000_000, sampler=None):
+            phases.append("sampled" if sampler is not None else "plain")
+            return original(self, dataset, max_steps, sampler)
+
+        monkeypatch.setattr(CompiledApp, "run", recording_run)
         report = run_vm_bench(
             apps=["sor"],
             out=tmp_path / "BENCH_vm.json",
             calibration_iters=300,
-            pairs=1,
-            fuse=8,
+            pairs=4,
         )
-        fused = report["apps"]["sor"]["fused"]
-        assert fused["virtual_identical"] is True
-        assert fused["sites"] > 0
-        assert fused["dispatches_removed"] > 0
-        assert fused["sequences"]
-        totals = report["totals"]
-        assert totals["fused_virtual_identical"] is True
-        assert totals["fused_speedup"] > 0
+        assert phases == ["plain", "sampled", "sampled", "plain"] * 2
+        app = report["apps"]["sor"]
+        q1, q3 = app["sampler_overhead_iqr_pct"]
+        assert q1 <= app["sampler_overhead_pct"] <= q3
+        assert app["sampler_overhead"] in ("supported", "exceeded", "inconclusive")
+        # One app: the pooled summary is that app's.
+        assert report["totals"]["sampler_overhead_pct"] == app[
+            "sampler_overhead_pct"
+        ]
+
+    @pytest.mark.parametrize(
+        "ratios,label",
+        [
+            ([1.000, 1.004, 1.010, 1.012], "supported"),
+            ([1.020, 1.030, 1.050, 1.041], "exceeded"),
+            ([0.990, 1.001, 1.030, 1.060], "inconclusive"),
+            ([1.015], "supported"),
+        ],
+    )
+    def test_overhead_label_against_the_claim(self, ratios, label):
+        summary = overhead_summary(ratios)
+        assert summary["label"] == label
+        q1, q3 = summary["iqr_pct"]
+        assert q1 <= summary["median_pct"] <= q3
