@@ -40,14 +40,20 @@ regress:
 	$(PYTHON) -m repro runs list
 	$(PYTHON) -m repro regress --baseline latest~1
 
-# Critical-path / what-if smoke: record one fft run in the ledger, analyze
+# Critical-path / what-if smoke: record an fft run in the ledger, analyze
 # its critical path (the Table III Bitgen-dominance line must render), then
 # replay the Table IV grid from the trace and cross-check it cell-by-cell
-# against the analytic model; writes the whatif_grid.json artifact.
+# against the analytic model; writes the whatif_grid.json artifact. Done
+# twice, then the second run is gated against the first, so the critpath
+# and whatif blocks' declared tolerances are exercised.
 whatif-smoke:
 	$(PYTHON) -m repro analyze fft --ledger
 	$(PYTHON) -m repro critpath latest
+	$(PYTHON) -m repro whatif latest --grid
+	$(PYTHON) -m repro analyze fft --ledger
+	$(PYTHON) -m repro critpath latest
 	$(PYTHON) -m repro whatif latest --grid --out whatif_grid.json
+	$(PYTHON) -m repro regress --baseline latest~1
 
 # Documentation lint: every module docstring names its paper anchor, all
 # relative markdown links resolve, README links the architecture tour.
@@ -91,7 +97,7 @@ bench-vm:
 # gate the second against the first — opcode/digram/superinsn counts and
 # the virtual clock must reproduce exactly (rel 1e-9) while the measured
 # dispatch-cost/wall cells stay informational until `--history` noise
-# bands promote them (`vm.*` tolerances in repro.obs.regress).
+# bands promote them (declared measured by `vm_manifest_block`).
 regress-vm:
 	$(PYTHON) -m repro vmprof adpcm --ledger
 	$(PYTHON) -m repro vmprof adpcm --ledger
@@ -109,9 +115,8 @@ bench-mix:
 # Mix regression leg: record two identical mix runs in the ledger and
 # gate the second against the first — every simulated cell (break-even,
 # loads, reloads, evictions, store hits) is virtual-clock deterministic
-# and must reproduce bit-identically (rel 1e-9); only the profile/grid
-# wall-time cells stay informational (`mix.*` tolerances in
-# repro.obs.regress).
+# and must reproduce bit-identically (rel 1e-9); only the grid wall time
+# stays informational (declared measured by `mix_manifest_block`).
 regress-mix:
 	$(PYTHON) -m repro mix --events 60 --out /dev/null --ledger
 	$(PYTHON) -m repro mix --events 60 --out /dev/null --ledger
@@ -121,7 +126,7 @@ regress-mix:
 # Serve regression leg: record two identical load-generation runs in the
 # ledger, then gate the second against the first — the deterministic
 # request counts must match exactly while the measured latency quantiles
-# stay informational (`serve.*` tolerances in repro.obs.regress).
+# stay informational (declared measured by the load generator).
 regress-serve:
 	$(PYTHON) -m repro loadgen --requests 60 --rate 100 --out /dev/null --ledger
 	$(PYTHON) -m repro loadgen --requests 60 --rate 100 --out /dev/null --ledger

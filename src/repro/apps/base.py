@@ -87,7 +87,7 @@ class CompiledApp:
 def compile_app(spec: AppSpec, opt_level: int = 2) -> CompiledApp:
     """Compile an application (no caching: callers may patch the module)."""
     with get_tracer().span(
-        "pipeline.compile", app=spec.name, opt_level=opt_level
+        "pipeline.compile", app=spec.name, opt_level=opt_level, measured=True
     ) as sp:
         result = compile_files(list(spec.sources), spec.name, opt_level)
         sp.set_attrs(

@@ -676,7 +676,10 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
     print(f"run {run_id}: trace-driven what-if replay")
     print()
     print(result.render())
-    block: dict = {"scenario": wi.scenario_block(result)}
+    block: dict = {
+        **wi.MANIFEST_DECLARATION,
+        "scenario": wi.scenario_block(result),
+    }
 
     # Identity check: with no knobs the replayed baseline must reproduce
     # the run's recorded break-even times (virtual clock, manifest
@@ -905,7 +908,7 @@ def _cmd_regress(args: argparse.Namespace) -> int:
             command=candidate_manifest.get("command"),
             limit=args.history,
         )
-        noise_bands = derive_noise_bands(entries, tolerances=tolerances)
+        noise_bands = derive_noise_bands(entries)
     report = compare_manifests(
         ledger.load(baseline_id),
         ledger.load(current_id),
@@ -981,7 +984,10 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         )
         print(f"\nappended {len(report.alerts)} alert(s) to {alerts_path}")
     if not args.no_save:
-        ledger.attach_block(run_id, "slo", report.summary())
+        # SLO state is derived from measured latency/admission behaviour.
+        ledger.attach_block(
+            run_id, "slo", {**report.summary(), "measured": ["*"]}
+        )
     if report.breached:
         breached = [r.objective.name for r in report.results if r.breached]
         print(

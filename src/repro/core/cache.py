@@ -347,4 +347,4 @@ class PersistentBitstreamCache:
 
         registry = get_metrics()
         if registry.enabled:
-            registry.counter(name).inc()
+            registry.counter(name, measured=True).inc()

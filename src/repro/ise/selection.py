@@ -81,7 +81,9 @@ class CandidateSearch:
 
     def run(self, module: Module, profile: ExecutionProfile) -> CandidateSearchResult:
         tracer = get_tracer()
-        with tracer.span("search", module=module.name) as sp_search:
+        with tracer.span(
+            "search", module=module.name, measured=True
+        ) as sp_search:
             return self._run_traced(tracer, sp_search, module, profile)
 
     def _run_traced(
@@ -90,7 +92,7 @@ class CandidateSearch:
         start = time.perf_counter()
 
         # 1. Pruning: restrict identification to the hottest largest blocks.
-        with tracer.span("search.pruning") as sp:
+        with tracer.span("search.pruning", measured=True) as sp:
             block_keys = self.pruning.select_blocks(module, profile)
             blocks_by_key = {}
             for func in module.defined_functions():
@@ -106,7 +108,7 @@ class CandidateSearch:
             )
 
         # 2. Identification.
-        with tracer.span("search.identification") as sp:
+        with tracer.span("search.identification", measured=True) as sp:
             candidates: list[Candidate] = []
             for key in block_keys:
                 block = blocks_by_key.get(key)
@@ -118,10 +120,10 @@ class CandidateSearch:
             sp.set_attr("candidates", len(candidates))
 
         # 3. Estimation + 4. Selection.
-        with tracer.span("search.estimation") as sp:
+        with tracer.span("search.estimation", measured=True) as sp:
             estimates = [self.estimator.estimate(cand) for cand in candidates]
             sp.set_attr("estimates", len(estimates))
-        with tracer.span("search.selection") as sp:
+        with tracer.span("search.selection", measured=True) as sp:
             selected: list[CandidateEstimate] = []
             rejected: list[CandidateEstimate] = []
             for est in estimates:

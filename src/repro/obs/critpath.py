@@ -697,10 +697,15 @@ def critpath_block(
 ) -> dict:
     """Manifest block for :meth:`repro.obs.ledger.RunLedger.attach_block`.
 
-    The regression sentinel gates the virtual-clock cells (deterministic
-    modelled times) and keeps the real-clock cells informational.
+    The real-clock cells and the candidate-search cells (measured wall
+    clock on both clocks) are declared measured; the virtual-clock cells
+    are modelled times that fold the search milliseconds into a
+    minutes-scale total, so they are gated at 1e-4.
     """
-    block: dict = {}
+    block: dict = {
+        "measured": ["real.*", "virtual.stages.search.*", "headroom.search.*"],
+        "tolerance": {"*": 1e-4},
+    }
     for analysis in (virtual, real):
         dominant = analysis.dominant_stage
         entry: dict = {

@@ -14,11 +14,12 @@ ways:
   thresholds, so bit-identical deterministic cells and ordinary
   measurement jitter stay quiet while a seeded regression is named
   exactly;
-- **noise bands** (``repro regress --history N``): for cells that are
-  measured (informational by default in :mod:`repro.obs.regress`), the
-  observed median/MAD across history becomes the tolerance — measured-
-  cell gates derive from fleet behaviour instead of hand tuning, while
-  virtual-clock cells keep their exact gates.
+- **noise bands** (``repro regress --history N``): for cells whose
+  manifest block declares them measured (informational in
+  :mod:`repro.obs.regress`), the observed median/MAD across history
+  becomes the tolerance — measured-cell gates derive from fleet behaviour
+  instead of hand tuning, while virtual-clock cells keep their exact
+  gates.
 """
 
 from __future__ import annotations
@@ -29,12 +30,7 @@ from fnmatch import fnmatchcase
 from pathlib import Path
 
 from repro.obs.ledger import RunLedger
-from repro.obs.regress import (
-    DEFAULT_TOLERANCES,
-    flatten_cells,
-    median_mad,
-    resolve_tolerance,
-)
+from repro.obs.regress import flatten_cells, median_mad
 
 #: Compacted-run summary file at the ledger root (one JSON line per run).
 HISTORY_FILENAME = "history.jsonl"
@@ -247,26 +243,20 @@ def detect_anomalies(
 
 
 def derive_noise_bands(
-    entries: list[dict],
-    min_points: int = 3,
-    tolerances=None,
+    entries: list[dict], min_points: int = 3
 ) -> dict[str, dict]:
-    """Median/MAD bands for the *measured* cells observed in *entries*.
+    """Median/MAD bands for the cells observed in *entries*.
 
-    A cell qualifies when its default-resolved tolerance is ``None``
-    (informational, i.e. measured wall clock / latency / admission
-    behaviour) and it appears in at least *min_points* entries. The
-    returned mapping feeds :func:`repro.obs.regress.compare_manifests`'s
-    ``noise_bands`` parameter; deterministic cells never appear in it, so
-    their bit-exact gates are untouched.
+    A cell qualifies when it appears in at least *min_points* entries.
+    The returned mapping feeds :func:`repro.obs.regress.compare_manifests`'s
+    ``noise_bands`` parameter, which applies a band only to a measured
+    (informational) cell, so deterministic cells keep their bit-exact
+    gates.
     """
-    resolved = list(tolerances or []) + list(DEFAULT_TOLERANCES)
     series = build_series(entries)
     bands: dict[str, dict] = {}
     for cell, points in series.items():
         if len(points) < min_points:
-            continue
-        if resolve_tolerance(cell, resolved) is not None:
             continue
         median, mad = median_mad([v for _, v in points])
         bands[cell] = {

@@ -92,9 +92,11 @@ def environment_info() -> dict:
 def fold_stages(records: list[SpanRecord]) -> dict:
     """Aggregate a trace into per-span-name totals on both clocks.
 
-    Returns ``{name: {label, spans, real_seconds, virtual_seconds}}``
-    where ``label`` is the paper column name for Table II/III stages and
-    ``virtual_seconds`` is None for span names that never carried one.
+    Returns ``{name: {label, spans, real_seconds, virtual_seconds,
+    measured}}`` where ``label`` is the paper column name for Table II/III
+    stages and ``virtual_seconds`` is None for span names that never
+    carried one. ``measured`` (:mod:`repro.obs.regress`) names the host-
+    clock fields: all of them for spans opened with ``measured=True``.
     """
     stages: dict[str, dict] = {}
     for rec in records:
@@ -105,8 +107,11 @@ def fold_stages(records: list[SpanRecord]) -> dict:
                 "spans": 0,
                 "real_seconds": 0.0,
                 "virtual_seconds": None,
+                "measured": ["real_seconds"],
             },
         )
+        if rec.attrs.get("measured"):
+            entry["measured"] = ["*"]
         entry["spans"] += 1
         entry["real_seconds"] += rec.duration
         virtual = rec.virtual_seconds
@@ -123,8 +128,8 @@ def scalars_from_analyses(analyses) -> dict:
     """Per-app and aggregate scalar results from :class:`AppAnalysis` rows.
 
     These are the manifest cells the regression sentinel gates on: they
-    are deterministic for a fixed config (only ``search_ms`` is measured
-    wall clock, and the sentinel treats it as noise by default).
+    are deterministic for a fixed config except the measured ``search_ms``
+    and the break-even times, which fold it in (reproducible to ~1e-6).
     """
     apps: dict[str, dict] = {}
     for a in analyses:
@@ -167,7 +172,12 @@ def scalars_from_analyses(analyses) -> dict:
         aggregate["break_even_seconds_mean"] = (
             round(sum(finite_be) / len(finite_be), 6) if finite_be else None
         )
-    return {"per_app": apps, "aggregate": aggregate}
+    return {
+        "per_app": apps,
+        "aggregate": aggregate,
+        "measured": ["per_app.*.search_ms"],
+        "tolerance": {"*.break_even_seconds*": 1e-4},
+    }
 
 
 @dataclass
@@ -357,11 +367,12 @@ class RunRecorder:
     def attach_cache(self, stats: dict) -> None:
         """Record persistent bitstream-cache statistics for this run.
 
-        The regression sentinel reports these cells as informational and
-        demotes the ``cad.*`` work cells when two compared runs used the
-        cache differently (a warm run legitimately skips CAD work).
+        The cells are measured: hit counts depend on what earlier runs left
+        in the store. The regression sentinel also demotes the ``cad.*``
+        work cells when two compared runs used the cache differently (a
+        warm run legitimately skips CAD work).
         """
-        self.cache = dict(stats)
+        self.cache = {**stats, "measured": ["*"]}
 
     def attach_serve(self, summary: dict) -> None:
         """Record a serve-plane summary (daemon or loadgen) for this run.
@@ -388,6 +399,7 @@ class RunRecorder:
             "schema", "run_id", "timestamp", "command", "argv", "config",
             "git_rev", "environment", "status", "wall_seconds", "stages",
             "metrics", "scalars", "fidelity", "cache", "serve", "artifacts",
+            "measured",
         }
         if name in reserved:
             raise ValueError(f"extra block name {name!r} is reserved")
@@ -395,7 +407,10 @@ class RunRecorder:
 
     def attach_fidelity(self, report) -> None:
         """Record a :class:`repro.obs.fidelity.FidelityReport`'s cells."""
+        # Search columns are wall clock; the I/II break-even folds them in.
         self.fidelity = {
+            "measured": ["*/search*"],
+            "tolerance": {"I/II/*/break_even_s.*": 1e-4},
             "ok": report.ok,
             "checked": len(report.checked),
             "failed": len(report.failures),
@@ -463,6 +478,7 @@ class RunRecorder:
             "environment": environment_info(),
             "status": status,
             "wall_seconds": round(time.perf_counter() - self.started, 6),
+            "measured": ["wall_seconds"],
             "stages": _json_safe(stages),
             "metrics": _json_safe(metrics.snapshot()) if metrics else None,
             "scalars": _json_safe(self.scalars),

@@ -184,13 +184,18 @@ class MetricsRegistry:
     _counters: dict[str, Counter] = field(default_factory=dict)
     _gauges: dict[str, Gauge] = field(default_factory=dict)
     _histograms: dict[str, Histogram] = field(default_factory=dict)
+    _measured: set[str] = field(default_factory=set)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def counter(self, name: str) -> Counter:
+    def counter(self, name: str, measured: bool = False) -> Counter:
+        """The counter *name*; *measured* marks a scheduling- or history-
+        dependent count (cache hits, admissions) the sentinel never gates."""
         with self._lock:
             inst = self._counters.get(name)
             if inst is None:
                 inst = self._counters[name] = Counter(name)
+            if measured:
+                self._measured.add(name)
             return inst
 
     def gauge(self, name: str) -> Gauge:
@@ -214,8 +219,9 @@ class MetricsRegistry:
         histograms merge bucket-by-bucket — so a suite run sharded over
         worker processes produces the same totals as a serial run.
         """
+        measured = set(snap.get("measured") or ())
         for name, value in (snap.get("counters") or {}).items():
-            self.counter(name).inc(int(value))
+            self.counter(name, f"counters.{name}" in measured).inc(int(value))
         for name, value in (snap.get("gauges") or {}).items():
             self.gauge(name).set(value)
         for name, data in (snap.get("histograms") or {}).items():
@@ -230,6 +236,7 @@ class MetricsRegistry:
                 "histograms": {
                     n: h.as_dict() for n, h in sorted(self._histograms.items())
                 },
+                "measured": [f"counters.{n}" for n in sorted(self._measured)],
             }
 
     def reset(self) -> None:
@@ -237,6 +244,7 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
+            self._measured.clear()
 
 
 def render_snapshot(snap: dict) -> str:

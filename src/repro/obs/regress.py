@@ -4,20 +4,28 @@ A ledger manifest (:mod:`repro.obs.ledger`) flattens into named numeric
 cells — per-stage virtual CAD seconds, span counts, per-app speedups and
 break-even times, candidate counts, fidelity cell outcomes, metrics
 counters. The sentinel compares a baseline manifest against a candidate
-manifest under configurable relative tolerances and exits non-zero on any
-regression, so CI can gate on ``repro regress --baseline <run>``.
+manifest under relative tolerances and exits non-zero on any regression,
+so CI can gate on ``repro regress --baseline <run>``.
 
-Two kinds of cells:
+The code that writes a manifest block declares which clock its cells run
+on. A block (the manifest itself, one ``stages`` entry, or a top-level
+block such as ``scalars`` or ``vm``) may carry two keys, relative to it:
 
-- **deterministic** — the virtual-clock CAD stage totals, candidate
-  counts, speedups, break-even times, fidelity actuals: for a fixed
-  config these are bit-reproducible, so the default tolerance is
-  essentially exact (relative 1e-9) and any drift names the offending
-  cell;
-- **noisy** — measured wall clock (``wall_seconds``, ``*.real_seconds``,
-  candidate-search milliseconds): informational by default (reported but
-  never failing) unless a tolerance is explicitly configured for them,
-  e.g. ``--tol 'stages.search.*=0.5'``.
+- ``measured``: globs naming host-clock cells (wall time, Table II's
+  candidate-search milliseconds, serve latencies, cache hits). They are
+  informational — reported, never failing — unless ``--tol`` sets a
+  tolerance for them (e.g. ``--tol 'stages.search.*=0.5'``) or
+  ``--history`` noise bands promote them;
+- ``tolerance``: ``{glob: rel}`` for modelled cells that fold a measured
+  term in, such as break-even times (reproducible to ~1e-6).
+
+Every other cell — virtual-clock CAD stage totals, candidate counts,
+speedups, fidelity actuals — is deterministic and gated at relative 1e-9,
+so a block with no declaration is gated exactly. The candidate's
+declarations apply; a cell only the baseline has keeps the baseline's.
+The rules that compare two runs live here: ``--tol`` patterns win (first
+match), and cells are demoted when the runs used the bitstream cache
+differently or only one carries a post-hoc block.
 
 Noise bands: with repeat runs available (``--repeat N``), the candidate
 value of each cell is the **median** over the N most recent runs and the
@@ -30,101 +38,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
+from functools import partial
 
 from repro.util.tables import Table
 
-#: Ordered (pattern, relative tolerance) pairs; first match wins. ``None``
-#: marks the cell informational (never failing). User tolerances are
-#: prepended, so an explicit pattern can tighten a noisy cell into a
-#: checked one or loosen a deterministic one.
-DEFAULT_TOLERANCES: tuple[tuple[str, float | None], ...] = (
-    ("*search*", None),  # candidate search is measured wall clock (Table II)
-    ("*compile*", None),  # compilation is measured wall clock too
-    ("*.real_seconds", None),
-    ("wall_seconds", None),
-    # Serve-plane cells (repro serve / repro loadgen). Request *counts*
-    # (total / completed / failed) are deterministic for a fixed load
-    # schedule and stay on the exact catch-all below; everything measured
-    # under concurrency — latencies, queue depths, rejection/retry counts,
-    # dedup savings, per-tenant hit rates, throughput — depends on thread
-    # scheduling and is informational. These patterns must precede the
-    # global "*break_even*" entry: the serve latency quantiles are
-    # *measured distributions* of break-even times, not single modelled
-    # values.
-    ("serve.*latency*", None),
-    ("serve.*queue*", None),
-    ("serve.*rejected*", None),
-    # total = completed + failed + rejected, so it inherits the
-    # rejection count's scheduling noise under backpressure.
-    ("serve.*requests.total", None),
-    ("serve.*retries*", None),
-    ("serve.*accepted*", None),
-    ("serve.*dedup*", None),
-    ("serve.*tenants*", None),
-    ("serve.*throughput*", None),
-    ("serve.*uptime*", None),
-    ("serve.*wall*", None),
-    ("serve.*inflight*", None),
-    ("serve.*comparison*", None),
-    # Slot telemetry sums over *completed* requests, so it inherits the
-    # admission counts' scheduling noise under backpressure.
-    ("serve.*slots*", None),
-    ("serve.*cross_app*", None),
-    ("metrics.counters.slots.*", None),
-    ("metrics.counters.store.cross_app_hits", None),
-    ("serve.*cad_implementations*", None),
-    ("metrics.counters.serve.*", None),
-    # SLO evaluations (the daemon's live summary and the block `repro slo`
-    # attaches) are derived from measured latency/admission behaviour, so
-    # they are informational — and must precede "*break_even*": the
-    # break_even_p95 objective's budget cells are measured, not modelled.
-    ("serve.*slo*", None),
-    ("slo.*", None),
-    # Fleet-mix grid (repro mix): the candidate-search wall time is
-    # excluded from every charged overhead, so the mix break-even cells
-    # are fully virtual-clock and bit-identical — gate them exactly,
-    # ahead of the looser "*break_even*" band below. Only the grid's own
-    # wall clock is measured, hence informational.
-    ("mix.*wall*", None),
-    ("mix.*break_even*", 1e-9),
-    ("whatif.mix.*", 1e-9),
-    # Break-even folds the measured search milliseconds into a
-    # minutes-scale modelled overhead: deterministic to ~1e-6 relative,
-    # so gate it loosely enough to absorb that jitter.
-    ("*break_even*", 1e-4),
-    ("status", 0.0),
-    # Persistent bitstream-cache statistics: informational. Hit/miss
-    # counts depend on what earlier runs left in the store, and a parallel
-    # cold run can race two apps to the same signature — legitimate
-    # variation, not a result drift.
-    ("cache.*", None),
-    ("metrics.counters.cache.*", None),
-    # Post-hoc trace analyses (repro critpath / repro whatif): real-clock
-    # cells are measured wall time, so informational; virtual-clock cells
-    # are deterministic modelled times, gated with the same slack as the
-    # break-even cells (they fold the measured search milliseconds into a
-    # minutes-scale total). The search stage itself stays informational on
-    # both clocks via the "*search*" pattern above.
-    ("critpath.real.*", None),
-    ("critpath.*", 1e-4),
-    ("whatif.check.*", None),
-    ("whatif.*", 1e-4),
-    # VM observatory (repro vmprof / bench-vm): opcode, digram and
-    # superinsn *counts* plus the virtual clock are deterministic and fall
-    # through to the exact catch-all — that is the bit-identical guarantee
-    # the dispatch-optimization work is gated on. Everything measured on
-    # the host clock (run wall time, calibrated dispatch-cost table,
-    # estimated savings, sampler attribution) is informational until
-    # --history noise bands promote it.
-    ("vm.wall_seconds", None),
-    ("vm.instructions_per_second", None),
-    ("vm.dispatch.*", None),
-    ("vm.*saved_ms", None),
-    ("vm.sampled.*", None),
-    ("*", 1e-9),
-)
+#: Relative tolerance of every cell its block does not declare otherwise.
+EXACT_TOLERANCE = 1e-9
 
-#: Prepended (after any user tolerances) when the two compared runs used
+#: Consulted after any user tolerances when the two compared runs used
 #: the persistent bitstream cache differently: a warm run legitimately
 #: skips CAD work, so the per-stage span counts and the implementation
 #: counter become informational. The *results* cells (toolflow seconds,
@@ -192,109 +113,120 @@ def parse_tolerances(specs: list[str]) -> list[tuple[str, float | None]]:
     return parsed
 
 
-def resolve_tolerance(
-    cell: str, tolerances: list[tuple[str, float | None]]
+def _first_match(
+    cell: str, patterns: list[tuple[str, float | None]], default
 ) -> float | None:
-    for pattern, tol in tolerances:
+    for pattern, tol in patterns:
         if fnmatchcase(cell, pattern):
             return tol
-    return 1e-9
+    return default
 
 
-def flatten_cells(manifest: dict) -> dict[str, float]:
-    """Flat ``cell-name -> numeric value`` view of one manifest."""
-    cells: dict[str, float] = {}
+def _declared_tolerance(block: dict, name: str) -> float | None:
+    """Tolerance that *block*'s declaration gives its cell *name*.
 
-    def put(name: str, value) -> None:
-        if isinstance(value, bool):
-            cells[name] = float(value)
-        elif isinstance(value, (int, float)) and math.isfinite(value):
-            cells[name] = float(value)
+    *name* is relative to the block. ``None`` marks a measured
+    (informational) cell; a ``tolerance`` glob gives its relative
+    tolerance; any other cell is gated at :data:`EXACT_TOLERANCE`.
+    """
+    if any(fnmatchcase(name, glob) for glob in block.get("measured") or ()):
+        return None
+    for glob, rel in (block.get("tolerance") or {}).items():
+        if fnmatchcase(name, glob):
+            return float(rel)
+    return EXACT_TOLERANCE
 
-    put("wall_seconds", manifest.get("wall_seconds"))
-    put("status", manifest.get("status"))
+
+def declared_cells(manifest: dict) -> dict[str, tuple[float, float | None]]:
+    """``cell-name -> (value, declared tolerance)`` view of one manifest."""
+    cells: dict[str, tuple[float, float | None]] = {}
+
+    def put(block: dict, prefix: str, name: str, value) -> None:
+        # bool is an int: a verdict flag becomes a 0/1 cell.
+        if isinstance(value, (int, float)) and math.isfinite(value):
+            tolerance = _declared_tolerance(block, name)
+            cells[prefix + name] = (float(value), tolerance)
+
+    def walk(block: dict, prefix: str, name: str, value) -> None:
+        if not isinstance(value, dict):
+            put(block, prefix, name, value)
+            return
+        for key, child in value.items():
+            if value is block and key in ("measured", "tolerance"):
+                continue
+            walk(block, prefix, f"{name}.{key}" if name else key, child)
+
+    put(manifest, "", "wall_seconds", manifest.get("wall_seconds"))
+    put(manifest, "", "status", manifest.get("status"))
 
     for name, stage in (manifest.get("stages") or {}).items():
         for key in ("spans", "real_seconds", "virtual_seconds"):
-            put(f"stages.{name}.{key}", stage.get(key))
-
-    def walk(prefix: str, value) -> None:
-        if isinstance(value, dict):
-            for k, v in value.items():
-                walk(f"{prefix}.{k}", v)
-        else:
-            put(prefix, value)
-
-    walk("scalars", manifest.get("scalars") or {})
+            put(stage, f"stages.{name}.", key, stage.get(key))
 
     fidelity = manifest.get("fidelity") or {}
-    put("fidelity.failed", fidelity.get("failed"))
+    put(fidelity, "fidelity.", "failed", fidelity.get("failed"))
     for key, cell in (fidelity.get("cells") or {}).items():
-        put(f"fidelity.{key}.actual", cell.get("actual"))
+        put(fidelity, "fidelity.", f"{key}.actual", cell.get("actual"))
         if cell.get("passed") is not None:
-            put(f"fidelity.{key}.passed", cell.get("passed"))
-
-    for key, value in (manifest.get("cache") or {}).items():
-        put(f"cache.{key}", value)
+            put(fidelity, "fidelity.", f"{key}.passed", cell.get("passed"))
 
     # Serve-plane block (repro serve daemon / repro loadgen phases): the
     # nesting varies (single summary vs per-phase summaries), so walk it
     # generically — numeric leaves become serve.* cells. The daemon's
     # config echo (ephemeral port, worker count, ...) is configuration,
     # not a result; it is compared via the manifest config block instead.
-    serve_block = dict(manifest.get("serve") or {})
-    serve_block.pop("config", None)
-    walk("serve", serve_block)
+    serve = dict(manifest.get("serve") or {})
+    serve.pop("config", None)
+    walk(serve, "serve.", "", serve)
 
     metrics = manifest.get("metrics") or {}
     for name, value in (metrics.get("counters") or {}).items():
-        put(f"metrics.counters.{name}", value)
+        put(metrics, "metrics.", f"counters.{name}", value)
 
     critpath = manifest.get("critpath") or {}
+    put_critpath = partial(put, critpath, "critpath.")
     for clock in ("virtual", "real"):
         blk = critpath.get(clock) or {}
-        put(f"critpath.{clock}.makespan", blk.get("makespan"))
-        put(f"critpath.{clock}.serial_seconds", blk.get("serial_seconds"))
-        put(f"critpath.{clock}.dominant_share", blk.get("dominant_share"))
+        for key in ("makespan", "serial_seconds", "dominant_share"):
+            put_critpath(f"{clock}.{key}", blk.get(key))
         for stage, st in (blk.get("stages") or {}).items():
-            put(f"critpath.{clock}.stages.{stage}.total", st.get("total"))
-            put(f"critpath.{clock}.stages.{stage}.slack_min", st.get("slack_min"))
-            put(f"critpath.{clock}.stages.{stage}.on_path", st.get("on_path"))
+            for key in ("total", "slack_min", "on_path"):
+                put_critpath(f"{clock}.stages.{stage}.{key}", st.get(key))
     headroom = critpath.get("headroom") or {}
-    put("critpath.headroom.baseline_break_even", headroom.get("baseline_break_even"))
+    put_critpath(
+        "headroom.baseline_break_even", headroom.get("baseline_break_even")
+    )
     for stage, row in (headroom.get("stages") or {}).items():
-        put(f"critpath.headroom.{stage}.total", row.get("total"))
+        put_critpath(f"headroom.{stage}.total", row.get("total"))
         for label, value in (row.get("break_even") or {}).items():
-            put(f"critpath.headroom.{stage}.break_even.{label}", value)
+            put_critpath(f"headroom.{stage}.break_even.{label}", value)
 
     whatif = manifest.get("whatif") or {}
+    put_whatif = partial(put, whatif, "whatif.")
     for key, value in ((whatif.get("grid") or {}).get("cells") or {}).items():
-        put(f"whatif.grid.{key}", value)
+        put_whatif(f"grid.{key}", value)
     check = whatif.get("check") or {}
-    put("whatif.check.checked", check.get("checked"))
-    put("whatif.check.flagged", check.get("flagged"))
+    for key in ("checked", "flagged"):
+        put_whatif(f"check.{key}", check.get(key))
     scenario = whatif.get("scenario") or {}
-    put("whatif.scenario.break_even_mean", scenario.get("break_even_mean"))
+    put_whatif("scenario.break_even_mean", scenario.get("break_even_mean"))
     for app, row in (scenario.get("apps") or {}).items():
-        put(f"whatif.scenario.{app}.break_even", row.get("break_even"))
-        put(f"whatif.scenario.{app}.overhead", row.get("overhead"))
+        for key in ("break_even", "overhead"):
+            put_whatif(f"scenario.{app}.{key}", row.get(key))
+    walk(whatif, "whatif.", "mix", whatif.get("mix") or {})
 
-    # SLO block (attached post hoc by `repro slo`): generic numeric walk;
-    # the objective-level alert kinds are strings and fall out naturally.
-    walk("slo", manifest.get("slo") or {})
-
-    # VM observatory block (repro vmprof / repro bench-vm --ledger): the
-    # opcode/digram/superinsn counts and virtual clocks are deterministic
-    # and fall to the exact catch-all; the measured dispatch costs, wall
-    # clock and sampler stats carry vm.* info tolerances above.
-    walk("vm", manifest.get("vm") or {})
-
-    # Fleet-mix block (repro mix --ledger): nested dicts all the way down
-    # (mix.cells.<preset>.<policy>.c<NN>.<metric>), so the generic walk
-    # covers it. Virtual-clock cells gate exactly; mix.*wall* cells carry
-    # the info tolerance above.
-    walk("mix", manifest.get("mix") or {})
+    # The remaining blocks are nested dicts all the way down (e.g.
+    # mix.cells.<preset>.<policy>.c<NN>.<metric>), so the generic walk
+    # covers them; string leaves (alert kinds, app names) fall out.
+    for name in ("scalars", "cache", "slo", "vm", "mix"):
+        block = manifest.get(name) or {}
+        walk(block, f"{name}.", "", block)
     return cells
+
+
+def flatten_cells(manifest: dict) -> dict[str, float]:
+    """Flat ``cell-name -> numeric value`` view of one manifest."""
+    return {name: cell[0] for name, cell in declared_cells(manifest).items()}
 
 
 def median_mad(values: list[float]) -> tuple[float, float]:
@@ -444,30 +376,30 @@ def compare_manifests(
 ) -> RegressionReport:
     """Compare *current* against *baseline* cell by cell.
 
-    *tolerances* are prepended to :data:`DEFAULT_TOLERANCES` (first match
-    wins). *history* is an optional list of repeat-run manifests (the
+    *tolerances* are ``(pattern, rel)`` pairs that override the cells'
+    declared tolerances (first match wins; ``rel`` None = informational).
+    *history* is an optional list of repeat-run manifests (the
     candidate included): each cell's candidate value becomes the median
     over the history and its allowance is widened by ``3 x MAD``.
 
     *noise_bands* maps cell names to ``{"median", "mad", "samples"}``
     dicts derived from fleet history (:func:`repro.obs.history.
-    derive_noise_bands`). A banded cell whose resolved tolerance is
-    ``None`` (i.e. measured/informational by default and not explicitly
-    configured) is promoted to *checked* with allowance
+    derive_noise_bands`). A banded cell that is informational by its
+    declaration or by *tolerances* — not one demoted by the cache or
+    one-sided-block rules — is promoted to *checked* with allowance
     ``HISTORY_NOISE_REL_FLOOR * |baseline| + 3 x MAD`` — measured-cell
     tolerances come from observed history instead of hand tuning, while
     deterministic (virtual-clock) cells keep their exact gates untouched.
     """
-    resolved = list(tolerances or [])
+    tolerances = list(tolerances or [])
+    demoted: list[tuple[str, float | None]] = []
     base_cache = baseline.get("cache") or {}
     cur_cache = current.get("cache") or {}
     cache_differs = bool(base_cache) != bool(cur_cache) or base_cache.get(
         "hits", 0
     ) != cur_cache.get("hits", 0)
     if cache_differs:
-        # User tolerances still win (they come first); the demotions
-        # outrank only the defaults.
-        resolved += list(CACHE_DEMOTED_TOLERANCES)
+        demoted += list(CACHE_DEMOTED_TOLERANCES)
     # critpath / whatif blocks are attached post hoc (repro critpath /
     # repro whatif): a run analyzed only on one side is a workflow
     # difference, not a result drift, so demote the whole block instead of
@@ -477,10 +409,11 @@ def compare_manifests(
         for block in ("critpath", "whatif", "mix")
         if bool(baseline.get(block)) != bool(current.get(block))
     ]
-    resolved += [(f"{block}.*", None) for block in onesided_blocks]
-    resolved += list(DEFAULT_TOLERANCES)
-    base_cells = flatten_cells(baseline)
-    cur_cells = flatten_cells(current)
+    demoted += [(f"{block}.*", None) for block in onesided_blocks]
+    # User tolerances win over the demotions, which win over declarations.
+    resolved = tolerances + demoted
+    base_cells = declared_cells(baseline)
+    cur_cells = declared_cells(current)
 
     history_cells: list[dict[str, float]] = []
     repeat_ids: list[str] = []
@@ -524,7 +457,8 @@ def compare_manifests(
         )
 
     for cell in sorted(set(base_cells) | set(cur_cells)):
-        value = cur_cells.get(cell)
+        base_value, base_declared = base_cells.get(cell, (None, None))
+        value, declared = cur_cells.get(cell, (None, base_declared))
         noise = 0.0
         samples = 1
         if history_cells:
@@ -533,8 +467,12 @@ def compare_manifests(
                 value, mad = median_mad(values)
                 noise = mad
                 samples = len(values)
-        tolerance = resolve_tolerance(cell, resolved)
-        if tolerance is None and noise_bands:
+        tolerance = _first_match(cell, resolved, declared)
+        if (
+            tolerance is None
+            and noise_bands
+            and _first_match(cell, tolerances, declared) is None
+        ):
             band = noise_bands.get(cell)
             if band and int(band.get("samples", 0)) >= 2:
                 tolerance = HISTORY_NOISE_REL_FLOOR
@@ -543,7 +481,7 @@ def compare_manifests(
         report.deltas.append(
             CellDelta(
                 cell=cell,
-                baseline=base_cells.get(cell),
+                baseline=base_value,
                 current=value,
                 tolerance=tolerance,
                 noise=noise,

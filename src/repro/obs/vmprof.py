@@ -347,9 +347,8 @@ def vm_manifest_block(prof: VmProfile, top_digrams_n: int = 20) -> dict:
 
     Count cells (steps, opcode/digram/superinsn counts, virtual clocks)
     are deterministic and gated at 1e-9 by the regression sentinel; the
-    measured cells (``wall_seconds``, ``dispatch.*``, ``*saved_ms``,
-    ``sampled.*``) carry informational tolerances until ``--history``
-    noise bands promote them.
+    host-clock cells are declared measured (informational until
+    ``--history`` noise bands promote them).
     """
     digrams = {
         "+".join(pair): count
@@ -381,6 +380,10 @@ def vm_manifest_block(prof: VmProfile, top_digrams_n: int = 20) -> dict:
             "interval": prof.sample_interval,
             "samples": prof.sample_count,
         },
+        "measured": [
+            "wall_seconds", "instructions_per_second", "dispatch.*",
+            "*saved_ms", "sampled.*",
+        ],
     }
     if prof.dispatch is not None:
         block["dispatch"] = {

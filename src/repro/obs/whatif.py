@@ -45,6 +45,14 @@ from repro.util.timefmt import format_hhmmss
 #: Default relative tolerance for the trace-vs-analytic grid cross-check.
 DEFAULT_GRID_TOLERANCE = 0.05
 
+#: Regression-sentinel declaration of the ``whatif`` manifest block: grid
+#: and scenario fold the measured search milliseconds into their modelled
+#: overheads; the ``mix`` replay is fully virtual-clock, so it stays exact.
+MANIFEST_DECLARATION = {
+    "measured": ["check.*"],
+    "tolerance": {"grid.*": 1e-4, "scenario.*": 1e-4},
+}
+
 
 @dataclass(frozen=True)
 class WhatIfKnobs:
@@ -551,13 +559,13 @@ def whatif_mix(
             for preset in presets
         }
 
-        def cell(preset: str, pol: str, cap: int) -> dict:
+        def cell(preset: str, pol: str, cap: int, root: str) -> dict:
             result = simulate_cell(
                 profiles,
                 traces[preset],
                 pol,
                 cap,
-                os.path.join(store_root, f"{preset}-{pol}-{cap}"),
+                os.path.join(root, f"{preset}-{pol}-{cap}"),
                 mix_name=preset,
             ).as_dict()
             return {
@@ -569,7 +577,8 @@ def whatif_mix(
                 "cross_app_hits": result["store"]["cross_app_hits"],
             }
 
-        # Identity check against the first recorded cell.
+        # Identity check against the first recorded cell, in a store of its
+        # own: the grid below replays the same cell and must start cold.
         id_preset = presets[0]
         id_policy = recorded_policies[0]
         id_ckey = next(iter(recorded_cells[id_preset][id_policy]))
@@ -577,9 +586,9 @@ def whatif_mix(
         recorded_be = recorded_cells[id_preset][id_policy][id_ckey][
             "fleet_break_even_seconds"
         ]
-        replayed_be = cell(id_preset, id_policy, id_cap)[
-            "fleet_break_even_seconds"
-        ]
+        replayed_be = cell(
+            id_preset, id_policy, id_cap, os.path.join(store_root, "identity")
+        )["fleet_break_even_seconds"]
         identity = {
             "preset_policy_capacity": f"{id_preset}/{id_policy}/{id_cap}",
             "recorded_break_even_seconds": recorded_be,
@@ -591,7 +600,7 @@ def whatif_mix(
         for preset in presets:
             for pol in policies:
                 for cap in capacities:
-                    replayed = cell(preset, pol, cap)
+                    replayed = cell(preset, pol, cap, store_root)
                     recorded = (
                         recorded_cells.get(preset, {})
                         .get(pol, {})
@@ -665,6 +674,7 @@ def render_whatif_mix(report: dict) -> str:
 
 __all__ = [
     "DEFAULT_GRID_TOLERANCE",
+    "MANIFEST_DECLARATION",
     "WhatIfKnobs",
     "WhatIfAppResult",
     "WhatIfResult",

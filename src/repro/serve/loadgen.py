@@ -32,7 +32,11 @@ import time
 from dataclasses import dataclass, field
 
 from repro.serve.protocol import ServeClient
-from repro.serve.server import ServerConfig, SpecializationServer
+from repro.serve.server import (
+    SUMMARY_MEASURED,
+    ServerConfig,
+    SpecializationServer,
+)
 from repro.serve.store import SharedBitstreamStore
 from repro.util.rng import DeterministicRng
 
@@ -41,6 +45,15 @@ SERVE_BENCH_SCHEMA = "repro-bench-serve/1"
 
 #: Default report location, committed at the repository root.
 DEFAULT_SERVE_BENCH_OUT = "BENCH_serve.json"
+
+#: Measured cells of the ``serve`` block a load-generation run records; a
+#: cold phase races tenants to one signature, so its CAD work is too.
+LOADGEN_MEASURED = (
+    *(f"phases.*.{glob}" for glob in SUMMARY_MEASURED),
+    "phases.*.retries", "phases.*.wall_seconds", "phases.*.throughput_rps",
+    "phases.*.client_latency_ms.*", "phases.*.cad_implementations",
+    "comparison.*",
+)
 
 #: Default offered application mix: the embedded suite, weighted toward
 #: the apps with more selected candidates (heavier CAD work).
@@ -341,6 +354,7 @@ def run_loadgen(
                 "phases": phases,
                 "comparison": comparison,
                 "warm_p95_lower": warm_p95_lower,
+                "measured": LOADGEN_MEASURED,
             }
         )
         recorder.attach_cache(store.combined_stats())

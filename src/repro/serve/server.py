@@ -56,6 +56,15 @@ BREAK_EVEN_BUCKETS = (
     259200.0,
 )
 
+#: Summary cells that depend on thread scheduling (regression sentinel).
+#: Completed/failed counts are deterministic for a fixed load; the total
+#: inherits the rejection count's noise under backpressure.
+SUMMARY_MEASURED = (
+    "uptime_seconds", "requests.total", "requests.accepted",
+    "requests.rejected", "queue.*", "inflight", "dedup.*", "cross_app_hits",
+    "slots.*", "tenants.*", "latency.*", "slo.*",
+)
+
 _SENTINEL = object()
 
 
@@ -591,7 +600,8 @@ class SpecializationServer:
             registry.counter(
                 "serve.requests.completed"
                 if error is None
-                else "serve.requests.failed"
+                else "serve.requests.failed",
+                measured=True,
             ).inc()
             registry.histogram("serve.queue_wait_seconds").observe(queue_wait)
             registry.histogram("serve.service_seconds").observe(service)
@@ -629,7 +639,7 @@ class SpecializationServer:
     def _count(self, name: str) -> None:
         registry = get_metrics()
         if registry.enabled:
-            registry.counter(name).inc()
+            registry.counter(name, measured=True).inc()
 
     def _set_gauge(self, name: str, value: float) -> None:
         registry = get_metrics()
@@ -714,6 +724,7 @@ class SpecializationServer:
                 "break_even": hist(self.break_even_hist),
             },
             "slo": self._slo_summary(),
+            "measured": SUMMARY_MEASURED,
         }
         if shutdown is not None:
             summary["shutdown"] = shutdown

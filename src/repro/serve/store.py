@@ -181,7 +181,7 @@ class SharedBitstreamStore:
 
         registry = get_metrics()
         if registry.enabled:
-            registry.counter("serve.dedup.saved").inc()
+            registry.counter("serve.dedup.saved", measured=True).inc()
 
     # -- cross-application attribution ---------------------------------------
     def _note_store(self, tenant: str, key: str, app: str | None) -> None:
@@ -204,7 +204,7 @@ class SharedBitstreamStore:
 
         registry = get_metrics()
         if registry.enabled:
-            registry.counter("store.cross_app_hits").inc()
+            registry.counter("store.cross_app_hits", measured=True).inc()
 
     # -- accounting ----------------------------------------------------------
     def stats(self) -> dict:

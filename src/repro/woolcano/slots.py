@@ -138,9 +138,9 @@ class CustomInstructionSlots:
         self.loads += 1
         registry = get_metrics()
         if registry.enabled:
-            registry.counter("slots.loads").inc()
+            registry.counter("slots.loads", measured=True).inc()
             if reload:
-                registry.counter("slots.reloads").inc()
+                registry.counter("slots.reloads", measured=True).inc()
             registry.gauge("slots.occupancy").set(len(self._slots))
         get_tracer().event(
             "slots.load",
@@ -179,7 +179,7 @@ class CustomInstructionSlots:
         residency = self._clock - evicted.loaded_at
         registry = get_metrics()
         if registry.enabled:
-            registry.counter(f"slots.evictions.{reason}").inc()
+            registry.counter(f"slots.evictions.{reason}", measured=True).inc()
             registry.histogram("slots.residency_ticks").observe(
                 float(residency)
             )

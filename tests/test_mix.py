@@ -1,5 +1,6 @@
 """Tests for the fleet workload-mix simulator (repro mix)."""
 
+import json
 import math
 
 import pytest
@@ -325,24 +326,34 @@ class TestManifestBlock:
         assert cells["mix.gate.breakeven_beats_lru"] == 1.0
 
     def test_break_even_cells_gated_exactly(self):
-        from repro.obs.regress import DEFAULT_TOLERANCES, resolve_tolerance
+        from repro.obs.bench import mix_manifest_block
+        from repro.obs.regress import compare_manifests
 
-        tolerances = list(DEFAULT_TOLERANCES)
-        assert (
-            resolve_tolerance(
-                "mix.cells.uniform.lru.c04.fleet_break_even_seconds",
-                tolerances,
-            )
-            == 1e-9
-        )
-        assert resolve_tolerance("mix.wall_seconds", tolerances) is None
-        assert (
-            resolve_tolerance(
-                "whatif.mix.cells.uniform.lru.c04.fleet_break_even_seconds",
-                tolerances,
-            )
-            == 1e-9
-        )
+        key = "cells.uniform.lru.c04.fleet_break_even_seconds"
+        block = mix_manifest_block(self._report())
+        # The `whatif --slots/--policy` replay attached next to it.
+        replayed = {
+            "fleet_break_even_seconds": 100.0,
+            "recorded_break_even_seconds": 100.0,
+        }
+        replay = {"cells": {"uniform": {"lru": {"c04": replayed}}}}
+        baseline = {"mix": block, "whatif": {"mix": replay}}
+
+        def drifted(path: str, scale: float) -> dict:
+            manifest = json.loads(json.dumps(baseline))
+            *parents, leaf = path.split(".")
+            node = manifest
+            for name in parents:
+                node = node[name]
+            node[leaf] *= scale
+            return manifest
+
+        # Measured grid wall clock: informational.
+        assert compare_manifests(baseline, drifted("mix.wall_seconds", 2.0)).ok
+        # Virtual-clock break-even: a 1e-6 drift already fails.
+        for cell in (f"mix.{key}", f"whatif.mix.{key}"):
+            report = compare_manifests(baseline, drifted(cell, 1.000001))
+            assert [d.cell for d in report.regressions] == [cell]
 
 
 class TestCli:

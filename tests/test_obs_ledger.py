@@ -20,9 +20,9 @@ from repro.obs.regress import (
     flatten_cells,
     median_mad,
     parse_tolerances,
-    resolve_tolerance,
 )
 from repro.obs.tracer import Tracer
+from repro.obs.whatif import MANIFEST_DECLARATION as WHATIF_DECLARATION
 
 
 def _manifest(run_id="r0001-test", **overrides) -> dict:
@@ -37,18 +37,21 @@ def _manifest(run_id="r0001-test", **overrides) -> dict:
         "environment": {"python": "3.12.0"},
         "status": 0,
         "wall_seconds": 3.5,
+        "measured": ["wall_seconds"],
         "stages": {
             "cad.par": {
                 "label": "PAR",
                 "spans": 3,
                 "real_seconds": 1.25,
                 "virtual_seconds": 1336.9,
+                "measured": ["real_seconds"],
             },
             "search": {
                 "label": None,
                 "spans": 1,
                 "real_seconds": 0.02,
                 "virtual_seconds": 0.02,
+                "measured": ["*"],
             },
         },
         "metrics": {"counters": {"icap.reconfigurations": 3}},
@@ -222,10 +225,17 @@ class TestRegressionSentinel:
             with pytest.raises(ValueError):
                 parse_tolerances([bad])
 
-    def test_resolve_tolerance_first_match_wins(self):
-        tols = [("stages.*", 0.5), ("*", 1e-9)]
-        assert resolve_tolerance("stages.cad.par.spans", tols) == 0.5
-        assert resolve_tolerance("wall_seconds", tols) == 1e-9
+    def test_user_tolerances_first_match_wins(self):
+        current = _manifest(run_id="r0002-test", wall_seconds=9.9)
+        current["stages"]["cad.par"]["spans"] = 4
+        report = compare_manifests(
+            _manifest(),
+            current,
+            tolerances=[("stages.*", 0.5), ("*", 1e-9)],
+        )
+        # stages.* loosens the span count; "*" tightens the measured wall
+        # clock into an exact gate.
+        assert [d.cell for d in report.regressions] == ["wall_seconds"]
 
     def test_flatten_cells(self):
         cells = flatten_cells(_manifest())
@@ -282,6 +292,8 @@ class TestRegressionSentinel:
 
     def _critpath_block(self, makespan=76.0):
         return {
+            "measured": ["real.*"],
+            "tolerance": {"*": 1e-4},
             "virtual": {
                 "makespan": makespan,
                 "serial_seconds": 111.0,
@@ -325,6 +337,7 @@ class TestRegressionSentinel:
 
     def test_whatif_grid_cells_gate_and_check_is_informational(self):
         block = {
+            **WHATIF_DECLARATION,
             "grid": {"workers": 1, "cache_hit_rates": [0], "cad_speedups": [0],
                      "cells": {"h0.s0": 6389.0}},
             "check": {"tolerance": 0.05, "checked": 1, "flagged": 0,

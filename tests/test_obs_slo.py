@@ -387,12 +387,15 @@ class TestHistoryNoiseBands:
                 "cells": {
                     "wall_seconds": wall,
                     "scalars.break_even_model": 3.25,
+                    "scalars.candidates": 7.0,
                 },
             }
             for i, wall in enumerate(walls)
         ]
 
-    def _manifest(self, wall: float, be_model: float = 3.25) -> dict:
+    def _manifest(
+        self, wall: float, be_model: float = 3.25, candidates: int = 7
+    ) -> dict:
         return {
             "schema": "repro-run/1",
             "run_id": "r0001-demo",
@@ -400,14 +403,25 @@ class TestHistoryNoiseBands:
             "config": {"command": "demo"},
             "status": 0,
             "wall_seconds": wall,
-            "scalars": {"break_even_model": be_model},
+            "measured": ["wall_seconds"],
+            "scalars": {
+                "break_even_model": be_model,
+                "candidates": candidates,
+                "tolerance": {"break_even_model": 1e-4},
+            },
         }
 
     def test_bands_cover_only_measured_cells(self):
         bands = derive_noise_bands(self._entries([10.0, 10.2, 9.8, 10.1]))
-        # wall_seconds is informational by default -> banded; the modelled
-        # break-even cell has an exact-ish tolerance -> never banded.
-        assert set(bands) == {"wall_seconds"}
+        # Every cell with enough history gets a band ...
+        assert set(bands) == {
+            "wall_seconds", "scalars.break_even_model", "scalars.candidates"
+        }
+        # ... but only the measured one is promoted by it.
+        report = compare_manifests(
+            self._manifest(10.0), self._manifest(10.0), noise_bands=bands
+        )
+        assert report.noise_banded == ["wall_seconds"]
         band = bands["wall_seconds"]
         assert band["samples"] == 4
         assert band["median"] == pytest.approx(10.05)
@@ -440,13 +454,20 @@ class TestHistoryNoiseBands:
             "scalars.break_even_model"
         ]
         assert "scalars.break_even_model" not in drift.noise_banded
+        drift = compare_manifests(
+            baseline, self._manifest(10.0, candidates=8), noise_bands=bands
+        )
+        assert [d.cell for d in drift.regressions] == ["scalars.candidates"]
+        assert drift.noise_banded == ["wall_seconds"]
 
     def test_regress_cli_history_flag(self, tmp_path, capsys):
         from repro.cli import main
 
         ledger = RunLedger(tmp_path / "ledger")
         for value in (50.0, 50.2, 49.8, 50.1, 50.05):
-            _record_run(ledger, "demo", {"search_ms": value})
+            _record_run(
+                ledger, "demo", {"search_ms": value, "measured": ["search_ms"]}
+            )
         # The recorder's real wall clock is microsecond noise; pin it to a
         # huge numeric tolerance so only the scalar under test is judged.
         args = [
@@ -463,7 +484,9 @@ class TestHistoryNoiseBands:
         out = capsys.readouterr().out
         assert "gated by history-derived noise bands" in out
         # A seeded 20% regression breaks out of the band: exit 1.
-        _record_run(ledger, "demo", {"search_ms": 60.0})
+        _record_run(
+            ledger, "demo", {"search_ms": 60.0, "measured": ["search_ms"]}
+        )
         assert main(["regress", *args]) == 1
         err = capsys.readouterr().err
         assert "scalars.search_ms" in err

@@ -20,12 +20,7 @@ import pytest
 
 from repro import obs
 from repro.obs.export import chrome_trace, read_jsonl, validate_trace
-from repro.obs.regress import (
-    DEFAULT_TOLERANCES,
-    compare_manifests,
-    flatten_cells,
-    resolve_tolerance,
-)
+from repro.obs.regress import compare_manifests, flatten_cells
 from repro.obs.tracer import Tracer
 from repro.serve.protocol import (
     ProtocolError,
@@ -33,7 +28,11 @@ from repro.serve.protocol import (
     recv_message,
     send_message,
 )
-from repro.serve.server import ServerConfig, SpecializationServer
+from repro.serve.server import (
+    SUMMARY_MEASURED,
+    ServerConfig,
+    SpecializationServer,
+)
 from repro.serve.store import SharedBitstreamStore, validate_tenant
 from repro.serve.worker import execute_specialize, parse_specialize_request
 
@@ -660,34 +659,51 @@ class TestServeRegressCells:
             "config": {"command": "serve"},
             "status": 0,
             "wall_seconds": 10.0,
-            "serve": serve,
+            "serve": {"measured": SUMMARY_MEASURED, **serve},
         }
 
-    def test_latency_cells_informational_counts_gated(self):
-        manifest = self._manifest(
-            requests={"total": 5, "completed": 4, "failed": 1, "rejected": 2},
-            latency={"break_even": {"p95": 5344.0, "count": 4}},
-            dedup={"saved": 3},
-            config={"port": 12345},
-        )
-        cells = flatten_cells(manifest)
-        assert cells["serve.requests.completed"] == 4.0
-        assert "serve.config.port" not in cells
-        assert resolve_tolerance(
-            "serve.requests.completed", list(DEFAULT_TOLERANCES)
-        ) == pytest.approx(1e-9)
-        for informational in (
-            "serve.requests.total",
-            "serve.requests.rejected",
-            "serve.latency.break_even.p95",
-            "serve.dedup.saved",
-            "serve.phases.cold.retries",
-            "serve.comparison.break_even_p95_cold",
-        ):
-            assert (
-                resolve_tolerance(informational, list(DEFAULT_TOLERANCES))
-                is None
-            )
+    def test_latency_cells_informational_counts_gated(self, server):
+        from repro.serve.loadgen import LOADGEN_MEASURED
+
+        client = ServeClient(port=server.port)
+        assert client.specialize("acme", "adpcm")["status"] == "ok"
+        baseline = self._manifest(**server.summary())
+        cells = flatten_cells(baseline)
+        assert cells["serve.requests.completed"] == 1.0
+        assert cells["serve.latency.break_even.p95"] > 0
+        assert not any(cell.startswith("serve.config.") for cell in cells)
+
+        drifted = json.loads(json.dumps(baseline))
+        serve = drifted["serve"]
+        serve["requests"]["total"] += 2
+        serve["requests"]["rejected"] += 2
+        serve["latency"]["break_even"]["p95"] *= 2
+        serve["dedup"]["saved"] += 3
+        assert compare_manifests(baseline, drifted).ok
+        serve["requests"]["completed"] += 1
+        report = compare_manifests(baseline, drifted)
+        assert [d.cell for d in report.regressions] == [
+            "serve.requests.completed"
+        ]
+
+        # The serve block a load-generation run records.
+        phases = {"cold": {"retries": 0, "requests": {"completed": 10}}}
+        loadgen = {
+            "serve": {
+                "phases": phases,
+                "comparison": {"break_even_p95_cold": 5344.0},
+                "measured": LOADGEN_MEASURED,
+            }
+        }
+        drifted = json.loads(json.dumps(loadgen))
+        drifted["serve"]["phases"]["cold"]["retries"] = 4
+        drifted["serve"]["comparison"]["break_even_p95_cold"] = 6000.0
+        assert compare_manifests(loadgen, drifted).ok
+        drifted["serve"]["phases"]["cold"]["requests"]["completed"] = 9
+        report = compare_manifests(loadgen, drifted)
+        assert [d.cell for d in report.regressions] == [
+            "serve.phases.cold.requests.completed"
+        ]
 
     def test_latency_drift_never_regresses_counts_do(self):
         baseline = self._manifest(
