@@ -86,18 +86,18 @@ bench-serve:
 slo-smoke:
 	$(PYTHON) scripts/slo_smoke.py
 
-# VM interpreter benchmark: calibrate the per-opcode-class dispatch cost,
-# then run the embedded suite in alternating plain/sampled pairs (virtual
-# clock must stay bit-identical; the sampler overhead is reported with its
-# quartiles); rewrites BENCH_vm.json, the committed dispatch baseline.
+# VM interpreter benchmark: run the embedded suite in alternating
+# plain/sampled pairs (virtual clock must stay bit-identical; the sampler
+# overhead is reported with its quartiles); rewrites BENCH_vm.json, the
+# committed interpreter baseline.
 bench-vm:
 	$(PYTHON) -m repro bench-vm --out BENCH_vm.json
 
 # VM regression leg: record two vmprof runs of one app in the ledger and
-# gate the second against the first — opcode/digram/superinsn counts and
-# the virtual clock must reproduce exactly (rel 1e-9) while the measured
-# dispatch-cost/wall cells stay informational until `--history` noise
-# bands promote them (declared measured by `vm_manifest_block`).
+# gate the second against the first — opcode/digram counts and the
+# virtual clock must reproduce exactly (rel 1e-9) while the measured
+# wall/sampler cells stay informational until `--history` noise bands
+# promote them (declared measured by `vm_manifest_block`).
 regress-vm:
 	$(PYTHON) -m repro vmprof adpcm --ledger
 	$(PYTHON) -m repro vmprof adpcm --ledger

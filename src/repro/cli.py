@@ -390,28 +390,15 @@ def _cmd_heat(args: argparse.Namespace) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1
     if args.top_opcodes:
-        from repro.util.tables import Table
+        from repro.obs.vmprof import opcode_table
         from repro.vm.costmodel import PPC405_COST_MODEL
 
-        counts = profile.opcode_counts(compiled.module)
-        cycles = profile.opcode_cycles(compiled.module, PPC405_COST_MODEL)
-        total = sum(cycles.values()) or 1.0
-        table = Table(
-            ["opcode", "dyn count", "virt cycles", "cycles %"],
+        table = opcode_table(
+            profile.opcode_counts(compiled.module),
+            profile.opcode_cycles(compiled.module, PPC405_COST_MODEL),
+            args.top_opcodes,
             title=f"Opcode rollup (top {args.top_opcodes})",
         )
-        ranked = sorted(
-            counts, key=lambda op: (-cycles.get(op, 0.0), -counts[op], op)
-        )
-        for op in ranked[: args.top_opcodes]:
-            table.add_row(
-                [
-                    op,
-                    f"{counts[op]:,}",
-                    f"{cycles.get(op, 0.0):,.0f}",
-                    f"{100 * cycles.get(op, 0.0) / total:.1f}",
-                ]
-            )
         print()
         print(table.render())
     return 0
@@ -432,8 +419,6 @@ def _cmd_vmprof(args: argparse.Namespace) -> int:
         args.app,
         dataset=args.dataset,
         sample_interval=args.sample,
-        calibrate=not args.no_calibrate,
-        max_candidates=args.candidates,
     )
     print(render_vmprof(prof, top=args.top))
     if args.json:
@@ -1451,8 +1436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_vmprof = sub.add_parser(
         "vmprof",
         parents=[obs_options],
-        help="VM dispatch observatory: opcode profile, real-vs-virtual "
-        "divergence, superinstruction candidates",
+        help="VM observatory: opcode profile and real-vs-virtual "
+        "divergence",
     )
     p_vmprof.add_argument("app", help="application name, e.g. fft or adpcm")
     p_vmprof.add_argument(
@@ -1468,19 +1453,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_vmprof.add_argument(
         "--top", type=int, default=12, help="rows per report table"
-    )
-    p_vmprof.add_argument(
-        "--candidates",
-        type=int,
-        default=10,
-        metavar="N",
-        help="superinstruction candidates to rank (default: 10)",
-    )
-    p_vmprof.add_argument(
-        "--no-calibrate",
-        action="store_true",
-        help="skip the dispatch-cost microbenchmark (no real-clock "
-        "estimates or savings)",
     )
     p_vmprof.add_argument(
         "--json", metavar="FILE", default=None, help="write the full report"

@@ -24,11 +24,9 @@ the honest parallel speedup is ~1x — the cache speedup is the headline
 number there.
 
 :func:`run_vm_bench` is the interpreter-side sibling (``BENCH_vm.json``):
-per-app interpreter wall time, instructions/sec, dynamic opcode counts,
-top digrams, superinstruction candidates and the calibrated dispatch-cost
-table — the committed baseline the ROADMAP's dispatch-optimization work
-is measured against, with the PPC405 virtual clock checked bit-identical
-between the sampled and unsampled loops.
+per-app interpreter wall time, instructions/sec, dynamic opcode counts
+and top digrams, with the sampler overhead and the PPC405 virtual clock
+checked bit-identical between the sampled and unsampled runs.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ BENCH_SCHEMA = "repro-bench-parallel/1"
 DEFAULT_BENCH_OUT = "BENCH_parallel.json"
 
 #: VM interpreter benchmark (repro bench-vm) schema + committed report.
-BENCH_VM_SCHEMA = "repro-bench-vm/1"
+BENCH_VM_SCHEMA = "repro-bench-vm/2"
 DEFAULT_VM_BENCH_OUT = "BENCH_vm.json"
 
 
@@ -169,9 +167,7 @@ def run_vm_bench(
     apps: list[str] | None = None,
     sample_interval: int = 64,
     out: str | os.PathLike | None = DEFAULT_VM_BENCH_OUT,
-    calibration_iters: int = 6000,
     top_digrams_n: int = 10,
-    top_candidates: int = 10,
     pairs: int = 8,
 ) -> dict:
     """Interpreter macro benchmark over the embedded suite (BENCH_vm.json).
@@ -188,12 +184,10 @@ def run_vm_bench(
     from repro.apps import EMBEDDED_APPS, compile_app, get_app
     from repro.obs.vmprof import build_profile, top_digrams, vm_manifest_block
     from repro.vm.costmodel import PPC405_COST_MODEL
-    from repro.vm.dispatchcost import measure_dispatch_costs
     from repro.vm.profiler import BlockTimeSampler
 
     if apps is None:
         apps = [spec.name for spec in EMBEDDED_APPS]
-    dispatch = measure_dispatch_costs(iters=calibration_iters)
 
     app_reports: dict[str, dict] = {}
     all_identical = True
@@ -240,8 +234,6 @@ def run_vm_bench(
             steps=sampled.steps,
             wall_seconds=wall_plain,
             sampler=sampler,
-            dispatch=dispatch,
-            max_candidates=top_candidates,
         )
         app_reports[spec.name] = {
             "wall_seconds": round(wall_plain, 6),
@@ -262,17 +254,6 @@ def run_vm_bench(
                 "+".join(pair): count
                 for pair, count in top_digrams(prof, top_digrams_n)
             },
-            "superinsn": [
-                {
-                    "sequence": candidate.name,
-                    "dynamic_count": candidate.dynamic_count,
-                    "static_sites": candidate.static_sites,
-                    "est_saved_ms": round(
-                        candidate.est_saved_seconds * 1e3, 3
-                    ),
-                }
-                for candidate in prof.candidates
-            ],
         }
         # Feed the current ledger run (if any): the vm block of the last
         # profiled app wins, which is what the regress-vm single-app leg
@@ -308,7 +289,6 @@ def run_vm_bench(
             "python": platform.python_version(),
             "platform": platform.platform(),
         },
-        "dispatch_cost": dispatch.to_dict(),
         "apps": app_reports,
         "totals": totals,
     }
@@ -348,13 +328,6 @@ def render_vm_bench(report: dict) -> str:
             ]
         )
     lines = [table.render()]
-    dispatch = (report.get("dispatch_cost") or {}).get("classes_ns") or {}
-    if dispatch:
-        costs = ", ".join(
-            f"{name}={ns:.0f}ns"
-            for name, ns in sorted(dispatch.items(), key=lambda kv: -kv[1])[:5]
-        )
-        lines.append(f"dispatch cost (top classes): {costs}")
     totals = report.get("totals") or {}
     if totals:
         q1, q3 = totals.get("sampler_overhead_iqr_pct") or (0.0, 0.0)

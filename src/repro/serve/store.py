@@ -305,11 +305,14 @@ class TenantCache:
             # Follower: the wait is part of this request's latency, so it
             # gets its own span in the request's trace, linked to the
             # leader (builder) span whose CAD run we are subscribing to.
+            # How many requests wait depends on thread interleaving, so
+            # the span is measured: its count is not a reproducible cell.
             with get_tracer().span(
                 "store.dedup.wait",
                 tenant=self.name,
                 key=key[:16],
                 leader_span_id=flight.leader_span_id,
+                measured=True,
             ) as wait_span:
                 resolved = flight.event.wait(FLIGHT_TIMEOUT_SECONDS)
                 wait_span.set_attr("timed_out", not resolved)

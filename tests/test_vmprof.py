@@ -1,17 +1,15 @@
-"""Tests for the VM execution observatory (vmprof, dispatch cost, bench)."""
+"""Tests for the VM execution observatory (vmprof, bench-vm)."""
 
 import json
+from fnmatch import fnmatchcase
 
 import pytest
 
 from repro.cli import main
-from repro.ir.opcodes import Opcode
 from repro.obs.bench import overhead_summary
 from repro.obs.ledger import RunLedger
+from repro.obs.regress import declared_cells
 from repro.obs.vmprof import (
-    FUSION_EXCLUDED,
-    build_profile,
-    mine_superinsns,
     profile_app,
     render_vmprof,
     top_digrams,
@@ -20,12 +18,6 @@ from repro.obs.vmprof import (
 )
 from repro.vm import Interpreter
 from repro.vm.costmodel import PPC405_COST_MODEL
-from repro.vm.dispatchcost import (
-    CLASS_OF_OPCODE,
-    MEASURED_CLASSES,
-    DispatchCostTable,
-    measure_dispatch_costs,
-)
 from repro.vm.profiler import BlockTimeSampler, static_block_opcodes
 
 from conftest import build_sumsq_module
@@ -117,145 +109,11 @@ class TestSampler:
         interp.run("sumsq", [8])
 
 
-class TestDispatchCost:
-    def test_every_opcode_has_a_class(self):
-        missing = [op.value for op in Opcode if op.value not in CLASS_OF_OPCODE]
-        assert not missing
-
-    def test_calibration_produces_full_table(self):
-        table = measure_dispatch_costs(iters=300, width=4, repeats=1)
-        for name in MEASURED_CLASSES + ("control",):
-            assert name in table.class_seconds
-            assert table.class_seconds[name] >= 0.0
-        assert table.baseline_seconds > 0
-        # int add is the dispatch floor the miner prices savings with.
-        assert table.dispatch_overhead_seconds == table.class_seconds["int_alu"]
-
-    def test_seconds_for_accepts_enum_and_mnemonic(self):
-        table = DispatchCostTable(class_seconds={"int_alu": 1e-7, "load": 1e-6})
-        assert table.seconds_for("add") == 1e-7
-        assert table.seconds_for(Opcode.LOAD) == 1e-6
-        with pytest.raises(KeyError, match="bogus"):
-            table.seconds_for("bogus")
-
-    def test_round_trip_through_dict(self):
-        table = DispatchCostTable(
-            class_seconds={"int_alu": 3e-7, "control": 1e-7},
-            baseline_seconds=9e-7,
-            iters=100,
-            width=4,
-            repeats=2,
-        )
-        back = DispatchCostTable.from_dict(table.to_dict())
-        assert back.class_seconds["int_alu"] == pytest.approx(3e-7)
-        assert back.baseline_seconds == pytest.approx(9e-7)
-        assert (back.iters, back.width, back.repeats) == (100, 4, 2)
-
-
-class TestSuperInsnMiner:
-    def test_mines_hot_straight_line_sequences(self):
-        module = build_sumsq_module()
-        profile = Interpreter(module).run("sumsq", [50]).profile
-        candidates = mine_superinsns(module, profile, 1e-7)
-        assert candidates
-        names = [c.name for c in candidates]
-        # The body's load+mul run is the hottest fusible digram start.
-        assert any(name.startswith("load+mul") for name in names)
-        # No candidate may contain an excluded opcode.
-        for c in candidates:
-            assert not set(c.sequence) & FUSION_EXCLUDED
-            assert 2 <= len(c.sequence) <= 4
-        # Savings are monotone with the deterministic ranking.
-        savings = [c.est_saved_seconds for c in candidates]
-        assert savings == sorted(savings, reverse=True)
-
-    def test_savings_scale_with_dispatch_overhead(self):
-        module = build_sumsq_module()
-        profile = Interpreter(module).run("sumsq", [20]).profile
-        cheap = mine_superinsns(module, profile, 1e-8)
-        costly = mine_superinsns(module, profile, 1e-6)
-        # Overhead is a common factor: same ranking, scaled savings.
-        assert [c.name for c in cheap] == [c.name for c in costly]
-        assert costly[0].est_saved_seconds == pytest.approx(
-            100 * cheap[0].est_saved_seconds
-        )
-
-    def test_dominated_subsequences_are_dropped(self):
-        module = build_sumsq_module()
-        profile = Interpreter(module).run("sumsq", [50]).profile
-        candidates = mine_superinsns(module, profile, 1e-7)
-        # A selected sub-sequence must occur more often than every longer
-        # selected candidate containing it (else it adds no new sites).
-        for i, c in enumerate(candidates):
-            for longer in candidates[:i]:
-                if len(longer.sequence) > len(c.sequence):
-                    joined = "+".join(longer.sequence)
-                    if c.name in joined:
-                        assert c.dynamic_count > longer.dynamic_count
-
-    def _patch_body_with_custom(self, module):
-        """Splice a CUSTOM into the sumsq body, patcher-style."""
-        from repro.ir.instructions import Instruction
-        from repro.ir.types import I32
-
-        body = next(
-            b
-            for b in module.function("sumsq").blocks
-            if b.name == "body"
-        )
-        custom = Instruction(
-            Opcode.CUSTOM, I32, [body.instructions[0]], "c", custom_id=1
-        )
-        body.insert(1, custom)
-        return body
-
-    def test_stale_profile_skips_patched_blocks(self):
-        # Regression: a profile recorded *before* the patcher rewrites a
-        # block must not be mined against the rewritten composition — the
-        # counts would attach to windows (adjacencies across the patch
-        # seam) that never executed together.
-        module = build_sumsq_module()
-        profile = Interpreter(module).run("sumsq", [50]).profile
-        before = mine_superinsns(module, profile, 1e-7)
-        assert any("load+mul" in c.name for c in before)
-
-        self._patch_body_with_custom(module)
-        stale = mine_superinsns(module, profile, 1e-7)
-        # The modified body contributes nothing; the untouched loop block
-        # still mines normally.
-        assert all("load+mul" not in c.name for c in stale)
-        assert ("load", "icmp") in {c.sequence for c in stale}
-        composition = static_block_opcodes(module)
-        untouched = {
-            key for key, ops in composition.items() if "custom" not in ops
-        }
-        for c in stale:
-            assert any(
-                "+".join(c.sequence) in "+".join(composition[key])
-                for key in untouched
-            )
-
-    def test_fresh_profile_never_mines_across_custom(self):
-        # Re-profiled after patching, the CUSTOM acts as a hard barrier:
-        # no candidate contains it or spans the seam it sits on.
-        module = build_sumsq_module()
-        self._patch_body_with_custom(module)
-        interp = Interpreter(module)
-        interp.custom_evaluators[1] = lambda vals: vals[0]
-        profile = interp.run("sumsq", [50]).profile
-        fresh = mine_superinsns(module, profile, 1e-7)
-        assert fresh  # the patched block's remaining runs still mine
-        # The seam (load|CUSTOM|mul) never yields a load+mul window.
-        assert all("load+mul" not in c.name for c in fresh)
-        for c in fresh:
-            assert "custom" not in c.sequence
-
-
 class TestVmProfileReports:
     @pytest.fixture(scope="class")
     def fft_profile(self):
-        # One shared profiled run; calibration skipped to keep tests fast.
-        return profile_app("fft", sample_interval=64, calibrate=False)
+        # One shared profiled run.
+        return profile_app("fft", sample_interval=64)
 
     def test_profile_app_assembles_all_views(self, fft_profile):
         prof = fft_profile
@@ -263,8 +121,6 @@ class TestVmProfileReports:
         assert sum(prof.opcode_counts.values()) == prof.steps
         assert prof.wall_seconds > 0 and prof.instructions_per_second > 0
         assert prof.sample_count > 0
-        assert prof.candidates
-        assert prof.dispatch is None  # calibrate=False
 
     def test_divergence_rows_cover_shares(self, fft_profile):
         rows = fft_profile.divergence_rows()
@@ -278,23 +134,23 @@ class TestVmProfileReports:
     def test_json_report_schema(self, fft_profile):
         report = vmprof_json(fft_profile)
         assert report["schema"] == "repro-vmprof/1"
-        for key in ("opcodes", "digrams", "divergence", "superinsn"):
+        for key in ("opcodes", "opcode_cycles", "digrams", "divergence"):
             assert report[key]
-        assert report["dispatch"] is None
 
     def test_manifest_block_cells(self, fft_profile):
         block = vm_manifest_block(fft_profile, top_digrams_n=5)
         assert block["steps"] == fft_profile.steps
         assert len(block["digrams"]) == 5
-        assert block["superinsn"]
-        first = next(iter(block["superinsn"].values()))
-        assert first["rank"] == 1
         assert block["sampled"]["interval"] == 64
-        assert "dispatch" not in block  # no calibration
+        # The block declares only cells it has: every measured glob
+        # matches at least one of its cells.
+        cells = [name[len("vm."):] for name in declared_cells({"vm": block})]
+        for glob in block["measured"]:
+            assert any(fnmatchcase(cell, glob) for cell in cells), glob
 
     def test_render_is_plain_ascii(self, fft_profile):
         text = render_vmprof(fft_profile, top=5)
-        assert "Top opcodes" in text and "Superinstruction candidates" in text
+        assert "Top opcodes" in text
         assert text.isascii()
 
     def test_top_digrams_deterministic(self, fft_profile):
@@ -308,7 +164,7 @@ class TestVmProfileReports:
 class TestCliCommands:
     def test_vmprof_writes_json_report(self, tmp_path, capsys):
         out = tmp_path / "vmprof.json"
-        assert main(["vmprof", "fft", "--no-calibrate", "--json", str(out)]) == 0
+        assert main(["vmprof", "fft", "--json", str(out)]) == 0
         text = capsys.readouterr().out
         assert "vmprof: fft" in text
         report = json.loads(out.read_text())
@@ -317,16 +173,13 @@ class TestCliCommands:
 
     def test_vmprof_ledger_attaches_vm_block(self, tmp_path, capsys):
         ledger_dir = tmp_path / "ledger"
-        code = main(
-            ["vmprof", "fft", "--no-calibrate", "--ledger", str(ledger_dir)]
-        )
+        code = main(["vmprof", "fft", "--ledger", str(ledger_dir)])
         assert code == 0
         capsys.readouterr()
         ledger = RunLedger(ledger_dir)
         manifest = ledger.load(ledger.resolve("latest"))
         assert manifest["vm"]["app"] == "fft"
         assert manifest["vm"]["opcodes"]
-        assert manifest["vm"]["superinsn"]
 
     def test_heat_top_opcodes_rollup(self, capsys):
         assert main(["heat", "fft", "--top-opcodes", "5"]) == 0
@@ -347,7 +200,6 @@ class TestVmBench:
         report = run_vm_bench(
             apps=["fft"],
             out=out,
-            calibration_iters=300,
             pairs=1,
         )
         assert report["schema"] == BENCH_VM_SCHEMA
@@ -355,9 +207,8 @@ class TestVmBench:
         app = report["apps"]["fft"]
         assert app["virtual_identical"] is True
         assert app["wall_seconds"] > 0
-        assert app["opcodes"] and app["top_digrams"] and app["superinsn"]
+        assert app["opcodes"] and app["top_digrams"]
         assert report["totals"]["virtual_identical"] is True
-        assert report["dispatch_cost"]["classes_ns"]
 
     def test_run_vm_bench_alternates_phase_order(self, tmp_path, monkeypatch):
         """Pairs run ABBA: plain first, then sampled first, and so on."""
@@ -375,7 +226,6 @@ class TestVmBench:
         report = run_vm_bench(
             apps=["sor"],
             out=tmp_path / "BENCH_vm.json",
-            calibration_iters=300,
             pairs=4,
         )
         assert phases == ["plain", "sampled", "sampled", "plain"] * 2
