@@ -18,6 +18,16 @@ cell but not of both. HPWL is an integer, so the incremental deltas, and
 with them every accept/reject decision and the RNG draw sequence, equal
 those of a full recompute.
 
+The anneal draws from the :class:`~repro.util.rng.DrawStream` of its
+seeded :class:`~repro.util.rng.DeterministicRng`, not from numpy's scalar
+calls, which cost microseconds each. The stream replays numpy's own
+arithmetic on PCG64 words fetched in bulk: ``integers(0, n)`` is Lemire's
+multiply-shift rejection over the low, then the buffered high, half of a
+word, and ``random()`` is a word's top 53 bits. So every draw, and with it
+every placement, is the one ``Generator.integers``/``Generator.random``
+would have produced. A move's cell and target site are one fused call,
+which in the common case takes them from the two halves of one word.
+
 Stands in for the placement half of the paper's ``par`` stage, whose
 runtime share Table III and Section V-C quantify.
 """
@@ -77,11 +87,11 @@ class Placer:
                 f"design needs {n_cells} cells, region holds "
                 f"{region.cell_capacity}"
             )
-        gen = DeterministicRng(
+        stream = DeterministicRng(
             f"placer/{n_cells}/{len(design.nets)}", self.seed
-        ).generator
-        integers = gen.integers
-        random = gen.random
+        ).stream()
+        below2 = stream.below2
+        random = stream.random
 
         # Sites are numbered row-major, cells_per_clb to a CLB.
         cols = region.cols
@@ -99,15 +109,17 @@ class Placer:
 
         # Each net's distinct members as one itemgetter over xs or ys (the
         # first member is listed twice, so a one-cell net still yields a
-        # tuple), and each cell's nets, every net once.
+        # tuple), and each cell's nets as a frozenset: a swap recomputes
+        # the nets in exactly one of its cells' sets.
         pos_of = {cell.index: p for p, cell in enumerate(cells)}
         members_of: list[itemgetter] = []
-        nets_of: list[list[int]] = [[] for _ in range(n_cells)]
+        cell_nets: list[list[int]] = [[] for _ in range(n_cells)]
         for ni, net in enumerate(design.nets):
             members = list(dict.fromkeys(pos_of[c] for c in net))
             for p in members:
-                nets_of[p].append(ni)
+                cell_nets[p].append(ni)
             members_of.append(itemgetter(*members, *members[:1]))
+        nets_of = [frozenset(nets) for nets in cell_nets]
 
         # The cached boxes (x0, x1, y0, y1) and costs of every net.
         box: list[tuple[int, int, int, int]] = []
@@ -129,9 +141,8 @@ class Placer:
         exp = math.exp
 
         for move_no in range(n_moves):
-            p = int(integers(0, n_cells))
+            p, new_site = below2(n_cells, sites)
             old_site = site_of[p]
-            new_site = int(integers(0, sites))
             if new_site == old_site:
                 continue
             q = cell_at_site[new_site]
@@ -165,7 +176,7 @@ class Placer:
             else:
                 # Swap: a net holding both cells keeps its box.
                 xs[q], ys[q] = ox, oy
-                for ni in set(nets_of[p]).symmetric_difference(nets_of[q]):
+                for ni in nets_of[p] ^ nets_of[q]:
                     get = members_of[ni]
                     mx, my = get(xs), get(ys)
                     x0, x1, y0, y1 = min(mx), max(mx), min(my), max(my)
