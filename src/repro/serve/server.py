@@ -56,6 +56,10 @@ BREAK_EVEN_BUCKETS = (
     259200.0,
 )
 
+#: How long a connection may stall before its request has fully arrived.
+#: Real seconds; the counterpart of ``store.FLIGHT_TIMEOUT_SECONDS``.
+CONNECTION_TIMEOUT_SECONDS = 30.0
+
 #: Summary cells that depend on thread scheduling (regression sentinel).
 #: Completed/failed counts are deterministic for a fixed load; the total
 #: inherits the rejection count's noise under backpressure.
@@ -297,11 +301,16 @@ class SpecializationServer:
         """Read one request; enqueue it or answer immediately."""
         keep_open = False
         try:
-            conn.settimeout(30.0)
+            conn.settimeout(CONNECTION_TIMEOUT_SECONDS)
             try:
                 message = recv_message(conn)
             except ProtocolError as exc:
                 self._reply(conn, {"status": "error", "error": str(exc)})
+                return
+            except OSError as exc:
+                # A client that stalls mid-frame times out here; answer
+                # best-effort and close rather than let the thread die.
+                self._reply(conn, {"status": "error", "error": f"receive failed: {exc}"})
                 return
             if message is None:
                 return

@@ -10,37 +10,55 @@ cycles (and hence virtual seconds) after the run by
 :class:`repro.vm.jitruntime.JitRuntimeModel`. This keeps app runs fast in
 Python while making the reported runtimes deterministic.
 
-Implementation: each basic block is compiled once, lazily, into one
-``exec``-generated Python function ``blk(env, prev) -> (kind, payload)``
-(see :class:`_BlockCodegen`). The function resolves the block's phis for
-the actual predecessor ``prev`` (all incoming values are read before any
-is written), evaluates the body with operands inlined — constants as
-literals, global addresses bound at compile time, values computed earlier
-in the block as Python locals — and returns a prebuilt control tuple. One
-dispatch loop (:meth:`Interpreter._call`) records the block, charges its
-static size to the step and cycle counters, checks the step limit and
-calls ``blk``. Passing a :class:`repro.vm.profiler.BlockTimeSampler` as
-``sampler=`` compiles a real-clock tick into each block's ``record``
-closure; without it the closure has no sampling code at all.
+Implementation: code is compiled once, lazily, into ``exec``-generated
+Python functions called *units*, one per entry point of the dispatch
+loop (:meth:`Interpreter._call`). Which unit a block gets follows from the
+CFG alone (:class:`_FunctionPlan`):
+
+- the header of an innermost natural loop gets a **loop unit**: the whole
+  loop runs inside one function, its member blocks selected by a small
+  int, with loop-carried phis and values whose defining block dominates
+  the use held in Python locals, block counts in local ints and the step
+  count in a local;
+- every other block gets a **block unit**: its phis resolved for the
+  actual predecessor, its body with block-local values in Python locals.
+
+A unit ``unit(env, prev)`` returns ``(exiting_block, next_block)`` or
+``(_RETURN, value)``. The dispatch loop counts the block it enters, adds
+its static size to the step count, checks the step limit and calls the
+unit; a loop unit does the same accounting itself for every block it
+enters internally. Both unit kinds share :class:`_BlockCodegen`'s
+per-instruction emitter; only phi moves, terminators and accounting
+differ. Passing a :class:`repro.vm.profiler.BlockTimeSampler` as
+``sampler=`` compiles a real-clock tick into every block entry; without
+it the units have no sampling code at all.
 
 Invariants (pinned against the previous closure interpreter by
 ``tests/test_vm_blockjit.py``):
 
 - return values, ``output`` and ``steps`` are bit-identical;
-- every SSA result is still published to ``env``, and every block count
-  is identical;
-- ``ExecutionProfile.blocks`` keeps first-execution *key order*, because
-  ``total_cycles`` sums floats in dict order — hence the virtual clock is
-  bit-identical too;
-- error behaviour is unchanged: an undefined value raises
-  ``VMError("use of undefined value %name")`` (the missing ``env`` key is
-  mapped to its name through a table bound at compile time); a CUSTOM
-  instruction looks its evaluator up at run time, because the patcher
-  installs evaluators after construction; a ``fold_binary`` trap becomes
-  ``VMError("fn: ...")``; memory faults go through :class:`Memory`'s own
-  check, so every ``MemoryError_`` message is the same;
-- intrinsic-call counting for metrics is decided when the block is
-  compiled, so the disabled path pays nothing.
+- every block count is identical and ``ExecutionProfile.blocks`` keeps
+  first-execution *key order* — a loop unit inserts a block's entry at
+  its first execution and flushes its local counts on every exit, traps
+  included — because ``total_cycles`` sums floats in dict order, so the
+  virtual clock is bit-identical too;
+- the step-limit trap fires on the same block, after counting it; a loop
+  unit publishes its step count to ``_steps`` before every call, so
+  ``clock()`` and callees see the same count as before;
+- ``cycles_executed`` (what ``clock()`` reads) is the steps of every run
+  so far;
+- only the SSA results some unit reads from ``env`` are stored there
+  (:attr:`_FunctionPlan.published`); every read that is not a local still
+  goes through ``env``, so error behaviour is unchanged: an undefined
+  value raises ``VMError("use of undefined value %name")`` (the missing
+  ``env`` key is mapped to its name through a table bound at compile
+  time); a CUSTOM instruction looks its evaluator up at run time, because
+  the patcher installs evaluators after construction; a ``fold_binary``
+  trap becomes ``VMError("fn: ...")``; memory faults go through
+  :class:`Memory`'s own check, so every ``MemoryError_`` message is the
+  same;
+- intrinsic-call counting for metrics is decided when a unit is compiled,
+  so the disabled path pays nothing.
 
 This is the execution half of the paper's LLVM JIT VM (Figure 1); the
 profiles it records feed the coverage analysis of Section IV-C.
@@ -53,11 +71,12 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 from repro.ir.basicblock import BasicBlock
+from repro.ir.cfg import ControlFlowInfo
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
 from repro.ir.module import Module
 from repro.ir.opcodes import BINARY_OPS, CAST_OPS, FCmpPred, ICmpPred, Opcode
-from repro.ir.values import Constant, GlobalVariable, UndefValue, Value
+from repro.ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
 from repro.ir.passes.constfold import (
     ConstantFoldError,
     fold_binary,
@@ -68,7 +87,7 @@ from repro.ir.passes.constfold import (
 from repro.obs import get_metrics, metrics_enabled
 from repro.vm.intrinsics import INTRINSICS
 from repro.vm.memory import Memory, MemoryError_, accessor
-from repro.vm.profiler import BlockTimeSampler, ExecutionProfile
+from repro.vm.profiler import BlockProfile, BlockTimeSampler, ExecutionProfile
 
 
 class VMError(Exception):
@@ -85,9 +104,12 @@ class ExecutionResult:
     steps: int = 0
 
 
-# Control-flow sentinels returned by compiled blocks.
-_JUMP = 0
-_RETURN = 1
+# First element of the control tuple a unit returns for a function return.
+_RETURN = object()
+
+
+def _step_limit_error(max_steps: int, fname: str) -> VMError:
+    return VMError(f"step limit exceeded ({max_steps}) in {fname}")
 
 
 class Interpreter:
@@ -116,26 +138,33 @@ class Interpreter:
         self.dataset_seed = dataset_seed
         self.output: list = []
         self.rand_state = 1
-        self.cycles_executed = 0  # coarse counter exposed to clock()
         # Real-clock sampler: None by default, in which case the compiled
-        # record closures carry no sampling code.
+        # units carry no sampling code.
         self.sampler = sampler
         self._steps = 0
+        self._steps_before = 0  # steps of the earlier runs, for clock()
         self._profile = ExecutionProfile(module.name)
         # Custom-instruction evaluators installed by the binary patcher:
         # custom_id -> callable(list_of_operand_values) -> value
         self.custom_evaluators: dict[int, object] = {}
-        # Compiled-block cache: block -> (record, size, blk)
+        # Compiled-unit cache: entry block -> (profile key, size, unit)
         self._compiled: dict[BasicBlock, tuple] = {}
+        self._plans: dict[Function, _FunctionPlan] = {}
         # Observability: intrinsic-call counts, flushed to the metrics
         # registry once per run (never touched on the hot path unless
-        # metrics were enabled when the block was compiled).
+        # metrics were enabled when the unit was compiled).
         self._intrinsic_counts: dict[str, int] = {}
+
+    @property
+    def cycles_executed(self) -> int:
+        """Coarse counter exposed to ``clock()``: steps of every run so far."""
+        return self._steps_before + self._steps
 
     # -- public API ----------------------------------------------------------
     def run(self, function_name: str = "main", args: list | None = None) -> ExecutionResult:
         """Execute *function_name* to completion and return its result."""
         func = self.module.function(function_name)
+        self._steps_before += self._steps
         self._steps = 0
         self._profile = ExecutionProfile(self.module.name)
         if self.sampler is not None:
@@ -178,84 +207,181 @@ class Interpreter:
         fname = func.name
         compiled = self._compiled
         max_steps = self.max_steps
+        blocks = self._profile.blocks
 
         try:
             while True:
                 plan = compiled.get(block)
                 if plan is None:
-                    plan = compiled[block] = self._compile_block(fname, block)
-                record, size, blk = plan
+                    plan = compiled[block] = self._compile(func, block)
+                key, size, unit = plan
 
-                record()
-                self._steps += size
-                self.cycles_executed += size
-                if self._steps > max_steps:
-                    raise VMError(
-                        f"step limit exceeded ({self.max_steps}) in {fname}"
-                    )
+                # A block's first execution inserts its key, which fixes the
+                # profile's key order.
+                prof = blocks.get(key)
+                if prof is None:
+                    blocks[key] = BlockProfile(fname, block.name, 1, size)
+                else:
+                    prof.count += 1
+                steps = self._steps + size
+                self._steps = steps
+                if steps > max_steps:
+                    raise _step_limit_error(self.max_steps, fname)
 
-                kind, payload = blk(env, prev)
-                if kind == _RETURN:
-                    return payload
-                prev = block
-                block = payload
+                prev, block = unit(env, prev)
+                if prev is _RETURN:
+                    return block
         except MemoryError_ as exc:
             raise VMError(f"{fname}: {exc}") from None
         finally:
             self.memory.pop_frame(frame_token)
 
-    # -- block compilation -----------------------------------------------------
-    def _compile_block(self, fname: str, block: BasicBlock):
-        """Compile *block* into ``(record, size, blk)``.
+    def _compile(self, func: Function, block: BasicBlock):
+        """Compile the unit entered at *block* into ``(key, size, unit)``.
 
         ``size`` is the block's static instruction count (phis and the
         terminator included): the unit of step and cycle accounting.
         """
-        blk = _BlockCodegen(self, fname).compile(block)
-        size = len(block.instructions)
-        block_name = block.name
-        key = (fname, block_name)
-        sampler = self.sampler
+        plan = self._plans.get(func)
+        if plan is None:
+            plan = self._plans[func] = _FunctionPlan(func)
+        codegen = _BlockCodegen(self, func.name, plan)
+        loop = plan.loops.get(block)
+        unit = codegen.compile_block(block) if loop is None else codegen.compile_loop(loop)
+        return ((func.name, block.name), len(block.instructions), unit)
 
-        # self._profile is replaced per run(), so record() resolves it at
-        # each call. A block's first execution inserts its key, which fixes
-        # the profile's key order.
-        if sampler is None:
 
-            def record() -> None:
-                profile = self._profile
-                prof = profile.blocks.get(key)
-                if prof is None:
-                    profile.record(fname, block_name, size)
+# -- which values live where --------------------------------------------------------
+def _is_ssa(value: Value) -> bool:
+    """Whether *value* is computed at run time (else it is inlined)."""
+    return not isinstance(value, (Constant, GlobalVariable, UndefValue))
+
+
+def _body_env_reads(block: BasicBlock, available: set[int]) -> set[int]:
+    """Operands of *block*'s non-phi instructions that are neither in
+    *available* nor defined earlier in the block."""
+    available = available | {id(phi) for phi in block.phis()}
+    reads: set[int] = set()
+    for instr in block.instructions[len(block.phis()) :]:
+        for value in instr.operands:
+            if _is_ssa(value) and id(value) not in available:
+                reads.add(id(value))
+        if instr.has_result:
+            available.add(id(instr))
+    return reads
+
+
+def _incoming(phi, pred: BasicBlock) -> Value | None:
+    """The value *phi* takes coming from *pred* (the last entry wins)."""
+    value = None
+    for candidate, block in phi.incoming:
+        if block is pred:
+            value = candidate
+    return value
+
+
+class _LoopPlan:
+    """One innermost natural loop compiled as a unit.
+
+    ``members`` are in reverse postorder, so the header comes first and
+    every block follows the members that dominate it. ``prefetch`` lists
+    the values defined outside the loop, by a block dominating the header
+    (or as arguments), that the loop reads: they are read from ``env``
+    once per entry. ``available[id(block)]`` holds the values that are
+    Python locals when *block* starts: the prefetched ones and the results
+    of the members strictly dominating it, which ran earlier in the same
+    iteration.
+    """
+
+    def __init__(self, cfg: ControlFlowInfo, members: list[BasicBlock]) -> None:
+        self.members = members
+        self.header = header = members[0]
+        self.ids = ids = {id(block) for block in members}
+
+        def defined_outside(value: Value) -> bool:
+            return isinstance(value, Argument) or (
+                isinstance(value, Instruction)
+                and id(value.parent) not in ids
+                and cfg.dominates(value.parent, header)
+            )
+
+        self.prefetch: list[Value] = []
+        seen: set[int] = set()
+        for block in members:
+            for instr in block.instructions:
+                if instr.opcode is Opcode.PHI:
+                    used = [v for v, inc in instr.incoming if id(inc) in ids]
                 else:
-                    prof.count += 1
+                    used = instr.operands
+                for value in used:
+                    if id(value) not in seen and defined_outside(value):
+                        seen.add(id(value))
+                        self.prefetch.append(value)
 
-            return (record, size, blk)
+        results = {
+            id(block): {id(instr) for instr in block.instructions if instr.has_result}
+            for block in members
+        }
+        self.available: dict[int, set[int]] = {}
+        for block in members:
+            available = set(seen)
+            for other in members:
+                if other is not block and cfg.dominates(other, block):
+                    available |= results[id(other)]
+            self.available[id(block)] = available
 
-        interval = sampler.interval
-        samples = sampler.samples
-
-        def record() -> None:
-            profile = self._profile
-            prof = profile.blocks.get(key)
-            if prof is None:
-                profile.record(fname, block_name, size)
-            else:
-                prof.count += 1
-            # Sampling tick: every `interval` block executions, charge the
-            # elapsed wall time to the block entered right now.
-            sampler.tick += 1
-            if sampler.tick >= interval:
-                now = perf_counter()
-                samples[key] = samples.get(key, 0.0) + now - sampler.last
-                sampler.last = now
-                sampler.tick = 0
-                sampler.sample_count += 1
-
-        return (record, size, blk)
+        # Values this unit reads from env.
+        self.env_reads = set(seen)
+        for phi in header.phis():
+            for value, inc in phi.incoming:
+                if id(inc) not in ids and _is_ssa(value):
+                    self.env_reads.add(id(value))
+        for block in members:
+            self.env_reads |= _body_env_reads(block, self.available[id(block)])
+            at_end = self.available[id(block)] | results[id(block)]
+            for succ in block.successors:
+                if id(succ) not in ids:
+                    continue
+                for phi in succ.phis():
+                    value = _incoming(phi, block)
+                    if value is not None and _is_ssa(value) and id(value) not in at_end:
+                        self.env_reads.add(id(value))
 
 
-# -- block code generation -------------------------------------------------------
+class _FunctionPlan:
+    """The unit layout of one function, derived from its CFG alone.
+
+    ``loops`` maps the header of every innermost natural loop (one that
+    contains no other loop's header) to its :class:`_LoopPlan`; every other
+    reachable block is a block unit. ``published`` holds the ids of the
+    values some unit reads from ``env``: a block unit reads every phi
+    incoming and every operand not defined earlier in its own block, a
+    loop unit what :class:`_LoopPlan` says. Only those are stored.
+    """
+
+    def __init__(self, func: Function) -> None:
+        cfg = ControlFlowInfo(func)
+        headers = {id(loop.header) for loop in cfg.loops}
+        self.loops: dict[BasicBlock, _LoopPlan] = {}
+        in_loops: set[int] = set()
+        for loop in cfg.loops:
+            if any(h in loop.blocks for h in headers if h != id(loop.header)):
+                continue  # not innermost
+            members = [block for block in cfg.rpo if id(block) in loop.blocks]
+            self.loops[loop.header] = _LoopPlan(cfg, members)
+            in_loops |= loop.blocks
+
+        self.published: set[int] = set()
+        for block in cfg.rpo:
+            if id(block) not in in_loops:
+                for phi in block.phis():
+                    self.published.update(id(v) for v in phi.operands if _is_ssa(v))
+                self.published |= _body_env_reads(block, set())
+        for loop in self.loops.values():
+            self.published |= loop.env_reads
+
+
+# -- unit code generation -------------------------------------------------------
 _INT_FAST = {Opcode.ADD: "+", Opcode.SUB: "-", Opcode.MUL: "*"}
 _INT_BITWISE = {Opcode.AND: "&", Opcode.OR: "|", Opcode.XOR: "^"}
 _FLOAT_FAST = {Opcode.FADD: "+", Opcode.FSUB: "-", Opcode.FMUL: "*"}
@@ -287,24 +413,45 @@ def _wrap_lines(res: str, bits: int) -> list[str]:
     return [f"{res} &= {mask}", f"if {res} >= {half}: {res} -= {1 << bits}"]
 
 
+def _phi_preds(phis) -> list[BasicBlock]:
+    """The predecessors *phis* name, in order of first appearance."""
+    preds: list[BasicBlock] = []
+    for phi in phis:
+        for _, inc in phi.incoming:
+            if not any(inc is p for p in preds):
+                preds.append(inc)
+    return preds
+
+
 class _BlockCodegen:
-    """Generates the source of one block function and compiles it.
+    """Generates the source of one unit and compiles it.
 
     Objects the code needs (evaluators, types, global addresses, memory
     functions, successor blocks) are bound by name in the ``exec``
-    namespace; integer constants and ``env`` keys are literals.
+    namespace; integer constants and ``env`` keys are literals. A value
+    in ``_available`` is read from its Python local, any other computed
+    value from ``env``.
     """
 
-    def __init__(self, interp: Interpreter, fname: str) -> None:
+    def __init__(self, interp: Interpreter, fname: str, plan: _FunctionPlan) -> None:
         self.interp = interp
         self.fname = fname
+        self.published = plan.published
         self.lines: list[str] = []
         # id(value) -> name, for values read from env: a missing key
         # becomes "use of undefined value %name".
         self._names: dict[int, str] = {}
-        self.namespace: dict[str, object] = {"_VME": VMError, "_NAMES": self._names}
+        self.namespace: dict[str, object] = {
+            "_VME": VMError,
+            "_NAMES": self._names,
+            "_RETURN": _RETURN,
+        }
         self._bound: dict[int, str] = {}
-        self._locals: dict[int, str] = {}
+        self._local_names: dict[int, str] = {}
+        self._available: set[int] = set()
+        # Loop units keep the step count (and the sampler tick) in locals;
+        # calls must see them.
+        self._in_loop = False
 
     # -- bindings ----------------------------------------------------------
     def bind(self, obj: object) -> str:
@@ -315,11 +462,17 @@ class _BlockCodegen:
             self.namespace[name] = obj
         return name
 
+    def local(self, value: Value) -> str:
+        """The Python local holding *value* in this unit."""
+        name = self._local_names.get(id(value))
+        if name is None:
+            name = self._local_names[id(value)] = f"v{len(self._local_names)}"
+        return name
+
     def operand(self, value: Value) -> str:
         """Expression for one operand."""
-        local = self._locals.get(id(value))
-        if local is not None:
-            return local
+        if id(value) in self._available:
+            return self.local(value)
         if isinstance(value, Constant):
             v = value.value
             return repr(v) if type(v) is int else self.bind(v)
@@ -332,20 +485,17 @@ class _BlockCodegen:
         self._names[id(value)] = getattr(value, "name", "?")
         return f"env[{id(value)}]"
 
-    # -- whole block -------------------------------------------------------
-    def compile(self, block: BasicBlock):
-        instrs = block.instructions
-        phis = block.phis()
-        if phis:
-            self.emit_phis(phis)
-        for index in range(len(phis), len(instrs)):
-            self.emit(index, instrs[index])
-        if not instrs or not instrs[-1].is_terminator:
-            message = f"{self.fname}/{block.name}: fell off block end"
-            self.lines.append(f"raise _VME({message!r})")
-        body = "\n".join(f"        {line}" for line in self.lines)
+    def define(self, value: Value) -> None:
+        """*value* was just assigned to its local: publish it if read from env."""
+        self._available.add(id(value))
+        if id(value) in self.published:
+            self.lines.append(f"env[{id(value)}] = {self.local(value)}")
+
+    def finish(self, kind: str, lines: list[str]) -> object:
+        """Wrap *lines* in ``unit(env, prev)`` with the undefined-value trap."""
+        body = "\n".join(f"        {line}" for line in lines)
         source = (
-            "def blk(env, prev):\n"
+            "def unit(env, prev):\n"
             "    try:\n"
             f"{body}\n"
             "    except KeyError as exc:\n"
@@ -355,43 +505,224 @@ class _BlockCodegen:
             "from None\n"
             "        raise\n"
         )
-        code = compile(source, f"<block {self.fname}/{block.name}>", "exec")
+        code = compile(source, f"<{kind} {self.fname}>", "exec")
         exec(code, self.namespace)
-        return self.namespace["blk"]
+        return self.namespace["unit"]
 
-    def emit_phis(self, phis) -> None:
-        # Parallel-move semantics: every incoming value for the actual
-        # predecessor is read into a temporary before any phi is written.
-        # A predecessor listed twice in one phi keeps its last value.
-        preds: list[BasicBlock] = []
-        tables = []
-        for phi in phis:
-            table = {}
-            for value, inc in phi.incoming:
-                if not any(inc is p for p in preds):
-                    preds.append(inc)
-                table[id(inc)] = value
-            tables.append(table)
+    def tick(self, block: BasicBlock) -> list[str]:
+        """The sampler tick charged to *block*; nothing without a sampler."""
+        sampler = self.interp.sampler
+        if sampler is None:
+            return []
+        # Every `interval` block executions, charge the elapsed wall time
+        # to the block entered right now.
+        s = self.bind(sampler)
+        tick = "tick" if self._in_loop else f"{s}.tick"
+        samples = self.bind(sampler.samples)
+        key = self.bind((self.fname, block.name))
+        return [
+            f"{tick} += 1",
+            f"if {tick} >= {sampler.interval}:",
+            f"    now = {self.bind(perf_counter)}()",
+            f"    {samples}[{key}] = {samples}.get({key}, 0.0) + now - {s}.last",
+            f"    {s}.last = now",
+            f"    {tick} = 0",
+            f"    {s}.sample_count += 1",
+        ]
+
+    def sync(self, load: bool) -> list[str]:
+        """A loop unit's step count and sampler tick stored to their owners,
+        or with *load* read back from them."""
+        pairs = [("steps", f"{self.bind(self.interp)}._steps")]
+        if self.interp.sampler is not None:
+            pairs.append(("tick", f"{self.bind(self.interp.sampler)}.tick"))
+        if load:
+            return [f"{local} = {owner}" for local, owner in pairs]
+        return [f"{owner} = {local}" for local, owner in pairs]
+
+    def emit_body(self, block: BasicBlock, terminator) -> None:
+        """Every non-phi instruction; *terminator* emits the last one."""
+        instrs = block.instructions
+        for instr in instrs[len(block.phis()) :]:
+            if instr.is_terminator:
+                terminator(instr)
+            else:
+                self.emit(instr)
+        if not instrs or not instrs[-1].is_terminator:
+            message = f"{self.fname}/{block.name}: fell off block end"
+            self.lines.append(f"raise _VME({message!r})")
+
+    def emit_ret(self, instr: Instruction) -> None:
+        if instr.operands:
+            self.lines.append(f"return (_RETURN, {self.operand(instr.operands[0])})")
+        else:
+            self.lines.append(f"return {self.bind((_RETURN, None))}")
+
+    # -- block unit ----------------------------------------------------------
+    def compile_block(self, block: BasicBlock):
+        self.lines.extend(self.tick(block))
+        phis = block.phis()
+        if phis:
+            self.emit_phis(phis, _phi_preds(phis))
+
+        def terminator(instr: Instruction) -> None:
+            op = instr.opcode
+            if op is Opcode.BR:
+                self.lines.append(f"return {self.bind((block, instr.targets[0]))}")
+            elif op is Opcode.CONDBR:
+                c = self.operand(instr.operands[0])
+                taken = self.bind((block, instr.targets[0]))
+                other = self.bind((block, instr.targets[1]))
+                self.lines.append(f"return {taken} if {c} else {other}")
+            else:
+                self.emit_ret(instr)
+
+        self.emit_body(block, terminator)
+        return self.finish(f"block {block.name} of", self.lines)
+
+    def emit_phis(self, phis, preds: list[BasicBlock]) -> None:
+        # Resolve *phis* for the actual predecessor among *preds*. Every
+        # incoming value is read before any phi is assigned, because none
+        # of them is available as a local yet. A predecessor listed twice
+        # in one phi keeps its last value.
         L = self.lines.append
         keyword = "if"
         for pred in preds:
             L(f"{keyword} prev is {self.bind(pred)}:")
             keyword = "elif"
-            for index, table in enumerate(tables):
-                value = table.get(id(pred))
+            for phi in phis:
+                value = _incoming(phi, pred)
                 if value is None:
                     L("    raise KeyError(prev)")
                     break
-                L(f"    p{index} = {self.operand(value)}")
+                L(f"    {self.local(phi)} = {self.operand(value)}")
         L("else:")
         L("    raise KeyError(prev)")
-        for index, phi in enumerate(phis):
-            L(f"env[{id(phi)}] = p{index}")
-            self._locals[id(phi)] = f"p{index}"
+        for phi in phis:
+            self.define(phi)
 
-    def emit(self, index: int, instr: Instruction) -> None:
+    # -- loop unit ---------------------------------------------------------------
+    def compile_loop(self, loop: _LoopPlan):
+        """One function running the whole loop until it leaves or returns.
+
+        The dispatch loop has counted the header's first execution; every
+        later block entry inside the loop is counted here in a local int
+        (inserting the block's profile entry at its first execution) and
+        the counts and the step count are flushed by ``finally``.
+        """
+        self._in_loop = True
+        header = loop.header
+        members = loop.members
+        state = {id(block): index for index, block in enumerate(members)}
+        I = self.bind(self.interp)
+        L = self.lines.append
+
+        self.lines.extend(self.sync(load=True))
+        self.lines.extend(self.tick(header))
+        phis = header.phis()
+        if phis:
+            outside = [p for p in _phi_preds(phis) if id(p) not in loop.ids]
+            self.emit_phis(phis, outside)
+        for value in loop.prefetch:
+            L(f"{self.local(value)} = {self.operand(value)}")
+        L(f"blocks = {I}._profile.blocks")
+        L(f"limit = {I}.max_steps")
+        L(" = ".join(f"n{index}" for index in range(len(members))) + " = 0")
+        if len(members) > 1:
+            L("state = 0")
+        prologue = self.lines
+
+        def enter(source: BasicBlock, target: BasicBlock) -> list[str]:
+            """Lines taking the edge *source* -> *target*."""
+            if id(target) not in loop.ids:
+                return [f"return {self.bind((source, target))}"]
+            index = state[id(target)]
+            size = len(target.instructions)
+            key = self.bind((self.fname, target.name))
+            lines = [f"n{index} += 1"]
+            if target is not header:
+                lines += [
+                    f"if n{index} == 1 and {key} not in blocks:",
+                    f"    blocks[{key}] = {self.bind(BlockProfile)}"
+                    f"({self.fname!r}, {target.name!r}, 0, {size})",
+                ]
+            lines += [
+                f"steps += {size}",
+                "if steps > limit:",
+                f"    raise {self.bind(_step_limit_error)}(limit, {self.fname!r})",
+            ]
+            lines += self.tick(target)
+            # The phi moves, as one parallel assignment.
+            targets, values = [], []
+            for phi in target.phis():
+                value = _incoming(phi, source)
+                if value is None:
+                    return lines + [f"raise KeyError({self.bind(source)})"]
+                targets.append(self.local(phi))
+                values.append(self.operand(value))
+            if targets:
+                lines.append(f"{', '.join(targets)} = {', '.join(values)}")
+            lines += [
+                f"env[{id(phi)}] = {self.local(phi)}"
+                for phi in target.phis()
+                if id(phi) in self.published
+            ]
+            if len(members) > 1:
+                lines.append(f"state = {index}")
+            return lines
+
+        branches = []
+        for block in members:
+            self.lines = []
+            self._available = loop.available[id(block)] | {id(p) for p in block.phis()}
+
+            def terminator(instr: Instruction, block=block) -> None:
+                op = instr.opcode
+                if op is Opcode.BR:
+                    self.lines.extend(enter(block, instr.targets[0]))
+                elif op is Opcode.CONDBR:
+                    self.lines.append(f"if {self.operand(instr.operands[0])}:")
+                    self.lines.extend(f"    {x}" for x in enter(block, instr.targets[0]))
+                    self.lines.append("else:")
+                    self.lines.extend(f"    {x}" for x in enter(block, instr.targets[1]))
+                else:
+                    self.emit_ret(instr)
+
+            self.emit_body(block, terminator)
+            branches.append(self.lines)
+
+        lines = prologue + ["try:", "    while True:"]
+        if len(branches) == 1:
+            lines.extend(f"        {x}" for x in branches[0])
+        else:
+            for index, branch in enumerate(branches):
+                if index == 0:
+                    lines.append("        if state == 0:")
+                elif index < len(branches) - 1:
+                    lines.append(f"        elif state == {index}:")
+                else:
+                    lines.append("        else:")
+                lines.extend(f"            {x}" for x in branch)
+        lines += [
+            "finally:",
+            # A callee that trapped has already counted past `steps`.
+            f"    if steps > {I}._steps:",
+            f"        {I}._steps = steps",
+        ]
+        if self.interp.sampler is not None:
+            # After a trap the next run's begin() resets the tick anyway.
+            lines.append(f"    {self.bind(self.interp.sampler)}.tick = tick")
+        for index, block in enumerate(members):
+            key = self.bind((self.fname, block.name))
+            lines.append(f"    if n{index}:")
+            lines.append(f"        blocks[{key}].count += n{index}")
+        return self.finish(f"loop {header.name} of", lines)
+
+    # -- instructions --------------------------------------------------------
+    def emit(self, instr: Instruction) -> None:
+        """One non-terminator instruction, its result in its local."""
         op = instr.opcode
-        res = f"v{index}"
+        res = self.local(instr)
         operands = instr.operands
         L = self.lines.append
 
@@ -479,28 +810,9 @@ class _BlockCodegen:
             L("if ev is None:")
             L(f'    raise _VME("no evaluator for custom instruction #{cid}")')
             L(f"{res} = ev([{args}])")
-        elif op is Opcode.BR:
-            L(f"return {self.bind((_JUMP, instr.targets[0]))}")
-            return
-        elif op is Opcode.CONDBR:
-            c = self.operand(operands[0])
-            taken = self.bind((_JUMP, instr.targets[0]))
-            other = self.bind((_JUMP, instr.targets[1]))
-            L(f"return {taken} if {c} else {other}")
-            return
-        elif op is Opcode.RET:
-            if operands:
-                L(f"return ({_RETURN}, {self.operand(operands[0])})")
-            else:
-                L(f"return {self.bind((_RETURN, None))}")
-            return
         else:
             raise VMError(f"cannot interpret opcode {op}")  # pragma: no cover
-
-        # Every result is published to env: later blocks and phis read SSA
-        # values there.
-        L(f"env[{id(instr)}] = {res}")
-        self._locals[id(instr)] = res
+        self.define(instr)
 
     def folded_binary(self, res: str, instr: Instruction, a: str, b: str):
         """Source calling fold_binary, its trap raised as a VMError."""
@@ -569,40 +881,52 @@ class _BlockCodegen:
                 f"{self.bind(src_ty)}, {self.bind(dst_ty)}, {a})"
             )
 
-    def _access_guard(self, nbytes: int) -> str:
-        """Condition under which Memory's check would pass."""
+    def emit_access(self, pointer: Value, nbytes: int, fast: str, slow: str) -> None:
+        """*fast* at ``addr`` where Memory's check would pass, else *slow*.
+
+        *slow* goes through ``Memory.load``/``store``, which raise the
+        fault. A global's address is checked here, once.
+        """
+        L = self.lines.append
+        L(f"addr = {self.operand(pointer)}")
         limit = self.interp.memory.size - nbytes
+        if isinstance(pointer, GlobalVariable):
+            address = pointer.address
+            L(fast if 8 <= address <= limit and not address & (nbytes - 1) else slow)
+            return
         guard = f"8 <= addr <= {limit}"
         if nbytes > 1:
             guard += f" and not addr & {nbytes - 1}"
-        return guard
+        L(f"if {guard}:")
+        L(f"    {fast}")
+        L("else:")
+        L(f"    {slow}")
 
     def emit_load(self, res: str, instr: Instruction) -> None:
         memory = self.interp.memory
         acc = accessor(instr.type)
-        L = self.lines.append
-        L(f"addr = {self.operand(instr.operands[0])}")
-        L(f"if {self._access_guard(acc.nbytes)}:")
         unpack = self.bind(acc.load.unpack_from)
         mask = f" & {acc.load_mask}" if acc.load_mask is not None else ""
-        L(f"    {res} = {unpack}({self.bind(memory.data)}, addr)[0]{mask}")
-        L("else:")
-        # Out of range or misaligned: Memory.load raises the fault.
-        L(f"    {res} = {self.bind(memory.load)}(addr, {self.bind(instr.type)})")
+        self.emit_access(
+            instr.operands[0],
+            acc.nbytes,
+            f"{res} = {unpack}({self.bind(memory.data)}, addr)[0]{mask}",
+            f"{res} = {self.bind(memory.load)}(addr, {self.bind(instr.type)})",
+        )
 
     def emit_store(self, instr: Instruction) -> None:
         memory = self.interp.memory
         value, pointer = instr.operands
         acc = accessor(value.type)
-        L = self.lines.append
-        L(f"addr = {self.operand(pointer)}")
         v = self.operand(value)
-        L(f"if {self._access_guard(acc.nbytes)}:")
         stored = v if acc.store_mask is None else f"{v} & {acc.store_mask}"
         pack = self.bind(acc.store.pack_into)
-        L(f"    {pack}({self.bind(memory.data)}, addr, {stored})")
-        L("else:")
-        L(f"    {self.bind(memory.store)}(addr, {self.bind(value.type)}, {v})")
+        self.emit_access(
+            pointer,
+            acc.nbytes,
+            f"{pack}({self.bind(memory.data)}, addr, {stored})",
+            f"{self.bind(memory.store)}(addr, {self.bind(value.type)}, {v})",
+        )
 
     def emit_call(self, res: str, instr: Instruction) -> bool:
         """Emit a call; returns whether it produces a result."""
@@ -620,8 +944,9 @@ class _BlockCodegen:
         else:
             call_fn = self.bind(self.interp._call)
             call = f"{call_fn}({self.bind(callee)}, [{', '.join(args)}])"
-        if instr.has_result:
-            L(f"{res} = {call}")
-            return True
-        L(call)
-        return False
+        if self._in_loop:
+            self.lines.extend(self.sync(load=False))
+        L(f"{res} = {call}" if instr.has_result else call)
+        if self._in_loop and not isinstance(callee, str):
+            self.lines.extend(self.sync(load=True))
+        return instr.has_result

@@ -28,6 +28,7 @@ from repro.serve.protocol import (
     recv_message,
     send_message,
 )
+from repro.serve import server as server_module
 from repro.serve.server import (
     SUMMARY_MEASURED,
     ServerConfig,
@@ -243,6 +244,33 @@ class TestServer:
         assert srv.drain() == "ok"
         assert time.perf_counter() - started < 0.5
         assert not srv._acceptor.is_alive()
+
+    def test_stalled_client_is_closed_and_its_handler_survives(
+        self, server, monkeypatch
+    ):
+        """A client that stops half-way through a frame header gets an
+        error frame and a closed connection once the connection timeout
+        passes; other clients are served meanwhile and no handler thread
+        dies with an uncaught exception."""
+        monkeypatch.setattr(server_module, "CONNECTION_TIMEOUT_SECONDS", 0.2)
+        uncaught: list[BaseException] = []
+        monkeypatch.setattr(
+            threading, "excepthook", lambda args: uncaught.append(args.exc_value)
+        )
+        stalled = socket.create_connection(("127.0.0.1", server.port))
+        try:
+            started = time.monotonic()
+            stalled.sendall(b"\x00\x00")  # half of the 4-byte header
+            assert ServeClient(port=server.port).ping()["status"] == "ok"
+            stalled.settimeout(2.0)
+            reply = recv_message(stalled)
+            assert reply is not None and reply["status"] == "error"
+            assert stalled.recv(1) == b""
+            assert time.monotonic() - started < 1.0
+        finally:
+            stalled.close()
+        time.sleep(0.05)  # let the handler thread finish
+        assert uncaught == []
 
     def test_failed_build_wakes_waiting_follower_at_once(
         self, server, monkeypatch

@@ -1,10 +1,11 @@
-"""Whole-block compilation: differential tests against the closure oracle.
+"""Block and loop units: differential tests against the closure oracle.
 
-The interpreter compiles every basic block into one generated function.
-The reference here is the interpreter it replaced — the per-instruction
-closure compiler with its plain and sampled dispatch loops, and the
-format-table memory access — copied verbatim into this file, where it
-lives only as an oracle. For every program below both run on the same
+The interpreter compiles every innermost loop, and every other basic
+block, into one generated function. The reference here is the
+interpreter that design replaced — the per-instruction closure compiler
+with its plain and sampled dispatch loops, and the format-table memory
+access — copied verbatim into this file, where it lives only as an
+oracle. For every program below both run on the same
 inputs and must agree exactly on the return value, the output channel,
 the step count, the block profile *in insertion order*, and the virtual
 PPC405 clock (compared with ``==``: ``total_cycles`` sums floats in dict
@@ -39,7 +40,7 @@ from repro.ir.types import F32, F64, I1, I8, I16, I32, I64, Type, wrap_int
 from repro.ir.values import Constant, GlobalVariable, UndefValue, Value
 from repro.obs import disable_metrics, enable_metrics, get_metrics, metrics_enabled
 from repro.vm.costmodel import PPC405_COST_MODEL, CostModel
-from repro.vm.interpreter import ExecutionResult, Interpreter, VMError
+from repro.vm.interpreter import ExecutionResult, Interpreter, VMError, _FunctionPlan
 from repro.vm.intrinsics import INTRINSICS
 from repro.vm.memory import Memory, MemoryError_
 from repro.vm.profiler import BlockTimeSampler, ExecutionProfile
@@ -827,7 +828,7 @@ def test_random_programs_identical(seed):
 
 @pytest.mark.parametrize("interval", [1, 3, 64])
 def test_sampler_intervals_identical(interval):
-    """The sampler tick compiled into ``record`` bends no accounting."""
+    """The compiled sampler tick bends no accounting."""
     module = build_random_module(3)
     samplers = []
 
@@ -1051,7 +1052,7 @@ def test_patched_custom_module_identical(fp_kernel_profile):
     )
 
 
-@pytest.mark.parametrize("app", ["fft", "adpcm"])
+@pytest.mark.parametrize("app", ["fft", "adpcm", "179.art", "473.astar"])
 def test_app_train_runs_identical(app):
     from repro.apps import compile_app, get_app
 
@@ -1063,3 +1064,283 @@ def test_app_train_runs_identical(app):
         dataset_size=spec.train.size,
         dataset_seed=spec.train.seed,
     )
+
+
+# -- loop units ----------------------------------------------------------------------
+def _looping_caller_module() -> Module:
+    """A four-block loop in ``main`` that calls ``bump``, itself a loop.
+
+    ``acc`` is carried by the header phi; ``r`` reaches the latch phi from
+    the body and ``t`` from the side block, so both edge kinds move phis.
+    """
+    module = Module("caller")
+    bump = module.declare_function("bump", I32, [("x", I32)])
+    b = IRBuilder(bump.add_block("entry"))
+    head = bump.add_block("head")
+    step = bump.add_block("step")
+    out = bump.add_block("out")
+    b.br(head)
+    b.set_block(head)
+    j = b.phi(I32, "j")
+    s = b.phi(I32, "s")
+    b.condbr(b.icmp(ICmpPred.SLT, j, b.i32(3)), step, out)
+    b.set_block(step)
+    s2 = b.add(s, j)
+    j2 = b.add(j, b.i32(1))
+    b.br(head)
+    b.set_block(out)
+    b.ret(s)
+    j.add_incoming(b.i32(0), bump.entry)
+    j.add_incoming(j2, step)
+    s.add_incoming(bump.args[0], bump.entry)
+    s.add_incoming(s2, step)
+
+    func = module.declare_function("main", I32, [])
+    entry = func.add_block("entry")
+    header = func.add_block("header")
+    body = func.add_block("body")
+    side = func.add_block("side")
+    latch = func.add_block("latch")
+    done = func.add_block("done")
+    b = IRBuilder(entry)
+    b.br(header)
+    b.set_block(header)
+    i = b.phi(I32, "i")
+    acc = b.phi(I32, "acc")
+    b.condbr(b.icmp(ICmpPred.SLT, i, b.i32(40)), body, done)
+    b.set_block(body)
+    r = b.call(bump, [acc], "r")
+    b.condbr(b.icmp(ICmpPred.NE, b.and_(i, b.i32(1)), b.i32(0)), side, latch)
+    b.set_block(side)
+    t = b.mul(r, b.i32(3), "t")
+    b.br(latch)
+    b.set_block(latch)
+    merged = b.phi(I32, "merged")
+    i2 = b.add(i, b.i32(1))
+    b.br(header)
+    b.set_block(done)
+    b.ret(acc)
+    i.add_incoming(b.i32(0), entry)
+    i.add_incoming(i2, latch)
+    acc.add_incoming(b.i32(1), entry)
+    acc.add_incoming(merged, latch)
+    merged.add_incoming(r, body)
+    merged.add_incoming(t, side)
+    return module
+
+
+def test_loop_with_call_identical():
+    module = _looping_caller_module()
+    plan = _FunctionPlan(module.function("main"))
+    assert [h.name for h in plan.loops] == ["header"]
+    assert len(plan.loops[module.function("main").blocks[1]].members) == 4
+    new, _ = run_both(module)
+    assert new.steps > 1000
+
+
+@pytest.mark.parametrize("interval", [1, 3, 64])
+def test_sampler_across_loop_calls_identical(interval):
+    """A loop unit's local sampler tick is synced around its calls."""
+    module = _looping_caller_module()
+    samplers = []
+
+    def attach(interp):
+        interp.sampler = BlockTimeSampler(interval=interval)
+        samplers.append(interp.sampler)
+
+    run_both(module, setup=attach)
+    new_sampler, old_sampler = samplers
+    assert new_sampler.sample_count == old_sampler.sample_count > 0
+    assert set(new_sampler.samples) == set(old_sampler.samples)
+
+
+@pytest.mark.parametrize("max_steps", range(30, 700, 23))
+def test_step_limit_in_calling_loop_leaves_identical_state(max_steps):
+    """The trap fires on the same block, in the loop or in the callee, and
+    leaves the same step count, clock and ordered profile behind."""
+    module = _looping_caller_module()
+    states = []
+    for cls in (Interpreter, ClosureInterpreter):
+        interp = cls(module, max_steps=max_steps)
+        with pytest.raises(VMError) as info:
+            interp.run("main")
+        states.append(
+            (
+                str(info.value),
+                interp._steps,
+                interp.cycles_executed,
+                [
+                    (key, prof.count, prof.static_instructions)
+                    for key, prof in interp._profile.blocks.items()
+                ],
+            )
+        )
+    assert states[0] == states[1]
+    assert "step limit exceeded" in states[0][0]
+
+
+def _latch_reads_skipped_value_module() -> Module:
+    """``late`` is defined on one path through the loop and read at the
+    latch, which the defining block does not dominate."""
+    module = Module("latch")
+    func = module.declare_function("main", I32, [("flag", I32)])
+    entry = func.add_block("entry")
+    header = func.add_block("header")
+    body = func.add_block("body")
+    then = func.add_block("then")
+    latch = func.add_block("latch")
+    done = func.add_block("done")
+    b = IRBuilder(entry)
+    slot = b.alloca(I32)
+    b.store(b.i32(0), slot)
+    b.br(header)
+    b.set_block(header)
+    i = b.phi(I32, "i")
+    b.condbr(b.icmp(ICmpPred.SLT, i, b.i32(4)), body, done)
+    b.set_block(body)
+    b.condbr(b.icmp(ICmpPred.SLT, i, func.args[0]), then, latch)
+    b.set_block(then)
+    late = b.add(i, b.i32(10), "late")
+    b.br(latch)
+    b.set_block(latch)
+    b.store(b.add(b.load(I32, slot), late), slot)
+    i2 = b.add(i, b.i32(1))
+    b.br(header)
+    b.set_block(done)
+    b.ret(b.load(I32, slot))
+    i.add_incoming(b.i32(0), entry)
+    i.add_incoming(i2, latch)
+    return module
+
+
+def test_undefined_value_at_loop_latch():
+    module = _latch_reads_skipped_value_module()
+    assert_same_trap(module, args=[0], match="use of undefined value %late")
+    for flag in (2, 9):  # defined early, then read stale; always defined
+        run_both(module, args=[flag])
+
+
+def _clock_module() -> Module:
+    """Reads ``clock()`` in a loop whose path depends on a global that the
+    first run changes, so the second run enters its blocks in another order."""
+    module = Module("clock")
+    gv = module.add_global("seen", I32, 1, initializer=[0])
+    func = module.declare_function("main", I64, [])
+    entry = func.add_block("entry")
+    header = func.add_block("header")
+    body = func.add_block("body")
+    fresh = func.add_block("fresh")
+    again = func.add_block("again")
+    latch = func.add_block("latch")
+    done = func.add_block("done")
+    b = IRBuilder(entry)
+    b.call("print_i64", [b.call("clock", [])])
+    b.br(header)
+    b.set_block(header)
+    i = b.phi(I32, "i")
+    total = b.phi(I64, "total")
+    b.condbr(b.icmp(ICmpPred.SLT, i, b.i32(6)), body, done)
+    b.set_block(body)
+    b.condbr(b.icmp(ICmpPred.SLT, i, b.load(I32, gv)), again, fresh)
+    b.set_block(fresh)
+    b.br(latch)
+    b.set_block(again)
+    b.call("print_i64", [b.call("clock", [])])
+    b.br(latch)
+    b.set_block(latch)
+    total2 = b.add(total, b.call("clock", []))
+    i2 = b.add(i, b.i32(1))
+    b.br(header)
+    b.set_block(done)
+    b.store(b.i32(3), gv)
+    b.ret(total)
+    i.add_incoming(b.i32(0), entry)
+    i.add_incoming(i2, latch)
+    total.add_incoming(b.i64(0), entry)
+    total.add_incoming(total2, latch)
+    return module
+
+
+def test_clock_and_key_order_across_runs():
+    module = _clock_module()
+    interps = [Interpreter(module), ClosureInterpreter(module)]
+    for _ in range(2):
+        new, old = (interp.run("main") for interp in interps)
+        assert_same(module, new, old)
+        assert interps[0].cycles_executed == interps[1].cycles_executed
+    keys = [key[1] for key in new.profile.blocks]
+    assert keys.index("again") < keys.index("fresh")
+    assert new.output == old.output and len(set(new.output)) == len(new.output)
+
+
+def test_env_read_analysis():
+    """Only values some unit reads from ``env`` are published."""
+    module = Module("reads")
+    func = module.declare_function("f", I32, [("a", I32)])
+    entry = func.add_block("entry")
+    left = func.add_block("left")
+    right = func.add_block("right")
+    join = func.add_block("join")
+    b = IRBuilder(entry)
+    x = b.add(func.args[0], b.i32(1), "x")
+    y = b.add(x, b.i32(2), "y")  # x: read only later in its own block
+    early = b.add(b.i32(0), b.i32(0), "early")
+    w = b.add(func.args[0], b.i32(3), "w")
+    early.operands[1] = w  # a same-block use before the definition
+    b.condbr(b.icmp(ICmpPred.SLT, y, b.i32(0)), left, right)
+    b.set_block(left)
+    u = b.add(y, b.i32(1), "u")  # y: a cross-block use
+    b.br(join)
+    b.set_block(right)
+    b.br(join)
+    b.set_block(join)
+    p = b.phi(I32, "p")
+    p.add_incoming(u, left)  # u: a phi incoming
+    p.add_incoming(early, right)
+    b.ret(b.add(p, b.i32(1)))
+
+    published = _FunctionPlan(func).published
+    assert id(x) not in published
+    assert id(p) not in published
+    assert {id(y), id(u), id(w), id(early)} <= published
+
+
+def test_loop_locals_are_not_published():
+    """A loop unit keeps its loop-carried phi in a local; a value the exit
+    block reads is still published, and only innermost loops are units."""
+    module = Module("nest")
+    func = module.declare_function("main", I32, [])
+    entry = func.add_block("entry")
+    outer = func.add_block("outer")
+    inner = func.add_block("inner")
+    step = func.add_block("step")
+    latch = func.add_block("latch")
+    done = func.add_block("done")
+    b = IRBuilder(entry)
+    b.br(outer)
+    b.set_block(outer)
+    o = b.phi(I32, "o")
+    b.condbr(b.icmp(ICmpPred.SLT, o, b.i32(5)), inner, done)
+    b.set_block(inner)
+    k = b.phi(I32, "k")
+    kk = b.mul(k, k, "kk")
+    b.condbr(b.icmp(ICmpPred.SLT, k, o), step, latch)
+    b.set_block(step)
+    k2 = b.add(b.add(k, kk), b.i32(1), "k2")
+    b.br(inner)
+    b.set_block(latch)
+    o2 = b.add(b.add(o, kk), b.i32(1), "o2")
+    b.br(outer)
+    b.set_block(done)
+    b.ret(o)
+    o.add_incoming(b.i32(0), entry)
+    o.add_incoming(o2, latch)
+    k.add_incoming(b.i32(0), outer)
+    k.add_incoming(k2, step)
+
+    plan = _FunctionPlan(func)
+    assert list(plan.loops) == [inner]
+    assert id(k) not in plan.published and id(k2) not in plan.published
+    assert id(kk) in plan.published  # read by the outer latch
+    assert id(o) in plan.published  # read by the inner loop at entry
+    run_both(module, max_steps=100_000)
