@@ -4,7 +4,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # Worker count for the parallel leg of `make regress` (1 = serial).
 JOBS ?= 1
 
-.PHONY: test bench-test trace-smoke fidelity tables regress regress-serve regress-vm regress-mix docs-lint bench-parallel bench-vm bench-mix whatif-smoke serve-smoke bench-serve slo-smoke
+.PHONY: test bench-test trace-smoke fidelity tables regress regress-serve regress-vm regress-mix docs-lint bench-vm bench-mix whatif-smoke serve-smoke bench-serve slo-smoke
 
 # Tier-1 verification: the full test suite.
 test:
@@ -59,11 +59,6 @@ whatif-smoke:
 # relative markdown links resolve, README links the architecture tour.
 docs-lint:
 	$(PYTHON) scripts/docs_lint.py
-
-# Four-phase wall-time benchmark (serial/parallel x cold/warm cache);
-# rewrites BENCH_parallel.json, the committed evidence.
-bench-parallel:
-	$(PYTHON) -m repro bench --domain embedded --out BENCH_parallel.json
 
 # Serve-plane smoke: start a real daemon subprocess, run a mixed-tenant
 # request burst, render `repro top`, assert the break-even p99 quantile is

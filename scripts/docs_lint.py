@@ -146,7 +146,8 @@ def check_cli_coverage() -> list[str]:
     text = readme.read_text(encoding="utf-8")
     problems: list[str] = []
     for name in sorted(cli_subcommands()):
-        # `repro bench` must not be satisfied by the `repro bench-vm` row.
+        # Whole names only: a `repro bench-vm` row must not stand in for
+        # a command named by its prefix.
         if not re.search(rf"repro {re.escape(name)}(?![\w-])", text):
             problems.append(
                 f"README.md: command table has no row for "

@@ -42,8 +42,6 @@ Commands:
   eviction fails to beat LRU on the contended mix;
 - ``cache stats|clear`` — inspect or empty the persistent bitstream cache
   (``.repro-cache/``, Section VI-A);
-- ``bench`` — measure the parallel runner and the persistent cache against
-  the serial cold baseline, writing ``BENCH_parallel.json``;
 - ``serve`` — run the specialization daemon (:mod:`repro.serve`): a
   bounded admission queue and worker pool over the shared multi-tenant
   bitstream store, with request-level SLO telemetry;
@@ -58,8 +56,8 @@ run), ``--metrics`` (print a metrics snapshot after the run), ``--log
 FILE`` (write a structured JSONL event log), and ``--ledger [DIR]``
 (record the run — manifest, trace, and event log — in the run ledger);
 see :mod:`repro.obs`. The suite-running commands (``analyze``, ``tables``,
-``fidelity``) additionally accept ``--jobs N`` / ``--backend`` (worker-pool
-sharding) and ``--cache [DIR]`` (persistent bitstream cache).
+``fidelity``) additionally accept ``--jobs N`` (shard the suite across N
+worker processes) and ``--cache [DIR]`` (persistent bitstream cache).
 """
 
 from __future__ import annotations
@@ -72,10 +70,9 @@ from repro.util.timefmt import format_dhms, format_hms
 
 
 def _parallel_kwargs(args: argparse.Namespace) -> dict:
-    """The suite runner's jobs/backend/cache kwargs from parsed options."""
+    """The suite runner's jobs/cache kwargs from parsed options."""
     return {
         "jobs": getattr(args, "jobs", 1),
-        "backend": getattr(args, "backend", "process"),
         "cache": getattr(args, "cache", None),
     }
 
@@ -132,11 +129,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.experiments.runner import resolve_bitstream_cache
 
     bitstream_cache = resolve_bitstream_cache(getattr(args, "cache", None))
-    a = analyze_app(
-        args.app,
-        jobs=getattr(args, "jobs", 1),
-        bitstream_cache=bitstream_cache,
-    )
+    a = analyze_app(args.app, bitstream_cache=bitstream_cache)
     _attach_run_scalars([a])
     if bitstream_cache is not None:
         from repro.obs.ledger import current_run
@@ -1052,22 +1045,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.obs.bench import render_bench, run_parallel_bench
-
-    report = run_parallel_bench(
-        domain=args.domain,
-        jobs=args.jobs,
-        backend=args.backend,
-        out=args.out,
-        cache_dir=args.cache_dir,
-    )
-    print(render_bench(report))
-    if args.out:
-        print(f"\nwrote benchmark report: {args.out}")
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import gc
     import signal
@@ -1321,14 +1298,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="shard the suite across N workers (default: 1 = serial)",
-    )
-    parallel_options.add_argument(
-        "--backend",
-        choices=["process", "thread"],
-        default="process",
-        help="worker pool flavour for --jobs (default: process; use thread "
-        "to keep --log event records complete)",
+        help="shard the suite across N worker processes (default: 1 = serial)",
     )
     parallel_options.add_argument(
         "--cache",
@@ -1860,44 +1830,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache_clear.add_argument("--dir", **cache_dir_kwargs)
     for p in (p_cache, p_cache_stats, p_cache_clear):
         p.set_defaults(fn=_cmd_cache, trace=None, metrics=False, log=None)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="benchmark the parallel runner and the persistent cache",
-    )
-    p_bench.add_argument(
-        "--domain",
-        choices=["embedded", "scientific", "all"],
-        default="embedded",
-        help="application subset to benchmark (default: embedded)",
-    )
-    p_bench.add_argument(
-        "--jobs",
-        type=int,
-        default=4,
-        metavar="N",
-        help="worker count for the parallel phase (default: 4)",
-    )
-    p_bench.add_argument(
-        "--backend",
-        choices=["process", "thread"],
-        default="process",
-        help="worker pool flavour (default: process)",
-    )
-    p_bench.add_argument(
-        "--out",
-        metavar="FILE",
-        default="BENCH_parallel.json",
-        help="report path (default: BENCH_parallel.json)",
-    )
-    p_bench.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="cache directory for the warm phases (default: a temporary "
-        "directory, removed afterwards)",
-    )
-    p_bench.set_defaults(fn=_cmd_bench, trace=None, metrics=False, log=None)
 
     p_bench_vm = sub.add_parser(
         "bench-vm",

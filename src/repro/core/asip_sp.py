@@ -15,21 +15,15 @@ matching its assumption that every candidate runs through the CAD flow
 (the bitstream cache of Section VI-A is modelled separately and *does*
 deduplicate charges).
 
-Two optional accelerators, both default-off so the paper-faithful serial
-behaviour is unchanged:
-
-- ``jobs > 1`` fans the CAD implementation of unique candidates across a
-  thread pool (the assembly loop stays serial in ``custom_id`` order, so
-  reports, spans-per-stage counts, and ICAP events are identical to a
-  serial run);
-- ``bitstream_cache`` (a :class:`repro.core.cache.PersistentBitstreamCache`)
-  is consulted before the tool flow and populated after it, turning
-  Section VI-A's hypothetical cache into a measured cross-run one.
+An optional ``bitstream_cache`` (a
+:class:`repro.core.cache.PersistentBitstreamCache`, default off so the
+paper-faithful behaviour is unchanged) is consulted before the tool flow
+and populated after it, turning Section VI-A's hypothetical cache into a
+measured cross-run one.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -119,56 +113,10 @@ class AsipSpecializationProcess:
     toolflow: CadToolFlow = field(default_factory=CadToolFlow)
     icap: IcapModel = field(default_factory=IcapModel)
     bitstream_cache: "PersistentBitstreamCache | None" = None
-    jobs: int = 1
 
     def _cache_key(self, est: CandidateEstimate) -> str:
         assert self.bitstream_cache is not None
         return self.bitstream_cache.key_for(est.candidate, self.toolflow.device)
-
-    def _prefetch(
-        self, selected: list[CandidateEstimate], sp_run
-    ) -> dict[int, "ImplementationResult | Exception"]:
-        """Implement unique first-occurrence candidates on a thread pool.
-
-        Returns ``signature -> result-or-CAD-error``. Candidates already
-        served by the persistent cache are skipped (via the *non-counting*
-        :meth:`~repro.core.cache.PersistentBitstreamCache.contains` probe,
-        so hit/miss accounting stays identical to a serial run). A failing
-        candidate's exception is recorded once and consumed by its first
-        occurrence in the assembly loop; later occurrences of the same
-        failing signature re-run the flow inline, exactly as serial does.
-        """
-        cache = self.bitstream_cache
-        pending: dict[int, CandidateEstimate] = {}
-        for est in selected:
-            sig = est.candidate.signature
-            if sig in pending:
-                continue
-            if cache is not None and cache.contains(self._cache_key(est)):
-                continue
-            pending[sig] = est
-        if not pending:
-            return {}
-        tracer = get_tracer()
-
-        def work(est: CandidateEstimate):
-            # Parent this worker thread's cad.* spans under asip_sp.run.
-            with tracer.child_context(sp_run):
-                try:
-                    return self.toolflow.implement(est.candidate)
-                except (PlacementError, RoutingError) as exc:
-                    return exc
-
-        results: dict[int, ImplementationResult | Exception] = {}
-        with ThreadPoolExecutor(
-            max_workers=min(self.jobs, len(pending))
-        ) as pool:
-            futures = {
-                sig: pool.submit(work, est) for sig, est in pending.items()
-            }
-            for sig, fut in futures.items():
-                results[sig] = fut.result()
-        return results
 
     def run(self, module: Module, profile: ExecutionProfile) -> SpecializationReport:
         tracer = get_tracer()
@@ -176,10 +124,6 @@ class AsipSpecializationProcess:
         cache = self.bitstream_cache
         with tracer.span("asip_sp.run", module=module.name) as sp_run:
             search_result = self.search.run(module, profile)
-
-            prebuilt: dict[int, ImplementationResult | Exception] = {}
-            if self.jobs > 1 and len(search_result.selected) > 1:
-                prebuilt = self._prefetch(search_result.selected, sp_run)
 
             implementations: list[CandidateImplementation] = []
             reconfigurations: list[ReconfigurationEvent] = []
@@ -205,34 +149,23 @@ class AsipSpecializationProcess:
                             impl = cache.get(self._cache_key(est), est.candidate)
                             cached = impl is not None
                         if impl is None:
-                            built = prebuilt.pop(sig, None)
-                            if isinstance(built, Exception):
-                                built_exc: Exception | None = built
-                            else:
-                                built_exc = None
-                                impl = built
-                        else:
-                            built_exc = None
-                        if impl is None and built_exc is None:
                             try:
                                 impl = self.toolflow.implement(est.candidate)
                             except (PlacementError, RoutingError) as exc:
-                                built_exc = exc
-                        if built_exc is not None:
-                            # CAD failure: software fallback keeps the
-                            # application correct.
-                            failed.append((est, str(built_exc)))
-                            sp_cand.set_attr("failed", True)
-                            if log.enabled:
-                                log.emit(
-                                    "asip.candidate",
-                                    level="warning",
-                                    decision="failed",
-                                    candidate=est.candidate.key,
-                                    custom_id=custom_id,
-                                    error=str(built_exc),
-                                )
-                            continue
+                                # CAD failure: software fallback keeps the
+                                # application correct.
+                                failed.append((est, str(exc)))
+                                sp_cand.set_attr("failed", True)
+                                if log.enabled:
+                                    log.emit(
+                                        "asip.candidate",
+                                        level="warning",
+                                        decision="failed",
+                                        candidate=est.candidate.key,
+                                        custom_id=custom_id,
+                                        error=str(exc),
+                                    )
+                                continue
                         if cache is not None and not cached:
                             cache.put(self._cache_key(est), impl)
                         if cached:

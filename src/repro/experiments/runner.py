@@ -2,18 +2,19 @@
 
 Runs the specialization process of Figure 2 for each application and
 collects everything Tables I-IV need. :func:`analyze_suite` optionally
-shards the per-app analyses across a worker pool (``jobs``/``backend``)
-and consults a persistent bitstream cache (Section VI-A) before invoking
-the CAD flow — both default off, so the paper-faithful serial behaviour
-is unchanged.
+shards the per-app analyses across worker processes (``jobs``) and
+consults a persistent bitstream cache (Section VI-A) before invoking the
+CAD flow — both default off, so the paper-faithful serial behaviour is
+unchanged. A sharded run records the same spans, metrics and event log
+as a serial one.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 
 from repro.apps import ALL_APPS, AppSpec, CompiledApp, compile_app, get_app
 from repro.core.asip_sp import AsipSpecializationProcess, SpecializationReport
@@ -21,7 +22,7 @@ from repro.core.breakeven import BreakEvenAnalysis, BreakEvenModel
 from repro.core.cache import PersistentBitstreamCache
 from repro.ise.pruning import NO_PRUNING, PruningFilter
 from repro.ise.selection import CandidateSearch, CandidateSearchResult
-from repro.obs import get_metrics, get_tracer, tracer_records
+from repro.obs import absorb_worker, capture_worker, get_tracer, worker_settings
 from repro.profiling import CoverageAnalysis, KernelAnalysis, classify_blocks, compute_kernel
 from repro.vm.jitruntime import JitRuntimeModel, RuntimeEstimate
 from repro.vm.profiler import ExecutionProfile
@@ -98,17 +99,15 @@ def analyze_app(
     machine: WoolcanoMachine | None = None,
     use_cache: bool = True,
     pruning: PruningFilter | None = None,
-    jobs: int = 1,
     bitstream_cache: PersistentBitstreamCache | None = None,
 ) -> AppAnalysis:
     """Run the complete analysis pipeline for one application.
 
     *pruning* overrides the Table II search filter (default ``@50pS3L``);
-    the full-search ASIP upper bound always runs unpruned. *jobs* > 1 fans
-    the CAD implementation of this app's candidates across worker threads;
+    the full-search ASIP upper bound always runs unpruned.
     *bitstream_cache* serves previously implemented candidates from the
-    persistent store. Neither changes the analysis results, so the memo
-    key deliberately ignores them.
+    persistent store. It does not change the analysis results, so the
+    memo key deliberately ignores it.
     """
     key = _cache_key(name, machine, pruning)
     if use_cache and key in _CACHE:
@@ -145,7 +144,6 @@ def analyze_app(
                 pruning=pruning, cost_model=machine.cost_model
             ),
             bitstream_cache=bitstream_cache,
-            jobs=max(1, jobs),
         )
         specialization = asip_sp.run(module, train)
         search_pruned = specialization.search
@@ -188,23 +186,14 @@ def resolve_bitstream_cache(cache) -> PersistentBitstreamCache | None:
     return PersistentBitstreamCache(root=cache)
 
 
-def _process_worker(name: str, tracing: bool, metrics: bool, cache_root):
-    """Analyze one app in a worker process; returns the mergeable evidence.
+def _process_worker(name: str, settings: dict, cache_root):
+    """Analyze one app in a pool child; returns the mergeable evidence.
 
-    Runs in the pool child. The child replaces the (fork-inherited)
-    process-global tracer/metrics/log with fresh instances so the exported
-    records contain exactly this app's evidence and nothing bleeds into the
-    parent's sinks; the parent absorbs spans, merges the metrics snapshot,
-    and folds the cache counters back so the suite totals match a serial
-    run.
+    The child records under fresh observability globals
+    (:func:`repro.obs.capture_worker`) and reports its cache counters, so
+    the parent can fold both back and the suite totals match a serial run.
     """
-    from repro.obs.log import EventLog, set_log
-    from repro.obs.metrics import MetricsRegistry, set_metrics
-    from repro.obs.tracer import Tracer, set_tracer
-
-    tracer = set_tracer(Tracer(enabled=tracing))
-    registry = set_metrics(MetricsRegistry(enabled=metrics))
-    set_log(EventLog(enabled=False))
+    evidence = capture_worker(settings)
     cache = (
         PersistentBitstreamCache(root=cache_root)
         if cache_root is not None
@@ -213,8 +202,7 @@ def _process_worker(name: str, tracing: bool, metrics: bool, cache_root):
     analysis = analyze_app(name, use_cache=False, bitstream_cache=cache)
     return (
         analysis,
-        tracer_records(tracer) if tracing else [],
-        registry.snapshot() if metrics else None,
+        evidence(),
         cache.counters() if cache is not None else None,
     )
 
@@ -222,67 +210,42 @@ def _process_worker(name: str, tracing: bool, metrics: bool, cache_root):
 def _analyze_parallel(
     apps: list[AppSpec],
     jobs: int,
-    backend: str,
     cache: PersistentBitstreamCache | None,
     suite_span,
 ) -> list[AppAnalysis]:
-    """Shard per-app analyses across a worker pool; results in paper order.
+    """Shard per-app analyses across worker processes; results in paper order.
 
-    The ``process`` backend (default) gives real CPU parallelism: each app
-    runs in a pool child under fresh observability globals and the parent
-    merges spans (:meth:`Tracer.absorb`), metrics
-    (:meth:`MetricsRegistry.merge_snapshot`), and cache counters back, so
-    the recorded evidence is shape-identical to a serial run. Worker
-    event-log records are the one exception — they cannot reach the
-    parent's sink; use the ``thread`` backend when ``--log`` completeness
-    matters more than speed.
+    Apps already in the in-process memo are reused, as in a serial run.
+    Each other app runs in a pool child; the parent absorbs the children's
+    spans, metrics and event-log records (:func:`repro.obs.absorb_worker`)
+    and cache counters in suite order, so the recorded evidence is the
+    serial run's, record for record.
     """
-    tracer = get_tracer()
-    registry = get_metrics()
-    fanout_start = time.perf_counter()
-
-    if backend == "thread":
-
-        def run_one(spec: AppSpec) -> AppAnalysis:
-            with tracer.child_context(suite_span):
-                return analyze_app(spec.name, bitstream_cache=cache)
-
-        with ThreadPoolExecutor(max_workers=min(jobs, len(apps))) as pool:
-            return list(pool.map(run_one, apps))
-
-    if backend != "process":
-        raise ValueError(f"unknown backend {backend!r} (thread or process)")
-
-    # Prefer fork: children inherit the imported interpreter state, so a
-    # worker starts in milliseconds; fall back to the platform default
-    # (spawn on macOS/Windows) where fork is unavailable.
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    results: dict[str, AppAnalysis] = {}
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(apps)), mp_context=ctx
-    ) as pool:
-        futures = {
-            spec.name: pool.submit(
-                _process_worker,
-                spec.name,
-                tracer.enabled,
-                registry.enabled,
-                str(cache.root) if cache is not None else None,
-            )
-            for spec in apps
-        }
-        for name, future in futures.items():
-            analysis, records, snapshot, counters = future.result()
-            results[name] = analysis
-            _CACHE[_cache_key(name, None, None)] = analysis
-            if records:
-                tracer.absorb(records, parent=suite_span, base=fanout_start)
-            if snapshot is not None:
-                registry.merge_snapshot(snapshot)
-            if counters is not None and cache is not None:
-                cache.absorb_counters(counters)
-    return [results[spec.name] for spec in apps]
+    keys = {spec.name: _cache_key(spec.name, None, None) for spec in apps}
+    pending = [spec for spec in apps if keys[spec.name] not in _CACHE]
+    if pending:
+        settings = worker_settings()
+        cache_root = str(cache.root) if cache is not None else None
+        fanout_start = time.perf_counter()
+        # Prefer fork: children inherit the imported interpreter state, so
+        # a worker starts in milliseconds; fall back to the platform
+        # default (spawn on macOS/Windows) where fork is unavailable.
+        methods = multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(pending)), mp_context=ctx
+        ) as pool:
+            futures = [
+                pool.submit(_process_worker, spec.name, settings, cache_root)
+                for spec in pending
+            ]
+            for spec, future in zip(pending, futures):
+                analysis, evidence, counters = future.result()
+                _CACHE[keys[spec.name]] = analysis
+                absorb_worker(evidence, parent=suite_span, base=fanout_start)
+                if counters is not None:
+                    cache.absorb_counters(counters)
+    return [_CACHE[keys[spec.name]] for spec in apps]
 
 
 def analyze_suite(
@@ -290,7 +253,6 @@ def analyze_suite(
     fidelity_out=None,
     ledger=None,
     jobs: int = 1,
-    backend: str = "process",
     cache=None,
 ) -> list[AppAnalysis]:
     """Analyze every application (optionally one domain), in paper order.
@@ -307,8 +269,8 @@ def analyze_suite(
     attaches its scalar results to that run; otherwise it opens, traces,
     and finalizes a run of its own.
 
-    *jobs* > 1 shards the per-app analyses across a worker pool
-    (*backend* ``process`` or ``thread``); *cache* (a directory path or a
+    *jobs* > 1 shards the per-app analyses across that many worker
+    processes; *cache* (a directory path or a
     :class:`PersistentBitstreamCache`) serves previously implemented
     candidates across runs. Results are deterministic either way — only
     the wall-clock and the cache statistics change.
@@ -326,7 +288,6 @@ def analyze_suite(
             config={
                 "domain": domain or "all",
                 "jobs": jobs,
-                "backend": backend if jobs > 1 else None,
                 "cache": str(bitstream_cache.root) if bitstream_cache else None,
             },
         )
@@ -345,13 +306,11 @@ def analyze_suite(
         ) as suite_span:
             if jobs > 1 and len(apps) > 1:
                 analyses = _analyze_parallel(
-                    apps, jobs, backend, bitstream_cache, suite_span
+                    apps, jobs, bitstream_cache, suite_span
                 )
             else:
                 analyses = [
-                    analyze_app(
-                        a.name, jobs=jobs, bitstream_cache=bitstream_cache
-                    )
+                    analyze_app(a.name, bitstream_cache=bitstream_cache)
                     for a in apps
                 ]
         if recorder is not None:

@@ -184,13 +184,8 @@ class Table1:
         return table.render()
 
 
-def generate_table1(
-    jobs: int = 1, backend: str = "process", cache=None
-) -> Table1:
+def generate_table1(jobs: int = 1, cache=None) -> Table1:
     """Run the full suite and build Table I."""
     return Table1(
-        rows=[
-            row_for(a)
-            for a in analyze_suite(jobs=jobs, backend=backend, cache=cache)
-        ]
+        rows=[row_for(a) for a in analyze_suite(jobs=jobs, cache=cache)]
     )

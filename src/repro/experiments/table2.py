@@ -155,12 +155,7 @@ class Table2:
         return table.render()
 
 
-def generate_table2(
-    jobs: int = 1, backend: str = "process", cache=None
-) -> Table2:
+def generate_table2(jobs: int = 1, cache=None) -> Table2:
     return Table2(
-        rows=[
-            row_for(a)
-            for a in analyze_suite(jobs=jobs, backend=backend, cache=cache)
-        ]
+        rows=[row_for(a) for a in analyze_suite(jobs=jobs, cache=cache)]
     )

@@ -84,7 +84,5 @@ def table3_from(analyses) -> Table3:
     return Table3(means=means, stdevs=stdevs, samples=n)
 
 
-def generate_table3(
-    jobs: int = 1, backend: str = "process", cache=None
-) -> Table3:
-    return table3_from(analyze_suite(jobs=jobs, backend=backend, cache=cache))
+def generate_table3(jobs: int = 1, cache=None) -> Table3:
+    return table3_from(analyze_suite(jobs=jobs, cache=cache))

@@ -70,11 +70,10 @@ def generate_table4(
     cad_speedups: list[int] | None = None,
     trials: int = 16,
     jobs: int = 1,
-    backend: str = "process",
     cache=None,
 ) -> Table4:
     apps = breakeven_inputs_from(
-        analyze_suite("embedded", jobs=jobs, backend=backend, cache=cache)
+        analyze_suite("embedded", jobs=jobs, cache=cache)
     )
     grid = extrapolate_break_even(
         apps,

@@ -98,7 +98,6 @@ def build_profile(
         search=CandidateSearch(
             pruning=PruningFilter(), cost_model=machine.cost_model
         ),
-        jobs=1,
     )
     report = process.run(module, train)
     by_signature: dict[int, SlotCandidate] = {}

@@ -44,7 +44,10 @@ evidence on demand:
   when deriving break-even inputs).
 
 Enable both at once with :func:`enable` (the CLI's ``--trace`` /
-``--metrics`` flags call this).
+``--metrics`` flags call this). Pool children hand their evidence back
+through one pair: :func:`capture_worker` in the child and
+:func:`absorb_worker` in the parent, so a run sharded over processes
+records the same spans, metrics and event log as a serial one.
 """
 
 from repro.obs.metrics import (
@@ -201,6 +204,66 @@ def disable() -> None:
     disable_metrics()
 
 
+# -- pool-child handoff ---------------------------------------------------------
+def worker_settings() -> dict:
+    """The picklable observability settings a pool child should adopt."""
+    log = get_log()
+    return {
+        "tracing": get_tracer().enabled,
+        "metrics": get_metrics().enabled,
+        "log_level_no": log.level_no if log.enabled else None,
+        "run_id": log.run_id,
+    }
+
+
+def capture_worker(settings: dict):
+    """Child side: install fresh globals configured like the parent's.
+
+    A forked child inherits the parent's tracer, registry and log along
+    with their open sinks; fresh instances keep the child's evidence to
+    exactly its own unit of work and out of the parent's files. Returns a
+    callable that collects that evidence for :func:`absorb_worker`.
+    """
+    tracer = set_tracer(Tracer(enabled=settings["tracing"]))
+    registry = set_metrics(MetricsRegistry(enabled=settings["metrics"]))
+    log = set_log(
+        EventLog(
+            enabled=settings["log_level_no"] is not None,
+            run_id=settings["run_id"],
+        )
+    )
+    if log.enabled:
+        log.level_no = settings["log_level_no"]
+
+    def evidence() -> dict:
+        return {
+            "spans": tracer_records(tracer) if tracer.enabled else [],
+            "metrics": registry.snapshot() if registry.enabled else None,
+            "log": log.records(),
+        }
+
+    return evidence
+
+
+def absorb_worker(evidence: dict, parent=None, base: float | None = None) -> None:
+    """Parent side: merge a child's spans, metrics and event-log records.
+
+    Spans are reparented under *parent* (:meth:`Tracer.absorb`); each log
+    record's ``span_id`` is re-stamped with the id its span got here, and
+    a record emitted outside any child span takes *parent*'s id, as it
+    would have in-process. Records are appended in the order received.
+    """
+    ids = get_tracer().absorb(evidence["spans"], parent=parent, base=base)
+    if evidence["metrics"] is not None:
+        get_metrics().merge_snapshot(evidence["metrics"])
+    records = evidence["log"]
+    if records:
+        fallback = getattr(parent, "span_id", None) or None
+        for record in records:
+            record["span_id"] = ids.get(record["span_id"], fallback)
+        get_log().absorb(records)
+
+
 __all__ = [
     "Anomaly",
     "AppReplay",
@@ -255,6 +318,8 @@ __all__ = [
     "RunLedger",
     "RunRecorder",
     "abandon_run",
+    "absorb_worker",
+    "capture_worker",
     "compare_manifests",
     "current_run",
     "disable_logging",
@@ -316,5 +381,6 @@ __all__ = [
     "tracing_enabled",
     "validate_trace",
     "write_chrome_trace",
+    "worker_settings",
     "write_jsonl",
 ]

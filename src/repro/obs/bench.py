@@ -1,32 +1,13 @@
-"""Wall-clock benchmark of the parallel runner and the persistent cache.
+"""Committed interpreter and fleet-mix benchmarks (``BENCH_vm.json``,
+``BENCH_mix.json``).
 
-Section VI-A of the paper argues that a bitstream cache (and, in VI-B, a
-faster CAD flow) is what moves the break-even times of Table IV; this
-module measures the two mechanisms this reproduction actually implements —
-worker-pool sharding (``--jobs``) and the persistent bitstream cache
-(``--cache``) — against the serial cold baseline, and writes the evidence
-as ``BENCH_parallel.json`` so the repository carries measured numbers, not
-claims.
-
-Four phases, each a full ``analyze_suite`` run with the in-process memo
-cleared:
-
-1. ``serial_cold`` — jobs=1, no persistent cache (the paper-faithful run);
-2. ``parallel_cold`` — jobs=N, no persistent cache;
-3. ``cache_cold`` — jobs=1 against an empty persistent cache (populates);
-4. ``cache_warm`` — jobs=1 against the now-warm cache (every candidate a
-   hit; the ``cad.implementations`` counter drops to the failures only).
-
-Per phase we record the wall seconds, the ``cad.implementations`` counter
-(virtual CAD work actually performed), and the cache hit/miss statistics.
-Speedups are computed from the recorded wall times. On a single-core host
-the honest parallel speedup is ~1x — the cache speedup is the headline
-number there.
-
-:func:`run_vm_bench` is the interpreter-side sibling (``BENCH_vm.json``):
-per-app interpreter wall time, instructions/sec, dynamic opcode counts
-and top digrams, with the sampler overhead and the PPC405 virtual clock
-checked bit-identical between the sampled and unsampled runs.
+:func:`run_vm_bench` measures the interpreter behind the paper's VM
+profiling runs (Section IV): per-app interpreter wall time,
+instructions/sec, dynamic opcode counts and top digrams, with the
+sampler overhead and the PPC405 virtual clock checked bit-identical
+between the sampled and unsampled runs. :func:`run_mix_bench` sweeps the
+fleet workload-mix grid. Suite wall time, cold and warm-cache, is
+measured by the repository's ``bench`` harness instead.
 """
 
 from __future__ import annotations
@@ -39,102 +20,10 @@ import statistics
 import tempfile
 import time
 
-from repro.obs.metrics import disable_metrics, enable_metrics
-
-#: Report schema identifier (bump on breaking changes).
-BENCH_SCHEMA = "repro-bench-parallel/1"
-
-#: Default report location, committed at the repository root.
-DEFAULT_BENCH_OUT = "BENCH_parallel.json"
 
 #: VM interpreter benchmark (repro bench-vm) schema + committed report.
 BENCH_VM_SCHEMA = "repro-bench-vm/2"
 DEFAULT_VM_BENCH_OUT = "BENCH_vm.json"
-
-
-def _phase(domain: str, jobs: int, backend: str, cache) -> dict:
-    """One timed ``analyze_suite`` run with fresh metrics and memo."""
-    from repro.core.cache import PersistentBitstreamCache
-    from repro.experiments.runner import analyze_suite, clear_cache
-
-    clear_cache()
-    if cache is not None and not isinstance(cache, PersistentBitstreamCache):
-        cache = PersistentBitstreamCache(root=cache)
-    registry = enable_metrics()
-    try:
-        t0 = time.perf_counter()
-        analyses = analyze_suite(domain, jobs=jobs, backend=backend, cache=cache)
-        wall = time.perf_counter() - t0
-        counters = registry.snapshot()["counters"]
-    finally:
-        disable_metrics()
-    result = {
-        "jobs": jobs,
-        "backend": backend if jobs > 1 else None,
-        "wall_seconds": round(wall, 3),
-        "apps": len(analyses),
-        "cad_implementations": counters.get("cad.implementations", 0),
-    }
-    if cache is not None:
-        result["cache"] = cache.stats()
-    return result
-
-
-def run_parallel_bench(
-    domain: str = "embedded",
-    jobs: int = 4,
-    backend: str = "process",
-    out: str | os.PathLike | None = DEFAULT_BENCH_OUT,
-    cache_dir: str | os.PathLike | None = None,
-) -> dict:
-    """Run the four-phase benchmark; returns (and optionally writes) the report.
-
-    *cache_dir* defaults to a temporary directory that is removed
-    afterwards, so the benchmark never pollutes (or is polluted by) the
-    working tree's ``.repro-cache/``.
-    """
-    owns_cache_dir = cache_dir is None
-    if owns_cache_dir:
-        cache_dir = tempfile.mkdtemp(prefix="repro-bench-cache-")
-    try:
-        phases = {
-            "serial_cold": _phase(domain, 1, backend, None),
-            "parallel_cold": _phase(domain, jobs, backend, None),
-            "cache_cold": _phase(domain, 1, backend, cache_dir),
-            "cache_warm": _phase(domain, 1, backend, cache_dir),
-        }
-    finally:
-        if owns_cache_dir:
-            shutil.rmtree(cache_dir, ignore_errors=True)
-
-    def speedup(a: str, b: str) -> float:
-        return round(
-            phases[a]["wall_seconds"] / max(1e-9, phases[b]["wall_seconds"]), 3
-        )
-
-    report = {
-        "schema": BENCH_SCHEMA,
-        "generated": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "domain": domain,
-        "jobs": jobs,
-        "backend": backend,
-        "host": {
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
-        "phases": phases,
-        "speedups": {
-            "parallel_vs_serial": speedup("serial_cold", "parallel_cold"),
-            "warm_cache_vs_cold": speedup("cache_cold", "cache_warm"),
-            "warm_cache_vs_serial": speedup("serial_cold", "cache_warm"),
-        },
-    }
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    return report
 
 
 #: The sampler-overhead claim BENCH_vm.json tests (percent of plain wall).
@@ -350,37 +239,6 @@ def render_vm_bench(report: dict) -> str:
         )
     return "\n".join(lines)
 
-
-def render_bench(report: dict) -> str:
-    """ASCII rendering of a benchmark report for the CLI."""
-    from repro.util.tables import Table
-
-    table = Table(
-        columns=["phase", "jobs", "wall [s]", "CAD impls", "cache hits"],
-        title=(
-            f"Parallel/cache benchmark: {report.get('domain')} suite "
-            f"({report.get('host', {}).get('cpus', '?')} cpu)"
-        ),
-    )
-    for name, phase in (report.get("phases") or {}).items():
-        cache = phase.get("cache") or {}
-        table.add_row(
-            [
-                name,
-                phase.get("jobs", 1),
-                f"{phase.get('wall_seconds', 0.0):.2f}",
-                phase.get("cad_implementations", 0),
-                cache.get("hits", "-") if cache else "-",
-            ]
-        )
-    lines = [table.render()]
-    speedups = report.get("speedups") or {}
-    if speedups:
-        lines.append(
-            "speedups: "
-            + ", ".join(f"{k}={v}x" for k, v in speedups.items())
-        )
-    return "\n".join(lines)
 
 # -- fleet workload-mix benchmark (repro mix) --------------------------------
 

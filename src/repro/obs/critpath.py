@@ -202,8 +202,8 @@ class RunReplay:
                 app.search_virtual = virt if virt is not None else search.duration
 
             # Per-candidate stage splits live on cad.implement spans — as
-            # children of the candidate span (serial run) or reparented
-            # under asip_sp.run (thread-pool prefetch). Keyed by the
+            # children of the candidate span, or under asip_sp.run in
+            # traces from the former CAD thread prefetch. Keyed by the
             # candidate key attribute either way.
             splits: dict[str, tuple[dict[str, float], dict[str, float]]] = {}
             for impl in nodes:

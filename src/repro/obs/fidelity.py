@@ -360,14 +360,13 @@ def run_fidelity(
     out=None,
     include_table4: bool = False,
     jobs: int = 1,
-    backend: str = "process",
     cache=None,
 ) -> FidelityReport:
     """Run the analysis suite for *domain* and compare it to the paper.
 
     ``domain`` is "embedded", "scientific" or "all". When *out* is given the
-    report is also written there as ``BENCH_*.json``. *jobs*/*backend*/
-    *cache* are forwarded to the suite runner; they change the wall clock,
+    report is also written there as ``BENCH_*.json``. *jobs*/*cache* are
+    forwarded to the suite runner; they change the wall clock,
     not the compared cells.
     """
     from repro.experiments.runner import analyze_suite
@@ -380,7 +379,6 @@ def run_fidelity(
         analyses = analyze_suite(
             None if domain == "all" else domain,
             jobs=jobs,
-            backend=backend,
             cache=cache,
         )
         report = fidelity_from_analyses(

@@ -123,6 +123,14 @@ class EventLog:
                 self._sink.flush()
         return record
 
+    def absorb(self, records: list[dict]) -> None:
+        """Append records emitted elsewhere (a pool child), in order."""
+        with self._lock:
+            self._records.extend(records)
+            if self._sink is not None:
+                self._sink.writelines(json.dumps(r) + "\n" for r in records)
+                self._sink.flush()
+
     # -- inspection ----------------------------------------------------------
     def records(self) -> list[dict]:
         """Snapshot of all in-memory records, in emit order."""

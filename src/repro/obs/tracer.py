@@ -295,9 +295,9 @@ class Tracer:
         """Parent this thread's spans under *parent* for the duration.
 
         A worker thread has an empty span stack, so spans it opens would
-        become roots; the sharded experiment runner wraps each unit of work
-        in ``child_context(suite_span)`` so the per-app / per-candidate
-        spans stay attached to the tree the main thread is building. The
+        become roots; the serve plane's worker threads wrap each request
+        in ``child_context(server_span)`` so the per-request spans stay
+        attached to the tree the main thread is building. The
         parent span itself is owned (and finished) by its opening thread —
         here it is only a parenting reference.
         """
@@ -318,7 +318,9 @@ class Tracer:
             if stack:
                 stack.pop()
 
-    def absorb(self, records, parent: Span | None = None, base: float | None = None) -> int:
+    def absorb(
+        self, records, parent: Span | None = None, base: float | None = None
+    ) -> dict[int, int]:
         """Merge exported span records from a worker process into this tracer.
 
         *records* are :class:`repro.obs.export.SpanRecord`-shaped objects
@@ -327,12 +329,13 @@ class Tracer:
         ids are remapped onto this tracer's id space, roots are reparented
         under *parent*, and times are rebased so the absorbed subtree
         starts at *base* (a ``perf_counter`` timestamp; default: the
-        fan-out is assumed to have just finished). Returns the number of
-        spans absorbed.
+        fan-out is assumed to have just finished). Returns the id map
+        (worker span id -> absorbed span id), so the worker's event-log
+        records can be re-stamped.
         """
         recs = list(records)
         if not self.enabled or not recs:
-            return 0
+            return {}
         if base is None:
             extent = max(r.t1 for r in recs)
             base = time.perf_counter() - extent
@@ -359,7 +362,7 @@ class Tracer:
         with self._lock:
             self._finished.extend(absorbed)
             self._enforce_limit_locked()
-        return len(absorbed)
+        return ids
 
     # -- inspection ----------------------------------------------------------
     def current_span(self) -> Span | None:

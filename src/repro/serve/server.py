@@ -31,7 +31,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.obs import get_metrics, get_tracer
+from repro.obs import absorb_worker, get_metrics, get_tracer, worker_settings
 from repro.obs.metrics import Histogram
 from repro.serve.protocol import (
     PROTOCOL_SCHEMA,
@@ -507,33 +507,25 @@ class SpecializationServer:
     def _execute(self, request: dict, span=None) -> dict:
         if self.config.backend == "process":
             assert self._pool is not None
-            tracer = get_tracer()
-            registry = get_metrics()
             fanout_start = time.perf_counter()
             future = self._pool.submit(
                 process_request_worker,
                 request,
                 str(self.store.root),
                 self.config.tenant_budget,
-                tracer.enabled,
-                registry.enabled,
+                worker_settings(),
             )
-            result, records, snapshot, counters = future.result()
-            if records:
-                # Reparent the child process's span subtree under *this
-                # request's* span (not the server root), so the stitched
-                # trace keeps parent/child ids across the process boundary.
-                tracer.absorb(
-                    records,
-                    parent=span if span is not None else self._span,
-                    base=fanout_start,
-                )
-            if snapshot is not None:
-                registry.merge_snapshot(snapshot)
-            if counters is not None:
-                self.store.tenant(request["tenant"]).cache.absorb_counters(
-                    counters
-                )
+            result, evidence, counters = future.result()
+            # Reparent the child process's span subtree (and its log
+            # records) under *this request's* span, not the server root,
+            # so the stitched trace keeps parent/child ids across the
+            # process boundary.
+            absorb_worker(
+                evidence,
+                parent=span if span is not None else self._span,
+                base=fanout_start,
+            )
+            self.store.tenant(request["tenant"]).cache.absorb_counters(counters)
             return result
         tenant_cache = self.store.tenant(
             request["tenant"], app=request["app"]

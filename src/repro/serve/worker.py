@@ -30,7 +30,7 @@ from repro.core.asip_sp import AsipSpecializationProcess
 from repro.core.breakeven import BreakEvenModel
 from repro.ise.pruning import PruningFilter
 from repro.ise.selection import CandidateSearch
-from repro.obs import get_tracer
+from repro.obs import capture_worker, get_tracer
 from repro.profiling import CoverageAnalysis, classify_blocks
 from repro.vm.profiler import ExecutionProfile
 from repro.woolcano.machine import WoolcanoMachine
@@ -145,7 +145,6 @@ def execute_specialize(request: dict, bitstream_cache) -> dict:
     process = AsipSpecializationProcess(
         search=CandidateSearch(pruning=pruning, cost_model=machine.cost_model),
         bitstream_cache=bitstream_cache,
-        jobs=1,
     )
     report = process.run(ctx.module, ctx.train)
     speedup = machine.speedup(ctx.module, ctx.train, report.search.selected)
@@ -205,30 +204,23 @@ def process_request_worker(
     request: dict,
     store_root: str,
     tenant_budget: int | None,
-    tracing: bool,
-    metrics: bool,
+    settings: dict,
 ):
     """Execute one request in a pool child; returns mergeable evidence.
 
-    Mirrors :func:`repro.experiments.runner._process_worker`: the child
-    swaps in fresh observability globals, runs the request against a
-    fresh per-request cache view of the tenant's on-disk namespace
-    (counters therefore carry exactly this request's delta), and returns
-    ``(result, span records, metrics snapshot, cache counters)`` for the
+    Like the suite runner's pool child, it records under fresh
+    observability globals (:func:`repro.obs.capture_worker`), runs the
+    request against a fresh per-request cache view of the tenant's
+    on-disk namespace (counters therefore carry exactly this request's
+    delta), and returns ``(result, evidence, cache counters)`` for the
     parent to absorb. Candidate-level single-flight is in-process only:
     with the process backend, cross-request dedup falls back to the
     persistent store's contains-probe. App contexts are memoized per
     child, so a reused pool worker pays the compile/profile cost once.
     """
     from repro.core.cache import PersistentBitstreamCache
-    from repro.obs.export import tracer_records
-    from repro.obs.log import EventLog, set_log
-    from repro.obs.metrics import MetricsRegistry, set_metrics
-    from repro.obs.tracer import Tracer, set_tracer
 
-    tracer = set_tracer(Tracer(enabled=tracing))
-    registry = set_metrics(MetricsRegistry(enabled=metrics))
-    set_log(EventLog(enabled=False))
+    evidence = capture_worker(settings)
     cache = PersistentBitstreamCache(
         root=Path(store_root) / "tenants" / request["tenant"],
         max_entries=tenant_budget,
@@ -237,7 +229,7 @@ def process_request_worker(
     # parent absorbs these records under the serve.request span, so the
     # stitched tree crosses the process boundary with parent/child span
     # ids intact (the pid attribute makes the hop visible).
-    with tracer.span(
+    with get_tracer().span(
         "serve.execute",
         tenant=request["tenant"],
         app=request["app"],
@@ -247,9 +239,4 @@ def process_request_worker(
         pid=os.getpid(),
     ):
         result = execute_specialize(request, cache)
-    return (
-        result,
-        tracer_records(tracer) if tracing else [],
-        registry.snapshot() if metrics else None,
-        cache.counters(),
-    )
+    return result, evidence(), cache.counters()

@@ -123,8 +123,9 @@ class TestRunReplay:
         assert all(v == 0.0 for v in c1.stage_real.values())
 
     def test_reparented_implement_span_still_matches(self):
-        # jobs>1 prefetch reparents cad.implement under asip_sp.run; the
-        # split must still attach to the candidate via the key attribute.
+        # Traces recorded by the former jobs>1 CAD prefetch parent
+        # cad.implement under asip_sp.run; the split must still attach to
+        # the candidate via the key attribute.
         records = [
             r if r.span_id != 5 else
             rec("cad.implement", 5, 2, 10.0, 45.0, candidate="k0")

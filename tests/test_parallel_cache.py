@@ -2,9 +2,9 @@
 
 Covers the cross-run realization of the paper's Section VI-A bitstream
 cache (:class:`repro.core.cache.PersistentBitstreamCache`) and the
-determinism contract of the parallel ASIP-SP prefetcher: ``jobs > 1`` and
-a warm cache may change where wall-clock time goes, but never the
-reported Table II numbers.
+determinism contract of the process-sharded suite runner: ``--jobs N``
+and a warm cache may change where wall-clock time goes, but never the
+reported Table II numbers or the recorded event log.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,12 +21,7 @@ from repro.core.cache import PersistentBitstreamCache
 from repro.fpga.device import VIRTEX4_FX20, VIRTEX4_FX100
 from repro.fpga.toolflow import CadToolFlow
 from repro.ise.selection import CandidateSearch
-from repro.obs import (
-    disable_metrics,
-    disable_tracing,
-    enable_metrics,
-    enable_tracing,
-)
+from repro.obs import disable_metrics, enable_metrics, read_jsonl, read_log
 from repro.obs.regress import compare_manifests
 
 
@@ -162,31 +156,6 @@ class TestAsipSpWithCacheAndJobs:
         assert any(c.from_cache for c in r2.implementations)
         assert not any(c.from_cache for c in r1.implementations)
 
-    def test_parallel_jobs_matches_serial(self, fp_kernel_profile):
-        module, profile, _ = fp_kernel_profile
-        tracer = enable_tracing()
-        try:
-            serial = AsipSpecializationProcess().run(module, profile)
-            serial_spans = Counter(s.name for s in tracer.spans())
-            tracer.reset()
-            parallel = AsipSpecializationProcess(jobs=2).run(module, profile)
-            parallel_spans = Counter(s.name for s in tracer.spans())
-        finally:
-            disable_tracing()
-
-        assert parallel.candidate_count == serial.candidate_count
-        assert parallel.toolflow_seconds == serial.toolflow_seconds
-        assert parallel.reconfiguration_seconds == serial.reconfiguration_seconds
-        assert len(parallel.failed) == len(serial.failed)
-        assert [
-            c.implementation.entity_name for c in parallel.implementations
-        ] == [c.implementation.entity_name for c in serial.implementations]
-        # Span-count parity: the prefetcher must not duplicate or drop
-        # CAD stage spans relative to the serial assembly loop.
-        for name in set(serial_spans) | set(parallel_spans):
-            if name.startswith(("cad.", "asip_sp.")):
-                assert parallel_spans[name] == serial_spans[name], name
-
 
 def _manifest(run_id, cad_virtual, cad_count, cache, ratio=2.0):
     """Minimal ledger manifest for regression-sentinel unit tests."""
@@ -292,12 +261,13 @@ class TestCacheCli:
             ["analyze", "--domain", "embedded", "--jobs", "4", "--cache"]
         )
         assert args.jobs == 4 and args.cache == ".repro-cache"
-        args = build_parser().parse_args(
-            ["tables", "1", "--jobs", "2", "--backend", "thread"]
-        )
-        assert args.jobs == 2 and args.backend == "thread"
-        args = build_parser().parse_args(["bench", "--jobs", "3"])
-        assert args.jobs == 3 and args.out == "BENCH_parallel.json"
+        # One parallel path: no pool-flavour flag, no in-program bench.
+        for argv in (
+            ["tables", "1", "--jobs", "2", "--backend", "thread"],
+            ["bench", "--jobs", "3"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
 
 class TestSuiteLedgerDeterminism:
@@ -337,12 +307,52 @@ class TestSuiteLedgerDeterminism:
         baseline, current = (
             json.loads(p.read_text(encoding="utf-8")) for p in manifests
         )
+        # The pool children's event-log records reach the parent's log:
+        # record for record the serial log, in order, up to the wall
+        # clock and the span ids (which differ run to run) ...
+        serial_log, parallel_log = (
+            read_log(p.parent / "log.jsonl") for p in manifests
+        )
+        assert parallel_log
+
+        def strip(records):
+            return [
+                {k: v for k, v in r.items() if k not in ("ts", "span_id", "run_id")}
+                for r in records
+            ]
+
+        assert strip(parallel_log) == strip(serial_log)
+        # ... and every span id resolves in that run's own trace.
+        span_ids = {
+            r.span_id for r in read_jsonl(manifests[1].parent / "trace.jsonl")
+        }
+        assert all(r["span_id"] in span_ids for r in parallel_log)
+        assert {r["run_id"] for r in parallel_log} == {current["run_id"]}
         assert current["config"].get("jobs") == 4
         report = compare_manifests(baseline, current)
         assert report.ok, report.render()
         # `jobs` is a volatile config key: parallel vs. serial runs are
         # comparable baselines without warnings.
         assert not report.config_mismatches
+
+
+def test_parallel_suite_reuses_the_memo(monkeypatch):
+    """Like a serial run, ``--jobs N`` reuses apps already analyzed in
+    this process (``tables all`` asks for the suite four times)."""
+    from repro.apps import EMBEDDED_APPS
+    from repro.experiments import runner
+
+    memo = {
+        runner._cache_key(spec.name, None, None): object()
+        for spec in EMBEDDED_APPS
+    }
+    monkeypatch.setattr(runner, "_CACHE", dict(memo))
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("memoized apps must not be analyzed again")
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+    assert runner.analyze_suite("embedded", jobs=2) == list(memo.values())
 
 
 def test_docs_lint_passes():

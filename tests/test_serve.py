@@ -509,6 +509,7 @@ class TestTracePropagation:
         from repro.serve.protocol import mint_trace_id
 
         tracer = obs.enable_tracing()
+        log = obs.enable_logging()
         try:
             srv = SpecializationServer(
                 ServerConfig(
@@ -529,6 +530,7 @@ class TestTracePropagation:
                 srv.drain()
         finally:
             obs.disable_tracing()
+            obs.disable_logging()
         (request_span,) = tracer.find("serve.request")
         workers = [
             s
@@ -546,6 +548,20 @@ class TestTracePropagation:
         # subtree nests inside the request interval.
         assert request_span.start <= worker_span.start
         assert worker_span.end <= request_span.end
+        # The child's event log reaches the parent's, correlated to the
+        # request's trace and to spans of the absorbed subtree.
+        parents = {s.span_id: s.parent_id for s in tracer.spans()}
+
+        def in_subtree(span_id):
+            while span_id is not None and span_id != worker_span.span_id:
+                span_id = parents.get(span_id)
+            return span_id == worker_span.span_id
+
+        candidates = [r for r in log.records() if r["event"] == "asip.candidate"]
+        assert candidates
+        for record in candidates:
+            assert record["trace_id"] == mint_trace_id("r0002")
+            assert in_subtree(record["span_id"])
 
     def test_dedup_wait_span_links_to_leader(self, tmp_path):
         import time
@@ -691,7 +707,7 @@ class TestAbsorbAfterFlush:
         sink = tmp_path / "trace.jsonl"
         tracer = Tracer(enabled=True)
         tracer.configure_flush(sink, max_spans=8)
-        assert tracer.absorb(records, parent=None) == 20
+        assert len(tracer.absorb(records, parent=None)) == 20
         # absorb() appends the whole batch, then enforces the limit once:
         # 20 spans against max_spans=8 evicts down to 8 // 2 = 4 kept,
         # flushing exactly 16 to the sink and dropping none.
@@ -714,7 +730,7 @@ class TestAbsorbAfterFlush:
         records = self._worker_records(20)
         tracer = Tracer(enabled=True)
         tracer.configure_flush(None, max_spans=8)
-        assert tracer.absorb(records, parent=None) == 20
+        assert len(tracer.absorb(records, parent=None)) == 20
         # Same eviction math, but with no sink the overflow is dropped.
         assert tracer.spans_dropped == 16
         assert tracer.spans_flushed == 0
