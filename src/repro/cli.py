@@ -124,6 +124,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.jobs > 1:
+        # One app is analyzed in this process; only a suite shards.
+        print("error: analyze --jobs needs --domain", file=sys.stderr)
+        return 2
 
     from repro.experiments import analyze_app
     from repro.experiments.runner import resolve_bitstream_cache

@@ -69,10 +69,10 @@ def compile_files(
         "files": len(sources),
         "loc": sum(count_loc(src) for _, src in sources),
     }
+    # Verified once after codegen; the pipeline verifies after every pass.
     verify_module(module)
     pipeline = standard_pipeline(opt_level)
     pipeline.run(module)
-    verify_module(module)
     elapsed = time.perf_counter() - start
     return CompilationResult(
         module=module,

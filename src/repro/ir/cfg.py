@@ -13,6 +13,7 @@ form — well-formed ahead of profiling and candidate search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
@@ -23,18 +24,17 @@ def reverse_postorder(func: Function) -> list[BasicBlock]:
     visited: set[int] = set()
     order: list[BasicBlock] = []
 
-    # Iterative DFS to avoid recursion limits on long CFG chains.
-    stack: list[tuple[BasicBlock, int]] = [(func.entry, 0)]
+    # Iterative DFS to avoid recursion limits on long CFG chains; each
+    # stack entry resumes its block's successor iterator.
+    stack = [(func.entry, iter(func.entry.successors))]
     visited.add(id(func.entry))
     while stack:
-        block, idx = stack[-1]
-        succs = block.successors
-        if idx < len(succs):
-            stack[-1] = (block, idx + 1)
-            succ = succs[idx]
+        block, succs = stack[-1]
+        for succ in succs:
             if id(succ) not in visited:
                 visited.add(id(succ))
-                stack.append((succ, 0))
+                stack.append((succ, iter(succ.successors)))
+                break
         else:
             order.append(block)
             stack.pop()
@@ -55,7 +55,12 @@ class NaturalLoop:
 
 
 class ControlFlowInfo:
-    """Per-function CFG analysis bundle (orders, dominators, loops)."""
+    """Per-function CFG analysis bundle (orders, dominators, loops).
+
+    Orders and dominators are computed on construction; natural loops on
+    the first read of :attr:`loops`, since the verifier, mem2reg and CSE
+    never read them.
+    """
 
     def __init__(self, func: Function) -> None:
         self.function = func
@@ -67,7 +72,6 @@ class ControlFlowInfo:
                 if id(succ) in self._preds:
                     self._preds[id(succ)].append(block)
         self._idom = self._compute_dominators()
-        self.loops = self._find_loops()
 
     # -- reachability / preds ------------------------------------------------
     def is_reachable(self, block: BasicBlock) -> bool:
@@ -121,7 +125,8 @@ class ControlFlowInfo:
         return False
 
     # -- loops -------------------------------------------------------------
-    def _find_loops(self) -> list[NaturalLoop]:
+    @cached_property
+    def loops(self) -> list[NaturalLoop]:
         loops: dict[int, NaturalLoop] = {}
         for block in self.rpo:
             for succ in block.successors:

@@ -20,7 +20,7 @@ class Module:
     and lays out its globals in memory before execution.
     """
 
-    __slots__ = ("name", "functions", "globals", "source_info")
+    __slots__ = ("name", "functions", "globals", "source_info", "code_cache")
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -28,6 +28,22 @@ class Module:
         self.globals: dict[str, GlobalVariable] = {}
         # Populated by the frontend: {"files": int, "loc": int}
         self.source_info: dict[str, int] = {}
+        # Populated by the VM: (unit source, filename) -> code object, so
+        # every interpreter of this module compiles a given unit once (see
+        # repro.vm.interpreter). It dies with the module.
+        self.code_cache: dict[tuple[str, str], object] = {}
+
+    # Code objects do not pickle: a pickled or copied module starts with an
+    # empty code cache.
+    def __getstate__(self) -> dict:
+        return {
+            name: getattr(self, name) for name in self.__slots__ if name != "code_cache"
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self.code_cache = {}
 
     # -- construction ----------------------------------------------------------
     def add_function(self, func: Function) -> Function:

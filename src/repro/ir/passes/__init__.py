@@ -22,11 +22,11 @@ from repro.ir.passes.utils import replace_all_uses
 def standard_pipeline(opt_level: int = 2) -> PassManager:
     """Build the standard optimization pipeline.
 
-    Level 0: verification only. Level 1: mem2reg + cleanup. Level 2 (default,
-    what the experiments use): adds inlining, CSE and LICM with a second
-    cleanup round.
+    Level 0: no passes (the frontend still verifies codegen's output).
+    Level 1: mem2reg + cleanup. Level 2 (default, what the experiments
+    use): adds inlining, CSE and LICM with a second cleanup round.
     """
-    pm = PassManager(verify_between=True)
+    pm = PassManager()
     if opt_level >= 1:
         pm.add(Mem2RegPass())
         pm.add(ConstantFoldPass())

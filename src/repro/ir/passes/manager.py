@@ -1,4 +1,4 @@
-"""Pass manager: sequences passes and (optionally) verifies between them.
+"""Pass manager: sequences passes and verifies the IR after each one.
 
 The pipeline stands in for the LLVM -O stage of the paper's Figure 1
 tool flow; per-pass timings feed the compile span of the trace output.
@@ -45,10 +45,10 @@ class PassManager:
 
     The recorded wall-clock times feed the "Compilation to Bitcode / real"
     column of Table I (the reproduction measures its own compiler, as the
-    paper measured llvm-gcc).
+    paper measured llvm-gcc). The module is verified after every pass, so
+    a broken invariant is reported against the pass that broke it.
     """
 
-    verify_between: bool = False
     passes: list[ModulePass] = field(default_factory=list)
     timings: list[tuple[str, float]] = field(default_factory=list)
 
@@ -64,13 +64,12 @@ class PassManager:
             changed = pass_.run(module)
             self.timings.append((pass_.name, time.perf_counter() - start))
             changed_any |= changed
-            if self.verify_between:
-                try:
-                    verify_module(module)
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"IR verification failed after pass {pass_.name!r}: {exc}"
-                    ) from exc
+            try:
+                verify_module(module)
+            except Exception as exc:
+                raise RuntimeError(
+                    f"IR verification failed after pass {pass_.name!r}: {exc}"
+                ) from exc
         return changed_any
 
     @property

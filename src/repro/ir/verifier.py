@@ -11,8 +11,13 @@ Checks the structural invariants the rest of the system relies on:
 - branch targets belong to the same function.
 
 The frontend runs the verifier after codegen and after every optimization
-pass (in pedantic mode), so a verifier failure in the wild always points at
-a compiler bug rather than silently corrupting downstream analyses.
+pass, so a verifier failure in the wild always points at a compiler bug
+rather than silently corrupting downstream analyses.
+
+One ``verify_function`` is linear in the function's size apart from the
+dominance queries: the structural predecessors of every block come from
+one scan of the terminators (:func:`_predecessor_map`), and each distinct
+(definition block, use block) dominance query is answered once.
 
 Run between passes so the bitcode handed to the paper's profiling and
 candidate-search phases (Figures 1 and 2) is always well-formed.
@@ -106,13 +111,26 @@ def _verify_block_structure(func: Function) -> None:
                     )
 
 
+def _predecessor_map(func: Function) -> dict[int, list[BasicBlock]]:
+    """Every block's predecessors as :meth:`BasicBlock.predecessors` lists
+    them: in function block order, each predecessor once."""
+    preds: dict[int, list[BasicBlock]] = {id(block): [] for block in func.blocks}
+    for block in func.blocks:
+        # dict.fromkeys: a condbr with both targets the same block is one edge.
+        for succ in dict.fromkeys(block.successors):
+            preds.setdefault(id(succ), []).append(block)
+    return preds
+
+
 def _verify_phis(func: Function, cfg: ControlFlowInfo) -> None:
+    preds_of = _predecessor_map(func)
     for block in func.blocks:
         if not cfg.is_reachable(block):
             continue
         # Structural predecessors: unreachable blocks that branch here still
         # count (LLVM semantics) even though dominance analysis skips them.
-        preds = block.predecessors()
+        # A block linked to another parent is scanned there, as before.
+        preds = preds_of[id(block)] if block.parent is func else block.predecessors()
         pred_ids = {id(p) for p in preds}
         for phi in block.phis():
             seen: set[int] = set()
@@ -133,33 +151,33 @@ def _verify_phis(func: Function, cfg: ControlFlowInfo) -> None:
                 _fail(func, block, f"phi %{phi.name} lists non-predecessor block")
 
 
-def _def_block(value: Value) -> BasicBlock | None:
-    if isinstance(value, Instruction):
-        return value.parent
-    return None
-
-
 def _verify_ssa_dominance(func: Function, cfg: ControlFlowInfo) -> None:
     defined_here = {id(a) for a in func.args}
-    instr_blocks: dict[int, BasicBlock] = {}
+    # Every instruction of the function -> its index in its block (the
+    # structure check has already tied each one to the block holding it).
+    position: dict[int, int] = {}
     for block in func.blocks:
-        for instr in block.instructions:
-            instr_blocks[id(instr)] = block
+        for i, instr in enumerate(block.instructions):
+            position[id(instr)] = i
+    answers: dict[tuple[int, int], bool] = {}
+
+    def dominates(a: BasicBlock, b: BasicBlock) -> bool:
+        key = (id(a), id(b))
+        answer = answers.get(key)
+        if answer is None:
+            answer = answers[key] = cfg.dominates(a, b)
+        return answer
 
     for block in func.blocks:
         if not cfg.is_reachable(block):
             continue
-        position: dict[int, int] = {
-            id(instr): i for i, instr in enumerate(block.instructions)
-        }
         for i, instr in enumerate(block.instructions):
             if isinstance(instr, PhiInstruction):
                 # Each incoming value must dominate the *end* of its edge block.
                 for value, inc_block in instr.incoming:
-                    _check_operand_defined(func, block, instr, value, instr_blocks)
-                    dblock = _def_block(value)
+                    dblock = _def_block(func, block, instr, value, position)
                     if dblock is not None and cfg.is_reachable(inc_block):
-                        if not cfg.dominates(dblock, inc_block):
+                        if not dominates(dblock, inc_block):
                             _fail(
                                 func,
                                 block,
@@ -168,8 +186,7 @@ def _verify_ssa_dominance(func: Function, cfg: ControlFlowInfo) -> None:
                             )
                 continue
             for value in instr.operands:
-                _check_operand_defined(func, block, instr, value, instr_blocks)
-                dblock = _def_block(value)
+                dblock = _def_block(func, block, instr, value, position)
                 if dblock is None:
                     if isinstance(value, Argument) and id(value) not in defined_here:
                         _fail(
@@ -186,7 +203,7 @@ def _verify_ssa_dominance(func: Function, cfg: ControlFlowInfo) -> None:
                             f"use of %{value.name} before its definition",
                         )
                 elif cfg.is_reachable(dblock):
-                    if not cfg.dominates(dblock, block):
+                    if not dominates(dblock, block):
                         _fail(
                             func,
                             block,
@@ -195,23 +212,25 @@ def _verify_ssa_dominance(func: Function, cfg: ControlFlowInfo) -> None:
                         )
 
 
-def _check_operand_defined(
+def _def_block(
     func: Function,
     block: BasicBlock,
     instr: Instruction,
     value: Value,
-    instr_blocks: dict[int, BasicBlock],
-) -> None:
-    if isinstance(value, (Constant, GlobalVariable, UndefValue, Argument)):
-        return
+    position: dict[int, int],
+) -> BasicBlock | None:
+    """The block defining *value*, an operand of *instr*; None for a
+    constant, global, undef or argument. Fails on anything else."""
     if isinstance(value, Instruction):
-        if id(value) not in instr_blocks:
+        if id(value) not in position:
             _fail(
                 func,
                 block,
                 f"{instr.opcode} uses instruction %{value.name} not in function",
             )
-        return
+        return value.parent
+    if isinstance(value, (Constant, GlobalVariable, UndefValue, Argument)):
+        return None
     _fail(func, block, f"{instr.opcode} has invalid operand {value!r}")
 
 

@@ -33,6 +33,15 @@ differ. Passing a :class:`repro.vm.profiler.BlockTimeSampler` as
 ``sampler=`` compiles a real-clock tick into every block entry; without
 it the units have no sampling code at all.
 
+Each interpreter generates its units' source, but compiles it only if
+no interpreter of the same module has compiled that exact source
+before: ``Module.code_cache`` maps (source, filename) to the code
+object. The code object is ``exec``'d into a fresh namespace per unit,
+so everything the unit binds (memory, evaluators, sampler, the
+interpreter itself) stays this interpreter's own. A block the patcher
+rewrote, a sampler, metrics or another memory size all change the
+source, so the cache needs no invalidation.
+
 Invariants (pinned against the previous closure interpreter by
 ``tests/test_vm_blockjit.py``):
 
@@ -322,12 +331,15 @@ class _LoopPlan:
             id(block): {id(instr) for instr in block.instructions if instr.has_result}
             for block in members
         }
+        # The members strictly dominating a member are its dominator-tree
+        # ancestors below the header, and the header itself.
         self.available: dict[int, set[int]] = {}
         for block in members:
             available = set(seen)
-            for other in members:
-                if other is not block and cfg.dominates(other, block):
-                    available |= results[id(other)]
+            node = block
+            while node is not header:
+                node = cfg.immediate_dominator(node)
+                available |= results[id(node)]
             self.available[id(block)] = available
 
         # Values this unit reads from env.
@@ -505,7 +517,14 @@ class _BlockCodegen:
             "from None\n"
             "        raise\n"
         )
-        code = compile(source, f"<{kind} {self.fname}>", "exec")
+        # The code object is a pure function of the source and its label,
+        # so every interpreter of the module shares it; the namespace, and
+        # with it every per-interpreter object, is this unit's own.
+        key = (source, f"<{kind} {self.fname}>")
+        cache = self.interp.module.code_cache
+        code = cache.get(key)
+        if code is None:
+            code = cache[key] = compile(source, key[1], "exec")
         exec(code, self.namespace)
         return self.namespace["unit"]
 

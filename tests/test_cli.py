@@ -58,6 +58,15 @@ class TestCommands:
         assert "ASIP ratio" in out
         assert "break-even" in out
 
+    def test_analyze_app_rejects_jobs_without_domain(self, capsys):
+        # Only a suite shards; one app would silently run serially.
+        assert main(["analyze", "sor", "--jobs", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "--domain" in captured.err
+        assert main(["analyze", "sor", "--jobs", "1"]) == 0
+        assert "ASIP ratio" in capsys.readouterr().out
+
     def test_timeline_app(self, capsys):
         assert main(["timeline", "sor"]) == 0
         out = capsys.readouterr().out

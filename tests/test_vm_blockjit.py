@@ -11,11 +11,16 @@ the step count, the block profile *in insertion order*, and the virtual
 PPC405 clock (compared with ``==``: ``total_cycles`` sums floats in dict
 order, so a reordered profile would show here). Traps must raise the
 same exception type with the same message.
+
+The unit code cache, shared by every interpreter of a module, is held
+the same way to freshly compiled modules.
 """
 
 from __future__ import annotations
 
+import builtins
 import math
+import pickle
 import random
 import struct
 from dataclasses import fields
@@ -1064,6 +1069,137 @@ def test_app_train_runs_identical(app):
         dataset_size=spec.train.size,
         dataset_seed=spec.train.seed,
     )
+
+
+# -- the unit code cache -------------------------------------------------------------
+# Every interpreter of a module shares one code object per distinct unit
+# source (Module.code_cache). These pin that the dataset runs of one
+# compiled app equal runs on freshly compiled modules, and that a patched
+# block, a sampler or metrics each get code of their own.
+def _counting_compile(monkeypatch) -> list:
+    calls = []
+    real = builtins.compile
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counting)
+    return calls
+
+
+@pytest.mark.parametrize("app", ["fft", "sor", "429.mcf"])
+def test_dataset_runs_share_units(app, monkeypatch):
+    from repro.apps import compile_app, get_app
+
+    spec = get_app(app)
+    shared = compile_app(spec)
+    compiles = _counting_compile(monkeypatch)
+    results = []
+    for ds in spec.datasets:
+        compiles.clear()
+        results.append(shared.run(ds))
+        # Only the module's first interpreter (the train run) compiles.
+        assert (len(compiles) > 0) == (ds is spec.train), (ds.name, compiles)
+    monkeypatch.undo()
+    for ds, result in zip(spec.datasets, results):
+        assert_same(shared.module, result, compile_app(spec).run(ds))
+
+
+def _patched_run(compiled, profile):
+    """Patch *compiled* with the candidates *profile* selects; run train."""
+    from repro.ise import CandidateSearch
+    from repro.vm.patcher import BinaryPatcher
+
+    spec = compiled.spec
+    patcher = BinaryPatcher()
+    patcher.patch_module(
+        compiled.module, CandidateSearch().run(compiled.module, profile).candidates()
+    )
+    interp = Interpreter(
+        compiled.module, dataset_size=spec.train.size, dataset_seed=spec.train.seed
+    )
+    patcher.install(interp)
+    return interp.run(spec.entry), patcher
+
+
+def test_patched_module_misses_the_cache():
+    """The patcher edits blocks in place: their source, and so their cache
+    key, changes, so a run after patching equals a fresh patched module."""
+    from repro.apps import compile_app, get_app
+    from repro.woolcano import WoolcanoCostModel
+
+    spec = get_app("sor")
+    reused = compile_app(spec)
+    plain = reused.run()
+    patched, patcher = _patched_run(reused, plain.profile)
+    fresh = compile_app(spec)
+    assert fresh.module.code_cache == {}
+    expected, fresh_patcher = _patched_run(fresh, plain.profile)
+    assert [p.custom_id for p in patcher.patches] == [
+        p.custom_id for p in fresh_patcher.patches
+    ]
+    assert len(patcher.patches) >= 1 and patched.steps < plain.steps
+    cost_model = WoolcanoCostModel(
+        **{f.name: getattr(PPC405_COST_MODEL, f.name) for f in fields(CostModel)},
+        custom_costs={p.custom_id: 3 + p.custom_id for p in patcher.patches},
+    )
+    assert_same(reused.module, patched, expected, cost_model)
+
+
+def test_sampled_and_metrics_runs_after_a_plain_run():
+    from repro.apps import compile_app, get_app
+
+    spec = get_app("fft")
+    reused = compile_app(spec)
+    reused.run()
+    outcomes = []
+    for compiled in (reused, compile_app(spec)):
+        sampler = BlockTimeSampler(interval=16)
+        sampled = compiled.run(sampler=sampler)
+        registry = enable_metrics()
+        try:
+            counted = compiled.run(spec.datasets[1])
+            counters = {
+                name: value
+                for name, value in registry.snapshot()["counters"].items()
+                if name.startswith("vm.")
+            }
+        finally:
+            disable_metrics()
+        outcomes.append((sampled, sampler, counted, counters))
+    (sampled, sampler, counted, counters), expected = outcomes[0], outcomes[1]
+    assert_same(reused.module, sampled, expected[0])
+    assert sampler.sample_count == expected[1].sample_count > 0
+    assert set(sampler.samples) == set(expected[1].samples)
+    assert_same(reused.module, counted, expected[2])
+    assert counters == expected[3]
+    assert any(name.startswith("vm.intrinsic.") for name in counters)
+
+
+def test_step_limit_trap_leaves_the_next_run_alone():
+    from repro.apps import compile_app, get_app
+
+    spec = get_app("sor")
+    shared = compile_app(spec)
+    with pytest.raises(VMError, match="step limit exceeded"):
+        shared.run(max_steps=5_000)
+    for ds in spec.datasets:
+        assert_same(shared.module, shared.run(ds), compile_app(spec).run(ds))
+
+
+def test_pickled_module_drops_its_code_cache():
+    from repro.apps import compile_app, get_app
+
+    spec = get_app("fft")
+    compiled = compile_app(spec)
+    first = compiled.run()
+    copy = pickle.loads(pickle.dumps(compiled.module))
+    assert compiled.module.code_cache and copy.code_cache == {}
+    again = Interpreter(
+        copy, dataset_size=spec.train.size, dataset_seed=spec.train.seed
+    ).run(spec.entry)
+    assert_same(copy, again, first)
 
 
 # -- loop units ----------------------------------------------------------------------
