@@ -6,9 +6,9 @@ JOBS ?= 1
 
 .PHONY: test bench-test trace-smoke fidelity tables regress regress-serve regress-vm regress-mix docs-lint bench-vm bench-mix whatif-smoke serve-smoke bench-serve slo-smoke
 
-# Tier-1 verification: the full test suite.
+# Tier-1 verification: the full test suite; lists its ten slowest tests.
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=10
 
 # The benchmark harness's own tests (outside the root `testpaths`).
 bench-test:

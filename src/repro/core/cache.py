@@ -224,7 +224,10 @@ class PersistentBitstreamCache:
     # -- core operations -------------------------------------------------------
 
     def contains(self, key: str) -> bool:
-        """Non-counting presence probe (used by the parallel prefetcher)."""
+        """Non-counting presence probe. The serve plane's
+        :class:`~repro.serve.store.TenantCache` probes with it, so only a
+        hit or the one request that builds a missing entry is counted, not
+        the requests that wait for that build."""
         return key in self._load_index() and self._object_path(key).exists()
 
     def get(

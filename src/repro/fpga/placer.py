@@ -11,12 +11,14 @@ Rose, "VPR: A New Packing, Placement and Routing Tool for FPGA Research"
 (FPL 1997). Invariant: between moves, every net's cached box
 ``(x0, x1, y0, y1)`` is the bounding box of its cells' current
 coordinates and its cached cost is the box's half-perimeter, so the
-total is the sum of the cached costs. A move to an empty site grows the
-cell's boxes in O(1) per axis and recomputes an axis in full only when
-the cell leaves an edge it sat on; a swap recomputes the nets of either
-cell but not of both. HPWL is an integer, so the incremental deltas, and
-with them every accept/reject decision and the RNG draw sequence, equal
-those of a full recompute.
+total is the sum of the cached costs. Every move is costed as one-cell
+moves, each growing a box in O(1) per axis and recomputing an axis in
+full only when the cell leaves an edge it sat on. A move to an empty
+site is one such move over the cell's nets. A swap is two, each cell's
+over the nets only it belongs to; a net of both cells keeps its box.
+HPWL is an integer, so the incremental deltas, and with them every
+accept/reject decision and the RNG draw sequence, equal those of a full
+recompute.
 
 The anneal draws from the :class:`~repro.util.rng.DrawStream` of its
 seeded :class:`~repro.util.rng.DeterministicRng`, not from numpy's scalar
@@ -109,7 +111,7 @@ class Placer:
 
         # Each net's distinct members as one itemgetter over xs or ys (the
         # first member is listed twice, so a one-cell net still yields a
-        # tuple), and each cell's nets as a frozenset: a swap recomputes
+        # tuple), and each cell's nets as a frozenset: a swap updates
         # the nets in exactly one of its cells' sets.
         pos_of = {cell.index: p for p, cell in enumerate(cells)}
         members_of: list[itemgetter] = []
@@ -149,37 +151,32 @@ class Placer:
             ox, oy = xs[p], ys[p]
             nx, ny = site_x[new_site], site_y[new_site]
             xs[p], ys[p] = nx, ny
+            if q < 0:
+                moves = ((nets_of[p], ox, oy, nx, ny),)
+            else:
+                xs[q], ys[q] = ox, oy  # swap: a net of both keeps its box
+                pn, qn = nets_of[p], nets_of[q]
+                moves = ((pn - qn, ox, oy, nx, ny), (qn - pn, nx, ny, ox, oy))
             delta = 0
             changed = []
-            if q < 0:
-                # Move to an empty site: per axis, grow the box in O(1)
-                # unless the cell leaves an edge it sat on.
-                for ni in nets_of[p]:
+            for nets, fx, fy, tx, ty in moves:
+                # One cell moves (fx, fy) -> (tx, ty) in each of nets.
+                for ni in nets:
                     x0, x1, y0, y1 = box[ni]
-                    if (ox == x0 and nx > x0) or (ox == x1 and nx < x1):
+                    if (fx == x0 and tx > x0) or (fx == x1 and tx < x1):
                         mx = members_of[ni](xs)
                         x0, x1 = min(mx), max(mx)
-                    elif nx < x0:
-                        x0 = nx
-                    elif nx > x1:
-                        x1 = nx
-                    if (oy == y0 and ny > y0) or (oy == y1 and ny < y1):
+                    elif tx < x0:
+                        x0 = tx
+                    elif tx > x1:
+                        x1 = tx
+                    if (fy == y0 and ty > y0) or (fy == y1 and ty < y1):
                         my = members_of[ni](ys)
                         y0, y1 = min(my), max(my)
-                    elif ny < y0:
-                        y0 = ny
-                    elif ny > y1:
-                        y1 = ny
-                    c = x1 - x0 + y1 - y0
-                    delta += c - cost[ni]
-                    changed.append((ni, x0, x1, y0, y1, c))
-            else:
-                # Swap: a net holding both cells keeps its box.
-                xs[q], ys[q] = ox, oy
-                for ni in nets_of[p] ^ nets_of[q]:
-                    get = members_of[ni]
-                    mx, my = get(xs), get(ys)
-                    x0, x1, y0, y1 = min(mx), max(mx), min(my), max(my)
+                    elif ty < y0:
+                        y0 = ty
+                    elif ty > y1:
+                        y1 = ty
                     c = x1 - x0 + y1 - y0
                     delta += c - cost[ni]
                     changed.append((ni, x0, x1, y0, y1, c))

@@ -1,7 +1,7 @@
 """Control-flow analyses: orderings, dominators, natural loops.
 
-Used by the verifier (SSA dominance checking), LICM (loop detection) and
-the simplify-CFG pass (reachability).
+Used by the verifier (SSA dominance checking, predecessors), LICM (loop
+detection) and the simplify-CFG pass (reachability, predecessors).
 
 The dominator computation is the Cooper–Harvey–Kennedy iterative algorithm
 over a reverse-postorder numbering, which is near-linear in practice.
@@ -40,6 +40,17 @@ def reverse_postorder(func: Function) -> list[BasicBlock]:
             stack.pop()
     order.reverse()
     return order
+
+
+def predecessor_map(func: Function) -> dict[int, list[BasicBlock]]:
+    """Every block's predecessors as :meth:`BasicBlock.predecessors` lists
+    them: in function block order, each predecessor once."""
+    preds: dict[int, list[BasicBlock]] = {id(block): [] for block in func.blocks}
+    for block in func.blocks:
+        # dict.fromkeys: a condbr with both targets the same block is one edge.
+        for succ in dict.fromkeys(block.successors):
+            preds.setdefault(id(succ), []).append(block)
+    return preds
 
 
 @dataclass

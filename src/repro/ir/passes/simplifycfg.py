@@ -5,7 +5,9 @@ Three transformations iterated to fixpoint:
 1. fold ``condbr`` on a constant condition into ``br``;
 2. delete unreachable blocks (updating phis in their successors);
 3. merge a block into its unique predecessor when that predecessor has a
-   single successor and the block has no phis.
+   single successor and the block has no phis. One sweep reads every
+   block's predecessors from one map, updated as blocks merge, so it is
+   linear in the function's size.
 
 Keeps the CFGs — and hence the per-block profiles behind the paper's
 Section IV-C coverage analysis — free of trivial blocks.
@@ -14,7 +16,7 @@ Section IV-C coverage analysis — free of trivial blocks.
 from __future__ import annotations
 
 from repro.ir.basicblock import BasicBlock
-from repro.ir.cfg import reverse_postorder
+from repro.ir.cfg import predecessor_map, reverse_postorder
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
 from repro.ir.opcodes import Opcode
@@ -85,10 +87,11 @@ class SimplifyCfgPass(FunctionPass):
     @staticmethod
     def _merge_blocks(func: Function) -> bool:
         changed = False
+        preds_of = predecessor_map(func)
         for block in list(func.blocks):
             if block is func.entry:
                 continue
-            preds = block.predecessors()
+            preds = preds_of[id(block)]
             if len(preds) != 1:
                 continue
             pred = preds[0]
@@ -103,8 +106,11 @@ class SimplifyCfgPass(FunctionPass):
             for instr in list(block.instructions):
                 block.remove(instr)
                 pred.append(instr)
-            # Phis in block's successors must now name pred as predecessor.
+            # Block's successors (and their phis) now name pred instead.
             for succ in pred.successors:
+                preds_of[id(succ)] = [
+                    pred if b is block else b for b in preds_of[id(succ)]
+                ]
                 for phi in succ.phis():
                     for i, inc_block in enumerate(phi.incoming_blocks):
                         if inc_block is block:

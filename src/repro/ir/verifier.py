@@ -16,8 +16,9 @@ rather than silently corrupting downstream analyses.
 
 One ``verify_function`` is linear in the function's size apart from the
 dominance queries: the structural predecessors of every block come from
-one scan of the terminators (:func:`_predecessor_map`), and each distinct
-(definition block, use block) dominance query is answered once.
+one scan of the terminators (:func:`~repro.ir.cfg.predecessor_map`), and
+each distinct (definition block, use block) dominance query is answered
+once.
 
 Run between passes so the bitcode handed to the paper's profiling and
 candidate-search phases (Figures 1 and 2) is always well-formed.
@@ -26,7 +27,7 @@ candidate-search phases (Figures 1 and 2) is always well-formed.
 from __future__ import annotations
 
 from repro.ir.basicblock import BasicBlock
-from repro.ir.cfg import ControlFlowInfo
+from repro.ir.cfg import ControlFlowInfo, predecessor_map
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction, PhiInstruction
 from repro.ir.module import Module
@@ -111,19 +112,8 @@ def _verify_block_structure(func: Function) -> None:
                     )
 
 
-def _predecessor_map(func: Function) -> dict[int, list[BasicBlock]]:
-    """Every block's predecessors as :meth:`BasicBlock.predecessors` lists
-    them: in function block order, each predecessor once."""
-    preds: dict[int, list[BasicBlock]] = {id(block): [] for block in func.blocks}
-    for block in func.blocks:
-        # dict.fromkeys: a condbr with both targets the same block is one edge.
-        for succ in dict.fromkeys(block.successors):
-            preds.setdefault(id(succ), []).append(block)
-    return preds
-
-
 def _verify_phis(func: Function, cfg: ControlFlowInfo) -> None:
-    preds_of = _predecessor_map(func)
+    preds_of = predecessor_map(func)
     for block in func.blocks:
         if not cfg.is_reachable(block):
             continue

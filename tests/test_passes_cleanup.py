@@ -182,3 +182,43 @@ class TestSimplifyCfg:
         assert len(f.blocks) == 1
         verify_function(f)
         assert Interpreter(m).run("f", [1]).return_value == 4
+
+    @pytest.mark.parametrize(
+        "order", [["b2", "b3", "other", "join"], ["join", "other", "b3", "b2"]]
+    )
+    def test_chain_merges_in_one_sweep_and_phis_name_the_merged_block(
+        self, order
+    ):
+        # entry -> b2 -> b3 -> {other, join}, other -> join: whatever the
+        # block order, one sweep folds b2 and b3 into entry, and join's
+        # phi and other's predecessor then name entry.
+        m = Module("t")
+        f = m.declare_function("f", I32, [("a", I32)])
+        entry = f.add_block("entry")
+        blocks = {name: f.add_block(name) for name in order}
+        b2, b3, other, join = (blocks[n] for n in ("b2", "b3", "other", "join"))
+        bl = IRBuilder(entry)
+        x = bl.add(f.args[0], bl.i32(1))
+        bl.br(b2)
+        bl.set_block(b2)
+        y = bl.mul(x, bl.i32(3))
+        bl.br(b3)
+        bl.set_block(b3)
+        bl.condbr(bl.icmp(ICmpPred.SGT, y, bl.i32(10)), join, other)
+        bl.set_block(other)
+        z = bl.sub(y, bl.i32(1))
+        bl.br(join)
+        bl.set_block(join)
+        phi = bl.phi(I32)
+        phi.add_incoming(y, b3)
+        phi.add_incoming(z, other)
+        bl.ret(phi)
+        assert SimplifyCfgPass._merge_blocks(f)
+        assert [b.name for b in f.blocks] == [
+            "entry", *(n for n in order if n in ("other", "join"))
+        ]
+        assert phi.incoming_blocks == [entry, other]
+        assert other.predecessors() == [entry]
+        verify_function(f)
+        assert Interpreter(m).run("f", [5]).return_value == 18
+        assert Interpreter(m).run("f", [1]).return_value == 5

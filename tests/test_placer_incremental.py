@@ -4,8 +4,9 @@
 cache: every affected net's HPWL is recomputed from scratch before and
 after each move. ``Placer.place`` must make exactly the same decisions,
 so both must agree on every location (in key order), both wirelengths and
-both move counts, for random designs of every density and for the real
-mapped designs of fft's candidates.
+both move counts, for random designs of every density, for swap-heavy
+designs (repeated members, 16-member nets, cliques, a full region) and
+for the real mapped designs of fft's candidates.
 """
 
 from __future__ import annotations
@@ -200,6 +201,74 @@ def test_noncontiguous_cell_indices_match_oracle(seed):
 )
 def test_degenerate_designs_match_oracle(design):
     check(Placer(), design, SMALL_REGION)
+
+
+FULL_REGION = PartialRegion("f", 0, 0, cols=6, rows=4, cells_per_clb=2)
+
+
+def swap_heavy_design(
+    seed: int,
+    n_cells: int,
+    n_nets: int,
+    max_size: int = 16,
+    repeats: bool = False,
+    clique: int = 0,
+) -> MappedDesign:
+    """Nets of 2 to ``max_size`` members (the first net of ``max_size``).
+
+    With ``repeats`` a net may list a cell more than once. With ``clique``
+    the cells fall into groups of that size, each joined by a net per pair
+    and one net of the whole group, so a swap's two cells often share nets.
+    """
+    gen = np.random.default_rng(seed)
+    nets = []
+    for _ in range(n_nets):
+        size = int(gen.integers(2, max_size + 1)) if nets else max_size
+        if not repeats:
+            size = min(size, n_cells)
+        nets.append([int(m) for m in gen.choice(n_cells, size, replace=repeats)])
+    for start in range(0, n_cells, clique) if clique else ():
+        group = list(range(start, min(start + clique, n_cells)))
+        nets.append(group)
+        nets.extend([a, b] for i, a in enumerate(group) for b in group[i + 1:])
+    return MappedDesign(
+        cells=[MappedCell(i, "SLICE") for i in range(n_cells)],
+        nets=nets,
+        lut_count=n_cells,
+        ff_count=0,
+        dsp_count=0,
+        bram_count=0,
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_nets_listing_a_cell_twice_match_oracle(seed):
+    design = swap_heavy_design(seed, 36, 30, max_size=8, repeats=True)
+    assert any(len(set(net)) < len(net) for net in design.nets)
+    check(Placer(seed=seed), design, FULL_REGION)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sixteen_member_nets_match_oracle(seed):
+    design = swap_heavy_design(seed, 44, 24)
+    assert max(len(net) for net in design.nets) == 16
+    check(Placer(seed=seed), design, FULL_REGION)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("clique", [3, 6])
+def test_cliques_match_oracle(seed, clique):
+    design = swap_heavy_design(seed, 40, 8, max_size=4, clique=clique)
+    check(Placer(seed=seed), design, FULL_REGION)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_full_region_every_move_a_swap_matches_oracle(seed):
+    # Every site is taken, so every move is a swap, and with two cells to
+    # a CLB some swaps exchange two cells on the same (x, y).
+    n_cells = FULL_REGION.cell_capacity
+    design = swap_heavy_design(seed, n_cells, n_cells, repeats=True, clique=4)
+    check(Placer(seed=seed), design, FULL_REGION)
 
 
 def test_placer_parameters_match_oracle():
