@@ -68,7 +68,6 @@ class CompiledApp:
         self,
         dataset: DatasetSpec | str | None = None,
         max_steps: int = 200_000_000,
-        sampler=None,
     ) -> ExecutionResult:
         if dataset is None:
             dataset = self.spec.train
@@ -79,7 +78,6 @@ class CompiledApp:
             dataset_size=dataset.size,
             dataset_seed=dataset.seed,
             max_steps=max_steps,
-            sampler=sampler,
         )
         return interp.run(self.spec.entry)
 

@@ -412,11 +412,7 @@ def _cmd_vmprof(args: argparse.Namespace) -> int:
         vmprof_json,
     )
 
-    prof = profile_app(
-        args.app,
-        dataset=args.dataset,
-        sample_interval=args.sample,
-    )
+    prof = profile_app(args.app, dataset=args.dataset)
     print(render_vmprof(prof, top=args.top))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -434,7 +430,6 @@ def _cmd_bench_vm(args: argparse.Namespace) -> int:
 
     report = run_vm_bench(
         apps=args.apps.split(",") if args.apps else None,
-        sample_interval=args.sample,
         out=args.out,
         pairs=args.pairs,
     )
@@ -1424,14 +1419,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--dataset", default=None, help="dataset name (default: train)"
     )
     p_vmprof.add_argument(
-        "--sample",
-        type=int,
-        default=64,
-        metavar="N",
-        help="real-clock sample interval in block executions "
-        "(0 disables sampling; default: 64)",
-    )
-    p_vmprof.add_argument(
         "--top", type=int, default=12, help="rows per report table"
     )
     p_vmprof.add_argument(
@@ -1846,13 +1833,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="A,B,...",
         default=None,
         help="comma-separated app subset (default: the embedded suite)",
-    )
-    p_bench_vm.add_argument(
-        "--sample",
-        type=int,
-        default=64,
-        metavar="N",
-        help="sampler interval for the overhead phase (default: 64)",
     )
     p_bench_vm.add_argument(
         "--pairs",

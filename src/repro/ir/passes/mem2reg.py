@@ -37,10 +37,13 @@ def _dominator_tree_children(
 
 def compute_dominance_frontiers(
     cfg: ControlFlowInfo,
-) -> dict[int, set[int]]:
-    """Dominance frontiers per block (Cooper-Harvey-Kennedy)."""
-    frontiers: dict[int, set[int]] = {id(b): set() for b in cfg.rpo}
-    blocks_by_id = {id(b): b for b in cfg.rpo}
+) -> dict[int, list[BasicBlock]]:
+    """Dominance frontiers per block (Cooper-Harvey-Kennedy).
+
+    Each frontier lists its blocks in reverse postorder, so whatever
+    walks it does so in an order that does not depend on object addresses.
+    """
+    frontiers: dict[int, dict[int, BasicBlock]] = {id(b): {} for b in cfg.rpo}
     for block in cfg.rpo:
         preds = cfg.predecessors(block)
         if len(preds) < 2:
@@ -49,10 +52,9 @@ def compute_dominance_frontiers(
         for pred in preds:
             runner = pred
             while runner is not None and runner is not idom:
-                frontiers[id(runner)].add(id(block))
+                frontiers[id(runner)][id(block)] = block
                 runner = cfg.immediate_dominator(runner)
-    # Attach block objects for convenience.
-    return {k: {f for f in v} for k, v in frontiers.items()}
+    return {k: list(v.values()) for k, v in frontiers.items()}
 
 
 class Mem2RegPass(FunctionPass):
@@ -63,12 +65,13 @@ class Mem2RegPass(FunctionPass):
         if not allocas:
             return False
         cfg = ControlFlowInfo(func)
-        blocks_by_id = {id(b): b for b in cfg.rpo}
         frontiers = compute_dominance_frontiers(cfg)
         children = _dominator_tree_children(cfg)
 
         # Phase 1: insert (empty) phi nodes at iterated dominance frontiers
-        # of every block containing a store to the alloca.
+        # of every block containing a store to the alloca. Blocks are
+        # walked in reverse postorder, never as sets of ids, so the phis'
+        # names and their order in a block are the same in every process.
         phi_owner: dict[int, tuple[Instruction, PhiInstruction]] = {}
         slot_types = {id(a): self._slot_type(func, a) for a in allocas}
         for alloca in allocas:
@@ -81,19 +84,17 @@ class Mem2RegPass(FunctionPass):
                 if instr.opcode is Opcode.STORE
             }
             placed: set[int] = set()
-            worklist = list(def_blocks)
+            worklist = [b for b in reversed(cfg.rpo) if id(b) in def_blocks]
             while worklist:
-                bid = worklist.pop()
-                for fid in frontiers.get(bid, ()):
-                    if fid in placed:
+                for block in frontiers[id(worklist.pop())]:
+                    if id(block) in placed:
                         continue
-                    placed.add(fid)
-                    block = blocks_by_id[fid]
+                    placed.add(id(block))
                     phi = PhiInstruction(ty, func.fresh_name("phi"))
                     block.insert(0, phi)
                     phi_owner[id(phi)] = (alloca, phi)
-                    if fid not in def_blocks:
-                        worklist.append(fid)
+                    if id(block) not in def_blocks:
+                        worklist.append(block)
 
         # Phase 2: renaming walk over the dominator tree.
         alloca_ids = {id(a) for a in allocas if slot_types[id(a)] is not None}

@@ -12,6 +12,7 @@ measured by the repository's ``bench`` harness instead.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import platform
@@ -22,7 +23,7 @@ import time
 
 
 #: VM interpreter benchmark (repro bench-vm) schema + committed report.
-BENCH_VM_SCHEMA = "repro-bench-vm/2"
+BENCH_VM_SCHEMA = "repro-bench-vm/3"
 DEFAULT_VM_BENCH_OUT = "BENCH_vm.json"
 
 
@@ -54,7 +55,6 @@ def overhead_summary(ratios: list[float]) -> dict:
 
 def run_vm_bench(
     apps: list[str] | None = None,
-    sample_interval: int = 64,
     out: str | os.PathLike | None = DEFAULT_VM_BENCH_OUT,
     top_digrams_n: int = 10,
     pairs: int = 8,
@@ -73,7 +73,7 @@ def run_vm_bench(
     from repro.apps import EMBEDDED_APPS, compile_app, get_app
     from repro.obs.vmprof import build_profile, top_digrams, vm_manifest_block
     from repro.vm.costmodel import PPC405_COST_MODEL
-    from repro.vm.profiler import BlockTimeSampler
+    from repro.vm.profiler import SAMPLE_INTERVAL_S, BlockTimeSampler
 
     if apps is None:
         apps = [spec.name for spec in EMBEDDED_APPS]
@@ -87,13 +87,14 @@ def run_vm_bench(
 
         def timed(sampler):
             t0 = time.perf_counter()
-            result = compiled.run(spec.train, sampler=sampler)
+            with sampler or contextlib.nullcontext():
+                result = compiled.run(spec.train)
             return result, time.perf_counter() - t0
 
         wall_plain = wall_sampled = float("inf")
         ratios: list[float] = []
         for index in range(max(1, pairs)):
-            sampler = BlockTimeSampler(interval=sample_interval)
+            sampler = BlockTimeSampler()
             if index % 2 == 0:
                 plain, plain_wall = timed(None)
                 sampled, sampled_wall = timed(sampler)
@@ -170,7 +171,7 @@ def run_vm_bench(
     report = {
         "schema": BENCH_VM_SCHEMA,
         "generated": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "sample_interval": sample_interval,
+        "sample_interval": SAMPLE_INTERVAL_S,
         "pairs": max(1, pairs),
         "sampler_overhead_claim_pct": SAMPLER_OVERHEAD_CLAIM_PCT,
         "host": {
@@ -199,7 +200,7 @@ def render_vm_bench(report: dict) -> str:
         ],
         title=(
             "VM interpreter benchmark "
-            f"(sample interval {report.get('sample_interval')}, "
+            f"(sample interval {report.get('sample_interval')} s, "
             f"{report.get('pairs', '?')} ABBA pairs)"
         ),
     )

@@ -5,10 +5,10 @@ Two views of one app run:
 1. **Opcode profile** — dynamic per-opcode and opcode-digram counts plus
    virtual (PPC405) cycles per opcode, all derived post-hoc from the block
    profile (:mod:`repro.vm.profiler`), so the run itself pays nothing.
-2. **Real-vs-virtual divergence** — the opt-in block sampler attributes
-   wall time to blocks; comparing each block's real share against its
-   virtual-cycle share (the paper's Section IV profile) shows where the
-   Python interpreter disagrees with the PPC405 model. The real clock is
+2. **Real-vs-virtual divergence** — the timer-driven block sampler
+   attributes wall time to blocks; comparing each block's real share
+   against its virtual-cycle share (the paper's Section IV profile) shows
+   where the Python interpreter disagrees with the PPC405 model. The real clock is
    measured per block on the actual machine, not priced by a cost model,
    per the measured-cost selection argument of the microarchitecture-aware
    ISE literature (PAPERS.md).
@@ -59,7 +59,7 @@ class VmProfile:
     virtual_shares: dict[BlockKey, float]
     real_shares: dict[BlockKey, float]
     sample_count: int
-    sample_interval: int
+    sample_interval: float
 
     @property
     def instructions_per_second(self) -> float:
@@ -85,24 +85,18 @@ class VmProfile:
 def profile_app(
     app: str,
     dataset: str | None = None,
-    sample_interval: int = 64,
     cost_model: CostModel = PPC405_COST_MODEL,
 ) -> VmProfile:
-    """Compile *app*, run it under the sampler, and assemble the profile.
-
-    With ``sample_interval=0`` the run is unsampled (real shares empty).
-    """
+    """Compile *app*, run it under the sampler, and assemble the profile."""
     from repro.apps import compile_app, get_app
 
     spec = get_app(app)
     compiled = compile_app(spec)
     ds = spec.dataset(dataset) if dataset else spec.train
 
-    sampler = (
-        BlockTimeSampler(interval=sample_interval) if sample_interval > 0 else None
-    )
     start = perf_counter()
-    result = compiled.run(ds, sampler=sampler)
+    with BlockTimeSampler() as sampler:
+        result = compiled.run(ds)
     wall = perf_counter() - start
 
     return build_profile(
@@ -124,7 +118,7 @@ def build_profile(
     profile: ExecutionProfile,
     steps: int,
     wall_seconds: float,
-    sampler: BlockTimeSampler | None,
+    sampler: BlockTimeSampler,
     cost_model: CostModel = PPC405_COST_MODEL,
 ) -> VmProfile:
     """Assemble a :class:`VmProfile` from an already-executed run."""
@@ -142,9 +136,9 @@ def build_profile(
         digram_counts=profile.digram_counts(module),
         block_counts={key: p.count for key, p in profile.blocks.items()},
         virtual_shares=profile.block_time_shares(module, cost_model),
-        real_shares=sampler.shares() if sampler is not None else {},
-        sample_count=sampler.sample_count if sampler is not None else 0,
-        sample_interval=sampler.interval if sampler is not None else 0,
+        real_shares=sampler.shares(),
+        sample_count=sampler.sample_count,
+        sample_interval=sampler.interval,
     )
 
 
@@ -275,7 +269,7 @@ def render_vmprof(prof: VmProfile, top: int = 12) -> str:
             title=(
                 "Real-vs-virtual divergence (sampled, "
                 f"{prof.sample_count} samples @ every "
-                f"{prof.sample_interval} blocks)"
+                f"{prof.sample_interval * 1e3:g} ms)"
             ),
         )
         for row in prof.divergence_rows()[:top]:

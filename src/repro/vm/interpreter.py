@@ -29,18 +29,20 @@ its static size to the step count, checks the step limit and calls the
 unit; a loop unit does the same accounting itself for every block it
 enters internally. Both unit kinds share :class:`_BlockCodegen`'s
 per-instruction emitter; only phi moves, terminators and accounting
-differ. Passing a :class:`repro.vm.profiler.BlockTimeSampler` as
-``sampler=`` compiles a real-clock tick into every block entry; without
-it the units have no sampling code at all.
+differ. Each unit's ``exec`` namespace binds ``_KEYS``, the profile
+keys of the blocks it runs (the members in ``state`` order for a loop
+unit), which is how :class:`repro.vm.profiler.BlockTimeSampler` names
+the block an interrupted unit frame is in: the units carry no sampling
+code, so a sampled and a plain run execute the same code objects.
 
 Each interpreter generates its units' source, but compiles it only if
 no interpreter of the same module has compiled that exact source
 before: ``Module.code_cache`` maps (source, filename) to the code
 object. The code object is ``exec``'d into a fresh namespace per unit,
-so everything the unit binds (memory, evaluators, sampler, the
-interpreter itself) stays this interpreter's own. A block the patcher
-rewrote, a sampler, metrics or another memory size all change the
-source, so the cache needs no invalidation.
+so everything the unit binds (memory, evaluators, the interpreter
+itself) stays this interpreter's own. A block the patcher rewrote,
+metrics or another memory size all change the source, so the cache
+needs no invalidation.
 
 Invariants (pinned against the previous closure interpreter by
 ``tests/test_vm_blockjit.py``):
@@ -77,7 +79,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from time import perf_counter
 
 from repro.ir.basicblock import BasicBlock
 from repro.ir.cfg import ControlFlowInfo
@@ -96,7 +97,7 @@ from repro.ir.passes.constfold import (
 from repro.obs import get_metrics, metrics_enabled
 from repro.vm.intrinsics import INTRINSICS
 from repro.vm.memory import Memory, MemoryError_, accessor
-from repro.vm.profiler import BlockProfile, BlockTimeSampler, ExecutionProfile
+from repro.vm.profiler import BlockProfile, ExecutionProfile
 
 
 class VMError(Exception):
@@ -137,7 +138,6 @@ class Interpreter:
         max_steps: int = 200_000_000,
         dataset_size: int = 0,
         dataset_seed: int = 1,
-        sampler: BlockTimeSampler | None = None,
     ) -> None:
         self.module = module
         self.memory = Memory(memory_size)
@@ -147,9 +147,6 @@ class Interpreter:
         self.dataset_seed = dataset_seed
         self.output: list = []
         self.rand_state = 1
-        # Real-clock sampler: None by default, in which case the compiled
-        # units carry no sampling code.
-        self.sampler = sampler
         self._steps = 0
         self._steps_before = 0  # steps of the earlier runs, for clock()
         self._profile = ExecutionProfile(module.name)
@@ -176,8 +173,6 @@ class Interpreter:
         self._steps_before += self._steps
         self._steps = 0
         self._profile = ExecutionProfile(self.module.name)
-        if self.sampler is not None:
-            self.sampler.begin()
         value = self._call(func, list(args or []))
         registry = get_metrics()
         if registry.enabled:
@@ -461,8 +456,7 @@ class _BlockCodegen:
         self._bound: dict[int, str] = {}
         self._local_names: dict[int, str] = {}
         self._available: set[int] = set()
-        # Loop units keep the step count (and the sampler tick) in locals;
-        # calls must see them.
+        # Loop units keep the step count in a local; calls must see it.
         self._in_loop = False
 
     # -- bindings ----------------------------------------------------------
@@ -528,36 +522,11 @@ class _BlockCodegen:
         exec(code, self.namespace)
         return self.namespace["unit"]
 
-    def tick(self, block: BasicBlock) -> list[str]:
-        """The sampler tick charged to *block*; nothing without a sampler."""
-        sampler = self.interp.sampler
-        if sampler is None:
-            return []
-        # Every `interval` block executions, charge the elapsed wall time
-        # to the block entered right now.
-        s = self.bind(sampler)
-        tick = "tick" if self._in_loop else f"{s}.tick"
-        samples = self.bind(sampler.samples)
-        key = self.bind((self.fname, block.name))
-        return [
-            f"{tick} += 1",
-            f"if {tick} >= {sampler.interval}:",
-            f"    now = {self.bind(perf_counter)}()",
-            f"    {samples}[{key}] = {samples}.get({key}, 0.0) + now - {s}.last",
-            f"    {s}.last = now",
-            f"    {tick} = 0",
-            f"    {s}.sample_count += 1",
-        ]
-
     def sync(self, load: bool) -> list[str]:
-        """A loop unit's step count and sampler tick stored to their owners,
-        or with *load* read back from them."""
-        pairs = [("steps", f"{self.bind(self.interp)}._steps")]
-        if self.interp.sampler is not None:
-            pairs.append(("tick", f"{self.bind(self.interp.sampler)}.tick"))
-        if load:
-            return [f"{local} = {owner}" for local, owner in pairs]
-        return [f"{owner} = {local}" for local, owner in pairs]
+        """A loop unit's step count stored to the interpreter, or with
+        *load* read back from it."""
+        owner = f"{self.bind(self.interp)}._steps"
+        return [f"steps = {owner}" if load else f"{owner} = steps"]
 
     def emit_body(self, block: BasicBlock, terminator) -> None:
         """Every non-phi instruction; *terminator* emits the last one."""
@@ -579,7 +548,7 @@ class _BlockCodegen:
 
     # -- block unit ----------------------------------------------------------
     def compile_block(self, block: BasicBlock):
-        self.lines.extend(self.tick(block))
+        self.namespace["_KEYS"] = ((self.fname, block.name),)
         phis = block.phis()
         if phis:
             self.emit_phis(phis, _phi_preds(phis))
@@ -636,8 +605,8 @@ class _BlockCodegen:
         I = self.bind(self.interp)
         L = self.lines.append
 
+        self.namespace["_KEYS"] = tuple((self.fname, b.name) for b in members)
         self.lines.extend(self.sync(load=True))
-        self.lines.extend(self.tick(header))
         phis = header.phis()
         if phis:
             outside = [p for p in _phi_preds(phis) if id(p) not in loop.ids]
@@ -670,7 +639,6 @@ class _BlockCodegen:
                 "if steps > limit:",
                 f"    raise {self.bind(_step_limit_error)}(limit, {self.fname!r})",
             ]
-            lines += self.tick(target)
             # The phi moves, as one parallel assignment.
             targets, values = [], []
             for phi in target.phis():
@@ -728,9 +696,6 @@ class _BlockCodegen:
             f"    if steps > {I}._steps:",
             f"        {I}._steps = steps",
         ]
-        if self.interp.sampler is not None:
-            # After a trap the next run's begin() resets the tick anyway.
-            lines.append(f"    {self.bind(self.interp.sampler)}.tick = tick")
         for index, block in enumerate(members):
             key = self.bind((self.fname, block.name))
             lines.append(f"    if n{index}:")

@@ -12,12 +12,14 @@ per-opcode counts and opcode-digram (adjacent-pair) counts are derived from
 the static block composition multiplied by the block counts, so the
 interpreter never pays a per-instruction hook. :class:`BlockTimeSampler`
 adds the one thing counts cannot give — *real*-clock attribution per block —
-as an opt-in sampler the candidate-mining layer (Section V) uses to rank
-dispatch-bound blocks.
+as an opt-in statistical sampler that ``repro vmprof`` and ``repro
+bench-vm`` run around an unchanged interpreter.
 """
 
 from __future__ import annotations
 
+import signal
+import threading
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -223,31 +225,89 @@ def static_block_opcodes(module: Module) -> dict[BlockKey, tuple[str, ...]]:
     }
 
 
+#: The sampler's timer period in seconds.
+SAMPLE_INTERVAL_S = 0.001
+
+
 @dataclass
 class BlockTimeSampler:
-    """Opt-in real-clock sampler attributing wall time to compiled blocks.
+    """Statistical real-clock sampler attributing wall time to compiled blocks.
 
-    Every ``interval`` block executions the interpreter's generated code reads
-    ``perf_counter`` and charges the elapsed delta to the block that was
-    running when the tick fired. At the default interval the added work is
-    one integer increment + compare per *block* (not per instruction), which
-    still resolves the hot blocks the paper's Section IV profiling
-    identifies; its measured overhead is reported in ``BENCH_vm.json``.
+    A context manager around interpreter runs::
 
-    ``samples`` accumulates seconds per ``(function, block)`` key; passing
-    the same sampler to several runs aggregates them.
+        with BlockTimeSampler() as sampler:
+            compiled.run(dataset)
+
+    Entering arms ``setitimer(ITIMER_REAL)`` every ``interval`` seconds
+    under a ``SIGALRM`` handler; leaving disarms it and restores the
+    previous handler, also when the run raises. The handler charges the
+    wall time since the previous sample to the block of the nearest unit
+    frame on the stack: one whose globals hold the ``_KEYS`` the
+    interpreter binds, indexed in a loop unit by its ``state`` local
+    (absent before the loop starts and in a one-block loop: the header).
+    So a callee's dispatch loop and intrinsics are charged to the calling
+    block, and a sample with no unit frame is dropped. The units carry
+    no sampling code, so a sampled run executes a plain run's code.
+
+    ``ITIMER_REAL`` because a sample then stays wall time, as
+    ``perf_counter`` measures it, and because ``ITIMER_PROF``, asked for
+    1 ms on a 2-CPU Linux host, fired only about every 4 ms (58 samples
+    in a 0.235 s adpcm run, where ITIMER_REAL gave 170-270). Python runs signal
+    handlers only in the main thread, where ``repro vmprof`` and ``repro
+    bench-vm`` sample: entering from another thread raises
+    ``RuntimeError``, as does entering while the timer is already armed.
+    A handler can itself be interrupted, so an ``interval`` under 0.1 ms,
+    near the handler's own cost, raises ``ValueError``.
+
+    ``samples`` accumulates seconds per ``(function, block)`` key; using
+    the same sampler around several runs aggregates them.
     """
 
-    interval: int = 64
+    interval: float = SAMPLE_INTERVAL_S
     samples: dict[BlockKey, float] = field(default_factory=dict)
     sample_count: int = 0
-    tick: int = 0
     last: float = 0.0
+    _previous: object = field(default=None, repr=False)
 
-    def begin(self) -> None:
-        """Reset the tick phase at run start (samples are kept)."""
-        self.tick = 0
+    def __enter__(self) -> "BlockTimeSampler":
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError(
+                "BlockTimeSampler runs only in the main thread, where Python "
+                "delivers SIGALRM"
+            )
+        if not self.interval >= 1e-4:
+            raise ValueError(
+                f"BlockTimeSampler: interval {self.interval} s is below 0.1 ms"
+            )
+        if signal.getitimer(signal.ITIMER_REAL) != (0.0, 0.0):
+            raise RuntimeError("BlockTimeSampler: ITIMER_REAL is already armed")
+        self._previous = signal.signal(signal.SIGALRM, self._on_alarm)
         self.last = perf_counter()
+        signal.setitimer(signal.ITIMER_REAL, self.interval, self.interval)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        previous = self._previous
+        signal.signal(
+            signal.SIGALRM, signal.SIG_DFL if previous is None else previous
+        )
+
+    def _on_alarm(self, signum, frame) -> None:
+        now = perf_counter()
+        elapsed = now - self.last
+        self.last = now
+        while frame is not None:
+            keys = frame.f_globals.get("_KEYS")
+            if keys is not None:
+                if len(keys) == 1:
+                    key = keys[0]
+                else:
+                    key = keys[frame.f_locals.get("state", 0)]
+                self.samples[key] = self.samples.get(key, 0.0) + elapsed
+                self.sample_count += 1
+                return
+            frame = frame.f_back
 
     @property
     def sampled_seconds(self) -> float:

@@ -115,3 +115,15 @@ class TestDiamond:
         assert len(join.phis()) == 1
         assert Interpreter(m).run("f", [5]).return_value == 10
         assert Interpreter(m).run("f", [-5]).return_value == 20
+
+
+def test_registry_apps_print_identically_when_compiled_twice():
+    """Phi creation walks blocks in reverse postorder, not sets of ids, so
+    two compiles in one process (objects at other addresses) print the
+    same optimized IR."""
+    from repro.apps import ALL_APPS, compile_app
+    from repro.ir.printer import print_module
+
+    for spec in ALL_APPS:
+        first = print_module(compile_app(spec).module)
+        assert print_module(compile_app(spec).module) == first, spec.name

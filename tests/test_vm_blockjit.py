@@ -3,13 +3,13 @@
 The interpreter compiles every innermost loop, and every other basic
 block, into one generated function. The reference here is the
 interpreter that design replaced — the per-instruction closure compiler
-with its plain and sampled dispatch loops, and the format-table memory
-access — copied verbatim into this file, where it lives only as an
-oracle. For every program below both run on the same
-inputs and must agree exactly on the return value, the output channel,
-the step count, the block profile *in insertion order*, and the virtual
-PPC405 clock (compared with ``==``: ``total_cycles`` sums floats in dict
-order, so a reordered profile would show here). Traps must raise the
+with its dispatch loop and the format-table memory access — copied
+verbatim into this file, where it lives only as an oracle. For every
+program below both run on the same inputs and must agree exactly on the
+return value, the output channel, the step count, the block profile *in
+insertion order*, and the virtual PPC405 clock (compared with ``==``:
+``total_cycles`` sums floats in dict order, so a reordered profile would
+show here). Traps must raise the
 same exception type with the same message.
 
 The unit code cache, shared by every interpreter of a module, is held
@@ -24,7 +24,6 @@ import pickle
 import random
 import struct
 from dataclasses import fields
-from time import perf_counter
 
 import pytest
 
@@ -99,7 +98,7 @@ _RETURN = 1
 
 
 class ClosureInterpreter:
-    """The previous closure-compiled interpreter (plain and sampled loops)."""
+    """The previous closure-compiled interpreter."""
 
     def __init__(
         self,
@@ -108,7 +107,6 @@ class ClosureInterpreter:
         max_steps: int = 200_000_000,
         dataset_size: int = 0,
         dataset_seed: int = 1,
-        sampler: BlockTimeSampler | None = None,
     ) -> None:
         self.module = module
         self.memory = ClosureMemory(memory_size)
@@ -119,9 +117,6 @@ class ClosureInterpreter:
         self.output: list = []
         self.rand_state = 1
         self.cycles_executed = 0  # coarse counter exposed to clock()
-        # Real-clock sampler: None by default, in which case _call() runs
-        # the unsampled loop and the hot path gains zero added work.
-        self.sampler = sampler
         self._steps = 0
         self._profile = ExecutionProfile(module.name)
         # Custom-instruction evaluators installed by the binary patcher:
@@ -140,8 +135,6 @@ class ClosureInterpreter:
         func = self.module.function(function_name)
         self._steps = 0
         self._profile = ExecutionProfile(self.module.name)
-        if self.sampler is not None:
-            self.sampler.begin()
         value = self._call(func, list(args or []))
         registry = get_metrics()
         if registry.enabled:
@@ -164,8 +157,6 @@ class ClosureInterpreter:
 
     # -- execution core ------------------------------------------------------
     def _call(self, func: Function, args: list):
-        if self.sampler is not None:
-            return self._call_sampled(func, args)
         if func.is_declaration:
             raise VMError(f"call to undefined function {func.name}")
         if len(args) != len(func.args):
@@ -207,82 +198,6 @@ class ClosureInterpreter:
 
                 # Straight-line body: only the last handler (the terminator)
                 # returns a control tuple.
-                for handler in handlers:
-                    ctl = handler(env)
-                    if ctl is not None:
-                        break
-                else:  # pragma: no cover - verifier guarantees a terminator
-                    raise VMError(f"{fname}/{block.name}: fell off block end")
-
-                kind, payload = ctl
-                if kind == _RETURN:
-                    return payload
-                prev_block_id = id(block)
-                block = payload
-        except MemoryError_ as exc:
-            raise VMError(f"{fname}: {exc}") from None
-        finally:
-            self.memory.pop_frame(frame_token)
-
-    def _call_sampled(self, func: Function, args: list):
-        # Twin of _call with real-clock sampling woven in. Kept as a
-        # separate loop (not an `if sampler` branch inside _call) so the
-        # default path pays nothing for the feature; any fix to one loop
-        # must be mirrored in the other. Nested calls re-enter through
-        # _call, which routes back here while self.sampler is set.
-        if func.is_declaration:
-            raise VMError(f"call to undefined function {func.name}")
-        if len(args) != len(func.args):
-            raise VMError(
-                f"{func.name}: expected {len(func.args)} args, got {len(args)}"
-            )
-        frame_token = self.memory.push_frame()
-        env: dict[int, object] = {}
-        for formal, actual in zip(func.args, args):
-            env[id(formal)] = actual
-
-        block = func.entry
-        prev_block_id = 0
-        fname = func.name
-        compiled = self._compiled
-        max_steps = self.max_steps
-        sampler = self.sampler
-        interval = sampler.interval
-        samples = sampler.samples
-
-        try:
-            while True:
-                plan = compiled.get(id(block))
-                if plan is None:
-                    plan = self._compile_block(fname, block)
-                    compiled[id(block)] = plan
-                record, size, phi_plan, handlers = plan
-
-                record(fname)
-                self._steps += size
-                self.cycles_executed += size
-                if self._steps > max_steps:
-                    raise VMError(
-                        f"step limit exceeded ({self.max_steps}) in {fname}"
-                    )
-
-                # Sampling tick: every `interval` block executions, charge
-                # the elapsed wall time to the block running right now.
-                sampler.tick += 1
-                if sampler.tick >= interval:
-                    now = perf_counter()
-                    skey = (fname, block.name)
-                    samples[skey] = samples.get(skey, 0.0) + now - sampler.last
-                    sampler.last = now
-                    sampler.tick = 0
-                    sampler.sample_count += 1
-
-                if phi_plan is not None:
-                    keys, tables = phi_plan
-                    values = [t[prev_block_id](env) for t in tables]
-                    for key, value in zip(keys, values):
-                        env[key] = value
-
                 for handler in handlers:
                     ctl = handler(env)
                     if ctl is not None:
@@ -831,22 +746,27 @@ def test_random_programs_identical(seed):
     assert new.steps > 1000
 
 
+def assert_sampled_equals_plain(module, interval):
+    """Runs of *module* under a sampler with *interval* (seconds), repeated
+    until it has taken a sample, each equal a plain run.
+
+    The units carry no sampling code, so nothing a sample does may show
+    in the results; every sample names a block the run executed.
+    """
+    plain, _ = run_both(module)
+    with BlockTimeSampler(interval=interval) as sampler:
+        for _ in range(200):
+            assert_same(module, Interpreter(module).run("main"), plain)
+            if sampler.sample_count:
+                break
+    assert sampler.sample_count > 0
+    assert set(sampler.samples) <= set(plain.profile.blocks)
+
+
 @pytest.mark.parametrize("interval", [1, 3, 64])
 def test_sampler_intervals_identical(interval):
-    """The compiled sampler tick bends no accounting."""
-    module = build_random_module(3)
-    samplers = []
-
-    def attach(interp):
-        interp.sampler = BlockTimeSampler(interval=interval)
-        samplers.append(interp.sampler)
-
-    new, old = run_both(module, setup=attach)
-    new_sampler, old_sampler = samplers
-    assert new_sampler.sample_count == old_sampler.sample_count > 0
-    assert set(new_sampler.samples) == set(old_sampler.samples)
-    # And sampling leaves the plain run's results alone.
-    assert_same(module, Interpreter(module).run("main"), new)
+    """Sampled runs every 0.1, 0.3 and 6.4 ms equal the plain run."""
+    assert_sampled_equals_plain(build_random_module(3), interval * 1e-4)
 
 
 # -- straight-line coverage ------------------------------------------------------
@@ -1074,8 +994,9 @@ def test_app_train_runs_identical(app):
 # -- the unit code cache -------------------------------------------------------------
 # Every interpreter of a module shares one code object per distinct unit
 # source (Module.code_cache). These pin that the dataset runs of one
-# compiled app equal runs on freshly compiled modules, and that a patched
-# block, a sampler or metrics each get code of their own.
+# compiled app equal runs on freshly compiled modules, that a patched
+# block or metrics each get code of their own, and that a sampled run
+# reuses the plain run's code.
 def _counting_compile(monkeypatch) -> list:
     calls = []
     real = builtins.compile
@@ -1147,16 +1068,26 @@ def test_patched_module_misses_the_cache():
     assert_same(reused.module, patched, expected, cost_model)
 
 
-def test_sampled_and_metrics_runs_after_a_plain_run():
+def test_sampled_and_metrics_runs_after_a_plain_run(monkeypatch):
+    """A sampled run after a plain one runs its code objects (no compile,
+    no new cache entry) and equals it; a metrics run gets code of its own."""
     from repro.apps import compile_app, get_app
 
     spec = get_app("fft")
     reused = compile_app(spec)
-    reused.run()
+    plain = reused.run()
+    cached = dict(reused.module.code_cache)
+    compiles = _counting_compile(monkeypatch)
+    with BlockTimeSampler() as sampler:
+        sampled = reused.run()
+    assert compiles == []
+    assert reused.module.code_cache == cached
+    assert sampler.sample_count > 0
+    assert set(sampler.samples) <= set(sampled.profile.blocks)
+    assert_same(reused.module, sampled, plain)
+    monkeypatch.undo()
     outcomes = []
     for compiled in (reused, compile_app(spec)):
-        sampler = BlockTimeSampler(interval=16)
-        sampled = compiled.run(sampler=sampler)
         registry = enable_metrics()
         try:
             counted = compiled.run(spec.datasets[1])
@@ -1167,13 +1098,10 @@ def test_sampled_and_metrics_runs_after_a_plain_run():
             }
         finally:
             disable_metrics()
-        outcomes.append((sampled, sampler, counted, counters))
-    (sampled, sampler, counted, counters), expected = outcomes[0], outcomes[1]
-    assert_same(reused.module, sampled, expected[0])
-    assert sampler.sample_count == expected[1].sample_count > 0
-    assert set(sampler.samples) == set(expected[1].samples)
-    assert_same(reused.module, counted, expected[2])
-    assert counters == expected[3]
+        outcomes.append((counted, counters))
+    (counted, counters), expected = outcomes
+    assert_same(reused.module, counted, expected[0])
+    assert counters == expected[1]
     assert any(name.startswith("vm.intrinsic.") for name in counters)
 
 
@@ -1276,18 +1204,9 @@ def test_loop_with_call_identical():
 
 @pytest.mark.parametrize("interval", [1, 3, 64])
 def test_sampler_across_loop_calls_identical(interval):
-    """A loop unit's local sampler tick is synced around its calls."""
-    module = _looping_caller_module()
-    samplers = []
-
-    def attach(interp):
-        interp.sampler = BlockTimeSampler(interval=interval)
-        samplers.append(interp.sampler)
-
-    run_both(module, setup=attach)
-    new_sampler, old_sampler = samplers
-    assert new_sampler.sample_count == old_sampler.sample_count > 0
-    assert set(new_sampler.samples) == set(old_sampler.samples)
+    """Samples that interrupt a loop unit, or a callee it is waiting on,
+    leave its step count and block counts alone."""
+    assert_sampled_equals_plain(_looping_caller_module(), interval * 1e-4)
 
 
 @pytest.mark.parametrize("max_steps", range(30, 700, 23))

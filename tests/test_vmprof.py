@@ -1,6 +1,8 @@
 """Tests for the VM execution observatory (vmprof, bench-vm)."""
 
 import json
+import signal
+import threading
 from fnmatch import fnmatchcase
 
 import pytest
@@ -16,9 +18,16 @@ from repro.obs.vmprof import (
     vm_manifest_block,
     vmprof_json,
 )
-from repro.vm import Interpreter
+from repro.ir import I32, IRBuilder, Module
+from repro.ir.opcodes import ICmpPred
+from repro.ir.types import wrap_int
+from repro.vm import Interpreter, VMError
 from repro.vm.costmodel import PPC405_COST_MODEL
-from repro.vm.profiler import BlockTimeSampler, static_block_opcodes
+from repro.vm.profiler import (
+    SAMPLE_INTERVAL_S,
+    BlockTimeSampler,
+    static_block_opcodes,
+)
 
 from conftest import build_sumsq_module
 
@@ -77,43 +86,166 @@ class TestOpcodeAccounting:
         assert all(ops for ops in composition.values())
 
 
+def _cheap_and_costly_loop(iterations: int) -> Module:
+    """One loop unit: ``cheap`` does one add, ``costly`` (the latch) eight
+    multiply-xor pairs, which take about ten times as long."""
+    module = Module("ranking")
+    func = module.declare_function("main", I32, [])
+    entry = func.add_block("entry")
+    head = func.add_block("head")
+    cheap = func.add_block("cheap")
+    costly = func.add_block("costly")
+    done = func.add_block("done")
+    b = IRBuilder(entry)
+    b.br(head)
+    b.set_block(head)
+    i = b.phi(I32, "i")
+    acc = b.phi(I32, "acc")
+    b.condbr(b.icmp(ICmpPred.SLT, i, b.i32(iterations)), cheap, done)
+    b.set_block(cheap)
+    x = b.add(acc, b.i32(1))
+    b.br(costly)
+    b.set_block(costly)
+    y = x
+    for k in range(8):
+        y = b.xor(b.mul(y, b.i32(3)), b.i32(k))
+    i2 = b.add(i, b.i32(1))
+    b.br(head)
+    b.set_block(done)
+    b.ret(acc)
+    i.add_incoming(b.i32(0), entry)
+    i.add_incoming(i2, costly)
+    acc.add_incoming(b.i32(0), entry)
+    acc.add_incoming(y, costly)
+    return module
+
+
+@pytest.fixture
+def alarm_state():
+    """A recognisable SIGALRM handler installed around the test; yields it
+    and checks the timer is disarmed afterwards."""
+
+    def previous(signum, frame):  # pragma: no cover - never fires
+        raise AssertionError("SIGALRM reached the previous handler")
+
+    old = signal.signal(signal.SIGALRM, previous)
+    try:
+        yield previous
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
 class TestSampler:
     def test_sampler_attributes_time_to_blocks(self):
         module = build_sumsq_module()
-        sampler = BlockTimeSampler(interval=1)
-        result = Interpreter(module, sampler=sampler).run("sumsq", [200])
-        assert result.return_value == sum(i * i for i in range(200))
+        with BlockTimeSampler(interval=1e-4) as sampler:
+            result = Interpreter(module).run("sumsq", [20_000])
+        assert result.return_value == wrap_int(
+            sum(i * i for i in range(20_000)), I32
+        )
         assert sampler.sample_count > 0
         assert sampler.sampled_seconds > 0
-        # The hot loop blocks must absorb nearly all samples.
         shares = sampler.shares()
         assert sum(shares.values()) == pytest.approx(1.0)
-        assert ("sumsq", "body") in shares
+        assert set(shares) <= set(result.profile.blocks)
 
     def test_sampled_run_is_observationally_identical(self):
         module = build_sumsq_module()
-        plain = Interpreter(module).run("sumsq", [64])
-        sampled = Interpreter(
-            module, sampler=BlockTimeSampler(interval=4)
-        ).run("sumsq", [64])
+        plain = Interpreter(module).run("sumsq", [20_000])
+        with BlockTimeSampler(interval=1e-4) as sampler:
+            sampled = Interpreter(module).run("sumsq", [20_000])
+        assert sampler.sample_count > 0
         assert sampled.return_value == plain.return_value
         assert sampled.steps == plain.steps
-        assert {k: p.count for k, p in sampled.profile.blocks.items()} == {
-            k: p.count for k, p in plain.profile.blocks.items()
-        }
+        assert [(k, p.count) for k, p in sampled.profile.blocks.items()] == [
+            (k, p.count) for k, p in plain.profile.blocks.items()
+        ]
 
     def test_disabled_sampler_leaves_interpreter_untouched(self):
         module = build_sumsq_module()
+        handler = signal.getsignal(signal.SIGALRM)
         interp = Interpreter(module)
-        assert interp.sampler is None
+        assert not hasattr(interp, "sampler")
         interp.run("sumsq", [8])
+        assert signal.getsignal(signal.SIGALRM) is handler
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+    def test_shares_rank_the_costly_block_first(self):
+        """A loop member costing about ten times another takes the larger
+        share: the sampler names loop members by the unit's ``state``."""
+        module = _cheap_and_costly_loop(2_000)
+        with BlockTimeSampler(interval=2e-4) as sampler:
+            for _ in range(500):
+                Interpreter(module).run("main")
+                if sampler.sample_count >= 200:
+                    break
+        assert sampler.sample_count >= 200
+        shares = sampler.shares()
+        ranked = sorted(shares, key=shares.get, reverse=True)
+        assert ranked[0] == ("main", "costly")
+        assert shares[("main", "costly")] > 3 * shares.get(("main", "cheap"), 0.0)
+
+    def test_restores_handler_and_disarms_after_a_run(self, alarm_state):
+        with BlockTimeSampler() as sampler:
+            assert signal.getitimer(signal.ITIMER_REAL)[1] == SAMPLE_INTERVAL_S
+            Interpreter(build_sumsq_module()).run("sumsq", [100])
+        assert signal.getsignal(signal.SIGALRM) is alarm_state
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        assert sampler.interval == SAMPLE_INTERVAL_S
+
+    def test_restores_handler_and_disarms_after_a_trap(self, alarm_state):
+        with pytest.raises(VMError, match="step limit exceeded"):
+            with BlockTimeSampler(interval=1e-4):
+                Interpreter(
+                    _cheap_and_costly_loop(10**9), max_steps=200_000
+                ).run("main")
+        assert signal.getsignal(signal.SIGALRM) is alarm_state
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+    def test_arming_an_armed_timer_raises(self, alarm_state):
+        with BlockTimeSampler():
+            with pytest.raises(RuntimeError, match="already armed"):
+                with BlockTimeSampler():
+                    pass  # pragma: no cover
+            # The outer sampler still owns the handler.
+            assert signal.getsignal(signal.SIGALRM) is not alarm_state
+        signal.setitimer(signal.ITIMER_REAL, 60.0)
+        with pytest.raises(RuntimeError, match="already armed"):
+            with BlockTimeSampler():
+                pass  # pragma: no cover
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        assert signal.getsignal(signal.SIGALRM) is alarm_state
+
+    def test_interval_below_the_floor_raises(self, alarm_state):
+        with pytest.raises(ValueError, match="below 0.1 ms"):
+            with BlockTimeSampler(interval=1e-6):
+                pass  # pragma: no cover
+        assert signal.getsignal(signal.SIGALRM) is alarm_state
+
+    def test_non_main_thread_raises(self, alarm_state):
+        errors = []
+
+        def enter():
+            try:
+                with BlockTimeSampler():
+                    pass  # pragma: no cover
+            except RuntimeError as exc:
+                errors.append(str(exc))
+
+        thread = threading.Thread(target=enter)
+        thread.start()
+        thread.join()
+        assert errors and "only in the main thread" in errors[0]
+        assert signal.getsignal(signal.SIGALRM) is alarm_state
 
 
 class TestVmProfileReports:
     @pytest.fixture(scope="class")
     def fft_profile(self):
         # One shared profiled run.
-        return profile_app("fft", sample_interval=64)
+        return profile_app("fft")
 
     def test_profile_app_assembles_all_views(self, fft_profile):
         prof = fft_profile
@@ -141,7 +273,7 @@ class TestVmProfileReports:
         block = vm_manifest_block(fft_profile, top_digrams_n=5)
         assert block["steps"] == fft_profile.steps
         assert len(block["digrams"]) == 5
-        assert block["sampled"]["interval"] == 64
+        assert block["sampled"]["interval"] == SAMPLE_INTERVAL_S
         # The block declares only cells it has: every measured glob
         # matches at least one of its cells.
         cells = [name[len("vm."):] for name in declared_cells({"vm": block})]
@@ -218,9 +350,10 @@ class TestVmBench:
         phases = []
         original = CompiledApp.run
 
-        def recording_run(self, dataset=None, max_steps=200_000_000, sampler=None):
-            phases.append("sampled" if sampler is not None else "plain")
-            return original(self, dataset, max_steps, sampler)
+        def recording_run(self, *args, **kwargs):
+            armed = signal.getitimer(signal.ITIMER_REAL) != (0.0, 0.0)
+            phases.append("sampled" if armed else "plain")
+            return original(self, *args, **kwargs)
 
         monkeypatch.setattr(CompiledApp, "run", recording_run)
         report = run_vm_bench(
