@@ -4,7 +4,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # Worker count for the parallel leg of `make regress` (1 = serial).
 JOBS ?= 1
 
-.PHONY: test bench-test trace-smoke fidelity tables regress regress-serve regress-vm regress-mix docs-lint bench-vm bench-mix whatif-smoke serve-smoke bench-serve slo-smoke
+.PHONY: test bench-test trace-smoke fidelity tables bench regress regress-serve regress-vm regress-mix docs-lint whatif-smoke serve-smoke slo-smoke
 
 # Tier-1 verification: the full test suite; lists its ten slowest tests.
 test:
@@ -27,6 +27,11 @@ fidelity:
 
 tables:
 	$(PYTHON) -m repro tables all
+
+# The committed benchmarks: rewrite BENCH_vm.json, BENCH_mix.json and
+# BENCH_serve.json with their defaults; exits 1 naming every false gate.
+bench:
+	$(PYTHON) -m repro bench
 
 # Regression sentinel self-check: record the embedded suite twice in the
 # run ledger, then gate the second run against the first cell-by-cell.
@@ -66,13 +71,6 @@ docs-lint:
 serve-smoke:
 	$(PYTHON) scripts/serve_smoke.py
 
-# Serving benchmark: Poisson load (cold + warm phase over one schedule)
-# against an embedded daemon; rewrites BENCH_serve.json, the committed
-# evidence that the warm p95 break-even sits strictly below cold (exit 1
-# otherwise).
-bench-serve:
-	$(PYTHON) -m repro loadgen --requests 200 --out BENCH_serve.json
-
 # SLO smoke: record two loadgen runs, evaluate the stock error-budget
 # objectives (must hold), breach a deliberately impossible break-even
 # bound (must page into alerts.jsonl), and write the fleet trend report;
@@ -80,13 +78,6 @@ bench-serve:
 # artifact upload (the directory is gitignored).
 slo-smoke:
 	$(PYTHON) scripts/slo_smoke.py
-
-# VM interpreter benchmark: run the embedded suite in alternating
-# plain/sampled pairs (virtual clock must stay bit-identical; the sampler
-# overhead is reported with its quartiles); rewrites BENCH_vm.json, the
-# committed interpreter baseline.
-bench-vm:
-	$(PYTHON) -m repro bench-vm --out BENCH_vm.json
 
 # VM regression leg: record two vmprof runs of one app in the ledger and
 # gate the second against the first — opcode/digram counts and the
@@ -99,22 +90,14 @@ regress-vm:
 	$(PYTHON) -m repro runs list --limit 5
 	$(PYTHON) -m repro regress --baseline latest~1 --history 5
 
-# Fleet workload-mix benchmark: sweep eviction policy x slot capacity x
-# mix entropy through the slot-contention simulator and rewrite
-# BENCH_mix.json — the committed "Table IV for fleets". Exits non-zero
-# if break-even-aware eviction does not beat LRU on the contended cell
-# or the identical-seed determinism rerun drifts.
-bench-mix:
-	$(PYTHON) -m repro mix --out BENCH_mix.json
-
 # Mix regression leg: record two identical mix runs in the ledger and
 # gate the second against the first — every simulated cell (break-even,
 # loads, reloads, evictions, store hits) is virtual-clock deterministic
 # and must reproduce bit-identically (rel 1e-9); only the grid wall time
 # stays informational (declared measured by `mix_manifest_block`).
 regress-mix:
-	$(PYTHON) -m repro mix --events 60 --out /dev/null --ledger
-	$(PYTHON) -m repro mix --events 60 --out /dev/null --ledger
+	$(PYTHON) -m repro mix --events 60 --ledger
+	$(PYTHON) -m repro mix --events 60 --ledger
 	$(PYTHON) -m repro runs list --limit 5
 	$(PYTHON) -m repro regress --baseline latest~1
 
@@ -123,7 +106,7 @@ regress-mix:
 # request counts must match exactly while the measured latency quantiles
 # stay informational (declared measured by the load generator).
 regress-serve:
-	$(PYTHON) -m repro loadgen --requests 60 --rate 100 --out /dev/null --ledger
-	$(PYTHON) -m repro loadgen --requests 60 --rate 100 --out /dev/null --ledger
+	$(PYTHON) -m repro loadgen --requests 60 --rate 100 --ledger
+	$(PYTHON) -m repro loadgen --requests 60 --rate 100 --ledger
 	$(PYTHON) -m repro runs list --limit 5
 	$(PYTHON) -m repro regress --baseline latest~1

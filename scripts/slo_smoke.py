@@ -86,7 +86,6 @@ def main() -> int:
                 "--concurrency", "4",
                 "--mix", "adpcm=1",
                 "--seed", seed,
-                "--out", os.devnull,
                 "--store", str(Path(tmp) / f"store-{seed}"),
                 "--ledger", ledger_dir,
             )

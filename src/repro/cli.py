@@ -37,16 +37,19 @@ Commands:
   recorded fleet-mix run under different slot counts or eviction
   policies;
 - ``mix`` — sweep the fleet workload-mix grid (mix entropy x eviction
-  policy x slot capacity) through the slot-contention simulator and
-  write ``BENCH_mix.json``, exiting non-zero if break-even-aware
-  eviction fails to beat LRU on the contended mix;
+  policy x slot capacity) through the slot-contention simulator, exiting
+  non-zero if break-even-aware eviction fails to beat LRU on the
+  contended mix;
+- ``bench [vm|mix|serve ...]`` — run the committed benchmarks with their
+  defaults and write ``BENCH_<name>.json``, exiting non-zero on a false
+  gate;
 - ``cache stats|clear`` — inspect or empty the persistent bitstream cache
   (``.repro-cache/``, Section VI-A);
 - ``serve`` — run the specialization daemon (:mod:`repro.serve`): a
   bounded admission queue and worker pool over the shared multi-tenant
   bitstream store, with request-level SLO telemetry;
-- ``loadgen`` — drive a live or embedded daemon with a deterministic
-  Poisson request mix (cold + warm phases) and write ``BENCH_serve.json``;
+- ``loadgen`` — drive an embedded daemon with a deterministic Poisson
+  request mix (cold + warm phases);
 - ``top`` — live ASCII view of a running daemon's queue/latency/tenant
   statistics;
 - ``tail <file>`` — render the last records of a JSONL event log.
@@ -425,23 +428,37 @@ def _cmd_vmprof(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_vm(args: argparse.Namespace) -> int:
-    from repro.obs.bench import render_vm_bench, run_vm_bench
+def _check_gates(name: str, body: dict) -> int:
+    """Exit status of a benchmark body: 1, naming each false gate, or 0.
 
-    report = run_vm_bench(
-        apps=args.apps.split(",") if args.apps else None,
-        out=args.out,
-        pairs=args.pairs,
-    )
-    print(render_vm_bench(report))
-    if args.out:
-        print(f"\nwrote VM benchmark report: {args.out}")
-    if not report["totals"]["virtual_identical"]:
+    A ``None`` gate does not apply and does not fail.
+    """
+    failed = [gate for gate, ok in body["gates"].items() if ok is False]
+    for gate in failed:
+        print(f"FAIL: {name} gate {gate} is false", file=sys.stderr)
+    return 1 if failed else 0
+
+
+def _cmd_bench(args: argparse.Namespace) -> int:
+    from repro.obs.bench import benchmarks, write_report
+
+    table = benchmarks()
+    unknown = [name for name in args.names if name not in table]
+    if unknown:
         print(
-            "error: virtual clock drifted under sampling", file=sys.stderr
+            f"error: unknown benchmark {', '.join(unknown)} "
+            f"(choose from {', '.join(table)})",
+            file=sys.stderr,
         )
-        return 1
-    return 0
+        return 2
+    status = 0
+    for name in args.names or table:
+        schema, run, render = table[name]
+        body = run()
+        print(render(body))
+        print(f"\nwrote {write_report(name, schema, body)}\n")
+        status |= _check_gates(name, body)
+    return status
 
 
 def _cmd_fidelity(args: argparse.Namespace) -> int:
@@ -814,12 +831,10 @@ def _cmd_runs(args: argparse.Namespace) -> int:
             print(f"(no runs recorded in {ledger.path})")
             return 0
         total = len(run_ids)
-        # --last predates --limit and wins when given; either way only
-        # the shown runs' manifests are loaded (a serve ledger can hold
-        # thousands of runs — listing must not parse them all).
-        limit = args.last if args.last and args.last > 0 else args.limit
-        if limit and limit > 0:
-            run_ids = run_ids[-limit:]
+        # Only the shown runs' manifests are loaded (a serve ledger can
+        # hold thousands of runs — listing must not parse them all).
+        if args.limit > 0:
+            run_ids = run_ids[-args.limit:]
         print(render_run_list([ledger.load(run_id) for run_id in run_ids]))
         if len(run_ids) < total:
             print(
@@ -867,14 +882,6 @@ def _cmd_regress(args: argparse.Namespace) -> int:
     except LookupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    history = None
-    if args.repeat > 1:
-        run_ids = ledger.run_ids()
-        upto = run_ids.index(current_id) + 1
-        history = [
-            ledger.load(run_id)
-            for run_id in run_ids[max(0, upto - args.repeat) : upto]
-        ]
     noise_bands = None
     if args.history > 0:
         from repro.obs.history import collect_entries, derive_noise_bands
@@ -890,7 +897,6 @@ def _cmd_regress(args: argparse.Namespace) -> int:
         ledger.load(baseline_id),
         ledger.load(current_id),
         tolerances=tolerances,
-        history=history,
         noise_bands=noise_bands,
     )
     print(report.render(show_all=args.all))
@@ -1146,20 +1152,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     )
     if mix is not None:
         kwargs["mix"] = mix
-    report = run_loadgen(
-        LoadGenConfig(**kwargs), out=args.out, store_root=args.store
-    )
+    report = run_loadgen(LoadGenConfig(**kwargs), store_root=args.store)
     print(render_loadgen(report))
-    if args.out:
-        print(f"\nwrote serve benchmark report: {args.out}")
-    if not report["warm_p95_lower"]:
-        print(
-            "FAIL: warm-phase p95 break-even is not strictly below cold "
-            "(the cache is not paying for itself)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return _check_gates("serve", report)
 
 
 def _cmd_mix(args: argparse.Namespace) -> int:
@@ -1190,31 +1185,13 @@ def _cmd_mix(args: argparse.Namespace) -> int:
             capacities=capacities,
             events=args.events,
             seed=args.seed,
-            out=args.out,
             store_root=args.store,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(render_mix_bench(report))
-    if args.out:
-        print(f"\nwrote fleet-mix benchmark report: {args.out}")
-    status = 0
-    if not report["determinism"]["bit_identical"]:
-        print(
-            "FAIL: re-simulating the contended cell from identical inputs "
-            "did not reproduce bit-identically",
-            file=sys.stderr,
-        )
-        status = 1
-    if report["gate"]["breakeven_beats_lru"] is False:
-        print(
-            "FAIL: break-even-aware eviction does not beat LRU on the "
-            "contended mix (fleet break-even regressed)",
-            file=sys.stderr,
-        )
-        status = 1
-    return status
+    return _check_gates("mix", report)
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
@@ -1479,9 +1456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_runs_list = runs_sub.add_parser("list", help="list recorded runs")
     p_runs_list.add_argument("--ledger", **ledger_dir_kwargs)
     p_runs_list.add_argument(
-        "--last", type=int, default=0, help="show only the last N runs"
-    )
-    p_runs_list.add_argument(
         "--limit",
         type=int,
         default=50,
@@ -1580,13 +1554,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATTERN=REL",
         help="override a cell tolerance (REL float, or 'info' to make the "
         "cells informational); repeatable, first match wins",
-    )
-    p_regress.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        help="widen tolerances by a median/MAD noise band estimated over "
-        "the last N runs ending at the candidate (default: 1 = off)",
     )
     p_regress.add_argument(
         "--history",
@@ -1822,34 +1789,16 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_cache, p_cache_stats, p_cache_clear):
         p.set_defaults(fn=_cmd_cache, trace=None, metrics=False, log=None)
 
-    p_bench_vm = sub.add_parser(
-        "bench-vm",
+    p_bench = sub.add_parser(
+        "bench",
         parents=[obs_options],
-        help="benchmark the interpreter over the embedded suite "
-        "(BENCH_vm.json)",
+        help="run the committed benchmarks (vm, mix, serve; default: all) "
+        "and write BENCH_<name>.json",
     )
-    p_bench_vm.add_argument(
-        "--apps",
-        metavar="A,B,...",
-        default=None,
-        help="comma-separated app subset (default: the embedded suite)",
+    p_bench.add_argument(
+        "names", nargs="*", metavar="NAME", help="vm, mix or serve"
     )
-    p_bench_vm.add_argument(
-        "--pairs",
-        type=int,
-        default=8,
-        metavar="N",
-        help="plain/sampled run pairs per app, alternating which runs "
-        "first; the overhead is the median paired ratio with its "
-        "quartiles (default: 8)",
-    )
-    p_bench_vm.add_argument(
-        "--out",
-        metavar="FILE",
-        default="BENCH_vm.json",
-        help="report path (default: BENCH_vm.json)",
-    )
-    p_bench_vm.set_defaults(fn=_cmd_bench_vm)
+    p_bench.set_defaults(fn=_cmd_bench)
 
     p_serve = sub.add_parser(
         "serve",
@@ -1918,7 +1867,7 @@ def build_parser() -> argparse.ArgumentParser:
         "loadgen",
         parents=[obs_options],
         help="drive an embedded daemon with a deterministic Poisson mix "
-        "(cold + warm) and write BENCH_serve.json",
+        "(cold + warm phases)",
     )
     p_loadgen.add_argument(
         "--requests",
@@ -2001,12 +1950,6 @@ def build_parser() -> argparse.ArgumentParser:
         "suite weighted by CAD work)",
     )
     p_loadgen.add_argument(
-        "--out",
-        metavar="FILE",
-        default="BENCH_serve.json",
-        help="report path (default: BENCH_serve.json)",
-    )
-    p_loadgen.add_argument(
         "--store",
         metavar="DIR",
         default=None,
@@ -2019,7 +1962,7 @@ def build_parser() -> argparse.ArgumentParser:
         "mix",
         parents=[obs_options],
         help="sweep the fleet workload-mix grid (entropy x eviction policy "
-        "x slot count) and write BENCH_mix.json",
+        "x slot count)",
     )
     p_mix.add_argument(
         "--presets",
@@ -2048,12 +1991,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_mix.add_argument(
         "--seed", type=int, default=0, help="trace seed (default: 0)"
-    )
-    p_mix.add_argument(
-        "--out",
-        metavar="FILE",
-        default="BENCH_mix.json",
-        help="report path (default: BENCH_mix.json; use /dev/null to skip)",
     )
     p_mix.add_argument(
         "--store",

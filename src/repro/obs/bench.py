@@ -1,13 +1,19 @@
-"""Committed interpreter and fleet-mix benchmarks (``BENCH_vm.json``,
-``BENCH_mix.json``).
+"""The committed benchmarks ``BENCH_vm.json``, ``BENCH_mix.json`` and
+``BENCH_serve.json``, written by ``repro bench``.
+
+Each benchmark returns its report body without opening a file; the body
+carries a ``gates`` dict (false fails the run, ``None`` does not apply).
+:func:`write_report`, the one writer, adds the common header.
 
 :func:`run_vm_bench` measures the interpreter behind the paper's VM
-profiling runs (Section IV): per-app interpreter wall time,
+profiling runs (Section IV): per-app interpreter CPU time,
 instructions/sec, dynamic opcode counts and top digrams, with the
 sampler overhead and the PPC405 virtual clock checked bit-identical
 between the sampled and unsampled runs. :func:`run_mix_bench` sweeps the
-fleet workload-mix grid. Suite wall time, cold and warm-cache, is
-measured by the repository's ``bench`` harness instead.
+fleet workload-mix grid, and :func:`repro.serve.loadgen.run_loadgen`
+measures the serving-time analogue of Table IV's cache argument. Suite
+wall time, cold and warm-cache, is measured by the repository's
+``bench`` harness instead.
 """
 
 from __future__ import annotations
@@ -22,13 +28,49 @@ import tempfile
 import time
 
 
-#: VM interpreter benchmark (repro bench-vm) schema + committed report.
-BENCH_VM_SCHEMA = "repro-bench-vm/3"
-DEFAULT_VM_BENCH_OUT = "BENCH_vm.json"
+def benchmarks() -> dict:
+    """``repro bench`` names -> ``(schema, run, render)``.
+
+    ``run()`` takes no argument: it runs the benchmark with the defaults
+    its committed file records. Bump a schema whenever a key moves.
+    """
+    from repro.serve.loadgen import render_loadgen, run_loadgen
+
+    return {
+        "vm": ("repro-bench-vm/4", run_vm_bench, render_vm_bench),
+        "mix": ("repro-bench-mix/2", run_mix_bench, render_mix_bench),
+        "serve": ("repro-bench-serve/2", run_loadgen, render_loadgen),
+    }
 
 
-#: The sampler-overhead claim BENCH_vm.json tests (percent of plain wall).
+def write_report(name: str, schema: str, body: dict) -> str:
+    """Write ``BENCH_<name>.json``: the common header, then *body*.
+
+    Returns the path written, relative to the working directory.
+    """
+    path = f"BENCH_{name}.json"
+    report = {
+        "schema": schema,
+        "generated": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "host": {
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "platform": platform.platform(),
+        },
+        **body,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+    return path
+
+
+#: The sampler-overhead claim BENCH_vm.json tests (percent of plain time).
 SAMPLER_OVERHEAD_CLAIM_PCT = 1.5
+
+#: Train runs timed together as one side of a plain/sampled pair: one
+#: 0.03-0.13 s run is too short to time a 1.5 % difference.
+RUNS_PER_SIDE = 5
 
 
 def overhead_summary(ratios: list[float]) -> dict:
@@ -53,30 +95,31 @@ def overhead_summary(ratios: list[float]) -> dict:
     return {"median_pct": pct[1], "iqr_pct": [pct[0], pct[2]], "label": label}
 
 
-def run_vm_bench(
-    apps: list[str] | None = None,
-    out: str | os.PathLike | None = DEFAULT_VM_BENCH_OUT,
-    top_digrams_n: int = 10,
-    pairs: int = 8,
-) -> dict:
+def run_vm_bench(apps: list[str] | None = None, pairs: int = 8) -> dict:
     """Interpreter macro benchmark over the embedded suite (BENCH_vm.json).
 
     Each app runs on its train set as *pairs* back-to-back (plain,
-    sampled) run pairs, alternating which phase runs first (ABBA), so a
-    warm-up or drift that favours the second run cancels across pairs.
-    Wall time is the min over the plain runs; the sampler overhead is the
-    **median of the per-pair sampled/plain ratios** with its quartiles
-    (:func:`overhead_summary`), per app and pooled over all pairs in
-    ``totals``. The PPC405 virtual cycles of the two phases must be
-    bit-identical — profiling may never bend the virtual clock.
+    sampled) side pairs, alternating which side runs first (ABBA), so a
+    warm-up or drift that favours the second side cancels across pairs.
+    A side is :data:`RUNS_PER_SIDE` train runs timed together on the
+    process CPU clock, which a preempted process does not advance, after
+    one untimed run has compiled the app's units; a sampled side runs
+    under one sampler. CPU time per run is the min over the plain sides;
+    the sampler overhead is the **median of the per-pair sampled/plain
+    ratios** with its quartiles (:func:`overhead_summary`), per app and
+    pooled over all pairs in ``totals``. The gate: the PPC405 virtual
+    cycles of the two sides must be bit-identical — profiling may never
+    bend the virtual clock.
     """
     from repro.apps import EMBEDDED_APPS, compile_app, get_app
+    from repro.obs.ledger import current_run
     from repro.obs.vmprof import build_profile, top_digrams, vm_manifest_block
     from repro.vm.costmodel import PPC405_COST_MODEL
     from repro.vm.profiler import SAMPLE_INTERVAL_S, BlockTimeSampler
 
     if apps is None:
         apps = [spec.name for spec in EMBEDDED_APPS]
+    pairs = max(1, pairs)
 
     app_reports: dict[str, dict] = {}
     all_identical = True
@@ -85,25 +128,27 @@ def run_vm_bench(
         spec = get_app(name)
         compiled = compile_app(spec)
 
-        def timed(sampler):
-            t0 = time.perf_counter()
+        def side(sampler):
+            t0 = time.process_time()
             with sampler or contextlib.nullcontext():
-                result = compiled.run(spec.train)
-            return result, time.perf_counter() - t0
+                for _ in range(RUNS_PER_SIDE):
+                    result = compiled.run(spec.train)
+            return result, (time.process_time() - t0) / RUNS_PER_SIDE
 
-        wall_plain = wall_sampled = float("inf")
+        compiled.run(spec.train)  # compiles the units outside the timing
+        cpu_plain = cpu_sampled = float("inf")
         ratios: list[float] = []
-        for index in range(max(1, pairs)):
+        for index in range(pairs):
             sampler = BlockTimeSampler()
             if index % 2 == 0:
-                plain, plain_wall = timed(None)
-                sampled, sampled_wall = timed(sampler)
+                plain, plain_cpu = side(None)
+                sampled, sampled_cpu = side(sampler)
             else:
-                sampled, sampled_wall = timed(sampler)
-                plain, plain_wall = timed(None)
-            wall_plain = min(wall_plain, plain_wall)
-            wall_sampled = min(wall_sampled, sampled_wall)
-            ratios.append(sampled_wall / max(plain_wall, 1e-9))
+                sampled, sampled_cpu = side(sampler)
+                plain, plain_cpu = side(None)
+            cpu_plain = min(cpu_plain, plain_cpu)
+            cpu_sampled = min(cpu_sampled, sampled_cpu)
+            ratios.append(sampled_cpu / max(plain_cpu, 1e-9))
         all_ratios.extend(ratios)
         overhead = overhead_summary(ratios)
 
@@ -122,18 +167,18 @@ def run_vm_bench(
             module=compiled.module,
             profile=sampled.profile,
             steps=sampled.steps,
-            wall_seconds=wall_plain,
+            wall_seconds=cpu_plain,
             sampler=sampler,
         )
         app_reports[spec.name] = {
-            "wall_seconds": round(wall_plain, 6),
-            "sampled_wall_seconds": round(wall_sampled, 6),
+            "cpu_seconds": round(cpu_plain, 6),
+            "sampled_cpu_seconds": round(cpu_sampled, 6),
             "sampler_overhead_pct": overhead["median_pct"],
             "sampler_overhead_iqr_pct": overhead["iqr_pct"],
             "sampler_overhead": overhead["label"],
             "instructions": sampled.steps,
             "instructions_per_second": round(
-                sampled.steps / max(wall_plain, 1e-9), 1
+                sampled.steps / max(cpu_plain, 1e-9), 1
             ),
             "block_executions": prof.block_executions,
             "virtual_cycles": plain_cycles,
@@ -141,52 +186,36 @@ def run_vm_bench(
             "virtual_identical": virtual_identical,
             "opcodes": dict(sorted(prof.opcode_counts.items())),
             "top_digrams": {
-                "+".join(pair): count
-                for pair, count in top_digrams(prof, top_digrams_n)
+                "+".join(pair): count for pair, count in top_digrams(prof, 10)
             },
         }
         # Feed the current ledger run (if any): the vm block of the last
         # profiled app wins, which is what the regress-vm single-app leg
-        # uses; multi-app wall data lives in this report instead.
-        from repro.obs.ledger import current_run
-
+        # uses; multi-app timings live in this report instead.
         recorder = current_run()
         if recorder is not None:
             recorder.attach_extra("vm", vm_manifest_block(prof))
 
     pooled = overhead_summary(all_ratios)
-    totals = {
-        "wall_seconds": round(
-            sum(a["wall_seconds"] for a in app_reports.values()), 3
-        ),
-        "instructions": sum(
-            a["instructions"] for a in app_reports.values()
-        ),
-        "sampler_overhead_pct": pooled["median_pct"],
-        "sampler_overhead_iqr_pct": pooled["iqr_pct"],
-        "sampler_overhead": pooled["label"],
-        "virtual_identical": all_identical,
-    }
-
-    report = {
-        "schema": BENCH_VM_SCHEMA,
-        "generated": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+    return {
         "sample_interval": SAMPLE_INTERVAL_S,
-        "pairs": max(1, pairs),
+        "pairs": pairs,
+        "runs_per_side": RUNS_PER_SIDE,
         "sampler_overhead_claim_pct": SAMPLER_OVERHEAD_CLAIM_PCT,
-        "host": {
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
         "apps": app_reports,
-        "totals": totals,
+        "totals": {
+            "cpu_seconds": round(
+                sum(a["cpu_seconds"] for a in app_reports.values()), 3
+            ),
+            "instructions": sum(
+                a["instructions"] for a in app_reports.values()
+            ),
+            "sampler_overhead_pct": pooled["median_pct"],
+            "sampler_overhead_iqr_pct": pooled["iqr_pct"],
+            "sampler_overhead": pooled["label"],
+        },
+        "gates": {"virtual_identical": all_identical},
     }
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    return report
 
 
 def render_vm_bench(report: dict) -> str:
@@ -195,57 +224,46 @@ def render_vm_bench(report: dict) -> str:
 
     table = Table(
         columns=[
-            "app", "wall [s]", "M instr/s", "sampler ovh %", "IQR %",
+            "app", "cpu [s]", "M instr/s", "sampler ovh %", "IQR %",
             "claim", "virt clock",
         ],
         title=(
-            "VM interpreter benchmark "
-            f"(sample interval {report.get('sample_interval')} s, "
-            f"{report.get('pairs', '?')} ABBA pairs)"
+            f"VM interpreter benchmark (sample interval "
+            f"{report['sample_interval']} s, {report['pairs']} ABBA pairs "
+            f"of {report['runs_per_side']} runs per side)"
         ),
     )
-    for name, app in (report.get("apps") or {}).items():
-        q1, q3 = app.get("sampler_overhead_iqr_pct") or (0.0, 0.0)
+    for name, app in report["apps"].items():
+        q1, q3 = app["sampler_overhead_iqr_pct"]
         table.add_row(
             [
                 name,
-                f"{app.get('wall_seconds', 0.0):.2f}",
-                f"{app.get('instructions_per_second', 0.0) / 1e6:.2f}",
-                f"{app.get('sampler_overhead_pct', 0.0):+.1f}",
+                f"{app['cpu_seconds']:.2f}",
+                f"{app['instructions_per_second'] / 1e6:.2f}",
+                f"{app['sampler_overhead_pct']:+.1f}",
                 f"{q1:+.1f}..{q3:+.1f}",
-                app.get("sampler_overhead", "-"),
-                "identical" if app.get("virtual_identical") else "DRIFTED",
+                app["sampler_overhead"],
+                "identical" if app["virtual_identical"] else "DRIFTED",
             ]
         )
-    lines = [table.render()]
-    totals = report.get("totals") or {}
-    if totals:
-        q1, q3 = totals.get("sampler_overhead_iqr_pct") or (0.0, 0.0)
-        lines.append(
-            f"total: {totals.get('wall_seconds', 0.0):.2f}s for "
-            f"{totals.get('instructions', 0):,} instructions; "
-            "virtual clock "
-            + (
-                "bit-identical under sampling"
-                if totals.get("virtual_identical")
-                else "DRIFTED under sampling"
-            )
-        )
-        median = totals.get("sampler_overhead_pct", 0.0)
-        claim = report.get("sampler_overhead_claim_pct", SAMPLER_OVERHEAD_CLAIM_PCT)
-        lines.append(
-            f"sampler overhead (pooled): {median:+.2f}% median, "
-            f"IQR {q1:+.2f}..{q3:+.2f}%; <= {claim}% claim "
-            f"{totals.get('sampler_overhead', '-')}"
-        )
-    return "\n".join(lines)
+    totals = report["totals"]
+    q1, q3 = totals["sampler_overhead_iqr_pct"]
+    drift = "bit-identical" if report["gates"]["virtual_identical"] else "DRIFTED"
+    return "\n".join(
+        [
+            table.render(),
+            f"total: {totals['cpu_seconds']:.2f}s CPU for "
+            f"{totals['instructions']:,} instructions; virtual clock "
+            f"{drift} under sampling",
+            f"sampler overhead (pooled): {totals['sampler_overhead_pct']:+.2f}% "
+            f"median, IQR {q1:+.2f}..{q3:+.2f}%; <= "
+            f"{report['sampler_overhead_claim_pct']}% claim "
+            f"{totals['sampler_overhead']}",
+        ]
+    )
 
 
 # -- fleet workload-mix benchmark (repro mix) --------------------------------
-
-#: Fleet-mix grid benchmark (repro mix) schema + committed report.
-BENCH_MIX_SCHEMA = "repro-bench-mix/1"
-DEFAULT_MIX_BENCH_OUT = "BENCH_mix.json"
 
 #: Default grid axes: >=2 entropies x >=3 policies x >=3 slot counts.
 DEFAULT_MIX_PRESETS = ("uniform", "skewed")
@@ -266,14 +284,15 @@ def mix_manifest_block(report: dict) -> dict:
     overhead, so the simulated cells are fully virtual-clock and compare
     at 1e-9; only the grid's own ``wall_seconds`` is measured.
     """
+    contended = report["contended"] or {}
     block: dict = {
         "events": report["events"],
         "seed": report["seed"],
         "entropy": dict(report["entropy"]),
         "gate": {
-            "breakeven_beats_lru": report["gate"]["breakeven_beats_lru"],
-            "contended_preset": report["gate"]["contended"]["preset"],
-            "contended_capacity": report["gate"]["contended"]["capacity"],
+            "breakeven_beats_lru": report["gates"]["breakeven_beats_lru"],
+            "contended_preset": contended.get("preset"),
+            "contended_capacity": contended.get("capacity"),
         },
         "wall_seconds": report["wall_seconds"],
         "cells": {},
@@ -309,7 +328,6 @@ def run_mix_bench(
     capacities=DEFAULT_MIX_CAPACITIES,
     events: int = 120,
     seed: int = 0,
-    out: str | os.PathLike | None = DEFAULT_MIX_BENCH_OUT,
     store_root: str | os.PathLike | None = None,
     apps=None,
 ) -> dict:
@@ -319,10 +337,11 @@ def run_mix_bench(
     that matters); every grid cell then replays the preset's trace on the
     virtual clock against a cold per-cell fleet store, so identical
     (presets, policies, capacities, events, seed) inputs reproduce every
-    deterministic cell bit-identically. The *contended* cell — the
-    (preset, capacity) pair where plain LRU evicts most — gates the
-    break-even-aware policy: it must strictly beat LRU there, or the
-    report says so and ``repro mix`` exits non-zero.
+    deterministic cell bit-identically. Two gates: on the *contended*
+    cell — the (preset, capacity) pair where plain LRU evicts most — the
+    break-even-aware policy must strictly beat LRU (``None`` when the grid
+    has no contended cell or lacks either policy), and re-simulating that
+    cell from the same inputs must reproduce it bit-identically.
     """
     from repro.mix.profiles import DEFAULT_APPS, build_app_profiles
     from repro.mix.simulator import simulate_cell
@@ -396,7 +415,7 @@ def run_mix_bench(
                     "lru_evictions": best[0],
                 }
 
-        gate = {"breakeven_beats_lru": None, "contended": contended}
+        beats_lru = None
         if contended is not None and "breakeven" in policies:
             ckey = _mix_cell_key(contended["capacity"])
             lru_be = cells[contended["preset"]]["lru"][ckey][
@@ -405,9 +424,9 @@ def run_mix_bench(
             be_be = cells[contended["preset"]]["breakeven"][ckey][
                 "fleet_break_even_seconds"
             ]
-            gate["lru_break_even_seconds"] = lru_be
-            gate["breakeven_break_even_seconds"] = be_be
-            gate["breakeven_beats_lru"] = (
+            contended["lru_break_even_seconds"] = lru_be
+            contended["breakeven_break_even_seconds"] = be_be
+            beats_lru = (
                 lru_be is not None and be_be is not None and be_be < lru_be
             )
 
@@ -426,28 +445,15 @@ def run_mix_bench(
             mix_name=check_preset,
         ).as_dict()
         first = cells[check_preset][check_policy][_mix_cell_key(check_capacity)]
-        determinism = {
-            "cell": {
-                "preset": check_preset,
-                "policy": check_policy,
-                "capacity": check_capacity,
-            },
-            "bit_identical": json.dumps(rerun, sort_keys=True)
-            == json.dumps(first, sort_keys=True),
-        }
+        bit_identical = json.dumps(rerun, sort_keys=True) == json.dumps(
+            first, sort_keys=True
+        )
     finally:
         if owns_store:
             shutil.rmtree(store_root, ignore_errors=True)
 
     grid_wall = time.perf_counter() - t1
     report = {
-        "schema": BENCH_MIX_SCHEMA,
-        "generated": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "host": {
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
         "apps": list(apps),
         "presets": list(presets),
         "policies": list(policies),
@@ -465,14 +471,18 @@ def run_mix_bench(
             },
         },
         "cells": cells,
-        "gate": gate,
-        "determinism": determinism,
+        "contended": contended,
+        "determinism_cell": {
+            "preset": check_preset,
+            "policy": check_policy,
+            "capacity": check_capacity,
+        },
         "wall_seconds": round(profile_wall + grid_wall, 3),
+        "gates": {
+            "breakeven_beats_lru": beats_lru,
+            "determinism_bit_identical": bit_identical,
+        },
     }
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
 
     from repro.obs.ledger import current_run
 
@@ -528,24 +538,26 @@ def render_mix_bench(report: dict) -> str:
                     ]
                 )
     lines = [table.render()]
-    gate = report.get("gate") or {}
-    contended = gate.get("contended")
+    gates = report["gates"]
+    contended = report["contended"]
     if contended:
-        verdict = gate.get("breakeven_beats_lru")
-        lines.append(
+        line = (
             f"contended cell: mix={contended['preset']} "
             f"slots={contended['capacity']} "
-            f"(lru evictions={contended['lru_evictions']}) -- "
-            f"breakeven {gate.get('breakeven_break_even_seconds')}s vs "
-            f"lru {gate.get('lru_break_even_seconds')}s: "
-            + ("breakeven wins" if verdict else "breakeven does NOT win")
+            f"(lru evictions={contended['lru_evictions']})"
         )
+        beats = gates["breakeven_beats_lru"]
+        if beats is not None:
+            line += (
+                f" -- breakeven {contended['breakeven_break_even_seconds']}s "
+                f"vs lru {contended['lru_break_even_seconds']}s: "
+                + ("breakeven wins" if beats else "breakeven does NOT win")
+            )
+        lines.append(line)
     else:
         lines.append("contended cell: none (no LRU evictions anywhere in grid)")
-    det = report.get("determinism") or {}
-    if det:
-        lines.append(
-            "determinism rerun: "
-            + ("bit-identical" if det.get("bit_identical") else "MISMATCH")
-        )
+    lines.append(
+        "determinism rerun: "
+        + ("bit-identical" if gates["determinism_bit_identical"] else "MISMATCH")
+    )
     return "\n".join(lines)

@@ -27,10 +27,10 @@ The rules that compare two runs live here: ``--tol`` patterns win (first
 match), and cells are demoted when the runs used the bitstream cache
 differently or only one carries a post-hoc block.
 
-Noise bands: with repeat runs available (``--repeat N``), the candidate
-value of each cell is the **median** over the N most recent runs and the
-allowance is widened by ``3 x MAD`` (median absolute deviation), so a
-flaky cell needs a real shift — not one unlucky sample — to fail.
+Noise bands: with ``--history N`` a measured cell's allowance comes from
+the last N same-command runs, widened by ``3 x MAD`` (median absolute
+deviation), so a flaky cell needs a real shift — not one unlucky
+sample — to fail.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ CACHE_DEMOTED_TOLERANCES: tuple[tuple[str, float | None], ...] = (
     ("metrics.counters.cad.*", None),
 )
 
-#: MAD multiplier for the repeat-run noise band.
+#: MAD multiplier for the history-derived noise band.
 NOISE_BAND_MADS = 3.0
 
 #: Relative floor applied when a measured cell is promoted to *checked*
@@ -252,8 +252,7 @@ class CellDelta:
     baseline: float | None
     current: float | None
     tolerance: float | None  # None = informational
-    noise: float = 0.0  # absolute allowance from the repeat-run MAD band
-    samples: int = 1  # repeat runs folded into `current`
+    noise: float = 0.0  # MAD of the cell's history-derived noise band
 
     @property
     def abs_delta(self) -> float | None:
@@ -306,7 +305,6 @@ class RegressionReport:
     current_id: str
     deltas: list[CellDelta] = field(default_factory=list)
     config_mismatches: list[str] = field(default_factory=list)
-    repeat_ids: list[str] = field(default_factory=list)
     #: Measured cells promoted to checked by history-derived noise bands.
     noise_banded: list[str] = field(default_factory=list)
 
@@ -371,16 +369,12 @@ def compare_manifests(
     baseline: dict,
     current: dict,
     tolerances: list[tuple[str, float | None]] | None = None,
-    history: list[dict] | None = None,
     noise_bands: dict[str, dict] | None = None,
 ) -> RegressionReport:
     """Compare *current* against *baseline* cell by cell.
 
     *tolerances* are ``(pattern, rel)`` pairs that override the cells'
     declared tolerances (first match wins; ``rel`` None = informational).
-    *history* is an optional list of repeat-run manifests (the
-    candidate included): each cell's candidate value becomes the median
-    over the history and its allowance is widened by ``3 x MAD``.
 
     *noise_bands* maps cell names to ``{"median", "mad", "samples"}``
     dicts derived from fleet history (:func:`repro.obs.history.
@@ -415,16 +409,9 @@ def compare_manifests(
     base_cells = declared_cells(baseline)
     cur_cells = declared_cells(current)
 
-    history_cells: list[dict[str, float]] = []
-    repeat_ids: list[str] = []
-    if history and len(history) > 1:
-        history_cells = [flatten_cells(m) for m in history]
-        repeat_ids = [str(m.get("run_id")) for m in history]
-
     report = RegressionReport(
         baseline_id=str(baseline.get("run_id", "baseline")),
         current_id=str(current.get("run_id", "current")),
-        repeat_ids=repeat_ids,
     )
 
     base_config = {
@@ -460,13 +447,6 @@ def compare_manifests(
         base_value, base_declared = base_cells.get(cell, (None, None))
         value, declared = cur_cells.get(cell, (None, base_declared))
         noise = 0.0
-        samples = 1
-        if history_cells:
-            values = [h[cell] for h in history_cells if cell in h]
-            if len(values) > 1:
-                value, mad = median_mad(values)
-                noise = mad
-                samples = len(values)
         tolerance = _first_match(cell, resolved, declared)
         if (
             tolerance is None
@@ -476,7 +456,7 @@ def compare_manifests(
             band = noise_bands.get(cell)
             if band and int(band.get("samples", 0)) >= 2:
                 tolerance = HISTORY_NOISE_REL_FLOOR
-                noise = max(noise, float(band.get("mad", 0.0)))
+                noise = float(band.get("mad", 0.0))
                 report.noise_banded.append(cell)
         report.deltas.append(
             CellDelta(
@@ -485,7 +465,6 @@ def compare_manifests(
                 current=value,
                 tolerance=tolerance,
                 noise=noise,
-                samples=samples,
             )
         )
     return report

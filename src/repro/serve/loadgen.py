@@ -24,7 +24,6 @@ import itertools
 import json
 import math
 import os
-import platform
 import shutil
 import tempfile
 import threading
@@ -39,12 +38,6 @@ from repro.serve.server import (
 )
 from repro.serve.store import SharedBitstreamStore
 from repro.util.rng import DeterministicRng
-
-#: Report schema identifier (bump on breaking changes).
-SERVE_BENCH_SCHEMA = "repro-bench-serve/1"
-
-#: Default report location, committed at the repository root.
-DEFAULT_SERVE_BENCH_OUT = "BENCH_serve.json"
 
 #: Measured cells of the ``serve`` block a load-generation run records; a
 #: cold phase races tenants to one signature, so its CAD work is too.
@@ -258,13 +251,14 @@ def _run_phase(
 
 def run_loadgen(
     cfg: LoadGenConfig | None = None,
-    out: str | os.PathLike | None = DEFAULT_SERVE_BENCH_OUT,
     store_root: str | os.PathLike | None = None,
 ) -> dict:
-    """Cold + warm phases over one schedule; returns (and writes) the report.
+    """Cold + warm phases over one schedule; returns the report body.
 
-    *store_root* defaults to a temporary directory removed afterwards, so
-    repeat benchmark runs always start from a genuinely cold store.
+    Its one gate, ``warm_p95_lower``: the warm phase's p95 break-even
+    sits strictly below the cold phase's. *store_root* defaults to a
+    temporary directory removed afterwards, so repeat benchmark runs
+    always start from a genuinely cold store.
     """
     cfg = cfg or LoadGenConfig()
     owns_store = store_root is None
@@ -314,8 +308,6 @@ def run_loadgen(
     )
 
     report = {
-        "schema": SERVE_BENCH_SCHEMA,
-        "generated": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "config": {
             "requests": cfg.requests,
             "clients": cfg.clients,
@@ -329,11 +321,6 @@ def run_loadgen(
             "pruning": f"@{cfg.time_share_pct:g}pS{cfg.max_blocks}L",
             "mix": {name: weight for name, weight in cfg.mix},
         },
-        "host": {
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
         "schedule": {
             "requests": len(schedule),
             "duration_seconds": schedule[-1].offset if schedule else 0.0,
@@ -342,7 +329,7 @@ def run_loadgen(
         },
         "phases": phases,
         "comparison": comparison,
-        "warm_p95_lower": warm_p95_lower,
+        "gates": {"warm_p95_lower": warm_p95_lower},
     }
 
     from repro.obs.ledger import current_run
@@ -363,11 +350,6 @@ def run_loadgen(
             for record in request_records:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
         recorder.artifacts.setdefault("requests", "requests.jsonl")
-
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
     return report
 
 
@@ -438,7 +420,7 @@ def render_loadgen(report: dict) -> str:
     cold = comparison.get("break_even_p95_cold")
     warm = comparison.get("break_even_p95_warm")
     if cold is not None and warm is not None:
-        verdict = "lower" if report.get("warm_p95_lower") else "NOT lower"
+        verdict = "lower" if report["gates"]["warm_p95_lower"] else "NOT lower"
         lines.append(
             f"warm-vs-cold break-even p95: {warm:.0f} s vs {cold:.0f} s "
             f"({verdict}); dedup saved {comparison.get('dedup_saved_total', 0)} "

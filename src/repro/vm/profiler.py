@@ -13,7 +13,7 @@ the static block composition multiplied by the block counts, so the
 interpreter never pays a per-instruction hook. :class:`BlockTimeSampler`
 adds the one thing counts cannot give — *real*-clock attribution per block —
 as an opt-in statistical sampler that ``repro vmprof`` and ``repro
-bench-vm`` run around an unchanged interpreter.
+bench vm`` run around an unchanged interpreter.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import threading
 from dataclasses import dataclass, field
 from time import perf_counter
 
+from repro.ir.basicblock import BasicBlock
 from repro.ir.module import Module
 from repro.ir.opcodes import Opcode
 from repro.vm.costmodel import CostModel
@@ -242,19 +243,22 @@ class BlockTimeSampler:
     under a ``SIGALRM`` handler; leaving disarms it and restores the
     previous handler, also when the run raises. The handler charges the
     wall time since the previous sample to the block of the nearest unit
-    frame on the stack: one whose globals hold the ``_KEYS`` the
-    interpreter binds, indexed in a loop unit by its ``state`` local
-    (absent before the loop starts and in a one-block loop: the header).
-    So a callee's dispatch loop and intrinsics are charged to the calling
-    block, and a sample with no unit frame is dropped. The units carry
-    no sampling code, so a sampled run executes a plain run's code.
+    frame on the stack. A unit frame is either a generated unit, whose
+    globals hold the ``_KEYS`` the interpreter binds, indexed in a loop
+    unit by its ``state`` local (absent before the loop starts and in a
+    one-block loop: the header), or an ``Interpreter._call`` frame,
+    charged to the block its dispatch loop is entering (its ``func`` and
+    ``block`` locals), so a callee's dispatch and unit generation are the
+    callee's time. Intrinsics are charged to the calling block, and a
+    sample with no unit frame is dropped. The units carry no sampling
+    code, so a sampled run executes a plain run's code.
 
     ``ITIMER_REAL`` because a sample then stays wall time, as
     ``perf_counter`` measures it, and because ``ITIMER_PROF``, asked for
     1 ms on a 2-CPU Linux host, fired only about every 4 ms (58 samples
     in a 0.235 s adpcm run, where ITIMER_REAL gave 170-270). Python runs signal
     handlers only in the main thread, where ``repro vmprof`` and ``repro
-    bench-vm`` sample: entering from another thread raises
+    bench vm`` sample: entering from another thread raises
     ``RuntimeError``, as does entering while the timer is already armed.
     A handler can itself be interrupted, so an ``interval`` under 0.1 ms,
     near the handler's own cost, raises ``ValueError``.
@@ -268,6 +272,7 @@ class BlockTimeSampler:
     sample_count: int = 0
     last: float = 0.0
     _previous: object = field(default=None, repr=False)
+    _dispatch: object = field(default=None, repr=False)
 
     def __enter__(self) -> "BlockTimeSampler":
         if threading.current_thread() is not threading.main_thread():
@@ -281,6 +286,9 @@ class BlockTimeSampler:
             )
         if signal.getitimer(signal.ITIMER_REAL) != (0.0, 0.0):
             raise RuntimeError("BlockTimeSampler: ITIMER_REAL is already armed")
+        from repro.vm.interpreter import Interpreter
+
+        self._dispatch = Interpreter._call.__code__
         self._previous = signal.signal(signal.SIGALRM, self._on_alarm)
         self.last = perf_counter()
         signal.setitimer(signal.ITIMER_REAL, self.interval, self.interval)
@@ -304,10 +312,18 @@ class BlockTimeSampler:
                     key = keys[0]
                 else:
                     key = keys[frame.f_locals.get("state", 0)]
-                self.samples[key] = self.samples.get(key, 0.0) + elapsed
-                self.sample_count += 1
-                return
+                break
+            if frame.f_code is self._dispatch:
+                block = frame.f_locals.get("block")
+                if not isinstance(block, BasicBlock):
+                    return  # not yet entered, or holding the return value
+                key = (frame.f_locals["func"].name, block.name)
+                break
             frame = frame.f_back
+        else:
+            return
+        self.samples[key] = self.samples.get(key, 0.0) + elapsed
+        self.sample_count += 1
 
     @property
     def sampled_seconds(self) -> float:

@@ -306,10 +306,8 @@ class TestManifestBlock:
             "events": 10,
             "seed": 0,
             "entropy": {"uniform": {"configured": 1.0, "empirical": 0.9}},
-            "gate": {
-                "breakeven_beats_lru": True,
-                "contended": {"preset": "uniform", "capacity": 4},
-            },
+            "gates": {"breakeven_beats_lru": True},
+            "contended": {"preset": "uniform", "capacity": 4},
             "wall_seconds": 1.5,
             "cells": {"uniform": {"lru": {"c04": cell}}},
         }
@@ -324,6 +322,19 @@ class TestManifestBlock:
         assert cells["mix.cells.uniform.lru.c04.cross_app_hits"] == 1.0
         assert cells["mix.events"] == 10.0
         assert cells["mix.gate.breakeven_beats_lru"] == 1.0
+
+    def test_uncontended_grid_has_a_block(self):
+        from repro.obs.bench import mix_manifest_block
+
+        report = self._report()
+        report["contended"] = None
+        report["gates"]["breakeven_beats_lru"] = None
+        gate = mix_manifest_block(report)["gate"]
+        assert gate == {
+            "breakeven_beats_lru": None,
+            "contended_preset": None,
+            "contended_capacity": None,
+        }
 
     def test_break_even_cells_gated_exactly(self):
         from repro.obs.bench import mix_manifest_block

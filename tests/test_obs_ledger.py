@@ -357,28 +357,6 @@ class TestRegressionSentinel:
             baseline, _manifest(run_id="r0002-test", whatif=counted)
         ).ok
 
-    def test_repeat_history_widens_allowance(self):
-        baseline = _manifest()
-        # Three repeat samples of a noisy cell scattered around 3.5: the
-        # median (3.5) matches the baseline and the MAD band absorbs the
-        # scatter, so a tight explicit tolerance still passes...
-        history = [
-            _manifest(run_id=f"r000{i}-test", wall_seconds=w)
-            for i, w in enumerate((3.4, 3.5, 3.6), start=2)
-        ]
-        report = compare_manifests(
-            baseline,
-            history[-1],
-            tolerances=[("wall_seconds", 1e-6)],
-            history=history,
-        )
-        assert report.ok
-        # ... while without the history the unlucky sample fails.
-        report = compare_manifests(
-            baseline, history[-1], tolerances=[("wall_seconds", 1e-6)]
-        )
-        assert not report.ok
-
     def test_render_marks_failures(self):
         current = _manifest(run_id="r0002-test")
         current["scalars"]["per_app"]["sor"]["candidates"] = 2

@@ -1,4 +1,4 @@
-"""Tests for the VM execution observatory (vmprof, bench-vm)."""
+"""Tests for the VM execution observatory (vmprof, bench vm)."""
 
 import json
 import signal
@@ -120,6 +120,48 @@ def _cheap_and_costly_loop(iterations: int) -> Module:
     return module
 
 
+def _caller_of_a_dispatched_loop(iterations: int) -> Module:
+    """``main``'s one block calls ``work`` once. ``work``'s outer loop runs
+    through the dispatch loop; only its one-block inner loop is a unit."""
+    module = Module("dispatch")
+    work = module.declare_function("work", I32, [])
+    entry = work.add_block("entry")
+    outer = work.add_block("outer")
+    inner = work.add_block("inner")
+    latch = work.add_block("latch")
+    done = work.add_block("done")
+    b = IRBuilder(entry)
+    b.br(outer)
+    b.set_block(outer)
+    i = b.phi(I32, "i")
+    acc = b.phi(I32, "acc")
+    b.condbr(b.icmp(ICmpPred.SLT, i, b.i32(iterations)), inner, done)
+    b.set_block(inner)
+    j = b.phi(I32, "j")
+    total = b.phi(I32, "total")
+    total2 = b.add(total, j)
+    j2 = b.add(j, b.i32(1))
+    b.condbr(b.icmp(ICmpPred.SLT, j2, b.i32(2)), inner, latch)
+    b.set_block(latch)
+    i2 = b.add(i, b.i32(1))
+    b.br(outer)
+    b.set_block(done)
+    b.ret(acc)
+    i.add_incoming(b.i32(0), entry)
+    i.add_incoming(i2, latch)
+    acc.add_incoming(b.i32(0), entry)
+    acc.add_incoming(total2, latch)
+    j.add_incoming(b.i32(0), outer)
+    j.add_incoming(j2, inner)
+    total.add_incoming(acc, outer)
+    total.add_incoming(total2, inner)
+
+    func = module.declare_function("main", I32, [])
+    b = IRBuilder(func.add_block("entry"))
+    b.ret(b.call(work, []))
+    return module
+
+
 @pytest.fixture
 def alarm_state():
     """A recognisable SIGALRM handler installed around the test; yields it
@@ -186,6 +228,20 @@ class TestSampler:
         ranked = sorted(shares, key=shares.get, reverse=True)
         assert ranked[0] == ("main", "costly")
         assert shares[("main", "costly")] > 3 * shares.get(("main", "cheap"), 0.0)
+
+    def test_callee_dispatch_is_not_charged_to_the_caller(self):
+        """Time in a callee's dispatch loop belongs to the callee: the
+        calling block, which runs once, keeps a share near zero."""
+        module = _caller_of_a_dispatched_loop(5_000)
+        with BlockTimeSampler(interval=2e-4) as sampler:
+            for _ in range(500):
+                Interpreter(module).run("main")
+                if sampler.sample_count >= 200:
+                    break
+        assert sampler.sample_count >= 200
+        shares = sampler.shares()
+        assert shares.get(("main", "entry"), 0.0) < 0.05
+        assert shares.get(("work", "outer"), 0.0) > 0.1
 
     def test_restores_handler_and_disarms_after_a_run(self, alarm_state):
         with BlockTimeSampler() as sampler:
@@ -325,27 +381,23 @@ class TestCliCommands:
 
 
 class TestVmBench:
-    def test_run_vm_bench_single_app_smoke(self, tmp_path):
-        from repro.obs.bench import BENCH_VM_SCHEMA, run_vm_bench
+    def test_run_vm_bench_single_app_smoke(self, tmp_path, monkeypatch):
+        from repro.obs.bench import run_vm_bench
 
-        out = tmp_path / "BENCH_vm.json"
-        report = run_vm_bench(
-            apps=["fft"],
-            out=out,
-            pairs=1,
-        )
-        assert report["schema"] == BENCH_VM_SCHEMA
-        assert json.loads(out.read_text()) == report
+        monkeypatch.chdir(tmp_path)
+        report = run_vm_bench(apps=["fft"], pairs=1)
+        assert list(tmp_path.iterdir()) == []
         app = report["apps"]["fft"]
         assert app["virtual_identical"] is True
-        assert app["wall_seconds"] > 0
+        assert app["cpu_seconds"] > 0
         assert app["opcodes"] and app["top_digrams"]
-        assert report["totals"]["virtual_identical"] is True
+        assert report["gates"] == {"virtual_identical": True}
 
-    def test_run_vm_bench_alternates_phase_order(self, tmp_path, monkeypatch):
-        """Pairs run ABBA: plain first, then sampled first, and so on."""
+    def test_run_vm_bench_alternates_phase_order(self, monkeypatch):
+        """After one untimed run, pairs run ABBA: plain first, then
+        sampled first, and so on; a side is RUNS_PER_SIDE train runs."""
         from repro.apps.base import CompiledApp
-        from repro.obs.bench import run_vm_bench
+        from repro.obs.bench import RUNS_PER_SIDE, run_vm_bench
 
         phases = []
         original = CompiledApp.run
@@ -356,12 +408,12 @@ class TestVmBench:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(CompiledApp, "run", recording_run)
-        report = run_vm_bench(
-            apps=["sor"],
-            out=tmp_path / "BENCH_vm.json",
-            pairs=4,
-        )
-        assert phases == ["plain", "sampled", "sampled", "plain"] * 2
+        report = run_vm_bench(apps=["sor"], pairs=4)
+        assert phases == ["plain"] + [
+            phase
+            for phase in ["plain", "sampled", "sampled", "plain"] * 2
+            for _ in range(RUNS_PER_SIDE)
+        ]
         app = report["apps"]["sor"]
         q1, q3 = app["sampler_overhead_iqr_pct"]
         assert q1 <= app["sampler_overhead_pct"] <= q3
