@@ -39,7 +39,7 @@ from repro.vm.profiler import ExecutionProfile
 from repro.woolcano.reconfig import IcapModel, ReconfigurationEvent
 
 if TYPE_CHECKING:  # pragma: no cover - cache imports this module
-    from repro.core.cache import PersistentBitstreamCache
+    from repro.core.cache import CachedImplementation, PersistentBitstreamCache
 
 
 @dataclass
@@ -47,7 +47,8 @@ class CandidateImplementation:
     """One candidate with its hardware implementation and accounting."""
 
     estimate: CandidateEstimate
-    implementation: ImplementationResult
+    #: A cache hit carries the slim record the cache stores.
+    implementation: "ImplementationResult | CachedImplementation"
     shared_with_signature: bool  # True if reused a structurally equal impl.
     from_cache: bool = False  # True if served by the persistent cache.
 
@@ -128,7 +129,7 @@ class AsipSpecializationProcess:
             implementations: list[CandidateImplementation] = []
             reconfigurations: list[ReconfigurationEvent] = []
             failed: list[tuple[CandidateEstimate, str]] = []
-            by_signature: dict[int, ImplementationResult] = {}
+            by_signature: dict[int, "ImplementationResult | CachedImplementation"] = {}
             cache_hits = 0
             for custom_id, est in enumerate(search_result.selected):
                 sig = est.candidate.signature

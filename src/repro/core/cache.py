@@ -23,17 +23,20 @@ Three layers model that idea at increasing levels of realism:
   candidates and Table IV's hypothetical hit rates become measured ones.
   Keys combine the candidate's structural signature, the target device,
   and the timing-model version
-  (:data:`repro.fpga.timingmodel.TIMING_MODEL_VERSION`); payloads are the
-  full :class:`repro.fpga.toolflow.ImplementationResult` (candidate
-  detached), written atomically next to a JSON index.
+  (:data:`repro.fpga.timingmodel.TIMING_MODEL_VERSION`); payloads are
+  slim :class:`CachedImplementation` records (entity name, bitstream,
+  stage times and placement; the candidate is reattached on a hit),
+  written atomically next to a JSON index.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import pickle
+import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -46,6 +49,8 @@ from repro.util.rng import DeterministicRng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (fpga -> obs -> core)
     from repro.fpga.device import FpgaDevice
+    from repro.fpga.placer import Placement
+    from repro.fpga.timingmodel import StageTimes
     from repro.fpga.toolflow import ImplementationResult
     from repro.ise.candidate import Candidate
 
@@ -131,10 +136,26 @@ class CacheSimulation:
 #: Schema tag baked into every cache key: bumping it orphans all prior
 #: entries, which is the correct behaviour whenever the pickled payload
 #: layout changes incompatibly.
-CACHE_SCHEMA = "repro-bitstream-cache/1"
+CACHE_SCHEMA = "repro-bitstream-cache/2"
 
 #: Default on-disk location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
+
+
+@dataclass(frozen=True)
+class CachedImplementation:
+    """What a cache hit returns: the parts of an implementation a caller reads.
+
+    Callers of a hit read the stage times, the bitstream, the entity name
+    and the placement statistics; the VHDL text, the mapped netlist and
+    the routing are dropped, so a hit unpickles only a few kilobytes.
+    """
+
+    candidate: "Candidate | None"
+    entity_name: str
+    bitstream: PartialBitstream
+    times: "StageTimes"
+    placement: "Placement"
 
 
 @dataclass
@@ -145,7 +166,7 @@ class PersistentBitstreamCache:
 
         .repro-cache/
           index.json            # key -> {entity, size_bytes, seconds, stored_at}
-          objects/<key>.pkl     # pickled ImplementationResult, candidate=None
+          objects/<key>.pkl     # pickled CachedImplementation, candidate=None
 
     Keys are sha256 hex digests over ``(schema, device, timing-model
     version, candidate signature)`` — see :meth:`key_for` — so a cached
@@ -153,10 +174,15 @@ class PersistentBitstreamCache:
     implemented for the identical device under the identical timing
     calibration (Section VI-A's "unique identifier ... used as a key").
 
-    Writes are atomic (temp file + :func:`os.replace`), and any corrupted
-    index entry or object file is treated as a miss and dropped, so a
-    killed run can never poison later ones. Hit/miss/store/eviction counts
-    feed both :meth:`stats` and the ``cache.bitstream.*`` metrics counters.
+    Writes are atomic (a temp file unique to the writer, then
+    :func:`os.replace`), so processes sharing one root never clobber each
+    other's half-written files, and any corrupted index entry or object
+    file is treated as a miss and dropped, so a killed run can never
+    poison later ones. The index update is a read-modify-write without a
+    cross-process lock: two concurrent writers can lose one index entry,
+    which costs only a later miss (the object is rebuilt and re-stored).
+    Hit/miss/store/eviction counts feed both :meth:`stats` and the
+    ``cache.bitstream.*`` metrics counters.
     """
 
     root: Path = Path(DEFAULT_CACHE_DIR)
@@ -217,62 +243,65 @@ class PersistentBitstreamCache:
             indent=2,
             sort_keys=True,
         )
-        tmp = self.index_path.with_suffix(".json.tmp")
-        tmp.write_text(payload + "\n", encoding="utf-8")
-        os.replace(tmp, self.index_path)
+        _replace_atomically(self.index_path, (payload + "\n").encode("utf-8"))
 
     # -- core operations -------------------------------------------------------
 
     def contains(self, key: str) -> bool:
-        """Non-counting presence probe. The serve plane's
-        :class:`~repro.serve.store.TenantCache` probes with it, so only a
-        hit or the one request that builds a missing entry is counted, not
-        the requests that wait for that build."""
+        """Non-counting presence probe (an index read and a stat), for
+        inspecting a store without touching its hit/miss counts."""
         return key in self._load_index() and self._object_path(key).exists()
 
     def get(
         self, key: str, candidate: "Candidate | None" = None
-    ) -> "ImplementationResult | None":
-        """Counting lookup; reattaches *candidate* to the stored result."""
+    ) -> CachedImplementation | None:
+        """Counting lookup: one index read and one small unpickle;
+        reattaches *candidate* to the stored record."""
         entries = self._load_index()
         entry = entries.get(key)
-        impl = None
+        record = None
         if entry is not None:
             try:
                 with self._object_path(key).open("rb") as fh:
-                    impl = pickle.load(fh)
+                    record = pickle.load(fh)
             except (OSError, pickle.PickleError, ValueError, EOFError,
                     AttributeError, ImportError):
                 # Corrupted or unreadable object: demote to a miss and
                 # drop the index entry so we stop retrying it.
-                impl = None
+                record = None
                 entries.pop(key, None)
                 try:
                     self._write_index(entries)
                     self._object_path(key).unlink(missing_ok=True)
                 except OSError:
                     pass
-        if impl is None:
+        if record is None:
             self.misses += 1
             self._count("cache.bitstream.misses")
             return None
         self.hits += 1
         self._count("cache.bitstream.hits")
         if candidate is not None:
-            impl = replace(impl, candidate=candidate)
-        return impl
+            record = replace(record, candidate=candidate)
+        return record
 
-    def put(self, key: str, impl: "ImplementationResult") -> None:
-        """Store one implementation result atomically, evicting if needed."""
-        self.root.mkdir(parents=True, exist_ok=True)
+    def put(
+        self, key: str, impl: "ImplementationResult | CachedImplementation"
+    ) -> None:
+        """Store one implementation's slim record atomically, evicting if
+        needed."""
         objects = self.root / "objects"
         objects.mkdir(parents=True, exist_ok=True)
         # The candidate is reattached on get(); detaching it keeps the
         # payload independent of analysis-session object graphs.
-        payload = pickle.dumps(replace(impl, candidate=None))
-        tmp = objects / f"{key}.pkl.tmp"
-        tmp.write_bytes(payload)
-        os.replace(tmp, self._object_path(key))
+        record = CachedImplementation(
+            candidate=None,
+            entity_name=impl.entity_name,
+            bitstream=impl.bitstream,
+            times=impl.times,
+            placement=impl.placement,
+        )
+        _replace_atomically(self._object_path(key), pickle.dumps(record))
 
         entries = self._load_index()
         entries[key] = {
@@ -295,11 +324,14 @@ class PersistentBitstreamCache:
         self._count("cache.bitstream.stores")
 
     def clear(self) -> int:
-        """Remove every entry; returns how many were dropped."""
+        """Remove every entry and any temp file a killed writer left;
+        returns how many entries were dropped."""
         entries = self._load_index()
         dropped = len(entries)
         for key in entries:
             self._object_path(key).unlink(missing_ok=True)
+        for tmp in (*self.root.glob("*.tmp"), *self.root.glob("objects/*.tmp")):
+            tmp.unlink(missing_ok=True)
         if self.index_path.exists():
             self._write_index({})
         return dropped
@@ -351,3 +383,18 @@ class PersistentBitstreamCache:
         registry = get_metrics()
         if registry.enabled:
             registry.counter(name, measured=True).inc()
+
+
+def _replace_atomically(path: Path, data: bytes) -> None:
+    """Write *data* to *path* through a temp file unique to this writer."""
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=f"{path.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise

@@ -17,6 +17,8 @@ equal candidates. Two mechanisms generalize the
   the stored result as an ordinary cache hit. Hit/miss accounting is
   exactly what a serial arrival order would produce (1 miss + N-1 hits);
   the deduplicated CAD runs are counted separately as ``dedup_saved``.
+  A request checks the in-memory flight table before the disk, so a
+  follower reads nothing until the builder has stored its result.
 
 Within a tenant namespace, entry keys are already **canonical**:
 :meth:`repro.core.cache.PersistentBitstreamCache.key_for` hashes the
@@ -32,10 +34,9 @@ Cross-*tenant* sharing stays off by design: a tenant's candidate
 signatures leak its code structure, so isolation is a correctness
 property.
 
-A :class:`TenantCache` implements the ``key_for / contains / get / put``
-protocol that :class:`repro.core.asip_sp.AsipSpecializationProcess`
-expects of its ``bitstream_cache``, so the specialization pipeline plugs
-in unchanged.
+A :class:`TenantCache` implements the ``key_for / get / put`` protocol
+that :class:`repro.core.asip_sp.AsipSpecializationProcess` expects of its
+``bitstream_cache``, so the specialization pipeline plugs in unchanged.
 """
 
 from __future__ import annotations
@@ -122,20 +123,22 @@ class SharedBitstreamStore:
             return sorted(self._tenants)
 
     # -- single-flight plumbing ----------------------------------------------
-    def _acquire_or_wait(self, tenant: str, key: str):
-        """Become the builder (returns None) or the flight to wait on."""
-        fkey = (tenant, key)
+    def _join_flight(self, tenant: str, key: str) -> _Flight | None:
+        """The in-progress build of (tenant, key) to wait on, if any."""
+        with self._lock:
+            flight = self._flights.get((tenant, key))
+            if flight is not None:
+                flight.waiters += 1
+            return flight
+
+    def _open_flight(self, tenant: str, key: str) -> None:
+        """Make the calling thread the builder of (tenant, key)."""
         leader = get_tracer().current_span()
         with self._lock:
-            flight = self._flights.get(fkey)
-            if flight is None:
-                self._flights[fkey] = _Flight(
-                    owner=threading.get_ident(),
-                    leader_span_id=leader.span_id if leader is not None else None,
-                )
-                return None
-            flight.waiters += 1
-            return flight
+            self._flights[(tenant, key)] = _Flight(
+                owner=threading.get_ident(),
+                leader_span_id=leader.span_id if leader is not None else None,
+            )
 
     def _resolve(self, tenant: str, key: str) -> None:
         """Builder finished (stored or failed): wake the subscribers."""
@@ -274,34 +277,30 @@ class TenantCache:
     def key_for(self, candidate, device, **kwargs) -> str:
         return PersistentBitstreamCache.key_for(candidate, device, **kwargs)
 
-    def contains(self, key: str) -> bool:
-        with self.store._lock:
-            return self.cache.contains(key)
-
     def get(self, key: str, candidate=None):
         """Counting lookup with single-flight miss coalescing.
 
         Returns the cached implementation, or None when the caller has
         become the *builder* for this (tenant, key) and must run the CAD
-        flow and :meth:`put` (or fail, releasing its flights).
+        flow and :meth:`put` (or fail, releasing its flights). Each
+        attempt makes at most one counting persistent-cache lookup: none
+        while another thread builds the key, one once it is stored.
         """
         waited = False
         while True:
             with self.store._lock:
-                if self.cache.contains(key):
+                flight = self.store._join_flight(self.name, key)
+                if flight is None:
                     impl = self.cache.get(key, candidate)
                     if impl is not None:
                         if waited:
                             self.store._count_dedup()
                         self.store._note_hit(self.name, key, self.app)
                         return impl
-                    # contains() raced a corrupt entry: fall through and
-                    # compete to build.
-                flight = self.store._acquire_or_wait(self.name, key)
-                if flight is None:
-                    # Builder: count the miss exactly once, like a serial
-                    # lookup would, and let the caller run the CAD flow.
-                    return self.cache.get(key, candidate)
+                    # Builder: the miss was counted exactly once, like a
+                    # serial lookup; the caller runs the CAD flow.
+                    self.store._open_flight(self.name, key)
+                    return None
             # Follower: the wait is part of this request's latency, so it
             # gets its own span in the request's trace, linked to the
             # leader (builder) span whose CAD run we are subscribing to.
@@ -321,10 +320,13 @@ class TenantCache:
             waited = True
 
     def put(self, key: str, impl) -> None:
+        # Store and resolve under one lock hold: no request may see the
+        # flight still open once the entry is on disk, or it would wait
+        # and count a dedup where a serial arrival sees a plain hit.
         with self.store._lock:
             self.cache.put(key, impl)
-        self.store._note_store(self.name, key, self.app)
-        self.store._resolve(self.name, key)
+            self.store._note_store(self.name, key, self.app)
+            self.store._resolve(self.name, key)
 
     def stats(self) -> dict:
         with self.store._lock:

@@ -129,7 +129,7 @@ def execute_specialize(request: dict, bitstream_cache) -> dict:
     """Run one validated specialization request; returns the result dict.
 
     *bitstream_cache* is the tenant's store view (any object with the
-    ``key_for / contains / get / put`` protocol); the ASIP-SP pipeline
+    ``key_for / get / put`` protocol); the ASIP-SP pipeline
     consults it before each CAD run exactly as in batch mode.
     """
     ctx = app_context(request["app"])
@@ -214,8 +214,8 @@ def process_request_worker(
     on-disk namespace (counters therefore carry exactly this request's
     delta), and returns ``(result, evidence, cache counters)`` for the
     parent to absorb. Candidate-level single-flight is in-process only:
-    with the process backend, cross-request dedup falls back to the
-    persistent store's contains-probe. App contexts are memoized per
+    with the process backend, a request reuses another's CAD run only
+    once that run is stored on disk. App contexts are memoized per
     child, so a reused pool worker pays the compile/profile cost once.
     """
     from repro.core.cache import PersistentBitstreamCache

@@ -10,6 +10,8 @@ reported Table II numbers or the recorded event log.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.asip_sp import AsipSpecializationProcess
-from repro.core.cache import PersistentBitstreamCache
+from repro.core.cache import CachedImplementation, PersistentBitstreamCache
 from repro.fpga.device import VIRTEX4_FX20, VIRTEX4_FX100
 from repro.fpga.toolflow import CadToolFlow
 from repro.ise.selection import CandidateSearch
@@ -105,6 +107,58 @@ class TestPersistentCache:
         assert cache.stats()["entries"] == 0
         assert not cache._object_path(key).exists()
 
+    def test_clear_removes_leftover_temp_files(self, tmp_path, selected):
+        toolflow = CadToolFlow()
+        impl = toolflow.implement(selected[0].candidate)
+        cache = PersistentBitstreamCache(root=tmp_path / "bc")
+        key = cache.key_for(selected[0].candidate, toolflow.device)
+        cache.put(key, impl)
+        # What writers killed between writing and renaming leave behind.
+        (cache.root / "objects" / f"{key}.pkl.tmp").write_bytes(b"partial")
+        (cache.root / "objects" / f"{key}.pkl.x1y2.tmp").write_bytes(b"part")
+        (cache.root / "index.json.tmp").write_text("{", encoding="utf-8")
+
+        assert cache.clear() == 1
+        assert not list(cache.root.rglob("*.tmp"))
+
+    def test_forked_writers_sharing_a_root_never_collide(
+        self, tmp_path, selected
+    ):
+        """Processes putting overlapping keys into one root (``analyze
+        --jobs N --cache``, ``serve --backend process``) each write their
+        own temp files: no put raises and every stored object loads."""
+        impl = CadToolFlow().implement(selected[0].candidate)
+        root = tmp_path / "bc"
+        keys = [f"{i:064x}" for i in range(6)]
+
+        def writer(offset: int) -> None:
+            cache = PersistentBitstreamCache(root=root)
+            failures = 0
+            for n in range(120):
+                try:
+                    cache.put(keys[(n + offset) % len(keys)], impl)
+                except OSError:
+                    failures += 1
+            sys.exit(min(failures, 255))
+
+        ctx = multiprocessing.get_context("fork")
+        procs = [ctx.Process(target=writer, args=(i,)) for i in range(4)]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=120)
+        assert [proc.exitcode for proc in procs] == [0, 0, 0, 0]
+
+        objects = sorted((root / "objects").glob("*.pkl"))
+        assert [path.stem for path in objects] == keys
+        for path in objects:
+            record = pickle.loads(path.read_bytes())
+            assert isinstance(record, CachedImplementation)
+            assert record.bitstream.data == impl.bitstream.data
+        cache = PersistentBitstreamCache(root=root)
+        assert all(cache.get(key) is not None for key in cache._load_index())
+        assert not list(root.rglob("*.tmp"))
+
     def test_eviction_keeps_newest(self, tmp_path, selected):
         toolflow = CadToolFlow()
         impl = toolflow.implement(selected[0].candidate)
@@ -155,6 +209,59 @@ class TestAsipSpWithCacheAndJobs:
         ]
         assert any(c.from_cache for c in r2.implementations)
         assert not any(c.from_cache for c in r1.implementations)
+
+    @pytest.mark.parametrize("app", ["sor", "adpcm"])
+    def test_warm_hits_match_the_cold_implementations(self, app, tmp_path):
+        """Differential test of the slim cache record: everything a caller
+        reads off a warm hit equals the cold run's full implementation."""
+        from repro.experiments.runner import analyze_app
+
+        root = tmp_path / "bc"
+        cold_cache = PersistentBitstreamCache(root=root)
+        cold = analyze_app(app, use_cache=False, bitstream_cache=cold_cache)
+        warm_cache = PersistentBitstreamCache(root=root)
+        warm = analyze_app(app, use_cache=False, bitstream_cache=warm_cache)
+
+        assert cold_cache.stores > 0
+        assert warm_cache.hits == cold_cache.stores and warm_cache.misses == 0
+        cold_impls = cold.specialization.implementations
+        warm_impls = warm.specialization.implementations
+        assert len(warm_impls) == len(cold_impls)
+        for c, w in zip(cold_impls, warm_impls):
+            a, b = c.implementation, w.implementation
+            assert b.candidate is w.estimate.candidate
+            assert b.times == a.times
+            assert b.bitstream.size_bytes == a.bitstream.size_bytes
+            assert b.bitstream.data == a.bitstream.data
+            assert b.entity_name == a.entity_name
+            assert b.placement.moves_attempted == a.placement.moves_attempted
+        assert (
+            warm.specialization.reconfiguration_seconds
+            == cold.specialization.reconfiguration_seconds
+        )
+        assert _cad_break_even(warm) == _cad_break_even(cold)
+        # The stored record holds no mapped netlist (nor VHDL or routing).
+        for path in (root / "objects").glob("*.pkl"):
+            data = path.read_bytes()
+            assert type(pickle.loads(data)) is CachedImplementation
+            assert b"MappedDesign" not in data
+
+
+def _cad_break_even(analysis) -> float:
+    """Live-aware break-even of *analysis* charged only its CAD and ICAP
+    seconds: the candidate search time is measured, so it differs between
+    any two runs and is left out."""
+    from repro.core.breakeven import BreakEvenModel
+    from repro.woolcano.machine import WoolcanoMachine
+
+    spec = analysis.specialization
+    return BreakEvenModel(cost_model=WoolcanoMachine().cost_model).analyze(
+        analysis.compiled.module,
+        analysis.train_profile,
+        analysis.coverage,
+        spec.search.selected,
+        spec.toolflow_seconds + spec.reconfiguration_seconds,
+    ).live_aware_seconds
 
 
 def _manifest(run_id, cad_virtual, cad_count, cache, ratio=2.0):

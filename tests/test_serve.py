@@ -117,14 +117,13 @@ class TestStore:
         a = store.tenant("acme")
         b = store.tenant("umbrella")
         execute_specialize(_request(tenant="acme"), a)
-        key = a.cache.index_keys()[0] if hasattr(a.cache, "index_keys") else None
+        (key, *_) = a.cache._load_index()
         # Tenant directories are disjoint; umbrella sees none of acme's
         # entries even for the identical candidate signature.
         assert a.cache.stats()["entries"] > 0
         assert b.cache.stats()["entries"] == 0
         assert a.cache.root != b.cache.root
-        if key is not None:
-            assert not b.contains(key)
+        assert a.cache.contains(key) and not b.cache.contains(key)
 
     def test_single_flight_runs_cad_once(self, tmp_path, metrics):
         """N concurrent equal-signature requests -> exactly one CAD run."""
@@ -174,6 +173,103 @@ class TestStore:
         assert store.dedup_saved == 0
         # Warm effective overhead drops: break-even improves (VI-A).
         assert warm["break_even_seconds"] < cold["break_even_seconds"]
+
+
+def _record():
+    """A tiny stored implementation: what a cache hit reads."""
+    from repro.core.cache import CachedImplementation
+    from repro.fpga.bitgen import PartialBitstream
+    from repro.fpga.placer import Placement
+    from repro.fpga.timingmodel import StageTimes
+
+    return CachedImplementation(
+        candidate=None,
+        entity_name="ci_test",
+        bitstream=PartialBitstream(
+            entity="ci_test",
+            data=b"\x01\x02",
+            frame_count=1,
+            column_count=1,
+            nominal_size_bytes=2,
+        ),
+        times=StageTimes(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0),
+        placement=Placement({}, 1.0, 1.0, 10, 5),
+    )
+
+
+class TestHitIo:
+    """What a tenant-cache lookup reads from disk: the index once per
+    counting lookup, and nothing while another thread builds the key."""
+
+    @pytest.fixture
+    def index_loads(self, monkeypatch):
+        from repro.core.cache import PersistentBitstreamCache
+
+        real = PersistentBitstreamCache._load_index
+        calls: list[int] = []
+
+        def load_index(cache):
+            calls.append(threading.get_ident())
+            return real(cache)
+
+        monkeypatch.setattr(PersistentBitstreamCache, "_load_index", load_index)
+        return calls
+
+    def test_hit_reads_the_index_once(self, tmp_path, index_loads):
+        store = SharedBitstreamStore(tmp_path / "store")
+        tenant = store.tenant("acme")
+        key = "a" * 64
+        tenant.cache.put(key, _record())
+        index_loads.clear()
+
+        hit = tenant.get(key, candidate="cand")
+        assert hit is not None and hit.candidate == "cand"
+        assert hit.entity_name == "ci_test"
+        assert len(index_loads) == 1
+        assert (tenant.cache.hits, tenant.cache.misses) == (1, 0)
+
+    def test_follower_reads_nothing_until_woken(self, tmp_path, index_loads):
+        store = SharedBitstreamStore(tmp_path / "store")
+        key = "b" * 64
+        assert store.tenant("acme").get(key) is None  # builder: one miss
+        assert len(index_loads) == 1
+        results: list = []
+        follower = threading.Thread(
+            target=lambda: results.append(store.tenant("acme").get(key))
+        )
+        follower.start()
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            with store._lock:
+                if store._flights[("acme", key)].waiters:
+                    break
+            time.sleep(0.002)
+        assert index_loads.count(follower.ident) == 0
+
+        store.tenant("acme").put(key, _record())
+        follower.join(timeout=10.0)
+        assert results and results[0] is not None
+        assert index_loads.count(follower.ident) == 1
+        cache = store.tenant("acme").cache
+        assert (cache.hits, cache.misses, store.dedup_saved) == (1, 1, 1)
+
+    def test_corrupt_object_is_one_miss_and_makes_a_builder(
+        self, tmp_path, index_loads
+    ):
+        store = SharedBitstreamStore(tmp_path / "store")
+        tenant = store.tenant("acme")
+        key = "c" * 64
+        tenant.cache.put(key, _record())
+        tenant.cache._object_path(key).write_bytes(b"garbage")
+        index_loads.clear()
+
+        assert tenant.get(key) is None
+        assert len(index_loads) == 1
+        assert (tenant.cache.hits, tenant.cache.misses) == (0, 1)
+        assert not tenant.cache.contains(key)
+        with store._lock:
+            assert store._flights[("acme", key)].owner == threading.get_ident()
+        assert store.release_thread_flights() == 1
 
 
 class TestServer:
