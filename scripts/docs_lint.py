@@ -17,7 +17,7 @@ Four checks, all enforced by ``make docs-lint`` (and the CI lint job):
    README row fails the lint.
 
 The subcommand check is AST-based (no ``repro`` import: the CI lint job
-installs no third-party packages, and ``repro`` pulls numpy/networkx),
+installs no third-party packages, and ``repro`` pulls numpy),
 so it understands both registration idioms used in ``cli.py``: direct
 ``sub.add_parser("name", ...)`` calls and the loop form
 ``for name, ... in (("jit", ...), ...): sub.add_parser(name, ...)``.

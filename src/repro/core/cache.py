@@ -25,7 +25,8 @@ Three layers model that idea at increasing levels of realism:
   and the timing-model version
   (:data:`repro.fpga.timingmodel.TIMING_MODEL_VERSION`); payloads are
   slim :class:`CachedImplementation` records (entity name, bitstream,
-  stage times and placement; the candidate is reattached on a hit),
+  stage times and placement statistics; the candidate is reattached on a
+  hit),
   written atomically next to a JSON index.
 """
 
@@ -49,7 +50,6 @@ from repro.util.rng import DeterministicRng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (fpga -> obs -> core)
     from repro.fpga.device import FpgaDevice
-    from repro.fpga.placer import Placement
     from repro.fpga.timingmodel import StageTimes
     from repro.fpga.toolflow import ImplementationResult
     from repro.ise.candidate import Candidate
@@ -136,10 +136,20 @@ class CacheSimulation:
 #: Schema tag baked into every cache key: bumping it orphans all prior
 #: entries, which is the correct behaviour whenever the pickled payload
 #: layout changes incompatibly.
-CACHE_SCHEMA = "repro-bitstream-cache/2"
+CACHE_SCHEMA = "repro-bitstream-cache/3"
 
 #: Default on-disk location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
+
+
+@dataclass(frozen=True)
+class PlacementStats:
+    """A placement's quality figures without its cell locations."""
+
+    initial_wirelength: float
+    final_wirelength: float
+    moves_attempted: int
+    moves_accepted: int
 
 
 @dataclass(frozen=True)
@@ -147,15 +157,16 @@ class CachedImplementation:
     """What a cache hit returns: the parts of an implementation a caller reads.
 
     Callers of a hit read the stage times, the bitstream, the entity name
-    and the placement statistics; the VHDL text, the mapped netlist and
-    the routing are dropped, so a hit unpickles only a few kilobytes.
+    and the placement statistics; the VHDL text, the mapped netlist, the
+    routing and the cell locations are dropped, so a hit unpickles only a
+    few kilobytes.
     """
 
     candidate: "Candidate | None"
     entity_name: str
     bitstream: PartialBitstream
     times: "StageTimes"
-    placement: "Placement"
+    placement: PlacementStats
 
 
 @dataclass
@@ -294,12 +305,18 @@ class PersistentBitstreamCache:
         objects.mkdir(parents=True, exist_ok=True)
         # The candidate is reattached on get(); detaching it keeps the
         # payload independent of analysis-session object graphs.
+        placement = impl.placement
         record = CachedImplementation(
             candidate=None,
             entity_name=impl.entity_name,
             bitstream=impl.bitstream,
             times=impl.times,
-            placement=impl.placement,
+            placement=PlacementStats(
+                initial_wirelength=placement.initial_wirelength,
+                final_wirelength=placement.final_wirelength,
+                moves_attempted=placement.moves_attempted,
+                moves_accepted=placement.moves_accepted,
+            ),
         )
         _replace_atomically(self._object_path(key), pickle.dumps(record))
 

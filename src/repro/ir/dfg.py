@@ -7,16 +7,16 @@ relations within the block. Values flowing in from outside the block
 instruction results used outside the block (or by instructions excluded from
 a candidate) are graph outputs.
 
-Built on :class:`networkx.DiGraph` so that standard graph algorithms
-(topological sort, ancestors/descendants for convexity checks) are available
-to the identification algorithms.
+The graph is plain successor and predecessor lists keyed by ``id()``. SSA
+defines every value of a block before any instruction of the block uses
+it, so every edge points forward in program order: program order is a
+topological order, and the algorithms below walk the body instead of
+sorting it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Collection
-
-import networkx as nx
 
 from repro.ir.basicblock import BasicBlock
 from repro.ir.instructions import Instruction, PhiInstruction
@@ -33,22 +33,30 @@ class DataFlowGraph:
 
     def __init__(self, block: BasicBlock) -> None:
         self.block = block
-        self.graph: nx.DiGraph = nx.DiGraph()
         self._body: list[Instruction] = []
         self._body_ids: set[int] = set()
+        # id(node) -> consumers in first-use order / distinct operands in
+        # operand order, both within the body and without repeats.
+        self._succs: dict[int, list[Instruction]] = {}
+        self._preds: dict[int, list[Instruction]] = {}
 
         terminator = block.terminator
         for instr in block.instructions:
             if isinstance(instr, PhiInstruction) or instr is terminator:
                 continue
-            self._body.append(instr)
-            self._body_ids.add(id(instr))
-            self.graph.add_node(instr)
-
-        for instr in self._body:
+            preds: list[Instruction] = []
             for operand in instr.operands:
                 if isinstance(operand, Instruction) and id(operand) in self._body_ids:
-                    self.graph.add_edge(operand, instr)
+                    succs = self._succs[id(operand)]
+                    # Edges of one consumer are added together, so a
+                    # repeated operand finds the consumer last in line.
+                    if not succs or succs[-1] is not instr:
+                        succs.append(instr)
+                        preds.append(operand)
+            self._body.append(instr)
+            self._body_ids.add(id(instr))
+            self._succs[id(instr)] = []
+            self._preds[id(instr)] = preds
 
         self._external_uses = self._compute_external_uses()
 
@@ -63,6 +71,20 @@ class DataFlowGraph:
 
     def contains(self, instr: Instruction) -> bool:
         return id(instr) in self._body_ids
+
+    # -- edges -------------------------------------------------------------
+    def successors(self, instr: Instruction) -> list[Instruction]:
+        """In-body consumers of *instr*, in program order (do not mutate)."""
+        return self._succs[id(instr)]
+
+    def predecessors(self, instr: Instruction) -> list[Instruction]:
+        """In-body operands of *instr*, in operand order (do not mutate)."""
+        return self._preds[id(instr)]
+
+    def edges(self) -> list[tuple[Instruction, Instruction]]:
+        """Every def-use edge ``(producer, consumer)``, producers in
+        program order."""
+        return [(n, succ) for n in self._body for succ in self._succs[id(n)]]
 
     # -- inputs / outputs ----------------------------------------------------
     def inputs_of(self, nodes: Collection[Instruction]) -> list[Value]:
@@ -94,94 +116,71 @@ class DataFlowGraph:
         for instr in nodes:
             if not instr.has_result:
                 continue
-            used_outside = False
-            for consumer in self.graph.successors(instr):
-                if id(consumer) not in node_ids:
-                    used_outside = True
-                    break
-            if not used_outside and self._external_uses.get(id(instr), False):
-                used_outside = True
-            if used_outside:
+            if id(instr) in self._external_uses or any(
+                id(consumer) not in node_ids for consumer in self._succs[id(instr)]
+            ):
                 outs.append(instr)
         return outs
 
-    def _compute_external_uses(self) -> dict[int, bool]:
-        """Which body instructions are used outside the DFG body.
+    def _compute_external_uses(self) -> set[int]:
+        """Ids of the body instructions used outside the DFG body.
 
         "Outside" means: by the block terminator, by phis in this block, or
         by any instruction in another block of the function.
         """
-        external: dict[int, bool] = {}
+        external: set[int] = set()
         func = self.block.parent
         if func is None:
             return external
+        body_ids = self._body_ids
         for block in func.blocks:
             for instr in block.instructions:
-                in_body = id(instr) in self._body_ids and not isinstance(
-                    instr, PhiInstruction
-                )
-                is_our_terminator = instr is self.block.terminator
-                if in_body and not is_our_terminator and block is self.block:
+                if id(instr) in body_ids:
                     continue
                 for operand in instr.operands:
-                    if isinstance(operand, Instruction) and id(operand) in self._body_ids:
-                        external[id(operand)] = True
+                    if isinstance(operand, Instruction) and id(operand) in body_ids:
+                        external.add(id(operand))
         return external
 
     # -- convexity ---------------------------------------------------------
-    def is_convex(self, nodes: set[Instruction] | frozenset[Instruction]) -> bool:
+    def is_convex(self, nodes: Collection[Instruction]) -> bool:
         """A subset is convex if no path between two members leaves the subset.
 
         Convexity is required for a candidate to be schedulable as a single
         atomic instruction.
         """
-        node_set = set(nodes)
-        node_ids = {id(n) for n in node_set}
-        for node in node_set:
-            for succ in self.graph.successors(node):
+        node_ids = {id(n) for n in nodes}
+        # Walk forward from the subset's outside successors; re-entering
+        # the subset makes it non-convex.
+        stack = [
+            succ
+            for n in nodes
+            for succ in self._succs[id(n)]
+            if id(succ) not in node_ids
+        ]
+        seen = {id(n) for n in stack}
+        while stack:
+            for succ in self._succs[id(stack.pop())]:
                 if id(succ) in node_ids:
-                    continue
-                # Walk forward from the external successor; if we re-enter the
-                # subset, the subset is non-convex.
-                for reach in nx.descendants(self.graph, succ):
-                    if id(reach) in node_ids:
-                        return False
+                    return False
+                if id(succ) not in seen:
+                    seen.add(id(succ))
+                    stack.append(succ)
         return True
 
-    def topological_order(self, nodes: set[Instruction] | None = None) -> list[Instruction]:
-        """Topological order of the whole body or of an induced subgraph."""
+    def topological_order(
+        self, nodes: Collection[Instruction] | None = None
+    ) -> list[Instruction]:
+        """Topological order of the whole body or of an induced subgraph:
+        the body in program order, filtered to *nodes*."""
         if nodes is None:
-            graph = self.graph
-        else:
-            graph = self.graph.subgraph(nodes)
-        order = list(nx.topological_sort(graph))
-        # Stabilize: networkx topological sort is not deterministic across
-        # runs for equal-rank nodes; tie-break by program order.
-        rank = {id(n): i for i, n in enumerate(self._body)}
-        # Kahn with deterministic tie-breaks:
-        indeg = {n: graph.in_degree(n) for n in graph.nodes}
-        ready = sorted(
-            (n for n, d in indeg.items() if d == 0), key=lambda n: rank[id(n)]
-        )
-        out: list[Instruction] = []
-        import heapq
-
-        heap = [(rank[id(n)], id(n), n) for n in ready]
-        heapq.heapify(heap)
-        while heap:
-            _, _, node = heapq.heappop(heap)
-            out.append(node)
-            for succ in graph.successors(node):
-                indeg[succ] -= 1
-                if indeg[succ] == 0:
-                    heapq.heappush(heap, (rank[id(succ)], id(succ), succ))
-        if len(out) != len(order):  # pragma: no cover - cycle guard
-            raise ValueError("dataflow graph contains a cycle")
-        return out
+            return list(self._body)
+        node_ids = {id(n) for n in nodes}
+        return [n for n in self._body if id(n) in node_ids]
 
     def critical_path_length(
         self,
-        nodes: set[Instruction] | frozenset[Instruction],
+        nodes: Collection[Instruction],
         weight_fn,
     ) -> float:
         """Longest weighted path through the induced subgraph.
@@ -189,14 +188,13 @@ class DataFlowGraph:
         ``weight_fn(instr) -> float`` gives each node's latency; used by the
         PivPav estimator to compute a candidate's hardware latency.
         """
-        node_set = set(nodes)
         dist: dict[int, float] = {}
         best = 0.0
-        for instr in self.topological_order(node_set):
+        for instr in self.topological_order(nodes):
             w = weight_fn(instr)
             d = w
-            for pred in self.graph.predecessors(instr):
-                if pred in node_set and id(pred) in dist:
+            for pred in self._preds[id(instr)]:
+                if id(pred) in dist:
                     d = max(d, dist[id(pred)] + w)
             dist[id(instr)] = d
             best = max(best, d)

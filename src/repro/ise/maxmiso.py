@@ -50,12 +50,6 @@ class MaxMisoIdentifier:
         if not feasible:
             return []
 
-        # consumers within the DFG body
-        consumers: dict[int, list[Instruction]] = {id(n): [] for n in body}
-        for node in body:
-            for succ in dfg.graph.successors(node):
-                consumers[id(node)].append(succ)
-
         # A node is a root iff its value is NOT consumed by exactly one
         # feasible in-block instruction (and nothing else).
         roots: list[Instruction] = []
@@ -63,10 +57,8 @@ class MaxMisoIdentifier:
         for node in body:
             if id(node) not in feasible:
                 continue
-            uses = consumers[id(node)]
-            external_use = bool(
-                dfg._external_uses.get(id(node), False)  # noqa: SLF001
-            )
+            uses = dfg.successors(node)
+            external_use = id(node) in dfg._external_uses  # noqa: SLF001
             feasible_uses = [u for u in uses if id(u) in feasible]
             infeasible_uses = [u for u in uses if id(u) not in feasible]
             if (

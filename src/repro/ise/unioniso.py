@@ -54,11 +54,11 @@ class UnionMisoIdentifier:
             if a_inputs & b_inputs:
                 return True
             for n in a:
-                for succ in dfg.graph.successors(n):
+                for succ in dfg.successors(n):
                     if succ in b:
                         return True
             for n in b:
-                for succ in dfg.graph.successors(n):
+                for succ in dfg.successors(n):
                     if id(succ) in a_ids:
                         return True
             return False

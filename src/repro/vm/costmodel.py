@@ -17,6 +17,7 @@ costs per operation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro.ir.instructions import Instruction
 from repro.ir.opcodes import Opcode
@@ -91,9 +92,25 @@ class CostModel:
     # Multiplier applied to FP costs; ablation A3 sweeps this.
     soft_float_scale: float = 1.0
 
+    @cached_property
+    def _fixed_costs(self) -> dict[Opcode, float]:
+        """Cost of every opcode whose cost does not depend on the operands
+        or the callee: the int and other tables, minus what the branches
+        of :meth:`cycles_for` price first. Built once per model; nothing
+        mutates the cost dicts, and derived models are new instances."""
+        table = {op: float(cost) for op, cost in self.other_costs.items()}
+        table.update((op, float(cost)) for op, cost in self.int_costs.items())
+        for op in (*self.float_costs, Opcode.FPTOSI, Opcode.SITOFP,
+                   Opcode.CALL, Opcode.CUSTOM):
+            table.pop(op, None)
+        return table
+
     def cycles_for(self, instr: Instruction) -> float:
         """Cycle cost of one dynamic execution of *instr* (call body excluded)."""
         op = instr.opcode
+        cost = self._fixed_costs.get(op)
+        if cost is not None:
+            return cost
         if op is Opcode.CALL:
             callee = instr.callee
             if isinstance(callee, str):
@@ -111,9 +128,7 @@ class CostModel:
             # Filled in by the Woolcano machine model; standalone CPU model
             # should never execute CUSTOM.
             raise ValueError("CUSTOM instruction cost requires a Woolcano model")
-        if op in self.float_costs or (
-            op in (Opcode.FPTOSI, Opcode.SITOFP) and True
-        ):
+        if op in self.float_costs or op in (Opcode.FPTOSI, Opcode.SITOFP):
             base = float(self.float_costs.get(op, 0.0))
             is_f32 = (instr.type.is_float and instr.type.bits == 32) or any(
                 o.type.is_float and o.type.bits == 32 for o in instr.operands
@@ -121,10 +136,6 @@ class CostModel:
             if is_f32:
                 base *= self.f32_factor
             return base * self.soft_float_scale
-        if op in self.int_costs:
-            return float(self.int_costs[op])
-        if op in self.other_costs:
-            return float(self.other_costs[op])
         raise KeyError(f"no cost for opcode {op}")  # pragma: no cover
 
     def seconds(self, cycles: float) -> float:

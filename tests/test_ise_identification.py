@@ -38,7 +38,7 @@ class TestDataFlowGraph:
     def test_edges_follow_def_use(self, hot_block):
         fname, block = hot_block
         dfg = DataFlowGraph(block)
-        for src, dst in dfg.graph.edges:
+        for src, dst in dfg.edges():
             assert src in dst.operands
 
     def test_inputs_exclude_constants(self, hot_block):
@@ -81,7 +81,7 @@ int main() {
         dfg = DataFlowGraph(block)
         order = dfg.topological_order()
         pos = {id(n): i for i, n in enumerate(order)}
-        for src, dst in dfg.graph.edges:
+        for src, dst in dfg.edges():
             assert pos[id(src)] < pos[id(dst)]
 
     def test_critical_path_positive_monotone(self, hot_block):

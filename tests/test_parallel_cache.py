@@ -19,7 +19,11 @@ from pathlib import Path
 import pytest
 
 from repro.core.asip_sp import AsipSpecializationProcess
-from repro.core.cache import CachedImplementation, PersistentBitstreamCache
+from repro.core.cache import (
+    CachedImplementation,
+    PersistentBitstreamCache,
+    PlacementStats,
+)
 from repro.fpga.device import VIRTEX4_FX20, VIRTEX4_FX100
 from repro.fpga.toolflow import CadToolFlow
 from repro.ise.selection import CandidateSearch
@@ -234,17 +238,27 @@ class TestAsipSpWithCacheAndJobs:
             assert b.bitstream.size_bytes == a.bitstream.size_bytes
             assert b.bitstream.data == a.bitstream.data
             assert b.entity_name == a.entity_name
-            assert b.placement.moves_attempted == a.placement.moves_attempted
+            for stat in (
+                "initial_wirelength",
+                "final_wirelength",
+                "moves_attempted",
+                "moves_accepted",
+            ):
+                assert getattr(b.placement, stat) == getattr(a.placement, stat)
         assert (
             warm.specialization.reconfiguration_seconds
             == cold.specialization.reconfiguration_seconds
         )
         assert _cad_break_even(warm) == _cad_break_even(cold)
-        # The stored record holds no mapped netlist (nor VHDL or routing).
+        # The stored record holds no mapped netlist (nor VHDL or routing)
+        # and no cell locations.
         for path in (root / "objects").glob("*.pkl"):
             data = path.read_bytes()
-            assert type(pickle.loads(data)) is CachedImplementation
+            record = pickle.loads(data)
+            assert type(record) is CachedImplementation
+            assert type(record.placement) is PlacementStats
             assert b"MappedDesign" not in data
+            assert b"locations" not in data
 
 
 def _cad_break_even(analysis) -> float:
