@@ -43,7 +43,7 @@ def test_algorithm_comparison(benchmark, suite):
                 total_time += time.perf_counter() - start
                 total_cands += result.candidate_count
                 sp = machine.speedup(
-                    a.compiled.module, a.train_profile, result.selected
+                    result.block_costs, a.train_profile, result.selected
                 )
                 ratios.append(sp.ratio)
             rows.append(

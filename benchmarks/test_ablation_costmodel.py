@@ -14,6 +14,7 @@ from repro.ise import CandidateSearch
 from repro.ise.pruning import NO_PRUNING
 from repro.util.tables import Table
 from repro.vm.costmodel import PPC405_COST_MODEL
+from repro.vm.profiler import static_block_costs
 from repro.woolcano import PowerPC405, WoolcanoMachine
 
 SCALES = [0.5, 1.0, 2.0, 4.0]
@@ -26,7 +27,9 @@ def _ratio_for(analysis, scale: float) -> float:
         analysis.compiled.module, analysis.train_profile
     )
     return machine.speedup(
-        analysis.compiled.module, analysis.train_profile, search.selected
+        static_block_costs(analysis.compiled.module, cm),
+        analysis.train_profile,
+        search.selected,
     ).ratio
 
 

@@ -35,7 +35,7 @@ def test_filter_family_tradeoff(benchmark, suite):
                 total_blocks += len(result.pruned_blocks)
                 total_ins += result.pruned_block_instructions
                 ratio = machine.speedup(
-                    a.compiled.module, a.train_profile, result.selected
+                    result.block_costs, a.train_profile, result.selected
                 ).ratio
                 ratios.append(ratio)
                 full = a.asip_max.ratio

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import print_report
 from repro.util.tables import Table
+from repro.vm.profiler import static_block_costs
 from repro.woolcano import WoolcanoMachine
 
 CAPACITIES = [1, 2, 4, 8, 16, 32]
@@ -24,9 +25,10 @@ def test_slot_budget_saturation(benchmark, suite_by_name):
         results = {}
         for name in APPS:
             a = suite_by_name[name]
+            block_costs = static_block_costs(a.compiled.module, machine.cost_model)
             ratios = [
                 machine.speedup_with_slots(
-                    a.compiled.module,
+                    block_costs,
                     a.train_profile,
                     a.search_full.selected,
                     capacity=c,

@@ -64,7 +64,11 @@ def main() -> None:
                 + report.reconfiguration_seconds
             )
             analysis = model.analyze(
-                compiled.module, train, coverage, report.search.selected, overhead
+                report.search.block_costs,
+                train,
+                coverage,
+                report.search.selected,
+                overhead,
             )
             value = analysis.live_aware_seconds
             cells.append(format_hhmmss(value) if math.isfinite(value) else "never")

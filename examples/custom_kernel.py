@@ -84,7 +84,9 @@ def main() -> None:
             comp.module, run.profile
         )
         elapsed = (time.perf_counter() - start) * 1000
-        speedup = machine.speedup(comp.module, run.profile, result.selected)
+        speedup = machine.speedup(
+            result.block_costs, run.profile, result.selected
+        )
         table.add_row(
             [
                 label,

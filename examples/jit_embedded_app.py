@@ -59,7 +59,7 @@ def main() -> None:
 
     # Break-even analysis (Section V-D).
     analysis = BreakEvenModel().analyze(
-        compiled.module,
+        report.search.block_costs,
         train,
         coverage,
         report.search.selected,

@@ -92,7 +92,7 @@ def main() -> None:
 
     # 5. Whole-application speedup on the Woolcano machine.
     machine = WoolcanoMachine()
-    speedup = machine.speedup(comp.module, run.profile, search.selected)
+    speedup = machine.speedup(search.block_costs, run.profile, search.selected)
     print(f"\nASIP speedup with all candidates: {speedup.ratio:.2f}x")
 
 

@@ -26,10 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.ir.module import Module
 from repro.profiling.coverage import BlockClass, CoverageAnalysis
 from repro.vm.costmodel import CostModel, PPC405_COST_MODEL
-from repro.vm.profiler import ExecutionProfile, static_block_costs
+from repro.vm.profiler import BlockKey, ExecutionProfile
 from repro.pivpav.estimator import CandidateEstimate
 
 
@@ -59,14 +58,18 @@ class BreakEvenModel:
 
     def analyze(
         self,
-        module: Module,
+        block_costs: dict[BlockKey, float],
         profile: ExecutionProfile,
         coverage: CoverageAnalysis,
         estimates: list[CandidateEstimate],
         overhead_seconds: float,
     ) -> BreakEvenAnalysis:
+        """Break-even of *estimates* against *overhead_seconds*.
+
+        *block_costs* is ``static_block_costs(module, self.cost_model)`` of
+        the profiled module.
+        """
         cm = self.cost_model
-        costs = static_block_costs(module, cm)
 
         saved_per_block: dict[tuple[str, str], float] = {}
         for est in estimates:
@@ -78,7 +81,7 @@ class BreakEvenModel:
         live_cpu = live_asip = 0.0
         const_cpu = const_asip = 0.0
         for key, prof in profile.blocks.items():
-            cost = costs.get(key)
+            cost = block_costs.get(key)
             if cost is None or prof.count == 0:
                 continue
             cpu_cycles = prof.count * cost

@@ -194,6 +194,15 @@ class PersistentBitstreamCache:
     which costs only a later miss (the object is rebuilt and re-stored).
     Hit/miss/store/eviction counts feed both :meth:`stats` and the
     ``cache.bitstream.*`` metrics counters.
+
+    The instance keeps the index it last parsed or wrote, with the
+    ``(inode, size, mtime_ns)`` of that file. A lookup costs one
+    :func:`os.stat` of ``index.json`` and reparses it only when another
+    writer (instance or process) has replaced it since; the instance's
+    own writes refresh the kept copy. A write by another writer that
+    leaves all three unchanged would go unseen, but keys are content
+    addressed, so a stale copy can never produce a wrong hit: it costs at
+    most a miss, the same lost-entry race as above.
     """
 
     root: Path = Path(DEFAULT_CACHE_DIR)
@@ -202,6 +211,10 @@ class PersistentBitstreamCache:
     misses: int = 0
     stores: int = 0
     evictions: int = 0
+    #: ``(stamp, entries)`` of the index this instance last parsed or wrote.
+    _kept: tuple[tuple[int, int, int], dict[str, dict]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
@@ -233,19 +246,23 @@ class PersistentBitstreamCache:
     # -- index I/O (tolerant reads, atomic writes) -----------------------------
 
     def _load_index(self) -> dict[str, dict]:
+        """The index entries, reparsed only when the file has changed.
+
+        Returns the kept copy itself: a caller that changes entries works
+        on its own ``dict()`` of it and hands that to :meth:`_write_index`.
+        """
+        # Stat before reading: the stamp is never newer than what is
+        # parsed, so a writer racing this read costs a reparse, not a
+        # stale copy.
         try:
-            raw = json.loads(self.index_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
+            stamp = _stamp(os.stat(self.index_path))
+        except OSError:
             return {}
-        entries = raw.get("entries") if isinstance(raw, dict) else None
-        if not isinstance(entries, dict):
-            return {}
-        # Drop structurally corrupt entries rather than failing the run.
-        return {
-            k: v
-            for k, v in entries.items()
-            if isinstance(k, str) and isinstance(v, dict)
-        }
+        if self._kept is not None and self._kept[0] == stamp:
+            return self._kept[1]
+        entries = _read_entries(self.index_path)
+        self._kept = (stamp, entries)
+        return entries
 
     def _write_index(self, entries: dict[str, dict]) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
@@ -254,19 +271,22 @@ class PersistentBitstreamCache:
             indent=2,
             sort_keys=True,
         )
-        _replace_atomically(self.index_path, (payload + "\n").encode("utf-8"))
+        written = _replace_atomically(
+            self.index_path, (payload + "\n").encode("utf-8")
+        )
+        self._kept = (_stamp(written), dict(entries))
 
     # -- core operations -------------------------------------------------------
 
     def contains(self, key: str) -> bool:
-        """Non-counting presence probe (an index read and a stat), for
-        inspecting a store without touching its hit/miss counts."""
+        """Non-counting presence probe (two stats), for inspecting a
+        store without touching its hit/miss counts."""
         return key in self._load_index() and self._object_path(key).exists()
 
     def get(
         self, key: str, candidate: "Candidate | None" = None
     ) -> CachedImplementation | None:
-        """Counting lookup: one index read and one small unpickle;
+        """Counting lookup: one index stat and one small unpickle;
         reattaches *candidate* to the stored record."""
         entries = self._load_index()
         entry = entries.get(key)
@@ -280,6 +300,7 @@ class PersistentBitstreamCache:
                 # Corrupted or unreadable object: demote to a miss and
                 # drop the index entry so we stop retrying it.
                 record = None
+                entries = dict(entries)
                 entries.pop(key, None)
                 try:
                     self._write_index(entries)
@@ -320,7 +341,7 @@ class PersistentBitstreamCache:
         )
         _replace_atomically(self._object_path(key), pickle.dumps(record))
 
-        entries = self._load_index()
+        entries = dict(self._load_index())
         entries[key] = {
             "entity": impl.entity_name,
             "size_bytes": impl.bitstream.size_bytes,
@@ -402,16 +423,46 @@ class PersistentBitstreamCache:
             registry.counter(name, measured=True).inc()
 
 
-def _replace_atomically(path: Path, data: bytes) -> None:
-    """Write *data* to *path* through a temp file unique to this writer."""
+def _stamp(st: os.stat_result) -> tuple[int, int, int]:
+    """What tells one version of the index file from another."""
+    return (st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+def _read_entries(path: Path) -> dict[str, dict]:
+    """Parse an index file; anything unreadable reads as empty."""
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return {}
+    entries = raw.get("entries") if isinstance(raw, dict) else None
+    if not isinstance(entries, dict):
+        return {}
+    # Drop structurally corrupt entries rather than failing the run.
+    return {
+        k: v
+        for k, v in entries.items()
+        if isinstance(k, str) and isinstance(v, dict)
+    }
+
+
+def _replace_atomically(path: Path, data: bytes) -> os.stat_result:
+    """Write *data* to *path* through a temp file unique to this writer.
+
+    Returns the stat of what was written: the rename keeps the temp
+    file's inode, size and mtime, so it is also the stat of *path*
+    without a race against the next writer.
+    """
     fd, tmp = tempfile.mkstemp(
         dir=path.parent, prefix=f"{path.name}.", suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+            fh.flush()
+            written = os.fstat(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+    return written

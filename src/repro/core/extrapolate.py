@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.core.breakeven import BreakEvenModel
 from repro.core.cache import CacheSimulation
+from repro.vm.profiler import static_block_costs
 
 
 @dataclass
@@ -63,12 +64,13 @@ def extrapolate_break_even(
     model = model or BreakEvenModel()
     sim = CacheSimulation()
 
+    costs = [static_block_costs(app.module, model.cost_model) for app in apps]
     grid = ExtrapolationGrid(cache_hit_rates=hit_rates, cad_speedups=cad_speedups)
     for hit in hit_rates:
         for speedup in cad_speedups:
             factor = 1.0 - speedup / 100.0
             values = []
-            for app in apps:
+            for app, block_costs in zip(apps, costs):
                 toolflow = sim.average_effective_seconds(app.report, hit, trials)
                 overhead = (
                     app.search_seconds
@@ -76,7 +78,7 @@ def extrapolate_break_even(
                     + app.reconfig_seconds
                 )
                 analysis = model.analyze(
-                    app.module,
+                    block_costs,
                     app.profile,
                     app.coverage,
                     app.estimates,

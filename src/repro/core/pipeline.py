@@ -24,6 +24,7 @@ from repro.obs import get_log, get_tracer
 from repro.vm.interpreter import ExecutionResult, Interpreter
 from repro.vm.jitruntime import JitRuntimeModel, RuntimeEstimate
 from repro.vm.patcher import BinaryPatcher
+from repro.vm.profiler import static_block_costs
 from repro.woolcano.machine import AsipSpeedup, WoolcanoMachine
 
 
@@ -97,7 +98,7 @@ class JitIseSystem:
             # one contains CUSTOM instructions the base cost model cannot
             # price).
             speedup = self.machine.speedup(
-                module,
+                static_block_costs(module, self.machine.cost_model),
                 baseline.profile,
                 [ci.estimate for ci in report.implementations],
             )

@@ -25,7 +25,7 @@ from repro.ise.selection import CandidateSearch, CandidateSearchResult
 from repro.obs import absorb_worker, capture_worker, get_tracer, worker_settings
 from repro.profiling import CoverageAnalysis, KernelAnalysis, classify_blocks, compute_kernel
 from repro.vm.jitruntime import JitRuntimeModel, RuntimeEstimate
-from repro.vm.profiler import ExecutionProfile
+from repro.vm.profiler import ExecutionProfile, static_block_costs
 from repro.woolcano.machine import AsipSpeedup, WoolcanoMachine
 
 
@@ -148,12 +148,13 @@ def analyze_app(
         specialization = asip_sp.run(module, train)
         search_pruned = specialization.search
 
-        asip_max = machine.speedup(module, train, search_full.selected)
-        asip_pruned = machine.speedup(module, train, search_pruned.selected)
+        block_costs = static_block_costs(module, machine.cost_model)
+        asip_max = machine.speedup(block_costs, train, search_full.selected)
+        asip_pruned = machine.speedup(block_costs, train, search_pruned.selected)
 
         with tracer.span("analysis.breakeven"):
             breakeven = BreakEvenModel(cost_model=machine.cost_model).analyze(
-                module,
+                block_costs,
                 train,
                 coverage,
                 search_pruned.selected,

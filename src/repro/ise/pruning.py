@@ -44,10 +44,16 @@ class PruningFilter:
         return f"@{int(self.time_share_pct)}pS{self.max_blocks}L"
 
     def select_blocks(
-        self, module: Module, profile: ExecutionProfile
+        self,
+        module: Module,
+        profile: ExecutionProfile,
+        block_costs: dict[BlockKey, float],
     ) -> list[BlockKey]:
-        """Blocks that survive pruning, ordered hottest-first."""
-        shares = profile.block_time_shares(module, self.cost_model)
+        """Blocks that survive pruning, ordered hottest-first.
+
+        *block_costs* is ``static_block_costs(module, self.cost_model)``.
+        """
+        shares = profile.block_time_shares(block_costs)
         hot = sorted(shares.items(), key=lambda kv: (-kv[1], kv[0]))
 
         # Hottest-first prefix until the cumulative time share reaches P%,

@@ -19,7 +19,7 @@ from repro.ise.pruning import PruningFilter
 from repro.obs import get_log, get_tracer
 from repro.pivpav.estimator import CandidateEstimate, PivPavEstimator
 from repro.vm.costmodel import CostModel, PPC405_COST_MODEL
-from repro.vm.profiler import BlockKey, ExecutionProfile
+from repro.vm.profiler import BlockKey, ExecutionProfile, static_block_costs
 
 
 @dataclass
@@ -31,6 +31,10 @@ class CandidateSearchResult:
     pruned_blocks: list[BlockKey]
     pruned_block_instructions: int
     search_seconds: float  # measured wall clock of the whole phase
+    #: ``static_block_costs`` of the searched module under the pruning
+    #: filter's cost model, priced once inside the measured phase; the
+    #: speedup and break-even models take it instead of repricing.
+    block_costs: dict[BlockKey, float]
 
     @property
     def candidate_count(self) -> int:
@@ -93,7 +97,8 @@ class CandidateSearch:
 
         # 1. Pruning: restrict identification to the hottest largest blocks.
         with tracer.span("search.pruning", measured=True) as sp:
-            block_keys = self.pruning.select_blocks(module, profile)
+            block_costs = static_block_costs(module, self.pruning.cost_model)
+            block_keys = self.pruning.select_blocks(module, profile, block_costs)
             blocks_by_key = {}
             for func in module.defined_functions():
                 for block in func.blocks:
@@ -172,4 +177,5 @@ class CandidateSearch:
             pruned_blocks=block_keys,
             pruned_block_instructions=pruned_instructions,
             search_seconds=elapsed,
+            block_costs=block_costs,
         )

@@ -39,6 +39,7 @@ from repro.mix.profiles import AppMixProfile
 from repro.mix.trace import MixEvent
 from repro.obs import get_tracer
 from repro.serve.store import SharedBitstreamStore
+from repro.vm.profiler import static_block_costs
 from repro.woolcano.reconfig import IcapModel
 from repro.woolcano.slots import CustomInstructionSlots
 
@@ -205,7 +206,7 @@ def simulate_cell(
         ]
         mean_overhead = stats.overhead_seconds / max(1, stats.events)
         analysis = model.analyze(
-            profile.module,
+            static_block_costs(profile.module, model.cost_model),
             profile.profile,
             profile.coverage,
             estimates,

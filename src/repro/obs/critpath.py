@@ -554,15 +554,20 @@ def headroom_table(
     recorded break-even times.
     """
     from repro.core.breakeven import BreakEvenModel
+    from repro.vm.profiler import static_block_costs
 
     model = model or BreakEvenModel()
     apps = [a for a in replay.apps if a.name in inputs]
     stages = ["search", *STAGE_KEYS, "icap"]
+    costs = {
+        a.name: static_block_costs(inputs[a.name].module, model.cost_model)
+        for a in apps
+    }
 
     def break_even(app: AppReplay, overhead: float) -> float:
         inp = inputs[app.name]
         analysis = model.analyze(
-            inp.module, inp.profile, inp.coverage, inp.estimates, overhead
+            costs[app.name], inp.profile, inp.coverage, inp.estimates, overhead
         )
         return analysis.live_aware_seconds
 

@@ -21,7 +21,7 @@ from repro.ir.printer import print_function
 from repro.profiling.kernel import KernelAnalysis, compute_kernel
 from repro.util.tables import Table
 from repro.vm.costmodel import CostModel, PPC405_COST_MODEL
-from repro.vm.profiler import BlockKey, ExecutionProfile
+from repro.vm.profiler import BlockKey, ExecutionProfile, static_block_costs
 
 
 @dataclass
@@ -86,7 +86,7 @@ def compute_heat(
     kernel = compute_kernel(
         module, profile, threshold=kernel_threshold, cost_model=cost_model
     )
-    cycles = profile.block_cycles(module, cost_model)
+    cycles = profile.block_cycles(static_block_costs(module, cost_model))
     total = sum(cycles.values())
     kernel_blocks = kernel.block_set
 

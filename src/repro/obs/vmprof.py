@@ -22,7 +22,12 @@ from time import perf_counter
 from repro.ir.module import Module
 from repro.util.tables import Table
 from repro.vm.costmodel import PPC405_COST_MODEL, CostModel
-from repro.vm.profiler import BlockKey, BlockTimeSampler, ExecutionProfile
+from repro.vm.profiler import (
+    BlockKey,
+    BlockTimeSampler,
+    ExecutionProfile,
+    static_block_costs,
+)
 
 
 @dataclass
@@ -135,7 +140,9 @@ def build_profile(
         opcode_cycles=profile.opcode_cycles(module, cost_model),
         digram_counts=profile.digram_counts(module),
         block_counts={key: p.count for key, p in profile.blocks.items()},
-        virtual_shares=profile.block_time_shares(module, cost_model),
+        virtual_shares=profile.block_time_shares(
+            static_block_costs(module, cost_model)
+        ),
         real_shares=sampler.shares(),
         sample_count=sampler.sample_count,
         sample_interval=sampler.interval,

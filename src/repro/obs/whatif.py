@@ -248,6 +248,7 @@ def whatif_break_even(
 ) -> WhatIfResult:
     """Replay one scenario; apps without break-even inputs are skipped."""
     from repro.core.breakeven import BreakEvenModel
+    from repro.vm.profiler import static_block_costs
 
     model = model or BreakEvenModel()
     baseline = WhatIfKnobs(trials=knobs.trials, seed=knobs.seed)
@@ -256,10 +257,11 @@ def whatif_break_even(
         inp = inputs.get(app.name)
         if inp is None:
             continue
+        block_costs = static_block_costs(inp.module, model.cost_model)
 
         def analyze(overhead: float) -> float:
             return model.analyze(
-                inp.module, inp.profile, inp.coverage, inp.estimates, overhead
+                block_costs, inp.profile, inp.coverage, inp.estimates, overhead
             ).live_aware_seconds
 
         overhead = app_overhead_seconds(app, knobs)
@@ -298,6 +300,7 @@ def whatif_grid(
         DEFAULT_HIT_RATES,
         ExtrapolationGrid,
     )
+    from repro.vm.profiler import static_block_costs
 
     hit_rates = list(hit_rates) if hit_rates is not None else list(DEFAULT_HIT_RATES)
     cad_speedups = (
@@ -305,6 +308,10 @@ def whatif_grid(
     )
     model = model or BreakEvenModel()
     apps = [a for a in replay.apps if a.name in inputs]
+    costs = {
+        a.name: static_block_costs(inputs[a.name].module, model.cost_model)
+        for a in apps
+    }
     grid = ExtrapolationGrid(cache_hit_rates=hit_rates, cad_speedups=cad_speedups)
     for hit in hit_rates:
         for speedup in cad_speedups:
@@ -320,7 +327,7 @@ def whatif_grid(
                 overhead = app_overhead_seconds(app, knobs)
                 values.append(
                     model.analyze(
-                        inp.module,
+                        costs[app.name],
                         inp.profile,
                         inp.coverage,
                         inp.estimates,

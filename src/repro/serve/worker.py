@@ -138,16 +138,20 @@ def execute_specialize(request: dict, bitstream_cache) -> dict:
         if request.get("slots")
         else WoolcanoMachine()
     )
+    # Pruning prices under the machine's cost model, so the search's
+    # block-cost table also serves the speedup and break-even below.
     pruning = PruningFilter(
         time_share_pct=request["time_share_pct"],
         max_blocks=request["max_blocks"],
+        cost_model=machine.cost_model,
     )
     process = AsipSpecializationProcess(
         search=CandidateSearch(pruning=pruning, cost_model=machine.cost_model),
         bitstream_cache=bitstream_cache,
     )
     report = process.run(ctx.module, ctx.train)
-    speedup = machine.speedup(ctx.module, ctx.train, report.search.selected)
+    block_costs = report.search.block_costs
+    speedup = machine.speedup(block_costs, ctx.train, report.search.selected)
 
     # Bind the implemented configurations to the machine's UDI slots (one
     # per structural signature, as the APU decodes them): under a --slots
@@ -177,7 +181,7 @@ def execute_specialize(request: dict, bitstream_cache) -> dict:
     )
     effective_overhead = report.total_overhead_seconds - cached_seconds
     breakeven = BreakEvenModel(cost_model=machine.cost_model).analyze(
-        ctx.module,
+        block_costs,
         ctx.train,
         ctx.coverage,
         report.search.selected,

@@ -105,20 +105,22 @@ class ExecutionProfile:
         return total
 
     def block_cycles(
-        self, module: Module, cost_model: CostModel
+        self, block_costs: dict[BlockKey, float]
     ) -> dict[BlockKey, float]:
-        """Total cycles spent in each profiled block (count x static cost)."""
-        costs = static_block_costs(module, cost_model)
+        """Total cycles spent in each profiled block (count x static cost).
+
+        *block_costs* is :func:`static_block_costs` of the profiled module.
+        """
         return {
-            key: prof.count * costs.get(key, 0.0)
+            key: prof.count * block_costs.get(key, 0.0)
             for key, prof in self.blocks.items()
         }
 
     def block_time_shares(
-        self, module: Module, cost_model: CostModel
+        self, block_costs: dict[BlockKey, float]
     ) -> dict[BlockKey, float]:
         """Fraction of total execution time spent in each block."""
-        per_block = self.block_cycles(module, cost_model)
+        per_block = self.block_cycles(block_costs)
         total = sum(per_block.values())
         if total <= 0:
             return {key: 0.0 for key in per_block}

@@ -5,17 +5,19 @@ ratio of Table I / Table II — the factor by which a profiled application
 accelerates when a set of candidates is implemented as custom instructions.
 The computation re-costs each basic block: instructions covered by a
 candidate are replaced by the candidate's FCB-transfer + datapath cycles.
+It reads the module only as its static block-cost table, which the caller
+prices once (:func:`repro.vm.profiler.static_block_costs`) and shares with
+the pruning filter and the break-even model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.ir.module import Module
 from repro.ir.opcodes import Opcode
 from repro.pivpav.estimator import CandidateEstimate
 from repro.vm.costmodel import CostModel, PPC405_COST_MODEL
-from repro.vm.profiler import BlockKey, ExecutionProfile, static_block_costs
+from repro.vm.profiler import BlockKey, ExecutionProfile
 from repro.woolcano.cpu import PowerPC405
 from repro.woolcano.slots import CustomInstructionSlots
 
@@ -71,19 +73,18 @@ class WoolcanoMachine:
 
     def speedup(
         self,
-        module: Module,
+        block_costs: dict[BlockKey, float],
         profile: ExecutionProfile,
         estimates: list[CandidateEstimate],
     ) -> AsipSpeedup:
         """ASIP speedup with *estimates*' candidates moved to hardware.
 
-        Uses the what-if re-costing approach: no re-execution needed; the
-        profile's block counts stay valid because candidates replace
-        straight-line instruction groups inside existing blocks.
+        *block_costs* is ``static_block_costs(module, self.cost_model)`` of
+        the unpatched profiled module. Uses the what-if re-costing
+        approach: no re-execution needed; the profile's block counts stay
+        valid because candidates replace straight-line instruction groups
+        inside existing blocks.
         """
-        cm = self.cost_model
-        costs = static_block_costs(module, cm)
-
         # Savings per block: sum over candidates in that block. A candidate
         # whose hardware is slower than software is implemented but never
         # issued (the patched binary keeps the software path), so negative
@@ -99,7 +100,7 @@ class WoolcanoMachine:
         base = 0.0
         asip = 0.0
         for key, prof in profile.blocks.items():
-            cost = costs.get(key)
+            cost = block_costs.get(key)
             if cost is None or prof.count == 0:
                 continue
             base += prof.count * cost
@@ -115,7 +116,7 @@ class WoolcanoMachine:
 
     def speedup_with_slots(
         self,
-        module: Module,
+        block_costs: dict[BlockKey, float],
         profile: ExecutionProfile,
         estimates: list[CandidateEstimate],
         capacity: int | None = None,
@@ -142,7 +143,7 @@ class WoolcanoMachine:
                 e.candidate.key,
             ),
         )
-        return self.speedup(module, profile, ranked[:capacity])
+        return self.speedup(block_costs, profile, ranked[:capacity])
 
     def seconds(self, cycles: float) -> float:
         return self.cpu.seconds_for_cycles(cycles)

@@ -19,6 +19,7 @@ from repro.core.extrapolate import AppBreakEvenInputs
 from repro.frontend import compile_source
 from repro.profiling import classify_blocks
 from repro.vm import Interpreter
+from repro.vm.profiler import static_block_costs
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +89,7 @@ class TestBreakEven:
         _, module, profile, coverage, report = app_setup
         model = BreakEvenModel()
         analysis = model.analyze(
-            module,
+            static_block_costs(module, model.cost_model),
             profile,
             coverage,
             report.search.selected,
@@ -100,15 +101,17 @@ class TestBreakEven:
     def test_break_even_monotone_in_overhead(self, app_setup):
         _, module, profile, coverage, report = app_setup
         model = BreakEvenModel()
-        a1 = model.analyze(module, profile, coverage, report.search.selected, 100.0)
-        a2 = model.analyze(module, profile, coverage, report.search.selected, 1000.0)
+        costs = static_block_costs(module, model.cost_model)
+        a1 = model.analyze(costs, profile, coverage, report.search.selected, 100.0)
+        a2 = model.analyze(costs, profile, coverage, report.search.selected, 1000.0)
         assert a2.live_aware_seconds > a1.live_aware_seconds
         assert a2.simple_runs > a1.simple_runs
 
     def test_no_savings_never_breaks_even(self, app_setup):
         _, module, profile, coverage, _ = app_setup
         model = BreakEvenModel()
-        analysis = model.analyze(module, profile, coverage, [], 1000.0)
+        costs = static_block_costs(module, model.cost_model)
+        analysis = model.analyze(costs, profile, coverage, [], 1000.0)
         assert not analysis.reachable
         assert math.isinf(analysis.live_aware_seconds)
 
@@ -116,7 +119,11 @@ class TestBreakEven:
         _, module, profile, coverage, report = app_setup
         model = BreakEvenModel()
         analysis = model.analyze(
-            module, profile, coverage, report.search.selected, 500.0
+            static_block_costs(module, model.cost_model),
+            profile,
+            coverage,
+            report.search.selected,
+            500.0,
         )
         assert analysis.simple_seconds == pytest.approx(
             analysis.simple_runs

@@ -11,6 +11,7 @@ from repro.core import AsipSpecializationProcess
 from repro.ir.verifier import verify_module
 from repro.vm import Interpreter
 from repro.vm.patcher import BinaryPatcher
+from repro.vm.profiler import static_block_costs
 from repro.woolcano import WoolcanoMachine
 
 
@@ -58,7 +59,7 @@ class TestFullFlowOnRealApps:
         app, compiled, small, baseline, report = jit_run
         machine = WoolcanoMachine()
         sp = machine.speedup(
-            compiled.module,
+            static_block_costs(compiled.module, machine.cost_model),
             baseline.profile,
             [ci.estimate for ci in report.implementations],
         )

@@ -20,8 +20,9 @@ def hot_block(fp_kernel, fp_kernel_profile):
     """The hottest block of the FP kernel (the inner-loop body)."""
     module, profile, _ = fp_kernel_profile
     from repro.vm.costmodel import PPC405_COST_MODEL
+    from repro.vm.profiler import static_block_costs
 
-    shares = profile.block_time_shares(module, PPC405_COST_MODEL)
+    shares = profile.block_time_shares(static_block_costs(module, PPC405_COST_MODEL))
     key = max(shares, key=shares.get)
     func = module.function(key[0])
     return key[0], func.block_named(key[1])

@@ -6,6 +6,7 @@ from repro.ise import CandidateSearch, parse_filter_spec
 from repro.ise.pruning import NO_PRUNING, PruningFilter
 from repro.ise.maxmiso import MaxMisoIdentifier
 from repro.ise.singlecut import SingleCutIdentifier
+from repro.vm.profiler import static_block_costs
 
 
 class TestFilterSpec:
@@ -28,24 +29,25 @@ class TestFilterSpec:
 class TestBlockSelection:
     def test_selects_hottest_blocks(self, fp_kernel_profile):
         module, profile, _ = fp_kernel_profile
-        selected = PruningFilter().select_blocks(module, profile)
+        costs = static_block_costs(module, PruningFilter().cost_model)
+        selected = PruningFilter().select_blocks(module, profile, costs)
         assert 1 <= len(selected) <= 3
-        shares = profile.block_time_shares(
-            module, PruningFilter().cost_model
-        )
+        shares = profile.block_time_shares(costs)
         hottest = max(shares, key=shares.get)
         assert hottest in selected
 
     def test_block_budget_respected(self, fp_kernel_profile):
         module, profile, _ = fp_kernel_profile
         f = PruningFilter(time_share_pct=99.0, max_blocks=2)
-        assert len(f.select_blocks(module, profile)) <= 2
+        costs = static_block_costs(module, f.cost_model)
+        assert len(f.select_blocks(module, profile, costs)) <= 2
 
     def test_no_pruning_selects_all_executed_blocks(self, fp_kernel_profile):
         module, profile, _ = fp_kernel_profile
-        selected = NO_PRUNING.select_blocks(module, profile)
+        costs = static_block_costs(module, NO_PRUNING.cost_model)
+        selected = NO_PRUNING.select_blocks(module, profile, costs)
         executed = {k for k, p in profile.blocks.items() if p.count > 0}
-        shares = profile.block_time_shares(module, NO_PRUNING.cost_model)
+        shares = profile.block_time_shares(costs)
         nonzero = {k for k, s in shares.items() if s > 0}
         assert set(selected) == nonzero
 
@@ -53,8 +55,9 @@ class TestBlockSelection:
         module, profile, _ = fp_kernel_profile
         small = PruningFilter(time_share_pct=10.0, max_blocks=1)
         large = PruningFilter(time_share_pct=95.0, max_blocks=100)
-        assert len(small.select_blocks(module, profile)) <= len(
-            large.select_blocks(module, profile)
+        costs = static_block_costs(module, small.cost_model)
+        assert len(small.select_blocks(module, profile, costs)) <= len(
+            large.select_blocks(module, profile, costs)
         )
 
 

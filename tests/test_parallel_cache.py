@@ -18,13 +18,16 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import cache as cache_module
 from repro.core.asip_sp import AsipSpecializationProcess
 from repro.core.cache import (
     CachedImplementation,
     PersistentBitstreamCache,
     PlacementStats,
 )
+from repro.fpga.bitgen import PartialBitstream
 from repro.fpga.device import VIRTEX4_FX20, VIRTEX4_FX100
+from repro.fpga.timingmodel import StageTimes
 from repro.fpga.toolflow import CadToolFlow
 from repro.ise.selection import CandidateSearch
 from repro.obs import disable_metrics, enable_metrics, read_jsonl, read_log
@@ -174,6 +177,121 @@ class TestPersistentCache:
         assert cache.contains("b" * 64) and not cache.contains("a" * 64)
 
 
+def _slim_record() -> CachedImplementation:
+    """A small stored record, without running the CAD flow."""
+    return CachedImplementation(
+        candidate=None,
+        entity_name="ci_kept",
+        bitstream=PartialBitstream(
+            entity="ci_kept",
+            data=b"\x01\x02",
+            frame_count=1,
+            column_count=1,
+            nominal_size_bytes=2,
+        ),
+        times=StageTimes(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0),
+        placement=PlacementStats(1.0, 1.0, 10, 5),
+    )
+
+
+KEY_A, KEY_B = "a" * 64, "b" * 64
+
+
+class TestKeptIndex:
+    """An instance keeps the index it parsed: a lookup stats
+    ``index.json`` and reparses it only when another writer replaced it."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        real = json.loads
+        calls: list[int] = []
+
+        def loads(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", loads)
+        return calls
+
+    def test_get_on_an_unchanged_index_parses_nothing(self, tmp_path, parses):
+        cache = PersistentBitstreamCache(root=tmp_path / "bc")
+        cache.put(KEY_A, _slim_record())
+        for _ in range(3):
+            assert cache.get(KEY_A) is not None
+            assert cache.get(KEY_B) is None
+        assert cache.contains(KEY_A) and len(cache) == 1
+        assert parses == []
+
+        other = PersistentBitstreamCache(root=tmp_path / "bc")
+        for _ in range(3):
+            assert other.get(KEY_A) is not None
+        assert len(parses) == 1
+
+    def test_put_by_a_second_instance_is_a_hit(self, tmp_path):
+        first = PersistentBitstreamCache(root=tmp_path / "bc")
+        first.put(KEY_A, _slim_record())
+        assert first.get(KEY_B) is None
+
+        PersistentBitstreamCache(root=tmp_path / "bc").put(KEY_B, _slim_record())
+        assert first.get(KEY_B) is not None
+        assert (first.hits, first.misses) == (1, 1)
+
+    def test_put_by_a_forked_writer_is_a_hit(self, tmp_path):
+        root = tmp_path / "bc"
+        first = PersistentBitstreamCache(root=root)
+        first.put(KEY_A, _slim_record())
+        assert first.get(KEY_B) is None
+
+        def writer() -> None:
+            PersistentBitstreamCache(root=root).put(KEY_B, _slim_record())
+
+        proc = multiprocessing.get_context("fork").Process(target=writer)
+        proc.start()
+        proc.join(timeout=60)
+        assert proc.exitcode == 0
+        assert first.get(KEY_B) is not None
+        assert first.get(KEY_A) is not None
+        assert (first.hits, first.misses) == (2, 1)
+
+    def test_corrupt_object_is_one_miss_and_drops_its_entry(self, tmp_path):
+        cache = PersistentBitstreamCache(root=tmp_path / "bc")
+        cache.put(KEY_A, _slim_record())
+        cache.put(KEY_B, _slim_record())
+        cache._object_path(KEY_A).write_bytes(b"garbage")
+
+        assert cache.get(KEY_A) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert not cache.contains(KEY_A) and cache.contains(KEY_B)
+        on_disk = PersistentBitstreamCache(root=tmp_path / "bc")._load_index()
+        assert sorted(on_disk) == [KEY_B]
+
+    def test_failed_index_writes_leave_the_kept_copy_as_on_disk(
+        self, tmp_path, monkeypatch
+    ):
+        """put and a corrupt get change their own copy of the entries; when
+        the index write fails, the kept copy still matches the file."""
+        root = tmp_path / "bc"
+        cache = PersistentBitstreamCache(root=root)
+        cache.put(KEY_A, _slim_record())
+        real = cache_module._replace_atomically
+
+        def no_index_writes(path, data):
+            if path.name == "index.json":
+                raise OSError("index not writable")
+            return real(path, data)
+
+        monkeypatch.setattr(cache_module, "_replace_atomically", no_index_writes)
+        with pytest.raises(OSError):
+            cache.put(KEY_B, _slim_record())
+        assert not cache.contains(KEY_B) and len(cache) == 1
+
+        cache._object_path(KEY_A).write_bytes(b"garbage")
+        assert cache.get(KEY_A) is None
+        assert sorted(cache._load_index()) == [KEY_A]
+        monkeypatch.undo()
+        assert sorted(PersistentBitstreamCache(root=root)._load_index()) == [KEY_A]
+
+
 class TestAsipSpWithCacheAndJobs:
     def test_cold_then_warm_run_is_identical_with_fewer_cad_calls(
         self, fp_kernel_profile, tmp_path
@@ -266,11 +384,13 @@ def _cad_break_even(analysis) -> float:
     seconds: the candidate search time is measured, so it differs between
     any two runs and is left out."""
     from repro.core.breakeven import BreakEvenModel
+    from repro.vm.profiler import static_block_costs
     from repro.woolcano.machine import WoolcanoMachine
 
     spec = analysis.specialization
-    return BreakEvenModel(cost_model=WoolcanoMachine().cost_model).analyze(
-        analysis.compiled.module,
+    cost_model = WoolcanoMachine().cost_model
+    return BreakEvenModel(cost_model=cost_model).analyze(
+        static_block_costs(analysis.compiled.module, cost_model),
         analysis.train_profile,
         analysis.coverage,
         spec.search.selected,

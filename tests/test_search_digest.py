@@ -123,9 +123,10 @@ def search_rows(app: str, search: CandidateSearch) -> list:
     module, train, coverage = profiled_app(app)
     machine = WoolcanoMachine()
     result = search.run(module, train)
-    speedup = machine.speedup(module, train, result.selected)
+    costs = static_block_costs(module, machine.cost_model)
+    speedup = machine.speedup(costs, train, result.selected)
     breakeven = BreakEvenModel(cost_model=machine.cost_model).analyze(
-        module, train, coverage, result.selected, OVERHEAD_SECONDS
+        costs, train, coverage, result.selected, OVERHEAD_SECONDS
     )
     return [
         estimate_rows(result.selected),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -270,6 +271,49 @@ class TestHitIo:
         with store._lock:
             assert store._flights[("acme", key)].owner == threading.get_ident()
         assert store.release_thread_flights() == 1
+
+    def test_threads_sharing_a_tenant_lose_no_entry(self, tmp_path):
+        """Request threads get and put through one tenant's cache, whose
+        kept index copy they share, while another thread reads the
+        store's stats outside the store lock: no entry or count is lost."""
+        from repro.core.cache import PersistentBitstreamCache
+
+        store = SharedBitstreamStore(tmp_path / "store")
+        keys = [f"{i:064x}" for i in range(24)]
+        done = threading.Event()
+
+        def request(part: int) -> None:
+            tenant = store.tenant("acme")
+            for key in keys[part::4]:
+                if tenant.get(key) is None:
+                    tenant.put(key, _record())
+
+        def stats() -> None:
+            while not done.is_set():
+                store.combined_stats()
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reader = threading.Thread(target=stats)
+            workers = [threading.Thread(target=request, args=(p,)) for p in range(4)]
+            reader.start()
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+            done.set()
+            reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in [reader, *workers])
+
+        tenant = store.tenant("acme")
+        assert all(tenant.get(key) is not None for key in keys)
+        cache = tenant.cache
+        assert (cache.hits, cache.misses, cache.stores) == (24, 24, 24)
+        on_disk = PersistentBitstreamCache(root=cache.root)._load_index()
+        assert sorted(on_disk) == keys
 
 
 class TestServer:

@@ -113,7 +113,7 @@ class TestProfile:
     def test_time_shares_sum_to_one(self):
         module = build_sumsq_module()
         prof = Interpreter(module).run("sumsq", [6]).profile
-        shares = prof.block_time_shares(module, PPC405_COST_MODEL)
+        shares = prof.block_time_shares(static_block_costs(module, PPC405_COST_MODEL))
         assert sum(shares.values()) == pytest.approx(1.0)
 
 

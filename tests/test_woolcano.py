@@ -5,6 +5,7 @@ import pytest
 from repro.fpga.bitgen import PartialBitstream
 from repro.ise import CandidateSearch
 from repro.ise.pruning import NO_PRUNING
+from repro.vm.profiler import static_block_costs
 from repro.woolcano import (
     CustomInstructionSlots,
     DEFAULT_FCB,
@@ -101,14 +102,16 @@ class TestSpeedup:
         module, profile, _ = fp_kernel_profile
         search = CandidateSearch(pruning=NO_PRUNING).run(module, profile)
         machine = WoolcanoMachine()
-        sp = machine.speedup(module, profile, search.selected)
+        costs = static_block_costs(module, machine.cost_model)
+        sp = machine.speedup(costs, profile, search.selected)
         assert sp.ratio > 1.2
         assert sp.base_cycles > sp.asip_cycles
 
     def test_no_candidates_ratio_one(self, fp_kernel_profile):
         module, profile, _ = fp_kernel_profile
         machine = WoolcanoMachine()
-        sp = machine.speedup(module, profile, [])
+        costs = static_block_costs(module, machine.cost_model)
+        sp = machine.speedup(costs, profile, [])
         assert sp.ratio == pytest.approx(1.0)
 
     def test_negative_saving_clamped(self, fp_kernel_profile):
@@ -121,15 +124,17 @@ class TestSpeedup:
         est = search.selected[0]
         bad = dataclasses.replace(est, sw_cycles=1.0, hw_cycles=1000.0)
         machine = WoolcanoMachine()
-        sp = machine.speedup(module, profile, [bad])
+        costs = static_block_costs(module, machine.cost_model)
+        sp = machine.speedup(costs, profile, [bad])
         assert sp.ratio >= 1.0
 
     def test_more_candidates_at_least_as_fast(self, fp_kernel_profile):
         module, profile, _ = fp_kernel_profile
         search = CandidateSearch(pruning=NO_PRUNING).run(module, profile)
         machine = WoolcanoMachine()
-        one = machine.speedup(module, profile, search.selected[:1])
-        all_ = machine.speedup(module, profile, search.selected)
+        costs = static_block_costs(module, machine.cost_model)
+        one = machine.speedup(costs, profile, search.selected[:1])
+        all_ = machine.speedup(costs, profile, search.selected)
         assert all_.ratio >= one.ratio - 1e-9
 
     def test_woolcano_cost_model_prices_custom(self):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.ise import CandidateSearch
 from repro.ise.pruning import NO_PRUNING
+from repro.vm.profiler import static_block_costs
 from repro.woolcano import CustomInstructionSlots, WoolcanoMachine
 
 
@@ -30,57 +31,58 @@ int main() {
     module = compile_source(src, "slots").module
     profile = Interpreter(module).run("main").profile
     search = CandidateSearch(pruning=NO_PRUNING).run(module, profile)
-    return module, profile, search
+    costs = static_block_costs(module, WoolcanoMachine().cost_model)
+    return costs, profile, search
 
 
 class TestSlotConstrainedSpeedup:
     def test_zero_slots_no_speedup(self, machine_setup):
-        module, profile, search = machine_setup
+        costs, profile, search = machine_setup
         machine = WoolcanoMachine()
-        sp = machine.speedup_with_slots(module, profile, search.selected, 0)
+        sp = machine.speedup_with_slots(costs, profile, search.selected, 0)
         assert sp.ratio == pytest.approx(1.0)
 
     def test_monotone_in_capacity(self, machine_setup):
-        module, profile, search = machine_setup
+        costs, profile, search = machine_setup
         machine = WoolcanoMachine()
         ratios = [
-            machine.speedup_with_slots(module, profile, search.selected, c).ratio
+            machine.speedup_with_slots(costs, profile, search.selected, c).ratio
             for c in range(0, len(search.selected) + 2)
         ]
         assert all(b >= a - 1e-9 for a, b in zip(ratios, ratios[1:]))
 
     def test_enough_slots_equals_unconstrained(self, machine_setup):
-        module, profile, search = machine_setup
+        costs, profile, search = machine_setup
         machine = WoolcanoMachine()
         constrained = machine.speedup_with_slots(
-            module, profile, search.selected, len(search.selected)
+            costs, profile, search.selected, len(search.selected)
         )
-        unconstrained = machine.speedup(module, profile, search.selected)
+        unconstrained = machine.speedup(costs, profile, search.selected)
         assert constrained.ratio == pytest.approx(unconstrained.ratio)
 
     def test_top_candidate_chosen_first(self, machine_setup):
-        module, profile, search = machine_setup
+        costs, profile, search = machine_setup
         machine = WoolcanoMachine()
-        one = machine.speedup_with_slots(module, profile, search.selected, 1)
+        one = machine.speedup_with_slots(costs, profile, search.selected, 1)
         # one slot must give at least as much as any single candidate alone
         singles = [
-            machine.speedup(module, profile, [est]).ratio
+            machine.speedup(costs, profile, [est]).ratio
             for est in search.selected
         ]
         assert one.ratio == pytest.approx(max(singles), rel=1e-9)
 
     def test_default_capacity_from_machine_slots(self, machine_setup):
-        module, profile, search = machine_setup
+        costs, profile, search = machine_setup
         machine = WoolcanoMachine(slots=CustomInstructionSlots(capacity=1))
-        default = machine.speedup_with_slots(module, profile, search.selected)
-        explicit = machine.speedup_with_slots(module, profile, search.selected, 1)
+        default = machine.speedup_with_slots(costs, profile, search.selected)
+        explicit = machine.speedup_with_slots(costs, profile, search.selected, 1)
         assert default.ratio == explicit.ratio
 
     def test_negative_capacity_rejected(self, machine_setup):
-        module, profile, search = machine_setup
+        costs, profile, search = machine_setup
         machine = WoolcanoMachine()
         with pytest.raises(ValueError):
-            machine.speedup_with_slots(module, profile, search.selected, -1)
+            machine.speedup_with_slots(costs, profile, search.selected, -1)
 
 
 def _bitstream(n: int):
