@@ -4,7 +4,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # Worker count for the parallel leg of `make regress` (1 = serial).
 JOBS ?= 1
 
-.PHONY: test bench-test trace-smoke fidelity tables bench regress regress-serve regress-vm regress-mix docs-lint whatif-smoke serve-smoke slo-smoke
+.PHONY: test bench-test trace-smoke fidelity tables bench regress regress-serve regress-vm regress-mix docs-lint serve-smoke
 
 # Tier-1 verification: the full test suite; lists its ten slowest tests.
 test:
@@ -45,39 +45,16 @@ regress:
 	$(PYTHON) -m repro runs list
 	$(PYTHON) -m repro regress --baseline latest~1
 
-# Critical-path / what-if smoke: record an fft run in the ledger, analyze
-# its critical path (the Table III Bitgen-dominance line must render), then
-# replay the Table IV grid from the trace and cross-check it cell-by-cell
-# against the analytic model; writes the whatif_grid.json artifact. Done
-# twice, then the second run is gated against the first, so the critpath
-# and whatif blocks' declared tolerances are exercised.
-whatif-smoke:
-	$(PYTHON) -m repro analyze fft --ledger
-	$(PYTHON) -m repro critpath latest
-	$(PYTHON) -m repro whatif latest --grid
-	$(PYTHON) -m repro analyze fft --ledger
-	$(PYTHON) -m repro critpath latest
-	$(PYTHON) -m repro whatif latest --grid --out whatif_grid.json
-	$(PYTHON) -m repro regress --baseline latest~1
-
 # Documentation lint: every module docstring names its paper anchor, all
 # relative markdown links resolve, README links the architecture tour.
 docs-lint:
 	$(PYTHON) scripts/docs_lint.py
 
 # Serve-plane smoke: start a real daemon subprocess, run a mixed-tenant
-# request burst, render `repro top`, assert the break-even p99 quantile is
-# populated, and check SIGINT drains gracefully (exit 0, run closed).
+# request burst, assert the break-even p99 quantile is populated, and
+# check SIGINT drains gracefully (exit 0, run closed).
 serve-smoke:
 	$(PYTHON) scripts/serve_smoke.py
-
-# SLO smoke: record two loadgen runs, evaluate the stock error-budget
-# objectives (must hold), breach a deliberately impossible break-even
-# bound (must page into alerts.jsonl), and write the fleet trend report;
-# leaves artifacts/slo_alerts.jsonl + artifacts/trend_report.json for CI
-# artifact upload (the directory is gitignored).
-slo-smoke:
-	$(PYTHON) scripts/slo_smoke.py
 
 # VM regression leg: record two vmprof runs of one app in the ledger and
 # gate the second against the first — opcode/digram counts and the

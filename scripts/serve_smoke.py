@@ -2,11 +2,11 @@
 """Serve-plane smoke test: daemon lifecycle end to end (CI gate).
 
 Starts a real ``repro serve`` daemon as a subprocess, sends a mixed-tenant
-request burst through the socket protocol, renders one ``repro top`` page,
-asserts that the stats report a populated p99 break-even quantile (the
-serving-time headline of the paper's Table IV cache argument), then
-delivers SIGINT and checks the daemon drains gracefully — exit code 0 and
-an ``interrupted`` shutdown banner, never a dangling run.
+request burst through the socket protocol, asserts that the stats report
+a populated p99 break-even quantile (the serving-time headline of the
+paper's Table IV cache argument), then delivers SIGINT and checks the
+daemon drains gracefully — exit code 0 and an ``interrupted`` shutdown
+banner, never a dangling run.
 
 Run from the repository root: ``python scripts/serve_smoke.py``.
 """
@@ -108,27 +108,6 @@ def main() -> int:
                 fail(f"expected two tenant namespaces, got {sorted(tenants)}")
             if tenants["acme"]["hits"] < 1:
                 fail("repeated acme/adpcm request did not hit the cache")
-
-            # `repro top --once` must render against the live daemon.
-            top = subprocess.run(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro",
-                    "top",
-                    "--port",
-                    str(port),
-                    "--once",
-                ],
-                capture_output=True,
-                text=True,
-                cwd=REPO,
-                env=ENV,
-                timeout=60,
-            )
-            if top.returncode != 0 or "break-even" not in top.stdout:
-                fail(f"repro top --once failed:\n{top.stdout}{top.stderr}")
-            print("serve-smoke: repro top --once rendered")
 
             proc.send_signal(signal.SIGINT)
             out, _ = proc.communicate(timeout=120)

@@ -15,27 +15,12 @@ Commands:
   kernel blocks flagged);
 - ``fidelity`` — compare a run's tables against the paper's published
   values and write a machine-readable ``BENCH_*.json`` report;
-- ``runs list|show|diff|gc|trend`` — inspect or garbage-collect the run
+- ``runs list|show|diff|gc`` — inspect or garbage-collect the run
   ledger (``.repro-runs/``); ``gc`` compacts pruned manifests into
-  ``history.jsonl`` and ``trend`` renders per-cell time series across
-  all recorded history;
+  ``history.jsonl``;
 - ``regress`` — compare the latest recorded run against a baseline run
   cell-by-cell, exiting non-zero on regression (CI gate); ``--history N``
   derives measured-cell noise bands from the last N runs;
-- ``slo RUN`` — evaluate the serve plane's error-budget objectives over a
-  recorded run's ``requests.jsonl``, appending burn-rate alerts to its
-  ``alerts.jsonl`` (exit 1 on a breached objective);
-- ``anomaly`` — robust changepoint detection of the newest run's manifest
-  cells against the fleet history (exit 1 on anomalies);
-- ``critpath RUN`` — reconstruct the specialization DAG of a recorded run
-  from its span trace: critical path and per-stage slack on both clocks,
-  plus the Amdahl-style break-even headroom table;
-- ``whatif RUN`` — replay a recorded run under hypothetical knobs (cache
-  hit rate, CAD speedups, parallel CAD workers); ``--grid`` regenerates
-  the Table IV grid from measured spans and cross-checks it against the
-  analytic model; ``--slots N`` / ``--policy P`` instead replay a
-  recorded fleet-mix run under different slot counts or eviction
-  policies;
 - ``mix`` — sweep the fleet workload-mix grid (mix entropy x eviction
   policy x slot capacity) through the slot-contention simulator, exiting
   non-zero if break-even-aware eviction fails to beat LRU on the
@@ -47,12 +32,9 @@ Commands:
   (``.repro-cache/``, Section VI-A);
 - ``serve`` — run the specialization daemon (:mod:`repro.serve`): a
   bounded admission queue and worker pool over the shared multi-tenant
-  bitstream store, with request-level SLO telemetry;
+  bitstream store, with a per-request record (``requests.jsonl``);
 - ``loadgen`` — drive an embedded daemon with a deterministic Poisson
-  request mix (cold + warm phases);
-- ``top`` — live ASCII view of a running daemon's queue/latency/tenant
-  statistics;
-- ``tail <file>`` — render the last records of a JSONL event log.
+  request mix (cold + warm phases).
 
 Every command accepts ``--trace FILE`` (export a JSONL span trace of the
 run), ``--metrics`` (print a metrics snapshot after the run), ``--log
@@ -484,296 +466,6 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_run_replay(args: argparse.Namespace):
-    """Shared critpath/whatif preamble: (ledger, run_id, replay) or an exit code."""
-    from repro import obs
-    from repro.obs.critpath import RunReplay
-    from repro.obs.ledger import RunLedger
-
-    ledger = RunLedger(args.ledger_dir)
-    try:
-        run_id = ledger.resolve(args.run)
-    except LookupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    trace_path = ledger.run_dir(run_id) / "trace.jsonl"
-    if not trace_path.is_file():
-        print(
-            f"error: run {run_id} has no trace.jsonl "
-            "(record the run with --ledger so its spans are kept)",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        records = obs.read_jsonl(trace_path)
-    except ValueError as exc:
-        print(f"error: invalid trace for run {run_id}: {exc}", file=sys.stderr)
-        return 2
-    replay = RunReplay.from_records(records)
-    if not replay.apps:
-        print(
-            f"error: run {run_id}'s trace contains no specialization "
-            "processes (asip_sp.run spans)",
-            file=sys.stderr,
-        )
-        return 2
-    return ledger, run_id, replay
-
-
-def _breakeven_inputs_or_none(replay):
-    """Per-app break-even inputs, or None when an app is not in the registry."""
-    from repro.obs.whatif import breakeven_inputs
-
-    try:
-        return breakeven_inputs(replay.app_names)
-    except KeyError as exc:
-        print(
-            f"note: break-even replay unavailable (unknown app {exc}); "
-            "overhead-only analysis",
-            file=sys.stderr,
-        )
-        return None
-
-
-def _cmd_critpath(args: argparse.Namespace) -> int:
-    from repro.obs import critpath as cp
-
-    resolved = _resolve_run_replay(args)
-    if isinstance(resolved, int):
-        return resolved
-    ledger, run_id, replay = resolved
-
-    virtual = cp.analyze_critical_path(replay, "virtual")
-    real = cp.analyze_critical_path(replay, "real")
-    candidates = sum(len(a.candidates) for a in replay.apps)
-    print(
-        f"run {run_id}: {len(replay.apps)} app(s) "
-        f"({', '.join(replay.app_names)}), {candidates} candidate chain(s)"
-    )
-    print()
-    print(cp.render_critical_path(virtual))
-    table3 = cp.table3_summary(replay)
-    if table3 is not None:
-        print()
-        print(cp.render_table3_summary(table3))
-    print()
-    print(cp.render_critical_path(real))
-
-    headroom = None
-    inputs = _breakeven_inputs_or_none(replay)
-    if inputs is not None:
-        headroom = cp.headroom_table(replay, inputs)
-        print()
-        print(headroom.render())
-
-    if not args.no_save:
-        path = ledger.attach_block(
-            run_id,
-            "critpath",
-            cp.critpath_block(virtual, real, headroom, table3),
-        )
-        print(f"\nattached critpath block to {path}")
-    return 0
-
-
-def _parse_speedup_specs(specs: list[str]) -> tuple[float, tuple]:
-    """Parse repeatable ``--cad-speedup`` values: ``PCT`` or ``STAGE=PCT``."""
-    uniform = 0.0
-    per_stage: list[tuple[str, float]] = []
-    for spec in specs:
-        stage, sep, value = spec.partition("=")
-        if sep:
-            per_stage.append((stage.strip(), float(value)))
-        else:
-            uniform = float(spec)
-    return uniform, tuple(per_stage)
-
-
-def _cmd_whatif_mix(args: argparse.Namespace) -> int:
-    """``repro whatif --slots/--policy``: replay a recorded fleet mix."""
-    from repro.obs import whatif as wi
-    from repro.obs.ledger import RunLedger
-
-    ledger = RunLedger(args.ledger_dir)
-    try:
-        run_id = ledger.resolve(args.run)
-    except LookupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    manifest = ledger.load(run_id)
-    mix_block = manifest.get("mix")
-    if not mix_block:
-        print(
-            f"error: run {run_id} has no mix block "
-            "(record one with `repro mix --ledger`)",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        report = wi.whatif_mix(
-            mix_block, slots=args.slots, policy=args.policy
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"run {run_id}: fleet-mix what-if replay")
-    print()
-    print(wi.render_whatif_mix(report))
-    status = 0
-    if not report["identity"]["identical"]:
-        print(
-            "FAIL: replaying a recorded cell no longer reproduces the "
-            "manifest's fleet break-even (simulation drift)",
-            file=sys.stderr,
-        )
-        status = 1
-    if not args.no_save:
-        path = ledger.attach_block(run_id, "whatif", {"mix": report})
-        print(f"\nattached whatif block to {path}")
-    return status
-
-
-def _cmd_whatif(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs import whatif as wi
-
-    if args.slots is not None or args.policy is not None:
-        return _cmd_whatif_mix(args)
-
-    resolved = _resolve_run_replay(args)
-    if isinstance(resolved, int):
-        return resolved
-    ledger, run_id, replay = resolved
-
-    inputs = _breakeven_inputs_or_none(replay)
-    if inputs is None:
-        print(
-            "error: whatif needs break-even inputs for the recorded apps",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        uniform, per_stage = _parse_speedup_specs(args.cad_speedup)
-        knobs = wi.WhatIfKnobs(
-            cache_hit_pct=args.cache_hit,
-            cad_speedup_pct=uniform,
-            stage_speedup_pct=per_stage,
-            workers=args.workers,
-            trials=args.trials,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    result = wi.whatif_break_even(replay, inputs, knobs)
-    print(f"run {run_id}: trace-driven what-if replay")
-    print()
-    print(result.render())
-    block: dict = {
-        **wi.MANIFEST_DECLARATION,
-        "scenario": wi.scenario_block(result),
-    }
-
-    # Identity check: with no knobs the replayed baseline must reproduce
-    # the run's recorded break-even times (virtual clock, manifest
-    # rounding). Divergence means the trace no longer explains the result.
-    manifest = ledger.load(run_id)
-    per_app = (manifest.get("scalars") or {}).get("per_app") or {}
-    drifted = []
-    for app in result.apps:
-        recorded = (per_app.get(app.name) or {}).get("break_even_seconds")
-        replayed = app.baseline_break_even
-        if recorded is None:
-            if math.isfinite(replayed):
-                drifted.append(f"{app.name} (recorded never, replayed finite)")
-            continue
-        if not math.isfinite(replayed) or abs(replayed - recorded) > max(
-            1e-5, 1e-5 * abs(recorded)
-        ):
-            drifted.append(
-                f"{app.name} (recorded {recorded:g}, replayed {replayed:g})"
-            )
-    if drifted:
-        print(
-            "warning: replayed baseline break-even diverges from the "
-            "recorded values: " + "; ".join(drifted),
-            file=sys.stderr,
-        )
-    elif per_app:
-        print(
-            f"\nidentity check: replayed baseline matches the recorded "
-            f"break-even of {len(result.apps)} app(s)"
-        )
-
-    status = 0
-    if args.grid:
-        from repro.experiments.table4 import render_grid
-
-        trace_grid = wi.whatif_grid(
-            replay, inputs, workers=args.workers, trials=args.trials
-        )
-        analytic = wi.analytic_grid(inputs, trials=args.trials)
-        check = wi.check_grids(trace_grid, analytic, tolerance=args.tol)
-        print()
-        print(
-            render_grid(
-                trace_grid,
-                title=(
-                    f"What-if Table IV from run {run_id} "
-                    f"({args.workers} worker(s)) [h:m:s]"
-                ),
-            )
-        )
-        print()
-        print(check.render())
-        block.update(wi.grid_block(trace_grid, check, workers=args.workers))
-        if args.out:
-            artifact = {
-                "run_id": run_id,
-                "workers": args.workers,
-                "trials": args.trials,
-                "tolerance": args.tol,
-                "cache_hit_rates": list(trace_grid.cache_hit_rates),
-                "cad_speedups": list(trace_grid.cad_speedups),
-                "cells": [
-                    {
-                        "hit_pct": c.hit_pct,
-                        "speedup_pct": c.speedup_pct,
-                        "trace_seconds": (
-                            c.trace_seconds
-                            if math.isfinite(c.trace_seconds)
-                            else None
-                        ),
-                        "analytic_seconds": (
-                            c.analytic_seconds
-                            if math.isfinite(c.analytic_seconds)
-                            else None
-                        ),
-                        "passed": c.passed,
-                    }
-                    for c in check.cells
-                ],
-            }
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(artifact, fh, indent=2)
-                fh.write("\n")
-            print(f"\nwrote what-if grid: {args.out}")
-        if not check.ok:
-            for cell in check.flagged:
-                print(
-                    f"DIVERGED {cell.key}: trace {cell.trace_seconds:g} vs "
-                    f"analytic {cell.analytic_seconds:g}",
-                    file=sys.stderr,
-                )
-            status = 1
-
-    if not args.no_save:
-        path = ledger.attach_block(run_id, "whatif", block)
-        print(f"\nattached whatif block to {path}")
-    return status
-
-
 def _cmd_runs(args: argparse.Namespace) -> int:
     from repro.obs.ledger import RunLedger, render_manifest, render_run_list
 
@@ -803,27 +495,6 @@ def _cmd_runs(args: argparse.Namespace) -> int:
                 f"nothing to remove ({len(ledger.run_ids())} run(s) "
                 f"recorded, keeping {args.keep})"
             )
-        return 0
-    if args.runs_command == "trend":
-        from repro.obs.history import (
-            build_series,
-            collect_entries,
-            render_trend,
-            trend_report,
-        )
-
-        entries = collect_entries(
-            ledger, command=args.filter_command, limit=args.limit or None
-        )
-        series = build_series(entries, args.cells or None)
-        print(render_trend(series))
-        if args.out:
-            import json
-
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(trend_report(series), fh, indent=2)
-                fh.write("\n")
-            print(f"\nwrote trend report: {args.out}")
         return 0
     if args.runs_command == "list":
         run_ids = ledger.run_ids()
@@ -920,115 +591,6 @@ def _cmd_regress(args: argparse.Namespace) -> int:
         f"({len(report.checked)} checked cells)"
     )
     return 0
-
-
-def _cmd_slo(args: argparse.Namespace) -> int:
-    from repro.obs.ledger import RunLedger
-    from repro.obs.slo import (
-        apply_objective_spec,
-        default_objectives,
-        evaluate,
-        read_requests,
-        render_slo,
-        write_alerts,
-    )
-
-    ledger = RunLedger(args.ledger_dir)
-    try:
-        run_id = ledger.resolve(args.run)
-    except LookupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    requests_path = ledger.run_dir(run_id) / "requests.jsonl"
-    if not requests_path.is_file():
-        print(
-            f"error: run {run_id} has no requests.jsonl (record a serve or "
-            "loadgen run with --ledger)",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        records = read_requests(requests_path)
-    except OSError as exc:
-        print(f"error: cannot read {requests_path}: {exc}", file=sys.stderr)
-        return 2
-    objectives = default_objectives(args.break_even_threshold)
-    try:
-        for spec in args.objective:
-            objectives = apply_objective_spec(objectives, spec)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = evaluate(records, objectives)
-    print(render_slo(report, run_id))
-    if report.alerts:
-        alerts_path = write_alerts(
-            ledger.run_dir(run_id) / "alerts.jsonl", report.alerts, run_id
-        )
-        print(f"\nappended {len(report.alerts)} alert(s) to {alerts_path}")
-    if not args.no_save:
-        # SLO state is derived from measured latency/admission behaviour.
-        ledger.attach_block(
-            run_id, "slo", {**report.summary(), "measured": ["*"]}
-        )
-    if report.breached:
-        breached = [r.objective.name for r in report.results if r.breached]
-        print(
-            f"\nBREACHED: {', '.join(breached)} "
-            f"(error budget exhausted or fast burn firing)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_anomaly(args: argparse.Namespace) -> int:
-    from repro.obs.history import (
-        build_series,
-        collect_entries,
-        detect_anomalies,
-        render_anomalies,
-    )
-    from repro.obs.ledger import RunLedger
-
-    ledger = RunLedger(args.ledger_dir)
-    entries = collect_entries(
-        ledger, command=args.filter_command, limit=args.limit or None
-    )
-    if not entries:
-        print(
-            f"(no history in {ledger.path}: record runs with --ledger first)"
-        )
-        return 0
-    series = build_series(entries, args.cells or None)
-    anomalies = detect_anomalies(
-        series,
-        min_points=args.min_points,
-        mads=args.mads,
-        min_rel=args.min_rel,
-    )
-    print(render_anomalies(anomalies, len(entries)))
-    if args.out:
-        import json
-
-        payload = {
-            "schema": "repro-anomaly/1",
-            "runs": len(entries),
-            "anomalies": [
-                {
-                    **vars(a),
-                    # JSON has no Infinity: a shifted constant cell reports
-                    # a null robust z instead.
-                    "zscore": None if a.zscore == float("inf") else a.zscore,
-                }
-                for a in anomalies
-            ],
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"\nwrote anomaly report: {args.out}")
-    return 1 if anomalies else 0
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -1192,36 +754,6 @@ def _cmd_mix(args: argparse.Namespace) -> int:
         return 2
     print(render_mix_bench(report))
     return _check_gates("mix", report)
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    from repro.serve.top import run_top
-
-    try:
-        return run_top(
-            args.host,
-            args.port,
-            interval=args.interval,
-            once=args.once,
-            show_metrics=args.show_metrics,
-        )
-    except KeyboardInterrupt:
-        return 0
-
-
-def _cmd_tail(args: argparse.Namespace) -> int:
-    from repro.obs.log import read_log, render_tail
-
-    try:
-        records = read_log(args.file)
-    except OSError as exc:
-        print(f"cannot read log: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"invalid log: {exc}", file=sys.stderr)
-        return 1
-    print(render_tail(records, limit=args.lines, level=args.level))
-    return 0
 
 
 def _run_config(args: argparse.Namespace) -> dict:
@@ -1495,41 +1027,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="delete pruned runs outright instead of first compacting "
         "their manifest cells into the ledger's history.jsonl",
     )
-    p_runs_trend = runs_sub.add_parser(
-        "trend",
-        help="per-cell time series across all recorded history "
-        "(live runs + gc-compacted history.jsonl)",
-    )
-    p_runs_trend.add_argument("--ledger", **ledger_dir_kwargs)
-    p_runs_trend.add_argument(
-        "--cells",
-        action="append",
-        default=[],
-        metavar="PATTERN",
-        help="fnmatch cell filter (repeatable; default: every cell)",
-    )
-    p_runs_trend.add_argument(
-        "--command",
-        dest="filter_command",
-        default=None,
-        metavar="CMD",
-        help="only runs of this command (default: all runs)",
-    )
-    p_runs_trend.add_argument(
-        "--limit",
-        type=int,
-        default=0,
-        metavar="N",
-        help="only the newest N runs (default: 0 = all)",
-    )
-    p_runs_trend.add_argument(
-        "--out",
-        metavar="FILE",
-        default=None,
-        help="also write the series as a JSON trend report",
-    )
     p_runs.set_defaults(fn=_cmd_runs, trace=None, metrics=False, log=None)
-    for p in (p_runs_list, p_runs_show, p_runs_diff, p_runs_gc, p_runs_trend):
+    for p in (p_runs_list, p_runs_show, p_runs_diff, p_runs_gc):
         p.set_defaults(fn=_cmd_runs, trace=None, metrics=False, log=None)
 
     p_regress = sub.add_parser(
@@ -1568,205 +1067,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--all", action="store_true", help="show unchanged cells too"
     )
     p_regress.set_defaults(fn=_cmd_regress, trace=None, metrics=False, log=None)
-
-    p_slo = sub.add_parser(
-        "slo",
-        help="evaluate error-budget SLOs over a recorded run's "
-        "requests.jsonl, appending burn-rate alerts to alerts.jsonl",
-    )
-    p_slo.add_argument(
-        "run",
-        nargs="?",
-        default="latest",
-        help="run spec: id, unique prefix, 'latest', or 'latest~N' "
-        "(default: latest)",
-    )
-    p_slo.add_argument("--ledger", **ledger_dir_kwargs)
-    p_slo.add_argument(
-        "--break-even-threshold",
-        type=float,
-        default=3600.0,
-        metavar="SEC",
-        help="bound for the break_even_p95 objective in virtual seconds "
-        "of app runtime (default: 3600)",
-    )
-    p_slo.add_argument(
-        "--objective",
-        action="append",
-        default=[],
-        metavar="NAME:KEY=VAL,...",
-        help="override a stock objective's fields (or declare a new one "
-        "with at least good= and target=); repeatable",
-    )
-    p_slo.add_argument(
-        "--no-save",
-        action="store_true",
-        help="do not attach the SLO summary block to the run's manifest",
-    )
-    p_slo.set_defaults(fn=_cmd_slo, trace=None, metrics=False, log=None)
-
-    p_anomaly = sub.add_parser(
-        "anomaly",
-        help="flag manifest cells of the newest run that break from the "
-        "fleet history (robust median+MAD changepoint)",
-    )
-    p_anomaly.add_argument("--ledger", **ledger_dir_kwargs)
-    p_anomaly.add_argument(
-        "--cells",
-        action="append",
-        default=[],
-        metavar="PATTERN",
-        help="fnmatch cell filter (repeatable; default: every cell)",
-    )
-    p_anomaly.add_argument(
-        "--command",
-        dest="filter_command",
-        default=None,
-        metavar="CMD",
-        help="only runs of this command (default: all runs)",
-    )
-    p_anomaly.add_argument(
-        "--limit",
-        type=int,
-        default=0,
-        metavar="N",
-        help="only the newest N runs (default: 0 = all)",
-    )
-    p_anomaly.add_argument(
-        "--min-points",
-        type=int,
-        default=4,
-        metavar="N",
-        help="trailing points needed before a cell is judged (default: 4)",
-    )
-    p_anomaly.add_argument(
-        "--mads",
-        type=float,
-        default=4.0,
-        metavar="Z",
-        help="robust z-score threshold in 1.4826*MAD units (default: 4)",
-    )
-    p_anomaly.add_argument(
-        "--min-rel",
-        type=float,
-        default=0.001,
-        metavar="FRAC",
-        help="minimum |relative change| vs the baseline median "
-        "(default: 0.001)",
-    )
-    p_anomaly.add_argument(
-        "--out",
-        metavar="FILE",
-        default=None,
-        help="write the flagged cells as a JSON anomaly report",
-    )
-    p_anomaly.set_defaults(fn=_cmd_anomaly, trace=None, metrics=False, log=None)
-
-    p_critpath = sub.add_parser(
-        "critpath",
-        help="critical path and per-stage slack of a recorded run's "
-        "specialization DAG",
-    )
-    p_critpath.add_argument(
-        "run",
-        nargs="?",
-        default="latest",
-        help="run spec: id, unique prefix, 'latest', or 'latest~N' "
-        "(default: latest)",
-    )
-    p_critpath.add_argument("--ledger", **ledger_dir_kwargs)
-    p_critpath.add_argument(
-        "--no-save",
-        action="store_true",
-        help="do not attach the critpath block to the run's manifest",
-    )
-    p_critpath.set_defaults(
-        fn=_cmd_critpath, trace=None, metrics=False, log=None
-    )
-
-    p_whatif = sub.add_parser(
-        "whatif",
-        help="replay a recorded run under hypothetical cache/CAD/worker knobs",
-    )
-    p_whatif.add_argument(
-        "run",
-        nargs="?",
-        default="latest",
-        help="run spec: id, unique prefix, 'latest', or 'latest~N' "
-        "(default: latest)",
-    )
-    p_whatif.add_argument("--ledger", **ledger_dir_kwargs)
-    p_whatif.add_argument(
-        "--cache-hit",
-        type=float,
-        default=0.0,
-        metavar="PCT",
-        help="bitstream-cache hit rate in percent (default: 0)",
-    )
-    p_whatif.add_argument(
-        "--cad-speedup",
-        action="append",
-        default=[],
-        metavar="PCT|STAGE=PCT",
-        help="CAD speedup in percent: a bare number speeds up the whole "
-        "chain, STAGE=PCT (e.g. bitgen=50) only one stage; repeatable",
-    )
-    p_whatif.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parallel CAD workers list-scheduling the candidate chains "
-        "(default: 1)",
-    )
-    p_whatif.add_argument(
-        "--trials",
-        type=int,
-        default=16,
-        metavar="N",
-        help="cache-population trials, as in the analytic Table IV "
-        "(default: 16)",
-    )
-    p_whatif.add_argument(
-        "--grid",
-        action="store_true",
-        help="regenerate the full Table IV grid from the trace and "
-        "cross-check it against the analytic model (exit 1 on divergence)",
-    )
-    p_whatif.add_argument(
-        "--tol",
-        type=float,
-        default=0.05,
-        metavar="REL",
-        help="relative tolerance for the grid cross-check (default: 0.05)",
-    )
-    p_whatif.add_argument(
-        "--out",
-        metavar="FILE",
-        default=None,
-        help="write the cross-checked grid as a JSON artifact (with --grid)",
-    )
-    p_whatif.add_argument(
-        "--slots",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fleet-mix replay: re-simulate the run's recorded mixes with "
-        "N custom-instruction slots (needs a `repro mix --ledger` run)",
-    )
-    p_whatif.add_argument(
-        "--policy",
-        choices=["lru", "lfu", "breakeven"],
-        default=None,
-        help="fleet-mix replay: re-simulate the run's recorded mixes "
-        "under this eviction policy",
-    )
-    p_whatif.add_argument(
-        "--no-save",
-        action="store_true",
-        help="do not attach the whatif block to the run's manifest",
-    )
-    p_whatif.set_defaults(fn=_cmd_whatif, trace=None, metrics=False, log=None)
 
     p_cache = sub.add_parser(
         "cache", help="inspect or clear the persistent bitstream cache"
@@ -2001,51 +1301,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_mix.set_defaults(fn=_cmd_mix)
 
-    p_top = sub.add_parser(
-        "top", help="live ASCII view of a running specialization daemon"
-    )
-    p_top.add_argument(
-        "--host", default="127.0.0.1", help="daemon host (default: 127.0.0.1)"
-    )
-    p_top.add_argument(
-        "--port", type=int, required=True, help="daemon port (required)"
-    )
-    p_top.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="SEC",
-        help="refresh interval (default: 2.0)",
-    )
-    p_top.add_argument(
-        "--once",
-        action="store_true",
-        help="render a single page and exit (no screen clearing)",
-    )
-    p_top.add_argument(
-        "--metrics",
-        dest="show_metrics",
-        action="store_true",
-        help="append the daemon's full metrics snapshot, if instrumented",
-    )
-    p_top.set_defaults(
-        fn=_cmd_top, trace=None, metrics=False, log=None, ledger=None
-    )
-
-    p_tail = sub.add_parser(
-        "tail", help="render the last records of a JSONL event log"
-    )
-    p_tail.add_argument("file", help="event log written by --log or --ledger")
-    p_tail.add_argument(
-        "-n", "--lines", type=int, default=20, help="records to show"
-    )
-    p_tail.add_argument(
-        "--level",
-        choices=["debug", "info", "warning", "error"],
-        default=None,
-        help="show only records at or above this level",
-    )
-    p_tail.set_defaults(fn=_cmd_tail, trace=None, metrics=False, log=None)
     return parser
 
 

@@ -215,9 +215,14 @@ class PersistentBitstreamCache:
     _kept: tuple[tuple[int, int, int], dict[str, dict]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: ``root/index.json`` and ``root/objects``, composed once.
+    index_path: Path = field(init=False, repr=False, compare=False)
+    _objects: Path = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
+        self.index_path = self.root / "index.json"
+        self._objects = self.root / "objects"
 
     # -- key composition -------------------------------------------------------
 
@@ -236,12 +241,8 @@ class PersistentBitstreamCache:
 
     # -- paths -----------------------------------------------------------------
 
-    @property
-    def index_path(self) -> Path:
-        return self.root / "index.json"
-
     def _object_path(self, key: str) -> Path:
-        return self.root / "objects" / f"{key}.pkl"
+        return self._objects / f"{key}.pkl"
 
     # -- index I/O (tolerant reads, atomic writes) -----------------------------
 
@@ -322,8 +323,7 @@ class PersistentBitstreamCache:
     ) -> None:
         """Store one implementation's slim record atomically, evicting if
         needed."""
-        objects = self.root / "objects"
-        objects.mkdir(parents=True, exist_ok=True)
+        self._objects.mkdir(parents=True, exist_ok=True)
         # The candidate is reattached on get(); detaching it keeps the
         # payload independent of analysis-session object graphs.
         placement = impl.placement

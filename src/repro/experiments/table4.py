@@ -17,17 +17,36 @@ from repro.experiments.runner import analyze_suite
 from repro.util.tables import Table
 from repro.util.timefmt import format_hhmmss
 
-DEFAULT_GRID_TITLE = "Table IV: avg embedded break-even time [h:m:s]"
+
+@dataclass
+class Table4:
+    grid: ExtrapolationGrid
+
+    def render(self) -> str:
+        """ASCII rendering of the grid (rows = cache hit rate)."""
+        grid = self.grid
+        table = Table(
+            columns=["Cache hit [%]"]
+            + [f"CAD +{s}%" for s in grid.cad_speedups],
+            title="Table IV: avg embedded break-even time [h:m:s]",
+        )
+        for hit in grid.cache_hit_rates:
+            cells = [str(hit)]
+            for speedup in grid.cad_speedups:
+                v = grid.at(hit, speedup)
+                cells.append(format_hhmmss(v) if math.isfinite(v) else "never")
+            table.add_row(cells)
+        return table.render()
 
 
-def breakeven_inputs_from(analyses) -> list[AppBreakEvenInputs]:
-    """Break-even model inputs for a set of completed app analyses.
-
-    Shared with the trace-driven what-if engine
-    (:mod:`repro.obs.whatif`), which needs the identical inputs to
-    cross-check its replayed grid against this module's analytic one.
-    """
-    return [
+def generate_table4(
+    hit_rates: list[int] | None = None,
+    cad_speedups: list[int] | None = None,
+    trials: int = 16,
+    jobs: int = 1,
+    cache=None,
+) -> Table4:
+    apps = [
         AppBreakEvenInputs(
             name=analysis.name,
             module=analysis.compiled.module,
@@ -38,43 +57,8 @@ def breakeven_inputs_from(analyses) -> list[AppBreakEvenInputs]:
             search_seconds=analysis.search_pruned.search_seconds,
             reconfig_seconds=analysis.specialization.reconfiguration_seconds,
         )
-        for analysis in analyses
+        for analysis in analyze_suite("embedded", jobs=jobs, cache=cache)
     ]
-
-
-def render_grid(grid: ExtrapolationGrid, title: str = DEFAULT_GRID_TITLE) -> str:
-    """ASCII rendering of a Table IV-style grid (rows = cache hit rate)."""
-    table = Table(
-        columns=["Cache hit [%]"] + [f"CAD +{s}%" for s in grid.cad_speedups],
-        title=title,
-    )
-    for hit in grid.cache_hit_rates:
-        cells = [str(hit)]
-        for speedup in grid.cad_speedups:
-            v = grid.at(hit, speedup)
-            cells.append(format_hhmmss(v) if math.isfinite(v) else "never")
-        table.add_row(cells)
-    return table.render()
-
-
-@dataclass
-class Table4:
-    grid: ExtrapolationGrid
-
-    def render(self) -> str:
-        return render_grid(self.grid)
-
-
-def generate_table4(
-    hit_rates: list[int] | None = None,
-    cad_speedups: list[int] | None = None,
-    trials: int = 16,
-    jobs: int = 1,
-    cache=None,
-) -> Table4:
-    apps = breakeven_inputs_from(
-        analyze_suite("embedded", jobs=jobs, cache=cache)
-    )
     grid = extrapolate_break_even(
         apps,
         hit_rates if hit_rates is not None else DEFAULT_HIT_RATES,

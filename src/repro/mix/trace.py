@@ -7,7 +7,7 @@ sequence of application invocations: the draw uses the same
 inverse-transform protocol as the serve-plane load generator
 (:mod:`repro.serve.loadgen`), so identical (mix, seed, events) inputs
 produce bit-identical traces on every machine — the property the
-``regress-mix`` gate and the what-if replays rely on.
+``regress-mix`` gate relies on.
 
 Mix *entropy* (normalised Shannon entropy of the weight distribution)
 is the knob that turns a single-application workload (entropy 0, the

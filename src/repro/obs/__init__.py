@@ -15,33 +15,24 @@ evidence on demand:
 - :mod:`repro.obs.profile` — span trace folded into a hierarchical
   self-time/total-time profile tree with collapsed-stack flamegraph
   export and a top-N hot-path table;
-- :mod:`repro.obs.heat` — per-basic-block heat annotations (profile
-  counts x cost model) rendered through the IR printer, kernel blocks
-  flagged (lazy import: pulls the IR/VM layers);
-- :mod:`repro.obs.fidelity` — golden-reference harness comparing a run's
-  tables cell-by-cell against the paper's published values, emitting a
-  ``BENCH_*.json`` report (lazy import: pulls the experiments layer);
 - :mod:`repro.obs.log` — leveled structured event log (JSONL), every
   record stamped with the active run id and tracer span id;
 - :mod:`repro.obs.ledger` — append-only run ledger: each recorded run
   becomes a durable ``manifest.json`` (+ trace + event log) under
   ``.repro-runs/``;
 - :mod:`repro.obs.regress` — regression sentinel comparing two ledger
-  manifests cell-by-cell under configurable tolerances, repeat-run
-  noise bands, and history-derived noise bands;
-- :mod:`repro.obs.slo` — declarative SLOs with error-budget accounting
-  and multi-window burn-rate alerts over a serve run's request records;
-- :mod:`repro.obs.history` — fleet history: per-cell time series over
-  every ledger run (live + gc-compacted), robust anomaly detection, and
-  noise-band derivation for the regression sentinel;
-- :mod:`repro.obs.critpath` — critical-path analyzer reconstructing the
-  specialization DAG from a recorded span trace (CPM on both clocks,
-  per-stage slack, Amdahl-style break-even headroom table);
-- :mod:`repro.obs.whatif` — trace-driven what-if engine replaying a
-  recorded run under hypothetical knobs (cache hit rate, CAD speedups,
-  parallel CAD workers) and cross-checking its Table IV-style grid
-  against the analytic model (lazy import: pulls the experiments layer
-  when deriving break-even inputs).
+  manifests cell-by-cell under configurable tolerances and
+  history-derived noise bands;
+- :mod:`repro.obs.history` — the cell history every ledger run leaves
+  (live + gc-compacted) and the noise bands the regression sentinel
+  derives from it.
+
+The layers above the substrate are not re-exported here, because they
+import the IR/VM/experiments packages, which themselves import
+:mod:`repro.obs`: :mod:`repro.obs.heat` (per-basic-block heat
+annotations), :mod:`repro.obs.fidelity` (golden-reference comparison
+against the paper's published values), :mod:`repro.obs.bench` and
+:mod:`repro.obs.vmprof`.
 
 Enable both at once with :func:`enable` (the CLI's ``--trace`` /
 ``--metrics`` flags call this). Pool children hand their evidence back
@@ -99,7 +90,6 @@ from repro.obs.log import (
     log_enabled,
     log_event,
     read_log,
-    render_tail,
     set_log,
 )
 from repro.obs.ledger import (
@@ -123,73 +113,6 @@ from repro.obs.regress import (
     median_mad,
     parse_tolerances,
 )
-
-# The heat and fidelity layers sit *above* the substrate: they import the
-# IR/VM/experiments packages, which themselves import repro.obs — so they
-# are exposed lazily (PEP 562) to keep `import repro.obs` light and
-# cycle-free from any entry point.
-_LAZY_EXPORTS = {
-    "BlockHeat": "repro.obs.heat",
-    "HeatMap": "repro.obs.heat",
-    "compute_heat": "repro.obs.heat",
-    "heat_table": "repro.obs.heat",
-    "render_heat": "repro.obs.heat",
-    "CellCheck": "repro.obs.fidelity",
-    "FidelityReport": "repro.obs.fidelity",
-    "default_report_path": "repro.obs.fidelity",
-    "fidelity_from_analyses": "repro.obs.fidelity",
-    "run_fidelity": "repro.obs.fidelity",
-    "AppReplay": "repro.obs.critpath",
-    "CandidateReplay": "repro.obs.critpath",
-    "CriticalPathAnalysis": "repro.obs.critpath",
-    "HeadroomTable": "repro.obs.critpath",
-    "RunReplay": "repro.obs.critpath",
-    "analyze_critical_path": "repro.obs.critpath",
-    "critpath_block": "repro.obs.critpath",
-    "headroom_table": "repro.obs.critpath",
-    "render_critical_path": "repro.obs.critpath",
-    "table3_summary": "repro.obs.critpath",
-    "SloObjective": "repro.obs.slo",
-    "SloReport": "repro.obs.slo",
-    "ObjectiveStatus": "repro.obs.slo",
-    "apply_objective_spec": "repro.obs.slo",
-    "default_objectives": "repro.obs.slo",
-    "evaluate_slo": "repro.obs.slo",
-    "read_requests": "repro.obs.slo",
-    "render_slo": "repro.obs.slo",
-    "write_alerts": "repro.obs.slo",
-    "Anomaly": "repro.obs.history",
-    "append_history": "repro.obs.history",
-    "build_series": "repro.obs.history",
-    "collect_entries": "repro.obs.history",
-    "derive_noise_bands": "repro.obs.history",
-    "detect_anomalies": "repro.obs.history",
-    "load_history": "repro.obs.history",
-    "render_anomalies": "repro.obs.history",
-    "render_trend": "repro.obs.history",
-    "trend_report": "repro.obs.history",
-    "GridCheck": "repro.obs.whatif",
-    "GridCheckCell": "repro.obs.whatif",
-    "WhatIfKnobs": "repro.obs.whatif",
-    "WhatIfResult": "repro.obs.whatif",
-    "analytic_grid": "repro.obs.whatif",
-    "breakeven_inputs": "repro.obs.whatif",
-    "check_grids": "repro.obs.whatif",
-    "grid_block": "repro.obs.whatif",
-    "scenario_block": "repro.obs.whatif",
-    "whatif_break_even": "repro.obs.whatif",
-    "whatif_grid": "repro.obs.whatif",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY_EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
 
 def enable(tracing: bool = True, metrics: bool = True) -> None:
     """Turn on tracing and/or metrics collection for this process."""
@@ -265,122 +188,71 @@ def absorb_worker(evidence: dict, parent=None, base: float | None = None) -> Non
 
 
 __all__ = [
-    "Anomaly",
-    "AppReplay",
-    "ObjectiveStatus",
-    "SloObjective",
-    "SloReport",
-    "append_history",
-    "apply_objective_spec",
-    "build_series",
-    "collect_entries",
-    "default_objectives",
-    "derive_noise_bands",
-    "detect_anomalies",
-    "evaluate_slo",
-    "load_history",
-    "read_requests",
-    "render_anomalies",
-    "render_slo",
-    "render_trend",
-    "trend_report",
-    "write_alerts",
-    "BlockHeat",
-    "CandidateReplay",
-    "CellCheck",
-    "CellDelta",
-    "CriticalPathAnalysis",
-    "GridCheck",
-    "GridCheckCell",
-    "HeadroomTable",
-    "RunReplay",
-    "WhatIfKnobs",
-    "WhatIfResult",
-    "analytic_grid",
-    "analyze_critical_path",
-    "breakeven_inputs",
-    "check_grids",
-    "critpath_block",
-    "grid_block",
-    "headroom_table",
-    "prune_runs",
-    "render_critical_path",
-    "scenario_block",
-    "table3_summary",
-    "whatif_break_even",
-    "whatif_grid",
-    "Counter",
-    "DEFAULT_LEDGER_DIR",
-    "EventLog",
-    "LEVELS",
-    "MANIFEST_SCHEMA",
-    "RegressionReport",
-    "RunLedger",
-    "RunRecorder",
     "abandon_run",
     "absorb_worker",
-    "capture_worker",
-    "compare_manifests",
-    "current_run",
-    "disable_logging",
-    "enable_logging",
-    "finish_run",
-    "flatten_cells",
-    "fold_stages",
-    "get_log",
-    "log_enabled",
-    "log_event",
-    "median_mad",
-    "parse_tolerances",
-    "read_log",
-    "render_tail",
-    "scalars_from_analyses",
-    "set_log",
-    "start_run",
-    "FidelityReport",
-    "Gauge",
-    "HeatMap",
-    "Histogram",
-    "MetricsRegistry",
-    "NOOP_SPAN",
-    "PAPER_STAGES",
-    "PAPER_STAGE_LABELS",
-    "Profile",
-    "ProfileNode",
-    "TABLE3_SPAN_NAMES",
-    "Span",
-    "SpanRecord",
-    "Tracer",
     "build_profile",
+    "capture_worker",
+    "CellDelta",
     "chrome_trace",
-    "compute_heat",
-    "default_report_path",
-    "fidelity_from_analyses",
-    "heat_table",
-    "render_heat",
-    "run_fidelity",
-    "tracer_records",
+    "compare_manifests",
+    "Counter",
+    "current_run",
+    "DEFAULT_LEDGER_DIR",
     "disable",
+    "disable_logging",
     "disable_metrics",
     "disable_tracing",
     "enable",
+    "enable_logging",
     "enable_metrics",
     "enable_tracing",
+    "EventLog",
     "export_tracer",
+    "finish_run",
+    "flatten_cells",
+    "fold_stages",
+    "Gauge",
+    "get_log",
     "get_metrics",
     "get_tracer",
+    "Histogram",
+    "LEVELS",
+    "log_enabled",
+    "log_event",
+    "MANIFEST_SCHEMA",
+    "median_mad",
     "metrics_enabled",
+    "MetricsRegistry",
+    "NOOP_SPAN",
+    "PAPER_STAGE_LABELS",
+    "PAPER_STAGES",
+    "parse_tolerances",
+    "Profile",
+    "ProfileNode",
+    "prune_runs",
     "read_jsonl",
+    "read_log",
+    "RegressionReport",
     "render_snapshot",
     "render_stage_table",
     "render_timeline",
+    "RunLedger",
+    "RunRecorder",
+    "scalars_from_analyses",
+    "set_log",
     "set_metrics",
     "set_tracer",
+    "Span",
     "span",
+    "SpanRecord",
     "stage_table",
+    "start_run",
+    "TABLE3_SPAN_NAMES",
+    "Tracer",
+    "tracer_records",
     "tracing_enabled",
     "validate_trace",
-    "write_chrome_trace",
     "worker_settings",
+    "write_chrome_trace",
     "write_jsonl",
 ]

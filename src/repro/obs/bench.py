@@ -39,7 +39,7 @@ def benchmarks() -> dict:
     return {
         "vm": ("repro-bench-vm/4", run_vm_bench, render_vm_bench),
         "mix": ("repro-bench-mix/2", run_mix_bench, render_mix_bench),
-        "serve": ("repro-bench-serve/2", run_loadgen, render_loadgen),
+        "serve": ("repro-bench-serve/3", run_loadgen, render_loadgen),
     }
 
 

@@ -247,34 +247,6 @@ class RunLedger:
             )
         raise LookupError(f"unknown run {spec!r} in ledger {self.path}")
 
-    # -- post-hoc enrichment -------------------------------------------------
-    def attach_block(
-        self, run_id: str, name: str, payload: dict, merge: bool = True
-    ) -> Path:
-        """Add (or merge into) a named block of a finished run's manifest.
-
-        Post-hoc analyses over a recorded run (``repro critpath``,
-        ``repro whatif``) persist their outputs here so the regression
-        sentinel can gate them like any other manifest cell. The rewrite
-        is atomic (temp file + :func:`os.replace`); with *merge*, an
-        existing dict block keeps keys the new payload doesn't set (e.g.
-        a what-if scenario recorded after a what-if grid).
-        """
-        manifest = self.load(run_id)
-        existing = manifest.get(name)
-        if merge and isinstance(existing, dict) and isinstance(payload, dict):
-            merged = dict(existing)
-            merged.update(payload)
-            payload = merged
-        manifest[name] = _json_safe(payload)
-        manifest_path = self.run_dir(run_id) / "manifest.json"
-        tmp = manifest_path.with_suffix(".json.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
-        os.replace(tmp, manifest_path)
-        return manifest_path
-
     # -- garbage collection --------------------------------------------------
     def prune(self, keep: int, compact: bool = True) -> list[str]:
         """Delete the oldest finished runs beyond the *keep* newest.
@@ -286,8 +258,8 @@ class RunLedger:
 
         With *compact* (the default), each pruned run's flattened manifest
         cells are first appended to the ledger's ``history.jsonl`` summary
-        (:mod:`repro.obs.history`), so trend analysis and history-derived
-        noise bands survive garbage collection.
+        (:mod:`repro.obs.history`), so history-derived noise bands
+        survive garbage collection.
         """
         if keep < 0:
             raise ValueError("--keep must be >= 0")
@@ -407,10 +379,15 @@ class RunRecorder:
 
     def attach_fidelity(self, report) -> None:
         """Record a :class:`repro.obs.fidelity.FidelityReport`'s cells."""
-        # Search columns are wall clock; the I/II break-even folds them in.
+        # Search columns are wall clock. The break-even cells fold them in,
+        # and so does Table IV's factor, a ratio of two break-even times.
         self.fidelity = {
             "measured": ["*/search*"],
-            "tolerance": {"I/II/*/break_even_s.*": 1e-4},
+            "tolerance": {
+                "I/II/*/break_even_s.*": 1e-4,
+                "II/*/break even*": 1e-4,
+                "IV/*/factor*": 1e-4,
+            },
             "ok": report.ok,
             "checked": len(report.checked),
             "failed": len(report.failures),
@@ -681,15 +658,6 @@ def render_manifest(manifest: dict) -> str:
                 f"           break-even p50/p95/p99 [s]: "
                 f"{be.get('p50'):.0f} / {be.get('p95'):.0f} / {be.get('p99'):.0f}"
             ]
-    critpath = manifest.get("critpath")
-    if critpath:
-        virt = critpath.get("virtual") or {}
-        lines += [
-            "",
-            f"critpath:  dominant {virt.get('dominant_stage') or '-'} "
-            f"(virtual makespan {virt.get('makespan') or 0.0:.2f} s, "
-            f"serial {virt.get('serial_seconds') or 0.0:.2f} s)",
-        ]
     mix = manifest.get("mix")
     if mix:
         gate = mix.get("gate") or {}
@@ -711,13 +679,6 @@ def render_manifest(manifest: dict) -> str:
                 if verdict
                 else ("LOSES" if verdict is not None else "-")
             ),
-        ]
-    whatif_check = (manifest.get("whatif") or {}).get("check")
-    if whatif_check:
-        flagged = whatif_check.get("flagged", 0)
-        lines += [
-            f"whatif:    grid {'ok' if not flagged else 'DIVERGED'} "
-            f"({whatif_check.get('checked', 0)} cells, {flagged} flagged)",
         ]
     artifacts = manifest.get("artifacts") or {}
     if artifacts:

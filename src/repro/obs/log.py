@@ -212,43 +212,3 @@ def read_log(path_or_file) -> list[dict]:
             raise ValueError(f"log line {lineno}: expected an object")
         records.append(obj)
     return records
-
-
-#: Fields owned by the record envelope (everything else is event payload).
-_ENVELOPE_FIELDS = ("ts", "level", "event", "run_id", "span_id", "trace_id")
-
-
-def render_tail(
-    records: list[dict], limit: int = 20, level: str | None = None
-) -> str:
-    """ASCII tail of an event log: the last *limit* records at >= *level*."""
-    if level is not None:
-        threshold = _level_no(level)
-        records = [
-            r for r in records if _level_no(str(r.get("level", "info"))) >= threshold
-        ]
-    if not records:
-        return "(empty event log)"
-    tail = records[-limit:] if limit and limit > 0 else list(records)
-    lines = []
-    for rec in tail:
-        ts = rec.get("ts")
-        clock = (
-            time.strftime("%H:%M:%S", time.localtime(ts))
-            + f".{int((ts % 1) * 1000):03d}"
-            if isinstance(ts, (int, float))
-            else "--:--:--"
-        )
-        lvl = str(rec.get("level", "info")).upper()[:5]
-        payload = " ".join(
-            f"{k}={rec[k]}" for k in rec if k not in _ENVELOPE_FIELDS
-        )
-        correlate = ""
-        if rec.get("span_id") is not None:
-            correlate = f"  [span {rec['span_id']}]"
-        lines.append(
-            f"{clock} {lvl:7s} {rec.get('event', '?'):24s} {payload}{correlate}"
-        )
-    if len(records) > len(tail):
-        lines.insert(0, f"... ({len(records) - len(tail)} earlier records)")
-    return "\n".join(lines)

@@ -25,7 +25,7 @@ so a block with no declaration is gated exactly. The candidate's
 declarations apply; a cell only the baseline has keeps the baseline's.
 The rules that compare two runs live here: ``--tol`` patterns win (first
 match), and cells are demoted when the runs used the bitstream cache
-differently or only one carries a post-hoc block.
+differently or only one of them swept the fleet-mix grid.
 
 Noise bands: with ``--history N`` a measured cell's allowance comes from
 the last N same-command runs, widened by ``3 x MAD`` (median absolute
@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from functools import partial
 
 from repro.util.tables import Table
 
@@ -183,42 +182,10 @@ def declared_cells(manifest: dict) -> dict[str, tuple[float, float | None]]:
     for name, value in (metrics.get("counters") or {}).items():
         put(metrics, "metrics.", f"counters.{name}", value)
 
-    critpath = manifest.get("critpath") or {}
-    put_critpath = partial(put, critpath, "critpath.")
-    for clock in ("virtual", "real"):
-        blk = critpath.get(clock) or {}
-        for key in ("makespan", "serial_seconds", "dominant_share"):
-            put_critpath(f"{clock}.{key}", blk.get(key))
-        for stage, st in (blk.get("stages") or {}).items():
-            for key in ("total", "slack_min", "on_path"):
-                put_critpath(f"{clock}.stages.{stage}.{key}", st.get(key))
-    headroom = critpath.get("headroom") or {}
-    put_critpath(
-        "headroom.baseline_break_even", headroom.get("baseline_break_even")
-    )
-    for stage, row in (headroom.get("stages") or {}).items():
-        put_critpath(f"headroom.{stage}.total", row.get("total"))
-        for label, value in (row.get("break_even") or {}).items():
-            put_critpath(f"headroom.{stage}.break_even.{label}", value)
-
-    whatif = manifest.get("whatif") or {}
-    put_whatif = partial(put, whatif, "whatif.")
-    for key, value in ((whatif.get("grid") or {}).get("cells") or {}).items():
-        put_whatif(f"grid.{key}", value)
-    check = whatif.get("check") or {}
-    for key in ("checked", "flagged"):
-        put_whatif(f"check.{key}", check.get(key))
-    scenario = whatif.get("scenario") or {}
-    put_whatif("scenario.break_even_mean", scenario.get("break_even_mean"))
-    for app, row in (scenario.get("apps") or {}).items():
-        for key in ("break_even", "overhead"):
-            put_whatif(f"scenario.{app}.{key}", row.get(key))
-    walk(whatif, "whatif.", "mix", whatif.get("mix") or {})
-
     # The remaining blocks are nested dicts all the way down (e.g.
     # mix.cells.<preset>.<policy>.c<NN>.<metric>), so the generic walk
-    # covers them; string leaves (alert kinds, app names) fall out.
-    for name in ("scalars", "cache", "slo", "vm", "mix"):
+    # covers them; string leaves (app names) fall out.
+    for name in ("scalars", "cache", "vm", "mix"):
         block = manifest.get(name) or {}
         walk(block, f"{name}.", "", block)
     return cells
@@ -380,7 +347,7 @@ def compare_manifests(
     dicts derived from fleet history (:func:`repro.obs.history.
     derive_noise_bands`). A banded cell that is informational by its
     declaration or by *tolerances* — not one demoted by the cache or
-    one-sided-block rules — is promoted to *checked* with allowance
+    one-sided mix rules — is promoted to *checked* with allowance
     ``HISTORY_NOISE_REL_FLOOR * |baseline| + 3 x MAD`` — measured-cell
     tolerances come from observed history instead of hand tuning, while
     deterministic (virtual-clock) cells keep their exact gates untouched.
@@ -394,16 +361,13 @@ def compare_manifests(
     ) != cur_cache.get("hits", 0)
     if cache_differs:
         demoted += list(CACHE_DEMOTED_TOLERANCES)
-    # critpath / whatif blocks are attached post hoc (repro critpath /
-    # repro whatif): a run analyzed only on one side is a workflow
-    # difference, not a result drift, so demote the whole block instead of
-    # failing on appeared/disappeared cells.
-    onesided_blocks = [
-        block
-        for block in ("critpath", "whatif", "mix")
-        if bool(baseline.get(block)) != bool(current.get(block))
-    ]
-    demoted += [(f"{block}.*", None) for block in onesided_blocks]
+    # The mix block is recorded only when a run sweeps the fleet grid
+    # (repro mix / repro bench mix): a grid swept on one side only is a
+    # workflow difference, not a result drift, so demote the whole block
+    # instead of failing on appeared/disappeared cells.
+    mix_onesided = bool(baseline.get("mix")) != bool(current.get("mix"))
+    if mix_onesided:
+        demoted.append(("mix.*", None))
     # User tolerances win over the demotions, which win over declarations.
     resolved = tolerances + demoted
     base_cells = declared_cells(baseline)
@@ -430,10 +394,10 @@ def compare_manifests(
                 f"config.{key}: baseline {base_config.get(key)!r} != "
                 f"current {cur_config.get(key)!r}"
             )
-    for block in onesided_blocks:
+    if mix_onesided:
         report.config_mismatches.append(
-            f"{block} block recorded in only one of the runs; "
-            f"{block}.* cells demoted to informational"
+            "mix block recorded in only one of the runs; "
+            "mix.* cells demoted to informational"
         )
     if cache_differs:
         report.config_mismatches.append(

@@ -53,9 +53,6 @@ class CircuitDatabase:
     def record_for(self, instr: Instruction) -> CoreRecord:
         return self.record(core_name_for(instr))
 
-    def latency_ns(self, instr: Instruction) -> float:
-        return self.record_for(instr).spec.latency_ns
-
     @property
     def core_names(self) -> list[str]:
         return sorted(CORE_SPECS)

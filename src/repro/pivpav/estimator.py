@@ -75,8 +75,10 @@ class PivPavEstimator:
         assert db is not None
         sw_cycles = sum(self.cost_model.cycles_for(n) for n in candidate.nodes)
 
+        # Each node's IP core, resolved once for latency and resources.
+        specs = {id(node): db.record_for(node).spec for node in candidate.nodes}
         latency_ns = candidate.dfg.critical_path_length(
-            set(candidate.nodes), lambda instr: db.latency_ns(instr)
+            candidate.nodes, lambda instr: specs[id(instr)].latency_ns
         )
         cycle_ns = 1e9 / self.cost_model.clock_hz
         exec_cycles = math.ceil(latency_ns / cycle_ns) if latency_ns > 0 else 1
@@ -87,7 +89,7 @@ class PivPavEstimator:
 
         luts = ffs = dsp = bram = 0
         for node in candidate.nodes:
-            spec = db.record_for(node).spec
+            spec = specs[id(node)]
             luts += spec.luts
             ffs += spec.flipflops
             dsp += spec.dsp48

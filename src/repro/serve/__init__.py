@@ -9,7 +9,7 @@ length-prefixed JSON socket protocol, admits them through a bounded queue
 the modelled CAD flow on a worker pool, and deduplicates concurrent CAD
 work through a shared multi-tenant bitstream store with single-flight
 semantics — the serving-time generalization of the Section VI-A bitstream
-cache. Request-level SLO telemetry (queue-wait / service latency, and
+cache. Request-level telemetry (queue-wait / service latency, and
 p50/p95/p99 *break-even* quantiles as the headline) feeds the existing
 span tracer, metrics registry, and run ledger.
 """

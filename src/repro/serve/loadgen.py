@@ -243,7 +243,6 @@ def _run_phase(
         "dedup": {"saved": store.dedup_saved - dedup_before},
         "cad_implementations": store.combined_stats()["stores"] - stores_before,
         "tenants": summary["tenants"],
-        "slo": summary.get("slo"),
         "shutdown": summary.get("shutdown"),
     }
     return phase, records
@@ -390,32 +389,6 @@ def render_loadgen(report: dict) -> str:
             ]
         )
     lines = [table.render()]
-    for name, phase in (report.get("phases") or {}).items():
-        slo = phase.get("slo") or {}
-        if not slo:
-            continue
-        breached = [
-            obj for obj, row in slo.items()
-            if (row or {}).get("alert")
-            or (
-                row.get("budget_remaining_pct") is not None
-                and row["budget_remaining_pct"] <= 0
-            )
-        ]
-        verdict = (
-            f"BREACHED ({', '.join(sorted(breached))})" if breached else "ok"
-        )
-
-        def budget(row: dict) -> str:
-            pct = row.get("budget_remaining_pct")
-            return f"{pct:.0f}% budget" if pct is not None else "n/a"
-
-        lines.append(
-            f"{name} SLOs: {verdict} — "
-            + ", ".join(
-                f"{obj} {budget(row)}" for obj, row in sorted(slo.items())
-            )
-        )
     comparison = report.get("comparison") or {}
     cold = comparison.get("break_even_p95_cold")
     warm = comparison.get("break_even_p95_warm")

@@ -10,7 +10,7 @@ Request ops:
 
 - ``specialize`` — ``{"op": "specialize", "tenant": ..., "app": ...,
   "pruning": {"time_share_pct": ..., "max_blocks": ...}, "slots": ...}``;
-- ``stats`` — server summary + live metrics snapshot (``repro top``);
+- ``stats`` — server summary + live metrics snapshot;
 - ``ping`` — liveness probe;
 - ``shutdown`` — ask the daemon to drain and exit.
 

@@ -15,7 +15,7 @@ parented under the server's root span (one server run = one ledger run),
 live gauges track queue depth / in-flight workers / per-tenant cache hit
 rate, and latency histograms record queue-wait and service time (real
 clock) plus the **break-even** distribution (virtual clock) whose
-p50/p95/p99 are the headline SLO quantiles. SIGINT/SIGTERM drain the
+p50/p95/p99 are the headline quantiles. SIGINT/SIGTERM drain the
 queue, finish in-flight CAD work, and close the ledger run with an
 explicit ``interrupted`` shutdown status — never a dangling manifest.
 """
@@ -66,7 +66,7 @@ CONNECTION_TIMEOUT_SECONDS = 30.0
 SUMMARY_MEASURED = (
     "uptime_seconds", "requests.total", "requests.accepted",
     "requests.rejected", "queue.*", "inflight", "dedup.*", "cross_app_hits",
-    "slots.*", "tenants.*", "latency.*", "slo.*",
+    "slots.*", "tenants.*", "latency.*",
 )
 
 _SENTINEL = object()
@@ -142,7 +142,7 @@ class SpecializationServer:
         self._records: list[dict] = []
         # Fleet-wide UDI slot telemetry summed over completed requests
         # (each request binds its implementations to its machine's slot
-        # pool); `repro top` renders occupancy and eviction rate from it.
+        # pool); the summary's occupancy and eviction rate come from it.
         self._slot_totals = {
             "loads": 0,
             "reloads": 0,
@@ -153,7 +153,8 @@ class SpecializationServer:
         }
 
         # Always-on latency histograms (independent of the global metrics
-        # registry, so `repro top` works against an un-instrumented daemon).
+        # registry, so the stats op reports latency from an un-instrumented
+        # daemon).
         self.queue_wait_hist = Histogram("serve.queue_wait_seconds")
         self.service_hist = Histogram("serve.service_seconds")
         self.break_even_hist = Histogram(
@@ -393,9 +394,8 @@ class SpecializationServer:
     ) -> None:
         with self._stats_lock:
             self.requests["rejected"] += 1
-            # Rejections are SLO events too: the queue-reject-rate
-            # objective is evaluated over requests.jsonl, so every parsed
-            # but turned-away request leaves a record.
+            # A turned-away request leaves a record too, so requests.jsonl
+            # accounts for every parsed request, admitted or rejected.
             if request is not None and len(self._records) < 100_000:
                 self._records.append(
                     {
@@ -724,7 +724,6 @@ class SpecializationServer:
                 "service": hist(self.service_hist),
                 "break_even": hist(self.break_even_hist),
             },
-            "slo": self._slo_summary(),
             "measured": SUMMARY_MEASURED,
         }
         if shutdown is not None:
@@ -735,13 +734,3 @@ class SpecializationServer:
         """Snapshot of the per-request records (requests.jsonl rows)."""
         with self._stats_lock:
             return list(self._records)
-
-    def _slo_summary(self) -> dict:
-        """Live error-budget state per declared objective (`repro top`)."""
-        from repro.obs.slo import default_objectives, evaluate
-
-        records = self.request_records()
-        report = evaluate(
-            records, default_objectives(), now=time.perf_counter() - self._started
-        )
-        return report.summary()

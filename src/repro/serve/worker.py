@@ -156,7 +156,7 @@ def execute_specialize(request: dict, bitstream_cache) -> dict:
     # Bind the implemented configurations to the machine's UDI slots (one
     # per structural signature, as the APU decodes them): under a --slots
     # budget this exercises the eviction policy and yields the slots.*
-    # occupancy/eviction telemetry `repro top` renders per daemon.
+    # occupancy/eviction telemetry of the daemon's stats summary.
     sig_ids: dict[int, int] = {}
     for ci in report.implementations:
         cand = ci.estimate.candidate

@@ -23,6 +23,13 @@ def _fake(gates: dict):
         ["loadgen", "--out", "BENCH_serve.json"],
         ["regress", "--repeat", "3"],
         ["runs", "list", "--last", "3"],
+        ["critpath", "latest"],
+        ["whatif", "latest", "--grid"],
+        ["slo", "latest"],
+        ["anomaly"],
+        ["top", "--port", "1", "--once"],
+        ["tail", "log.jsonl"],
+        ["runs", "trend"],
     ],
 )
 def test_removed_commands_and_options_are_usage_errors(argv):

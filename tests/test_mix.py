@@ -341,14 +341,7 @@ class TestManifestBlock:
         from repro.obs.regress import compare_manifests
 
         key = "cells.uniform.lru.c04.fleet_break_even_seconds"
-        block = mix_manifest_block(self._report())
-        # The `whatif --slots/--policy` replay attached next to it.
-        replayed = {
-            "fleet_break_even_seconds": 100.0,
-            "recorded_break_even_seconds": 100.0,
-        }
-        replay = {"cells": {"uniform": {"lru": {"c04": replayed}}}}
-        baseline = {"mix": block, "whatif": {"mix": replay}}
+        baseline = {"mix": mix_manifest_block(self._report())}
 
         def drifted(path: str, scale: float) -> dict:
             manifest = json.loads(json.dumps(baseline))
@@ -362,9 +355,9 @@ class TestManifestBlock:
         # Measured grid wall clock: informational.
         assert compare_manifests(baseline, drifted("mix.wall_seconds", 2.0)).ok
         # Virtual-clock break-even: a 1e-6 drift already fails.
-        for cell in (f"mix.{key}", f"whatif.mix.{key}"):
-            report = compare_manifests(baseline, drifted(cell, 1.000001))
-            assert [d.cell for d in report.regressions] == [cell]
+        cell = f"mix.{key}"
+        report = compare_manifests(baseline, drifted(cell, 1.000001))
+        assert [d.cell for d in report.regressions] == [cell]
 
 
 class TestCli:
@@ -385,19 +378,3 @@ class TestCli:
 
         assert main(["mix", "--slots", "0,4"]) == 2
         assert "must be >= 1" in capsys.readouterr().err
-
-    def test_whatif_mix_needs_mix_run(self, tmp_path, capsys):
-        from repro.cli import main
-
-        assert (
-            main(
-                [
-                    "whatif",
-                    "--ledger",
-                    str(tmp_path),
-                    "--slots",
-                    "4",
-                ]
-            )
-            == 2
-        )

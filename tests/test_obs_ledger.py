@@ -13,7 +13,7 @@ from repro.obs.ledger import (
     render_manifest,
     render_run_list,
 )
-from repro.obs.log import EventLog, read_log, render_tail
+from repro.obs.log import EventLog, read_log
 from repro.obs.regress import (
     CellDelta,
     compare_manifests,
@@ -22,7 +22,6 @@ from repro.obs.regress import (
     parse_tolerances,
 )
 from repro.obs.tracer import Tracer
-from repro.obs.whatif import MANIFEST_DECLARATION as WHATIF_DECLARATION
 
 
 def _manifest(run_id="r0001-test", **overrides) -> dict:
@@ -164,19 +163,6 @@ class TestRunLedger:
         assert "cad.par" in shown and "PAR" in shown
         assert "sor" in shown and "2.35" in shown
 
-    def test_attach_block_merges_and_persists(self, tmp_path):
-        ledger = RunLedger(tmp_path)
-        run_id = ledger.reserve_run("analyze")
-        with open(ledger.run_dir(run_id) / "manifest.json", "w") as fh:
-            json.dump(_manifest(run_id), fh)
-        ledger.attach_block(run_id, "whatif", {"grid": {"cells": {"h0.s0": 1.0}}})
-        ledger.attach_block(run_id, "whatif", {"scenario": {"break_even_mean": 2.0}})
-        manifest = ledger.load(run_id)
-        # Merge keeps the grid recorded before the scenario.
-        assert manifest["whatif"]["grid"]["cells"]["h0.s0"] == 1.0
-        assert manifest["whatif"]["scenario"]["break_even_mean"] == 2.0
-        assert not list(tmp_path.glob("**/*.tmp"))
-
     def _finished_runs(self, ledger, count):
         ids = []
         for _ in range(count):
@@ -290,72 +276,61 @@ class TestRegressionSentinel:
         report = compare_manifests(_manifest(), current)
         assert any("config.app" in w for w in report.config_mismatches)
 
-    def _critpath_block(self, makespan=76.0):
-        return {
-            "measured": ["real.*"],
-            "tolerance": {"*": 1e-4},
-            "virtual": {
-                "makespan": makespan,
-                "serial_seconds": 111.0,
-                "dominant_stage": "bitgen",
-                "dominant_share": 0.53,
-                "stages": {"bitgen": {"total": 60.0, "nodes": 2,
-                                      "slack_min": 0.0, "on_path": 1}},
-            },
-            "real": {"makespan": 1.0, "serial_seconds": 2.0,
-                     "dominant_stage": "search", "stages": {}},
-        }
-
-    def test_critpath_cells_flatten_and_gate(self):
-        baseline = _manifest(critpath=self._critpath_block())
-        cells = flatten_cells(baseline)
-        assert cells["critpath.virtual.makespan"] == pytest.approx(76.0)
-        assert cells["critpath.virtual.stages.bitgen.total"] == 60.0
-        current = _manifest(
-            run_id="r0002-test", critpath=self._critpath_block(makespan=80.0)
-        )
-        report = compare_manifests(baseline, current)
-        assert [d.cell for d in report.regressions] == [
-            "critpath.virtual.makespan"
-        ]
-        # Real-clock cells are informational: timing noise never gates.
-        current = _manifest(run_id="r0002-test", critpath=self._critpath_block())
-        current["critpath"]["real"]["makespan"] = 99.0
-        assert compare_manifests(baseline, current).ok
-
-    def test_onesided_critpath_block_is_demoted(self):
+    def test_onesided_mix_block_is_demoted(self):
         baseline = _manifest()
         current = _manifest(
-            run_id="r0002-test", critpath=self._critpath_block()
+            run_id="r0002-test",
+            mix={"events": 10, "cells": {"uniform": {"lru": {"c04": {
+                "fleet_break_even_seconds": 100.0}}}}},
         )
         report = compare_manifests(baseline, current)
         assert report.ok  # appeared cells do not regress...
         assert any(
-            "critpath block recorded in only one" in w
+            "mix block recorded in only one" in w
             for w in report.config_mismatches
         )  # ...but the workflow difference is called out.
 
-    def test_whatif_grid_cells_gate_and_check_is_informational(self):
-        block = {
-            **WHATIF_DECLARATION,
-            "grid": {"workers": 1, "cache_hit_rates": [0], "cad_speedups": [0],
-                     "cells": {"h0.s0": 6389.0}},
-            "check": {"tolerance": 0.05, "checked": 1, "flagged": 0,
-                      "flagged_cells": []},
-        }
-        baseline = _manifest(whatif=block)
-        drifted = json.loads(json.dumps(block))
-        drifted["grid"]["cells"]["h0.s0"] = 7000.0
-        report = compare_manifests(
-            baseline, _manifest(run_id="r0002-test", whatif=drifted)
+    @staticmethod
+    def _fidelity_block(tmp_path, drift: float = 0.0, cell: str = "") -> dict:
+        from repro.obs.fidelity import CellCheck, FidelityReport
+        from repro.obs.ledger import RunRecorder
+
+        cells = [
+            CellCheck("I/II", "AVG-E", "kernel_size_pct", 26.3, 25.0, "info"),
+            CellCheck("II", "AVG-E", "break even [s]", 7200.0, 3350.32, "max"),
+            CellCheck("IV", "0/0 vs 30/30", "factor", 2.0, 2.1, "rel", 0.10),
+        ]
+        for c in cells:
+            if f"{c.table}/{c.row}/{c.column}" == cell:
+                c.actual *= 1.0 + drift
+        recorder = RunRecorder(
+            ledger=RunLedger(tmp_path), run_id="r0001-test", command="fidelity"
         )
-        assert [d.cell for d in report.regressions] == ["whatif.grid.h0.s0"]
-        # check.* counters stay informational (tooling detail, not result).
-        counted = json.loads(json.dumps(block))
-        counted["check"]["flagged"] = 1
-        assert compare_manifests(
-            baseline, _manifest(run_id="r0002-test", whatif=counted)
-        ).ok
+        recorder.attach_fidelity(FidelityReport("embedded", cells))
+        return recorder.fidelity
+
+    @pytest.mark.parametrize(
+        "cell, drift, ok",
+        [
+            ("II/AVG-E/break even [s]", 1e-7, True),
+            ("IV/0/0 vs 30/30/factor", 1e-7, True),
+            ("II/AVG-E/break even [s]", 1e-3, False),
+            ("IV/0/0 vs 30/30/factor", 1e-3, False),
+            ("I/II/AVG-E/kernel_size_pct", 1e-6, False),
+        ],
+    )
+    def test_fidelity_cells_folding_search_time_gate_at_1e4(
+        self, tmp_path, cell, drift, ok
+    ):
+        baseline = _manifest(fidelity=self._fidelity_block(tmp_path))
+        current = _manifest(
+            run_id="r0002-test",
+            fidelity=self._fidelity_block(tmp_path, drift, cell),
+        )
+        report = compare_manifests(baseline, current)
+        assert [d.cell for d in report.regressions] == (
+            [] if ok else [f"fidelity.{cell}.actual"]
+        )
 
     def test_render_marks_failures(self):
         current = _manifest(run_id="r0002-test")
@@ -419,19 +394,6 @@ class TestEventLog:
             obs.disable_logging()
         assert phases == ["baseline", "specialize", "adapt", "verify"]
 
-    def test_render_tail_filters_and_truncates(self):
-        records = [
-            {"ts": 1000.0 + i, "level": "debug" if i % 2 else "info",
-             "event": f"e{i}", "run_id": None, "span_id": i or None, "k": i}
-            for i in range(6)
-        ]
-        text = render_tail(records, limit=3)
-        assert "(3 earlier records)" in text
-        assert "e5" in text and "e0" not in text
-        assert "[span 5]" in text
-        info_only = render_tail(records, level="info")
-        assert "e1" not in info_only and "e2" in info_only
-        assert render_tail([], limit=5) == "(empty event log)"
 
 
 @pytest.fixture(scope="module")
@@ -532,14 +494,6 @@ class TestCliEndToEnd:
         assert main(["runs", "gc", "--keep", "1", "--ledger", str(tmp_path)]) == 0
         assert "nothing to remove" in capsys.readouterr().out
         assert main(["runs", "gc", "--keep", "-1", "--ledger", str(tmp_path)]) == 2
-
-    def test_tail_renders_recorded_log(self, recorded_runs, capsys):
-        from repro.cli import main
-
-        ledger = RunLedger(recorded_runs)
-        run_dir = ledger.run_dir(ledger.resolve("latest"))
-        assert main(["tail", str(run_dir / "log.jsonl"), "-n", "5"]) == 0
-        assert "[span" in capsys.readouterr().out
 
     def test_unknown_baseline_is_an_error(self, recorded_runs, capsys):
         from repro.cli import main
