@@ -67,11 +67,12 @@ regress-vm:
 	$(PYTHON) -m repro runs list --limit 5
 	$(PYTHON) -m repro regress --baseline latest~1 --history 5
 
-# Mix regression leg: record two identical mix runs in the ledger and
-# gate the second against the first — every simulated cell (break-even,
-# loads, reloads, evictions, store hits) is virtual-clock deterministic
-# and must reproduce bit-identically (rel 1e-9); only the grid wall time
-# stays informational (declared measured by `mix_manifest_block`).
+# Mix regression leg: record two identical runs of the default grid
+# (2 presets x 3 slot counts, LRU slot pool) in the ledger and gate the
+# second against the first — every simulated cell (break-even, loads,
+# reloads, evictions, store hits) is virtual-clock deterministic and must
+# reproduce within rel 1e-9; only the grid wall time stays informational
+# (declared measured by `mix_manifest_block`).
 regress-mix:
 	$(PYTHON) -m repro mix --events 60 --ledger
 	$(PYTHON) -m repro mix --events 60 --ledger

@@ -21,10 +21,9 @@ Commands:
 - ``regress`` — compare the latest recorded run against a baseline run
   cell-by-cell, exiting non-zero on regression (CI gate); ``--history N``
   derives measured-cell noise bands from the last N runs;
-- ``mix`` — sweep the fleet workload-mix grid (mix entropy x eviction
-  policy x slot capacity) through the slot-contention simulator, exiting
-  non-zero if break-even-aware eviction fails to beat LRU on the
-  contended mix;
+- ``mix`` — sweep the fleet workload-mix grid (mix entropy x slot
+  capacity) through the slot-contention simulator, exiting non-zero if
+  the most-evicting cell does not reproduce bit-identically;
 - ``bench [vm|mix|serve ...]`` — run the committed benchmarks with their
   defaults and write ``BENCH_<name>.json``, exiting non-zero on a false
   gate;
@@ -638,7 +637,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             workers=args.workers,
             queue_depth=args.queue_depth,
-            backend=args.serve_backend,
             store_root=args.store,
             tenant_budget=args.tenant_budget,
         )
@@ -723,7 +721,6 @@ def _cmd_mix(args: argparse.Namespace) -> int:
     from repro.obs.bench import render_mix_bench, run_mix_bench
 
     presets = tuple(p.strip() for p in args.presets.split(",") if p.strip())
-    policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())
     try:
         capacities = tuple(
             int(c) for c in args.slots.split(",") if c.strip()
@@ -731,11 +728,8 @@ def _cmd_mix(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: invalid --slots: {exc}", file=sys.stderr)
         return 2
-    if not presets or not policies or not capacities:
-        print(
-            "error: need at least one preset, policy and slot count",
-            file=sys.stderr,
-        )
+    if not presets or not capacities:
+        print("error: need at least one preset and slot count", file=sys.stderr)
         return 2
     if any(c < 1 for c in capacities):
         print("error: slot counts must be >= 1", file=sys.stderr)
@@ -743,7 +737,6 @@ def _cmd_mix(args: argparse.Namespace) -> int:
     try:
         report = run_mix_bench(
             presets=presets,
-            policies=policies,
             capacities=capacities,
             events=args.events,
             seed=args.seed,
@@ -1131,14 +1124,6 @@ def build_parser() -> argparse.ArgumentParser:
         "retry_after_ms (default: 32)",
     )
     p_serve.add_argument(
-        "--backend",
-        dest="serve_backend",
-        choices=["thread", "process"],
-        default="thread",
-        help="worker flavour (default: thread; thread keeps candidate-level "
-        "single-flight dedup in-process)",
-    )
-    p_serve.add_argument(
         "--store",
         metavar="DIR",
         default=".repro-store",
@@ -1261,20 +1246,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_mix = sub.add_parser(
         "mix",
         parents=[obs_options],
-        help="sweep the fleet workload-mix grid (entropy x eviction policy "
-        "x slot count)",
+        help="sweep the fleet workload-mix grid (entropy x slot count)",
     )
     p_mix.add_argument(
         "--presets",
         metavar="NAME,NAME",
         default="uniform,skewed",
         help="mix presets to replay (default: uniform,skewed)",
-    )
-    p_mix.add_argument(
-        "--policies",
-        metavar="P,P",
-        default="lru,lfu,breakeven",
-        help="eviction policies to sweep (default: lru,lfu,breakeven)",
     )
     p_mix.add_argument(
         "--slots",

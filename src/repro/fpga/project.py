@@ -39,7 +39,3 @@ class CadProject:
         self.settings.setdefault("opt_mode", "speed")
         self.settings.setdefault("opt_level", "1")
         self.settings.setdefault("flow", "eapr")  # Early Access Partial Reconfig
-
-    @property
-    def file_count(self) -> int:
-        return len(self.vhdl_files) + len(self.core_netlists)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from repro.ir.instructions import Instruction, PhiInstruction
-from repro.ir.opcodes import Opcode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ir.function import Function
@@ -75,9 +74,6 @@ class BasicBlock:
             else:
                 break
         return out
-
-    def non_phi_instructions(self) -> list[Instruction]:
-        return [i for i in self.instructions if i.opcode is not Opcode.PHI]
 
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)

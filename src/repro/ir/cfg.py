@@ -164,14 +164,5 @@ class ControlFlowInfo:
             loop.members.append(blk)
             worklist.extend(self._preds.get(id(blk), []))
 
-    def loop_of(self, block: BasicBlock) -> NaturalLoop | None:
-        """The innermost (smallest) loop containing *block*, if any."""
-        best: NaturalLoop | None = None
-        for loop in self.loops:
-            if loop.contains(block):
-                if best is None or len(loop.members) < len(best.members):
-                    best = loop
-        return best
-
     def loop_depth(self, block: BasicBlock) -> int:
         return sum(1 for loop in self.loops if loop.contains(block))

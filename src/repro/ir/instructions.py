@@ -137,12 +137,6 @@ class PhiInstruction(Instruction):
     def incoming(self) -> list[tuple[Value, "BasicBlock"]]:
         return list(zip(self.operands, self.incoming_blocks))
 
-    def incoming_for(self, block: "BasicBlock") -> Value:
-        for val, blk in zip(self.operands, self.incoming_blocks):
-            if blk is block:
-                return val
-        raise KeyError(f"phi {self.ref()} has no incoming value for {block.name}")
-
     def remove_incoming(self, block: "BasicBlock") -> None:
         for i, blk in enumerate(self.incoming_blocks):
             if blk is block:

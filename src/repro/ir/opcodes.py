@@ -147,8 +147,6 @@ CAST_OPS = frozenset(
 
 TERMINATOR_OPS = frozenset({Opcode.BR, Opcode.CONDBR, Opcode.RET})
 
-MEMORY_OPS = frozenset({Opcode.ALLOCA, Opcode.LOAD, Opcode.STORE})
-
 COMMUTATIVE_OPS = frozenset(
     {
         Opcode.ADD,
@@ -181,14 +179,6 @@ HW_FEASIBLE_OPS = PURE_OPS
 
 def is_terminator(op: Opcode) -> bool:
     return op in TERMINATOR_OPS
-
-
-def is_binary(op: Opcode) -> bool:
-    return op in BINARY_OPS
-
-
-def is_cast(op: Opcode) -> bool:
-    return op in CAST_OPS
 
 
 def is_pure(op: Opcode) -> bool:

@@ -7,7 +7,6 @@ paper's Figure 1 tool flow.
 from __future__ import annotations
 
 from repro.ir.function import Function
-from repro.ir.instructions import Instruction
 from repro.ir.values import Value
 
 
@@ -22,23 +21,6 @@ def replace_all_uses(func: Function, old: Value, new: Value) -> int:
         for instr in block.instructions:
             count += instr.replace_operand(old, new)
     return count
-
-
-def erase_instruction(instr: Instruction) -> None:
-    """Remove an instruction from its parent block."""
-    if instr.parent is None:
-        raise ValueError("instruction has no parent")
-    instr.parent.remove(instr)
-
-
-def users_of(func: Function, value: Value) -> list[Instruction]:
-    """All instructions in *func* that use *value* as an operand."""
-    out = []
-    for block in func.blocks:
-        for instr in block.instructions:
-            if any(op is value for op in instr.operands):
-                out.append(instr)
-    return out
 
 
 def build_use_counts(func: Function) -> dict[int, int]:

@@ -6,10 +6,12 @@ when a *fleet* of applications shares one reconfigurable machine. A
 deterministic, seeded trace of application invocations
 (:mod:`repro.mix.trace`) replays against frozen per-application
 specialization profiles (:mod:`repro.mix.profiles`) through the real
-slot pool, eviction policies, ICAP model and shared bitstream store
+slot pool, ICAP model and shared bitstream store
 (:mod:`repro.mix.simulator`), producing per-cell break-even times —
-"a Table IV for fleets" — swept over mix entropy, eviction policy and
-slot capacity by :func:`repro.obs.bench.run_mix_bench`.
+"a Table IV for fleets" — swept over mix entropy and slot capacity by
+:func:`repro.obs.bench.run_mix_bench`. The pool always evicts the
+least-recently-used configuration: a slot eviction costs only an ICAP
+reload, so the victim rule does not move a break-even time.
 """
 
 from repro.mix.profiles import (

@@ -12,11 +12,14 @@ specialization process (search + modelled CAD flow, Tables II/III)
   one store entry);
 - each configuration's modelled CAD cost (charged on a store miss), its
   partial bitstream (its ICAP reload cost), and its *benefit density* —
-  saved cycles per invocation per second of reload cost, the score the
-  break-even-aware eviction policy ranks victims by;
-- the module/profile/coverage triple the Table IV break-even model
-  (:class:`repro.core.breakeven.BreakEvenModel`) needs to price the
-  fleet-level overhead each cell charges the application.
+  saved cycles per invocation per second of reload cost, which ranks the
+  configurations an application wants resident when it has more of them
+  than the machine has slots;
+- the block-cost table, training profile and coverage the Table IV
+  break-even model (:class:`repro.core.breakeven.BreakEvenModel`) needs
+  to price the fleet-level overhead each cell charges the application.
+  The table is the search's own, priced once under the PowerPC cost
+  model the break-even model also defaults to.
 
 Everything frozen here is virtual-clock deterministic; only the
 candidate-search wall time is measured, and it is reported as an
@@ -60,7 +63,7 @@ class AppMixProfile:
     name: str
     search_seconds: float  # measured wall clock (informational only)
     candidates: list[SlotCandidate]  # sorted by descending value
-    module: object
+    block_costs: dict  # static_block_costs of the module (PowerPC cycles)
     profile: object  # training ExecutionProfile
     coverage: object  # CoverageAnalysis
 
@@ -135,7 +138,7 @@ def build_profile(
         name=name,
         search_seconds=report.search.search_seconds,
         candidates=candidates,
-        module=module,
+        block_costs=report.search.block_costs,
         profile=train,
         coverage=coverage,
     )

@@ -3,10 +3,10 @@
 One *cell* of the fleet grid replays a deterministic trace of
 application invocations (:mod:`repro.mix.trace`) against a shared
 machine: a fixed pool of custom-instruction slots
-(:class:`repro.woolcano.slots.CustomInstructionSlots`) under one
-eviction policy, a fleet-wide :class:`repro.serve.store.SharedBitstreamStore`
-namespace, and the paper's ICAP reconfiguration model. Per event, the
-invoked application wants its top-value configurations resident:
+(:class:`repro.woolcano.slots.CustomInstructionSlots`), a fleet-wide
+:class:`repro.serve.store.SharedBitstreamStore` namespace, and the
+paper's ICAP reconfiguration model. Per event, the invoked application
+wants its top-value configurations resident:
 
 - a configuration already resident (possibly loaded by *another*
   application with the same structural signature) is a slot hit —
@@ -15,15 +15,15 @@ invoked application wants its top-value configurations resident:
   CAD flow (Table III) and stores the bitstream, a hit charges nothing
   (Section VI-A's accounting) — hits served across applications are
   counted by the store's ``cross_app_hits``;
-- loading into a full pool evicts a victim per the cell's policy, and
-  the (re)load pays the ICAP write (Section V); an instruction evicted
-  and needed again is a *reload*, the contention cost this simulator
-  exists to expose.
+- loading into a full pool evicts the least-recently-used instruction,
+  and the (re)load pays the ICAP write (Section V); an instruction
+  evicted and needed again is a *reload*, the contention cost this
+  simulator exists to expose.
 
 Each application's mean charged overhead per invocation feeds the
 paper's break-even model (Table IV), yielding a per-app and
 events-weighted fleet break-even for the cell. Every number here runs
-on the virtual clock, so identical (trace, policy, capacity) inputs
+on the virtual clock, so identical (trace, capacity) inputs
 reproduce bit-identically — the ``regress-mix`` guarantee.
 """
 
@@ -39,7 +39,6 @@ from repro.mix.profiles import AppMixProfile
 from repro.mix.trace import MixEvent
 from repro.obs import get_tracer
 from repro.serve.store import SharedBitstreamStore
-from repro.vm.profiler import static_block_costs
 from repro.woolcano.reconfig import IcapModel
 from repro.woolcano.slots import CustomInstructionSlots
 
@@ -92,10 +91,9 @@ class AppCellStats:
 
 @dataclass
 class CellResult:
-    """One (mix, policy, capacity) cell of the fleet grid."""
+    """One (mix, capacity) cell of the fleet grid."""
 
     mix_name: str
-    policy: str
     capacity: int
     events: int
     apps: dict[str, AppCellStats] = field(default_factory=dict)
@@ -107,7 +105,6 @@ class CellResult:
     def as_dict(self) -> dict:
         return {
             "mix": self.mix_name,
-            "policy": self.policy,
             "capacity": self.capacity,
             "events": self.events,
             "fleet_break_even_seconds": (
@@ -127,28 +124,23 @@ class CellResult:
 def simulate_cell(
     profiles: dict[str, AppMixProfile],
     trace: list[MixEvent],
-    policy: str,
     capacity: int,
     store_root,
     mix_name: str = "custom",
     icap: IcapModel | None = None,
 ) -> CellResult:
-    """Replay *trace* under (*policy*, *capacity*) with a cold fleet store."""
+    """Replay *trace* on *capacity* slots with a cold fleet store."""
     icap = icap or IcapModel()
     store = SharedBitstreamStore(Path(store_root))
     tenants = {name: store.tenant("fleet", app=name) for name in profiles}
-    slots = CustomInstructionSlots(capacity=capacity, policy=policy)
-    result = CellResult(
-        mix_name=mix_name, policy=policy, capacity=capacity, events=len(trace)
-    )
+    slots = CustomInstructionSlots(capacity=capacity)
+    result = CellResult(mix_name=mix_name, capacity=capacity, events=len(trace))
     # Fleet-wide UDI numbering: one custom id per structural signature, so
     # two applications wanting the same configuration share a resident
     # instruction instead of thrashing the slot.
     fleet_ids: dict[int, int] = {}
     occupancy_sum = 0.0
-    with get_tracer().span(
-        "mix.cell", mix=mix_name, policy=policy, capacity=capacity
-    ):
+    with get_tracer().span("mix.cell", mix=mix_name, capacity=capacity):
         for event in trace:
             profile = profiles[event.app]
             stats = result.apps.setdefault(event.app, AppCellStats())
@@ -183,7 +175,6 @@ def simulate_cell(
                     fleet_id,
                     config.signature,
                     config.bitstream,
-                    value=config.value,
                     owner=event.app,
                 )
                 stats.slot_loads += 1
@@ -206,7 +197,7 @@ def simulate_cell(
         ]
         mean_overhead = stats.overhead_seconds / max(1, stats.events)
         analysis = model.analyze(
-            static_block_costs(profile.module, model.cost_model),
+            profile.block_costs,
             profile.profile,
             profile.coverage,
             estimates,

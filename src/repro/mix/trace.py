@@ -12,7 +12,7 @@ produce bit-identical traces on every machine — the property the
 Mix *entropy* (normalised Shannon entropy of the weight distribution)
 is the knob that turns a single-application workload (entropy 0, the
 paper's regime) into a uniform fleet (entropy 1): the benchmark grid
-sweeps it alongside slot capacity and eviction policy.
+sweeps it alongside slot capacity.
 """
 
 from __future__ import annotations

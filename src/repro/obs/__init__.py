@@ -35,10 +35,12 @@ against the paper's published values), :mod:`repro.obs.bench` and
 :mod:`repro.obs.vmprof`.
 
 Enable both at once with :func:`enable` (the CLI's ``--trace`` /
-``--metrics`` flags call this). Pool children hand their evidence back
-through one pair: :func:`capture_worker` in the child and
-:func:`absorb_worker` in the parent, so a run sharded over processes
-records the same spans, metrics and event log as a serial one.
+``--metrics`` flags call this). The suite runner's pool children
+(``--jobs N``) hand their evidence back through one pair:
+:func:`capture_worker` in the child and :func:`absorb_worker` in the
+parent, so a run sharded over processes records the same spans, metrics
+and event log as a serial one. The serve daemon needs neither: its
+workers are threads recording into the daemon's own globals.
 """
 
 from repro.obs.metrics import (

@@ -38,7 +38,7 @@ def benchmarks() -> dict:
 
     return {
         "vm": ("repro-bench-vm/4", run_vm_bench, render_vm_bench),
-        "mix": ("repro-bench-mix/2", run_mix_bench, render_mix_bench),
+        "mix": ("repro-bench-mix/3", run_mix_bench, render_mix_bench),
         "serve": ("repro-bench-serve/3", run_loadgen, render_loadgen),
     }
 
@@ -265,9 +265,8 @@ def render_vm_bench(report: dict) -> str:
 
 # -- fleet workload-mix benchmark (repro mix) --------------------------------
 
-#: Default grid axes: >=2 entropies x >=3 policies x >=3 slot counts.
+#: Default grid axes: 2 entropies x 3 slot counts.
 DEFAULT_MIX_PRESETS = ("uniform", "skewed")
-DEFAULT_MIX_POLICIES = ("lru", "lfu", "breakeven")
 DEFAULT_MIX_CAPACITIES = (4, 8, 16)
 
 
@@ -279,69 +278,53 @@ def mix_manifest_block(report: dict) -> dict:
     """The nested-dict ``mix`` block a ledger manifest carries.
 
     Dicts all the way down (the regression sentinel's flattener walks
-    dicts, not lists): ``mix.cells.<preset>.<policy>.c<NN>.<metric>``.
+    dicts, not lists): ``mix.cells.<preset>.c<NN>.<metric>``.
     The candidate-search wall time is excluded from every charged
     overhead, so the simulated cells are fully virtual-clock and compare
     at 1e-9; only the grid's own ``wall_seconds`` is measured.
     """
-    contended = report["contended"] or {}
     block: dict = {
         "events": report["events"],
         "seed": report["seed"],
         "entropy": dict(report["entropy"]),
-        "gate": {
-            "breakeven_beats_lru": report["gates"]["breakeven_beats_lru"],
-            "contended_preset": contended.get("preset"),
-            "contended_capacity": contended.get("capacity"),
-        },
         "wall_seconds": report["wall_seconds"],
         "cells": {},
         "measured": ["wall_seconds"],
     }
-    for preset, policies in report["cells"].items():
-        for policy, caps in policies.items():
-            for ckey, cell in caps.items():
-                dest = (
-                    block["cells"]
-                    .setdefault(preset, {})
-                    .setdefault(policy, {})
-                    .setdefault(ckey, {})
-                )
-                dest["fleet_break_even_seconds"] = cell[
-                    "fleet_break_even_seconds"
-                ]
-                dest["mean_occupancy_pct"] = cell["mean_occupancy_pct"]
-                slots = cell["slots"]
-                dest["slot_loads"] = slots["loads"]
-                dest["slot_reloads"] = slots["reloads"]
-                dest["slot_evictions"] = slots["evictions"]
-                store = cell["store"]
-                dest["store_hits"] = store["hits"]
-                dest["store_misses"] = store["misses"]
-                dest["cross_app_hits"] = store["cross_app_hits"]
+    for preset, caps in report["cells"].items():
+        for ckey, cell in caps.items():
+            slots = cell["slots"]
+            store = cell["store"]
+            block["cells"].setdefault(preset, {})[ckey] = {
+                "fleet_break_even_seconds": cell["fleet_break_even_seconds"],
+                "mean_occupancy_pct": cell["mean_occupancy_pct"],
+                "slot_loads": slots["loads"],
+                "slot_reloads": slots["reloads"],
+                "slot_evictions": slots["evictions"],
+                "store_hits": store["hits"],
+                "store_misses": store["misses"],
+                "cross_app_hits": store["cross_app_hits"],
+            }
     return block
 
 
 def run_mix_bench(
     presets=DEFAULT_MIX_PRESETS,
-    policies=DEFAULT_MIX_POLICIES,
     capacities=DEFAULT_MIX_CAPACITIES,
     events: int = 120,
     seed: int = 0,
     store_root: str | os.PathLike | None = None,
     apps=None,
 ) -> dict:
-    """Sweep the fleet grid (mix entropy x policy x slot count).
+    """Sweep the fleet grid (mix entropy x slot count).
 
     Specialization profiles are built once (the only measured wall time
     that matters); every grid cell then replays the preset's trace on the
     virtual clock against a cold per-cell fleet store, so identical
-    (presets, policies, capacities, events, seed) inputs reproduce every
-    deterministic cell bit-identically. Two gates: on the *contended*
-    cell — the (preset, capacity) pair where plain LRU evicts most — the
-    break-even-aware policy must strictly beat LRU (``None`` when the grid
-    has no contended cell or lacks either policy), and re-simulating that
-    cell from the same inputs must reproduce it bit-identically.
+    (presets, capacities, events, seed) inputs reproduce every
+    deterministic cell bit-identically. The one gate re-simulates the
+    cell whose slot pool evicts most (the first cell when none evicts)
+    from the same inputs and requires it to reproduce bit-identically.
     """
     from repro.mix.profiles import DEFAULT_APPS, build_app_profiles
     from repro.mix.simulator import simulate_cell
@@ -372,16 +355,12 @@ def run_mix_bench(
             "empirical": round(empirical_entropy(traces[preset]), 9),
         }
 
-    def run_cell(preset: str, policy: str, capacity: int) -> dict:
-        cell_root = os.path.join(
-            store_root, f"{preset}-{policy}-{capacity}"
-        )
+    def run_cell(preset: str, capacity: int, cell_dir: str) -> dict:
         return simulate_cell(
             profiles,
             traces[preset],
-            policy,
             capacity,
-            cell_root,
+            os.path.join(store_root, cell_dir),
             mix_name=preset,
         ).as_dict()
 
@@ -389,62 +368,22 @@ def run_mix_bench(
     cells: dict = {}
     try:
         for preset in presets:
-            for policy in policies:
-                for capacity in capacities:
-                    cells.setdefault(preset, {}).setdefault(policy, {})[
-                        _mix_cell_key(capacity)
-                    ] = run_cell(preset, policy, capacity)
+            for capacity in capacities:
+                cells.setdefault(preset, {})[_mix_cell_key(capacity)] = (
+                    run_cell(preset, capacity, f"{preset}-{capacity}")
+                )
 
-        # Contended cell: the (preset, capacity) pair where plain LRU
-        # evicts most — deterministic, so the gate targets the same cell
-        # on every host.
-        contended = None
-        if "lru" in policies:
-            best = (-1, "", 0)
-            for preset in presets:
-                for capacity in capacities:
-                    evictions = cells[preset]["lru"][_mix_cell_key(capacity)][
-                        "slots"
-                    ]["evictions"]
-                    if evictions > best[0]:
-                        best = (evictions, preset, capacity)
-            if best[0] > 0:
-                contended = {
-                    "preset": best[1],
-                    "capacity": best[2],
-                    "lru_evictions": best[0],
-                }
-
-        beats_lru = None
-        if contended is not None and "breakeven" in policies:
-            ckey = _mix_cell_key(contended["capacity"])
-            lru_be = cells[contended["preset"]]["lru"][ckey][
-                "fleet_break_even_seconds"
-            ]
-            be_be = cells[contended["preset"]]["breakeven"][ckey][
-                "fleet_break_even_seconds"
-            ]
-            contended["lru_break_even_seconds"] = lru_be
-            contended["breakeven_break_even_seconds"] = be_be
-            beats_lru = (
-                lru_be is not None and be_be is not None and be_be < lru_be
-            )
-
-        # Determinism self-check: re-simulate the contended (or first)
-        # cell from the same frozen inputs and require bit-identity.
-        check_preset = contended["preset"] if contended else presets[0]
-        check_capacity = contended["capacity"] if contended else capacities[0]
-        check_policy = policies[0]
-        rerun_root = os.path.join(store_root, "determinism-rerun")
-        rerun = simulate_cell(
-            profiles,
-            traces[check_preset],
-            check_policy,
-            check_capacity,
-            rerun_root,
-            mix_name=check_preset,
-        ).as_dict()
-        first = cells[check_preset][check_policy][_mix_cell_key(check_capacity)]
+        # Determinism self-check: re-simulate the cell that evicts most
+        # (the first on a tie) from the same frozen inputs and require
+        # bit-identity. Deterministic, so every host checks the same cell.
+        check_preset, check_capacity = max(
+            ((p, c) for p in presets for c in capacities),
+            key=lambda pc: cells[pc[0]][_mix_cell_key(pc[1])]["slots"][
+                "evictions"
+            ],
+        )
+        first = cells[check_preset][_mix_cell_key(check_capacity)]
+        rerun = run_cell(check_preset, check_capacity, "determinism-rerun")
         bit_identical = json.dumps(rerun, sort_keys=True) == json.dumps(
             first, sort_keys=True
         )
@@ -456,7 +395,6 @@ def run_mix_bench(
     report = {
         "apps": list(apps),
         "presets": list(presets),
-        "policies": list(policies),
         "capacities": list(capacities),
         "events": events,
         "seed": seed,
@@ -471,17 +409,13 @@ def run_mix_bench(
             },
         },
         "cells": cells,
-        "contended": contended,
         "determinism_cell": {
             "preset": check_preset,
-            "policy": check_policy,
             "capacity": check_capacity,
+            "evictions": first["slots"]["evictions"],
         },
         "wall_seconds": round(profile_wall + grid_wall, 3),
-        "gates": {
-            "breakeven_beats_lru": beats_lru,
-            "determinism_bit_identical": bit_identical,
-        },
+        "gates": {"determinism_bit_identical": bit_identical},
     }
 
     from repro.obs.ledger import current_run
@@ -500,7 +434,6 @@ def render_mix_bench(report: dict) -> str:
         columns=[
             "mix",
             "H",
-            "policy",
             "slots",
             "occ%",
             "loads",
@@ -510,54 +443,39 @@ def render_mix_bench(report: dict) -> str:
             "xapp",
             "fleet-BE(s)",
         ],
-        title="Fleet workload-mix grid (break-even vs policy vs capacity)",
+        title="Fleet workload-mix grid (break-even vs capacity)",
     )
-    for preset, policies in report["cells"].items():
+    for preset, caps in report["cells"].items():
         h = report["entropy"][preset]["configured"]
-        for policy, caps in policies.items():
-            for ckey in sorted(caps):
-                cell = caps[ckey]
-                slots = cell["slots"]
-                store = cell["store"]
-                lookups = store["hits"] + store["misses"]
-                hit_pct = 100.0 * store["hits"] / lookups if lookups else 0.0
-                be = cell["fleet_break_even_seconds"]
-                table.add_row(
-                    [
-                        preset,
-                        f"{h:.2f}",
-                        policy,
-                        cell["capacity"],
-                        f"{cell['mean_occupancy_pct']:.1f}",
-                        slots["loads"],
-                        slots["reloads"],
-                        slots["evictions"],
-                        f"{hit_pct:.1f}",
-                        store["cross_app_hits"],
-                        f"{be:.1f}" if be is not None else "-",
-                    ]
-                )
-    lines = [table.render()]
-    gates = report["gates"]
-    contended = report["contended"]
-    if contended:
-        line = (
-            f"contended cell: mix={contended['preset']} "
-            f"slots={contended['capacity']} "
-            f"(lru evictions={contended['lru_evictions']})"
-        )
-        beats = gates["breakeven_beats_lru"]
-        if beats is not None:
-            line += (
-                f" -- breakeven {contended['breakeven_break_even_seconds']}s "
-                f"vs lru {contended['lru_break_even_seconds']}s: "
-                + ("breakeven wins" if beats else "breakeven does NOT win")
+        for ckey in sorted(caps):
+            cell = caps[ckey]
+            slots = cell["slots"]
+            store = cell["store"]
+            lookups = store["hits"] + store["misses"]
+            hit_pct = 100.0 * store["hits"] / lookups if lookups else 0.0
+            be = cell["fleet_break_even_seconds"]
+            table.add_row(
+                [
+                    preset,
+                    f"{h:.2f}",
+                    cell["capacity"],
+                    f"{cell['mean_occupancy_pct']:.1f}",
+                    slots["loads"],
+                    slots["reloads"],
+                    slots["evictions"],
+                    f"{hit_pct:.1f}",
+                    store["cross_app_hits"],
+                    f"{be:.1f}" if be is not None else "-",
+                ]
             )
-        lines.append(line)
-    else:
-        lines.append("contended cell: none (no LRU evictions anywhere in grid)")
-    lines.append(
-        "determinism rerun: "
-        + ("bit-identical" if gates["determinism_bit_identical"] else "MISMATCH")
+    check = report["determinism_cell"]
+    verdict = (
+        "bit-identical"
+        if report["gates"]["determinism_bit_identical"]
+        else "MISMATCH"
     )
-    return "\n".join(lines)
+    return (
+        f"{table.render()}\n"
+        f"determinism rerun of {check['preset']}/c{check['capacity']:02d} "
+        f"({check['evictions']} evictions): {verdict}"
+    )

@@ -660,25 +660,11 @@ def render_manifest(manifest: dict) -> str:
             ]
     mix = manifest.get("mix")
     if mix:
-        gate = mix.get("gate") or {}
-        cell_count = sum(
-            len(caps)
-            for policies in (mix.get("cells") or {}).values()
-            for caps in policies.values()
-        )
-        verdict = gate.get("breakeven_beats_lru")
+        cell_count = sum(len(caps) for caps in (mix.get("cells") or {}).values())
         lines += [
             "",
             f"mix:       {cell_count} cells, "
-            f"{mix.get('events', 0)} events/trace, "
-            f"contended {gate.get('contended_preset') or '-'}"
-            f"/c{gate.get('contended_capacity') or 0}, "
-            "breakeven-vs-lru "
-            + (
-                "wins"
-                if verdict
-                else ("LOSES" if verdict is not None else "-")
-            ),
+            f"{mix.get('events', 0)} events/trace",
         ]
     artifacts = manifest.get("artifacts") or {}
     if artifacts:

@@ -75,12 +75,6 @@ class EventLog:
         self._sink = open(path, "w", encoding="utf-8")
         self._owns_sink = True
 
-    def attach(self, fileobj) -> None:
-        """Attach an already-open file-like sink (not closed by us)."""
-        self.close()
-        self._sink = fileobj
-        self._owns_sink = False
-
     def close(self) -> None:
         sink, owns = self._sink, self._owns_sink
         self._sink = None

@@ -65,10 +65,10 @@ NOISE_BAND_MADS = 3.0
 #: drift instead of becoming an exact gate.
 HISTORY_NOISE_REL_FLOOR = 0.05
 
-#: Manifest config keys that are expected to differ between runs. ``jobs``,
-#: ``backend``, and ``cache`` are execution strategy, not experiment
-#: configuration: a parallel or cache-warmed run must remain comparable
-#: against a serial baseline.
+#: Manifest config keys that are expected to differ between runs. ``jobs``
+#: and ``cache`` are execution strategy, not experiment configuration: a
+#: parallel or cache-warmed run must remain comparable against a serial
+#: baseline.
 _VOLATILE_CONFIG_KEYS = frozenset(
     {
         "ledger",
@@ -77,7 +77,6 @@ _VOLATILE_CONFIG_KEYS = frozenset(
         "metrics",
         "out",
         "jobs",
-        "backend",
         "cache",
         # Serve plane: the store directory is per-invocation scratch and
         # the listen address is bind-time detail, not experiment config.
@@ -183,7 +182,7 @@ def declared_cells(manifest: dict) -> dict[str, tuple[float, float | None]]:
         put(metrics, "metrics.", f"counters.{name}", value)
 
     # The remaining blocks are nested dicts all the way down (e.g.
-    # mix.cells.<preset>.<policy>.c<NN>.<metric>), so the generic walk
+    # mix.cells.<preset>.c<NN>.<metric>), so the generic walk
     # covers them; string leaves (app names) fall out.
     for name in ("scalars", "cache", "vm", "mix"):
         block = manifest.get(name) or {}

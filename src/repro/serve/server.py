@@ -8,7 +8,9 @@ protocol; an **admission queue** of bounded depth provides backpressure
 unboundedly); a worker pool executes requests against the shared
 multi-tenant bitstream store (:mod:`repro.serve.store`), whose
 single-flight layer collapses concurrent CAD work on equal candidate
-signatures.
+signatures. The workers are threads of the daemon's own process, so
+that layer and the memoized application contexts are shared by every
+request.
 
 Observability is first-class: each request is a ``serve.request`` span
 parented under the server's root span (one server run = one ledger run),
@@ -23,15 +25,13 @@ explicit ``interrupted`` shutdown status — never a dangling manifest.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import queue
 import socket
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.obs import absorb_worker, get_metrics, get_tracer, worker_settings
+from repro.obs import get_metrics, get_tracer
 from repro.obs.metrics import Histogram
 from repro.serve.protocol import (
     PROTOCOL_SCHEMA,
@@ -40,11 +40,7 @@ from repro.serve.protocol import (
     send_message,
 )
 from repro.serve.store import SharedBitstreamStore
-from repro.serve.worker import (
-    execute_specialize,
-    parse_specialize_request,
-    process_request_worker,
-)
+from repro.serve.worker import execute_specialize, parse_specialize_request
 
 #: Default multi-tenant store location (git-ignored, like the cache).
 DEFAULT_STORE_DIR = ".repro-store"
@@ -78,7 +74,6 @@ class ServerConfig:
     port: int = 0  # 0 = ephemeral; the bound port is printed/queryable
     workers: int = 2
     queue_depth: int = 32
-    backend: str = "thread"  # thread (in-process single-flight) | process
     store_root: str = DEFAULT_STORE_DIR
     tenant_budget: int | None = None
 
@@ -107,10 +102,6 @@ class SpecializationServer:
         # per-phase block instead of letting two embedded servers fight
         # over one manifest.
         self.record_run = record_run
-        if self.config.backend not in ("thread", "process"):
-            raise ValueError(
-                f"unknown backend {self.config.backend!r} (thread or process)"
-            )
         self.store = store or SharedBitstreamStore(
             self.config.store_root, tenant_budget=self.config.tenant_budget
         )
@@ -119,7 +110,6 @@ class SpecializationServer:
         self._bound_port: int | None = None
         self._acceptor: threading.Thread | None = None
         self._workers: list[threading.Thread] = []
-        self._pool: ProcessPoolExecutor | None = None
         self._span = None
         self._started = time.perf_counter()
 
@@ -177,7 +167,6 @@ class SpecializationServer:
             host=self.config.host,
             workers=self.config.workers,
             queue_depth=self.config.queue_depth,
-            backend=self.config.backend,
         )
         if self._span is not None and hasattr(self._span, "__exit__"):
             self._span.__enter__()
@@ -188,14 +177,6 @@ class SpecializationServer:
         listener.listen(128)
         self._listener = listener
         self._bound_port = listener.getsockname()[1]
-        if self.config.backend == "process":
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in methods else None
-            )
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.config.workers, mp_context=ctx
-            )
         for i in range(self.config.workers):
             worker = threading.Thread(
                 target=self._worker_loop, name=f"serve-worker-{i}", daemon=True
@@ -246,9 +227,6 @@ class SpecializationServer:
             self._queue.put(_SENTINEL)
         for worker in self._workers:
             worker.join()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         if self._span is not None and hasattr(self._span, "finish"):
             self._span.set_attrs(
                 completed=self.requests["completed"],
@@ -491,7 +469,7 @@ class SpecializationServer:
                     trace_id=request.get("trace_id"),
                 )
                 try:
-                    result = self._execute(request, span)
+                    result = self._execute(request)
                     error = None
                 except Exception as exc:  # noqa: BLE001 - daemon must survive
                     result = None
@@ -504,29 +482,7 @@ class SpecializationServer:
                 )
         self._account(ticket, result, error, queue_wait, service, span)
 
-    def _execute(self, request: dict, span=None) -> dict:
-        if self.config.backend == "process":
-            assert self._pool is not None
-            fanout_start = time.perf_counter()
-            future = self._pool.submit(
-                process_request_worker,
-                request,
-                str(self.store.root),
-                self.config.tenant_budget,
-                worker_settings(),
-            )
-            result, evidence, counters = future.result()
-            # Reparent the child process's span subtree (and its log
-            # records) under *this request's* span, not the server root,
-            # so the stitched trace keeps parent/child ids across the
-            # process boundary.
-            absorb_worker(
-                evidence,
-                parent=span if span is not None else self._span,
-                base=fanout_start,
-            )
-            self.store.tenant(request["tenant"]).cache.absorb_counters(counters)
-            return result
+    def _execute(self, request: dict) -> dict:
         tenant_cache = self.store.tenant(
             request["tenant"], app=request["app"]
         )
@@ -535,7 +491,6 @@ class SpecializationServer:
             tenant=request["tenant"],
             app=request["app"],
             trace_id=request.get("trace_id"),
-            backend="thread",
         ):
             return execute_specialize(request, tenant_cache)
 
@@ -686,7 +641,6 @@ class SpecializationServer:
                 "port": self.port,
                 "workers": self.config.workers,
                 "queue_depth": self.config.queue_depth,
-                "backend": self.config.backend,
                 "store": str(self.store.root),
                 "tenant_budget": self.config.tenant_budget,
             },

@@ -118,10 +118,6 @@ class SharedBitstreamStore:
                 self._tenants[name] = cache
             return TenantCache(store=self, name=name, cache=cache, app=app)
 
-    def tenant_names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._tenants)
-
     # -- single-flight plumbing ----------------------------------------------
     def _join_flight(self, tenant: str, key: str) -> _Flight | None:
         """The in-progress build of (tenant, key) to wait on, if any."""

@@ -8,29 +8,27 @@ analysis (Table IV) as the response's headline number.
 
 The expensive *application context* — compiling the app and profiling its
 datasets — is tenant-independent and identical for every request naming
-the app, so it is built once per process and memoized; a request then
-costs only search + the CAD work its candidates actually need, with the
-tenant's bitstream cache (and the store's single-flight layer) absorbing
-repeats. Break-even uses the request's **effective** overhead: cached
-candidates contribute no generation time, matching the Section VI-A
-protocol where "the whole runtime associated with the generation of the
-candidate is subtracted" on a hit.
+the app, so it is built once per process and memoized for every worker
+thread; a request then costs only search + the CAD work its candidates
+actually need, with the tenant's bitstream cache (and the store's
+single-flight layer) absorbing repeats. Break-even uses the request's
+**effective** overhead: cached candidates contribute no generation time,
+matching the Section VI-A protocol where "the whole runtime associated
+with the generation of the candidate is subtracted" on a hit.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from math import isfinite
-from pathlib import Path
 
 from repro.apps import AppSpec, CompiledApp, compile_app, get_app
 from repro.core.asip_sp import AsipSpecializationProcess
 from repro.core.breakeven import BreakEvenModel
 from repro.ise.pruning import PruningFilter
 from repro.ise.selection import CandidateSearch
-from repro.obs import capture_worker, get_tracer
+from repro.obs import get_tracer
 from repro.profiling import CoverageAnalysis, classify_blocks
 from repro.vm.profiler import ExecutionProfile
 from repro.woolcano.machine import WoolcanoMachine
@@ -58,12 +56,6 @@ class AppContext:
 _contexts: dict[str, AppContext] = {}
 _context_locks: dict[str, threading.Lock] = {}
 _registry_lock = threading.Lock()
-
-
-def clear_contexts() -> None:
-    with _registry_lock:
-        _contexts.clear()
-        _context_locks.clear()
 
 
 def app_context(name: str) -> AppContext:
@@ -154,8 +146,8 @@ def execute_specialize(request: dict, bitstream_cache) -> dict:
     speedup = machine.speedup(block_costs, ctx.train, report.search.selected)
 
     # Bind the implemented configurations to the machine's UDI slots (one
-    # per structural signature, as the APU decodes them): under a --slots
-    # budget this exercises the eviction policy and yields the slots.*
+    # per structural signature, as the APU decodes them): under a slot
+    # budget this exercises LRU eviction and yields the slots.*
     # occupancy/eviction telemetry of the daemon's stats summary.
     sig_ids: dict[int, int] = {}
     for ci in report.implementations:
@@ -164,12 +156,10 @@ def execute_specialize(request: dict, bitstream_cache) -> dict:
         if machine.slots.is_loaded(sid):
             machine.slots.touch(sid)
             continue
-        count = ctx.train.count_of(cand.function, cand.block)
         machine.slots.load(
             sid,
             cand.signature,
             ci.implementation.bitstream,
-            value=max(0.0, ci.estimate.cycles_saved) * count,
             owner=request["app"],
         )
 
@@ -202,45 +192,3 @@ def execute_specialize(request: dict, bitstream_cache) -> dict:
         "break_even_seconds": round(be, 6) if isfinite(be) else None,
         "slots": machine.slots.stats(),
     }
-
-
-def process_request_worker(
-    request: dict,
-    store_root: str,
-    tenant_budget: int | None,
-    settings: dict,
-):
-    """Execute one request in a pool child; returns mergeable evidence.
-
-    Like the suite runner's pool child, it records under fresh
-    observability globals (:func:`repro.obs.capture_worker`), runs the
-    request against a fresh per-request cache view of the tenant's
-    on-disk namespace (counters therefore carry exactly this request's
-    delta), and returns ``(result, evidence, cache counters)`` for the
-    parent to absorb. Candidate-level single-flight is in-process only:
-    with the process backend, a request reuses another's CAD run only
-    once that run is stored on disk. App contexts are memoized per
-    child, so a reused pool worker pays the compile/profile cost once.
-    """
-    from repro.core.cache import PersistentBitstreamCache
-
-    evidence = capture_worker(settings)
-    cache = PersistentBitstreamCache(
-        root=Path(store_root) / "tenants" / request["tenant"],
-        max_entries=tenant_budget,
-    )
-    # The child's root span continues the request's trace context: the
-    # parent absorbs these records under the serve.request span, so the
-    # stitched tree crosses the process boundary with parent/child span
-    # ids intact (the pid attribute makes the hop visible).
-    with get_tracer().span(
-        "serve.execute",
-        tenant=request["tenant"],
-        app=request["app"],
-        request_id=request.get("request_id") or None,
-        trace_id=request.get("trace_id"),
-        backend="process",
-        pid=os.getpid(),
-    ):
-        result = execute_specialize(request, cache)
-    return result, evidence(), cache.counters()

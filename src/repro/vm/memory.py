@@ -170,9 +170,5 @@ class Memory:
         acc.store.pack_into(self.data, addr, value)
 
     # -- bulk helpers (used by dataset loaders) -----------------------------
-    def write_array(self, addr: int, ty: Type, values) -> None:
-        for i, v in enumerate(values):
-            self.store(addr + i * ty.size_bytes, ty, v)
-
     def read_array(self, addr: int, ty: Type, count: int) -> list:
         return [self.load(addr + i * ty.size_bytes, ty) for i in range(count)]

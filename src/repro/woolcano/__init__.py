@@ -13,7 +13,6 @@ how much faster does the application run than on the plain CPU?
 from repro.woolcano.cpu import PowerPC405
 from repro.woolcano.apu import FcbInterface, DEFAULT_FCB
 from repro.woolcano.slots import (
-    EVICTION_POLICIES,
     CustomInstructionSlots,
     LoadedInstruction,
     SlotError,
@@ -27,7 +26,6 @@ __all__ = [
     "DEFAULT_FCB",
     "CustomInstructionSlots",
     "LoadedInstruction",
-    "EVICTION_POLICIES",
     "SlotError",
     "IcapModel",
     "ReconfigurationEvent",

@@ -23,9 +23,5 @@ class PowerPC405:
     clock_hz: float = 300e6
     cost_model: CostModel = field(default_factory=lambda: PPC405_COST_MODEL)
 
-    @property
-    def cycle_seconds(self) -> float:
-        return 1.0 / self.clock_hz
-
     def seconds_for_cycles(self, cycles: float) -> float:
         return cycles / self.clock_hz

@@ -4,29 +4,22 @@ The APU decodes a finite set of user-defined instruction (UDI) opcodes;
 each opcode is bound to a fabric region configuration. The paper
 implements all candidates by time-multiplexing configurations (Section
 II); this module makes the cost of that multiplexing explicit for the
-runtime system: a fixed pool of slots under capacity pressure, a
-pluggable eviction policy choosing the victim when the pool is full, and
+runtime system: a fixed pool of slots under capacity pressure, which
+evicts the least-recently-used instruction when the pool is full, and
 reload accounting (an instruction evicted and needed again pays the ICAP
 reconfiguration again — the fleet-level overhead the mix simulator in
 :mod:`repro.mix` charges against Table IV's break-even times).
 
-Three eviction policies are modelled:
-
-- ``lru`` — evict the least-recently-used instruction (the original
-  single-application behaviour);
-- ``lfu`` — evict the least-frequently-used instruction (ties broken by
-  recency), protecting instructions that are touched often;
-- ``breakeven`` — evict the instruction whose loss hurts the fleet
-  break-even least: the victim minimises ``value x (1 + use_count)``,
-  where ``value`` is the loader-supplied benefit density (saved cycles
-  per invocation per second of ICAP reload cost). High-value, hot
-  instructions stay resident; cheap-to-reload, rarely-used ones go.
+One victim rule suffices: a slot eviction costs only an ICAP reload,
+milliseconds against the seconds of the CAD flow, so no choice of victim
+moves a break-even time measurably (EXPERIMENTS.md, "Workload mixes &
+slot contention").
 
 Observability: every load/evict emits a tracer event carrying the
 physical slot index (the per-slot occupancy timeline), ``slots.*``
-metrics count loads, reloads, hits and evictions by reason, and a
-residency histogram records how many virtual clock ticks each occupant
-survived before eviction.
+metrics count loads, reloads, hits and evictions, and a residency
+histogram records how many virtual clock ticks each occupant survived
+before eviction.
 """
 
 from __future__ import annotations
@@ -35,9 +28,6 @@ from dataclasses import dataclass, field
 
 from repro.fpga.bitgen import PartialBitstream
 from repro.obs import get_metrics, get_tracer
-
-#: The victim-selection policies :class:`CustomInstructionSlots` accepts.
-EVICTION_POLICIES = ("lru", "lfu", "breakeven")
 
 
 class SlotError(Exception):
@@ -55,37 +45,24 @@ class LoadedInstruction:
     last_use: int = 0
     loaded_at: int = 0
     slot_index: int = 0
-    #: Benefit density used by the break-even-aware policy (saved cycles
-    #: per invocation, normalised by the ICAP reload cost in seconds).
-    value: float = 0.0
     #: Application that loaded the instruction (fleet-mix attribution).
     owner: str | None = None
 
 
 @dataclass
 class CustomInstructionSlots:
-    """Fixed number of UDI slots with a pluggable eviction policy."""
+    """Fixed number of UDI slots that evicts the least-recently-used."""
 
     capacity: int = 8
-    policy: str = "lru"
     _slots: dict[int, LoadedInstruction] = field(default_factory=dict)
     _clock: int = 0
     loads: int = 0
     evictions: int = 0
     reloads: int = 0
     hits: int = 0
-    cross_app_hits: int = 0
-    evictions_by_reason: dict[str, int] = field(default_factory=dict)
     _evicted_ids: set[int] = field(default_factory=set)
     _free_indices: list[int] = field(default_factory=list)
     _next_index: int = 0
-
-    def __post_init__(self) -> None:
-        if self.policy not in EVICTION_POLICIES:
-            raise SlotError(
-                f"unknown eviction policy {self.policy!r} "
-                f"(expected one of {', '.join(EVICTION_POLICIES)})"
-            )
 
     # -- loading -------------------------------------------------------------
     def load(
@@ -94,28 +71,16 @@ class CustomInstructionSlots:
         signature: int,
         bitstream: PartialBitstream,
         *,
-        value: float = 0.0,
         owner: str | None = None,
-        allow_evict: bool = True,
     ) -> LoadedInstruction | None:
-        """Load an instruction; returns the evicted one, if any.
-
-        With ``allow_evict=False`` a full pool raises :class:`SlotError`
-        instead of choosing a victim (the caller wants to observe
-        capacity pressure, not resolve it).
-        """
+        """Load an instruction; returns the evicted one, if any."""
         if self.capacity < 1:
             raise SlotError("machine has no custom instruction slots")
         if custom_id in self._slots:
             return None
         evicted = None
         if len(self._slots) >= self.capacity:
-            if not allow_evict:
-                raise SlotError(
-                    f"all {self.capacity} slots are occupied and eviction "
-                    "is disabled"
-                )
-            evicted = self._evict(self._victim().custom_id, reason=self.policy)
+            evicted = self._evict_lru()
         self._clock += 1
         reload = custom_id in self._evicted_ids
         if reload:
@@ -132,7 +97,6 @@ class CustomInstructionSlots:
             last_use=self._clock,
             loaded_at=self._clock,
             slot_index=slot_index,
-            value=value,
             owner=owner,
         )
         self.loads += 1
@@ -153,33 +117,18 @@ class CustomInstructionSlots:
         )
         return evicted
 
-    def _victim(self) -> LoadedInstruction:
-        """The resident instruction the active policy would evict."""
-        residents = self._slots.values()
-        if self.policy == "lfu":
-            key = lambda s: (s.use_count, s.last_use, s.custom_id)  # noqa: E731
-        elif self.policy == "breakeven":
-            key = lambda s: (  # noqa: E731
-                s.value * (1.0 + s.use_count),
-                s.last_use,
-                s.custom_id,
-            )
-        else:  # lru
-            key = lambda s: (s.last_use, s.custom_id)  # noqa: E731
-        return min(residents, key=key)
-
-    def _evict(self, custom_id: int, reason: str) -> LoadedInstruction:
-        evicted = self._slots.pop(custom_id)
-        self.evictions += 1
-        self.evictions_by_reason[reason] = (
-            self.evictions_by_reason.get(reason, 0) + 1
+    def _evict_lru(self) -> LoadedInstruction:
+        victim = min(
+            self._slots.values(), key=lambda s: (s.last_use, s.custom_id)
         )
-        self._evicted_ids.add(custom_id)
+        evicted = self._slots.pop(victim.custom_id)
+        self.evictions += 1
+        self._evicted_ids.add(evicted.custom_id)
         self._free_indices.append(evicted.slot_index)
         residency = self._clock - evicted.loaded_at
         registry = get_metrics()
         if registry.enabled:
-            registry.counter(f"slots.evictions.{reason}", measured=True).inc()
+            registry.counter("slots.evictions", measured=True).inc()
             registry.histogram("slots.residency_ticks").observe(
                 float(residency)
             )
@@ -187,20 +136,13 @@ class CustomInstructionSlots:
         get_tracer().event(
             "slots.evict",
             slot=evicted.slot_index,
-            custom_id=custom_id,
-            reason=reason,
+            custom_id=evicted.custom_id,
             owner=evicted.owner,
             resident_ticks=residency,
             use_count=evicted.use_count,
             tick=self._clock,
         )
         return evicted
-
-    def evict(self, custom_id: int) -> LoadedInstruction:
-        """Explicitly evict a resident instruction (runtime-system API)."""
-        if custom_id not in self._slots:
-            raise SlotError(f"custom instruction #{custom_id} is not loaded")
-        return self._evict(custom_id, reason="explicit")
 
     # -- access --------------------------------------------------------------
     def is_loaded(self, custom_id: int) -> bool:
@@ -239,13 +181,11 @@ class CustomInstructionSlots:
         loads = self.loads
         return {
             "capacity": self.capacity,
-            "policy": self.policy,
             "resident": len(self._slots),
             "occupancy_pct": round(self.occupancy_pct(), 3),
             "loads": loads,
             "reloads": self.reloads,
             "hits": self.hits,
             "evictions": self.evictions,
-            "evictions_by_reason": dict(sorted(self.evictions_by_reason.items())),
             "eviction_rate": round(self.evictions / loads, 6) if loads else 0.0,
         }

@@ -30,6 +30,8 @@ def _fake(gates: dict):
         ["top", "--port", "1", "--once"],
         ["tail", "log.jsonl"],
         ["runs", "trend"],
+        ["mix", "--policies", "lru"],
+        ["serve", "--backend", "thread"],
     ],
 )
 def test_removed_commands_and_options_are_usage_errors(argv):
@@ -95,8 +97,7 @@ def test_mix_and_loadgen_fail_on_a_false_gate(
 def test_mix_and_loadgen_write_no_report(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(
-        ["mix", "--presets", "uniform", "--policies", "lru", "--slots", "4",
-         "--events", "20"]
+        ["mix", "--presets", "uniform", "--slots", "4", "--events", "20"]
     ) == 0
     assert main(
         ["loadgen", "--requests", "10", "--rate", "200", "--concurrency", "4",

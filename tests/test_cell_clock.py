@@ -175,8 +175,8 @@ def manifests(tmp_path_factory) -> dict[str, dict]:
     _record_fidelity(ledger)
     assert run("vmprof", "adpcm") == 0
     assert run(
-        "mix", "--presets", "uniform,skewed", "--policies", "lru,lfu",
-        "--slots", "4,8", "--events", "20",
+        "mix", "--presets", "uniform,skewed", "--slots", "4,8",
+        "--events", "20",
     ) == 0
     assert run(
         "loadgen", "--requests", "10", "--rate", "200", "--concurrency", "4",

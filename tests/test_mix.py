@@ -212,17 +212,17 @@ class TestProfiles:
 class TestSimulator:
     def test_cell_bit_identical(self, fleet_profiles, fleet_trace, tmp_path):
         a = simulate_cell(
-            fleet_profiles, fleet_trace, "lru", 2, tmp_path / "a"
+            fleet_profiles, fleet_trace, 2, tmp_path / "a"
         ).as_dict()
         b = simulate_cell(
-            fleet_profiles, fleet_trace, "lru", 2, tmp_path / "b"
+            fleet_profiles, fleet_trace, 2, tmp_path / "b"
         ).as_dict()
         assert a == b
 
     def test_uncontended_accounting(self, fleet_profiles, fleet_trace, tmp_path):
         capacity = sum(len(p.candidates) for p in fleet_profiles.values())
         cell = simulate_cell(
-            fleet_profiles, fleet_trace, "lru", capacity, tmp_path / "u"
+            fleet_profiles, fleet_trace, capacity, tmp_path / "u"
         )
         assert cell.slots["evictions"] == 0
         assert cell.slots["reloads"] == 0
@@ -243,11 +243,10 @@ class TestSimulator:
 
     def test_contended_cell_reloads(self, fleet_profiles, fleet_trace, tmp_path):
         cell = simulate_cell(
-            fleet_profiles, fleet_trace, "lru", 1, tmp_path / "c"
+            fleet_profiles, fleet_trace, 1, tmp_path / "c"
         )
         assert cell.slots["evictions"] > 0
         assert cell.slots["reloads"] > 0
-        assert set(cell.slots["evictions_by_reason"]) == {"lru"}
         # Reloads pay ICAP again but never re-run the CAD flow: the
         # store serves every repeat lookup.
         total_misses = sum(s.store_misses for s in cell.apps.values())
@@ -268,7 +267,7 @@ class TestSimulator:
             max(alpha_sigs.index(s), beta_sigs.index(s)) + 1 for s in shared
         )
         cell = simulate_cell(
-            fleet_profiles, fleet_trace, "lru", capacity, tmp_path / "x"
+            fleet_profiles, fleet_trace, capacity, tmp_path / "x"
         )
         assert cell.store["cross_app_hits"] > 0
 
@@ -276,7 +275,7 @@ class TestSimulator:
         self, fleet_profiles, fleet_trace, tmp_path
     ):
         cell = simulate_cell(
-            fleet_profiles, fleet_trace, "lru", 2, tmp_path / "be"
+            fleet_profiles, fleet_trace, 2, tmp_path / "be"
         )
         assert cell.fleet_break_even_seconds is not None
         assert cell.fleet_break_even_seconds > 0
@@ -288,7 +287,7 @@ class TestSimulator:
         self, fleet_profiles, fleet_trace, tmp_path
     ):
         cell = simulate_cell(
-            fleet_profiles, fleet_trace, "lru", 2, tmp_path / "s"
+            fleet_profiles, fleet_trace, 2, tmp_path / "s"
         )
         assert "root" not in cell.store
         assert "bytes" not in cell.store
@@ -306,10 +305,8 @@ class TestManifestBlock:
             "events": 10,
             "seed": 0,
             "entropy": {"uniform": {"configured": 1.0, "empirical": 0.9}},
-            "gates": {"breakeven_beats_lru": True},
-            "contended": {"preset": "uniform", "capacity": 4},
             "wall_seconds": 1.5,
-            "cells": {"uniform": {"lru": {"c04": cell}}},
+            "cells": {"uniform": {"c04": cell}},
         }
 
     def test_nested_dicts_flatten(self):
@@ -318,29 +315,25 @@ class TestManifestBlock:
 
         block = mix_manifest_block(self._report())
         cells = flatten_cells({"mix": block})
-        assert cells["mix.cells.uniform.lru.c04.fleet_break_even_seconds"] == 100.0
-        assert cells["mix.cells.uniform.lru.c04.cross_app_hits"] == 1.0
+        assert cells["mix.cells.uniform.c04.fleet_break_even_seconds"] == 100.0
+        assert cells["mix.cells.uniform.c04.cross_app_hits"] == 1.0
         assert cells["mix.events"] == 10.0
-        assert cells["mix.gate.breakeven_beats_lru"] == 1.0
+        assert not any(name.startswith("mix.gate") for name in cells)
 
     def test_uncontended_grid_has_a_block(self):
         from repro.obs.bench import mix_manifest_block
 
         report = self._report()
-        report["contended"] = None
-        report["gates"]["breakeven_beats_lru"] = None
-        gate = mix_manifest_block(report)["gate"]
-        assert gate == {
-            "breakeven_beats_lru": None,
-            "contended_preset": None,
-            "contended_capacity": None,
-        }
+        report["cells"]["uniform"]["c04"]["slots"]["evictions"] = 0
+        block = mix_manifest_block(report)
+        assert block["cells"]["uniform"]["c04"]["slot_evictions"] == 0
+        assert "gate" not in block
 
     def test_break_even_cells_gated_exactly(self):
         from repro.obs.bench import mix_manifest_block
         from repro.obs.regress import compare_manifests
 
-        key = "cells.uniform.lru.c04.fleet_break_even_seconds"
+        key = "cells.uniform.c04.fleet_break_even_seconds"
         baseline = {"mix": mix_manifest_block(self._report())}
 
         def drifted(path: str, scale: float) -> dict:
@@ -370,7 +363,9 @@ class TestCli:
     def test_empty_axes_rejected(self, capsys):
         from repro.cli import main
 
-        assert main(["mix", "--policies", ","]) == 2
+        assert main(["mix", "--presets", ","]) == 2
+        assert "at least one" in capsys.readouterr().err
+        assert main(["mix", "--slots", ","]) == 2
         assert "at least one" in capsys.readouterr().err
 
     def test_nonpositive_capacity_rejected(self, capsys):

@@ -132,8 +132,8 @@ class TestPersistentCache:
         self, tmp_path, selected
     ):
         """Processes putting overlapping keys into one root (``analyze
-        --jobs N --cache``, ``serve --backend process``) each write their
-        own temp files: no put raises and every stored object loads."""
+        --jobs N --cache``) each write their own temp files: no put raises
+        and every stored object loads."""
         impl = CadToolFlow().implement(selected[0].candidate)
         root = tmp_path / "bc"
         keys = [f"{i:064x}" for i in range(6)]

@@ -100,21 +100,6 @@ def _bitstream(n: int):
 class TestSlotErrorPaths:
     """Error semantics of the contention-aware slot pool."""
 
-    def test_load_when_full_without_eviction(self):
-        from repro.woolcano import SlotError
-
-        slots = CustomInstructionSlots(capacity=2)
-        slots.load(0, 1, _bitstream(0))
-        slots.load(1, 2, _bitstream(1))
-        with pytest.raises(SlotError) as exc:
-            slots.load(2, 3, _bitstream(2), allow_evict=False)
-        assert "all 2 slots are occupied" in str(exc.value)
-        assert "eviction is disabled" in str(exc.value)
-        # The failed load changed nothing.
-        assert slots.resident == [0, 1]
-        assert slots.loads == 2
-        assert slots.evictions == 0
-
     def test_touch_non_resident_message(self):
         from repro.woolcano import SlotError
 
@@ -122,32 +107,6 @@ class TestSlotErrorPaths:
         with pytest.raises(SlotError) as exc:
             slots.touch(7)
         assert "custom instruction #7 is not loaded" in str(exc.value)
-
-    def test_evict_non_resident_message(self):
-        from repro.woolcano import SlotError
-
-        slots = CustomInstructionSlots(capacity=2)
-        slots.load(0, 1, _bitstream(0))
-        with pytest.raises(SlotError) as exc:
-            slots.evict(3)
-        assert "custom instruction #3 is not loaded" in str(exc.value)
-
-    def test_explicit_evict_counts_reason(self):
-        slots = CustomInstructionSlots(capacity=2)
-        slots.load(0, 1, _bitstream(0))
-        evicted = slots.evict(0)
-        assert evicted.custom_id == 0
-        assert slots.resident == []
-        assert slots.evictions_by_reason == {"explicit": 1}
-        assert slots.was_evicted(0)
-
-    def test_unknown_policy_rejected(self):
-        from repro.woolcano import SlotError
-
-        with pytest.raises(SlotError) as exc:
-            CustomInstructionSlots(capacity=2, policy="fifo")
-        assert "unknown eviction policy 'fifo'" in str(exc.value)
-        assert "lru" in str(exc.value)
 
     def test_no_slots_machine_rejected(self):
         from repro.woolcano import SlotError
@@ -159,39 +118,8 @@ class TestSlotErrorPaths:
 
 
 class TestEvictionPolicies:
-    def test_lfu_protects_frequent(self):
-        slots = CustomInstructionSlots(capacity=2, policy="lfu")
-        slots.load(0, 1, _bitstream(0))
-        slots.load(1, 2, _bitstream(1))
-        slots.touch(0)
-        slots.touch(0)
-        slots.touch(1)  # 1 is the more recent but less frequent occupant
-        evicted = slots.load(2, 3, _bitstream(2))
-        assert evicted.custom_id == 1  # lower use_count loses despite recency
-        assert slots.evictions_by_reason == {"lfu": 1}
-
-    def test_breakeven_evicts_lowest_value(self):
-        slots = CustomInstructionSlots(capacity=2, policy="breakeven")
-        slots.load(0, 1, _bitstream(0), value=100.0)
-        slots.load(1, 2, _bitstream(1), value=1.0)
-        slots.touch(1)  # recency does not save a low-value occupant
-        evicted = slots.load(2, 3, _bitstream(2), value=50.0)
-        assert evicted.custom_id == 1
-        assert slots.resident == [0, 2]
-
-    def test_breakeven_use_count_can_rescue(self):
-        # A cheap instruction touched often outranks an untouched pricier
-        # one: value x (1 + use_count) blends density with frequency.
-        slots = CustomInstructionSlots(capacity=2, policy="breakeven")
-        slots.load(0, 1, _bitstream(0), value=10.0)
-        slots.load(1, 2, _bitstream(1), value=4.0)
-        for _ in range(3):
-            slots.touch(1)  # 4 * (1+3) = 16 > 10 * (1+0) = 10
-        evicted = slots.load(2, 3, _bitstream(2), value=50.0)
-        assert evicted.custom_id == 0
-
     def test_reload_accounting(self):
-        slots = CustomInstructionSlots(capacity=1, policy="lru")
+        slots = CustomInstructionSlots(capacity=1)
         slots.load(0, 1, _bitstream(0))
         slots.load(1, 2, _bitstream(1))  # evicts 0
         assert slots.was_evicted(0)
@@ -201,11 +129,10 @@ class TestEvictionPolicies:
         assert slots.evictions == 2
 
     def test_stats_shape(self):
-        slots = CustomInstructionSlots(capacity=2, policy="breakeven")
-        slots.load(0, 1, _bitstream(0), value=1.0, owner="fft")
+        slots = CustomInstructionSlots(capacity=2)
+        slots.load(0, 1, _bitstream(0), owner="fft")
         stats = slots.stats()
         assert stats["capacity"] == 2
-        assert stats["policy"] == "breakeven"
         assert stats["resident"] == 1
         assert stats["occupancy_pct"] == 50.0
         assert stats["eviction_rate"] == 0.0
@@ -213,10 +140,10 @@ class TestEvictionPolicies:
     def test_slot_indices_are_reused(self):
         # The physical slot index freed by an eviction hosts the next
         # load, so occupancy timelines reconstruct per physical slot.
-        slots = CustomInstructionSlots(capacity=2, policy="lru")
+        slots = CustomInstructionSlots(capacity=2)
         slots.load(0, 1, _bitstream(0))
         slots.load(1, 2, _bitstream(1))
         first_index = slots._slots[0].slot_index
-        slots.evict(0)
-        slots.load(2, 3, _bitstream(2))
+        evicted = slots.load(2, 3, _bitstream(2))  # 0 is least recent
+        assert evicted.custom_id == 0
         assert slots._slots[2].slot_index == first_index
