@@ -15,7 +15,7 @@ Commands:
   kernel blocks flagged);
 - ``fidelity`` — compare a run's tables against the paper's published
   values and write a machine-readable ``BENCH_*.json`` report;
-- ``runs list|show|diff|gc`` — inspect or garbage-collect the run
+- ``runs list|show|gc`` — inspect or garbage-collect the run
   ledger (``.repro-runs/``); ``gc`` compacts pruned manifests into
   ``history.jsonl``;
 - ``regress`` — compare the latest recorded run against a baseline run
@@ -31,14 +31,14 @@ Commands:
   (``.repro-cache/``, Section VI-A);
 - ``serve`` — run the specialization daemon (:mod:`repro.serve`): a
   bounded admission queue and worker pool over the shared multi-tenant
-  bitstream store, with a per-request record (``requests.jsonl``);
+  bitstream store, each request a ``serve.request`` span;
 - ``loadgen`` — drive an embedded daemon with a deterministic Poisson
   request mix (cold + warm phases).
 
 Every command accepts ``--trace FILE`` (export a JSONL span trace of the
-run), ``--metrics`` (print a metrics snapshot after the run), ``--log
-FILE`` (write a structured JSONL event log), and ``--ledger [DIR]``
-(record the run — manifest, trace, and event log — in the run ledger);
+run), ``--metrics`` (print a metrics snapshot after the run), and
+``--ledger [DIR]`` (record the run — manifest and trace — in the run
+ledger);
 see :mod:`repro.obs`. The suite-running commands (``analyze``, ``tables``,
 ``fidelity``) additionally accept ``--jobs N`` (shard the suite across N
 worker processes) and ``--cache [DIR]`` (persistent bitstream cache).
@@ -512,27 +512,13 @@ def _cmd_runs(args: argparse.Namespace) -> int:
                 f"use --limit 0 to list all {total})"
             )
         return 0
-    if args.runs_command == "show":
-        try:
-            manifest = ledger.load(ledger.resolve(args.run))
-        except LookupError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(render_manifest(manifest))
-        return 0
-    # diff: informational cell-by-cell comparison, never gating.
-    from repro.obs.regress import compare_manifests
-
+    # show: one run's manifest.
     try:
-        baseline = ledger.load(ledger.resolve(args.a))
-        current = ledger.load(ledger.resolve(args.b))
+        manifest = ledger.load(ledger.resolve(args.run))
     except LookupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = compare_manifests(baseline, current)
-    print(report.render(show_all=args.all))
-    for warning in report.config_mismatches:
-        print(f"warning: {warning}", file=sys.stderr)
+    print(render_manifest(manifest))
     return 0
 
 
@@ -751,7 +737,7 @@ def _cmd_mix(args: argparse.Namespace) -> int:
 
 def _run_config(args: argparse.Namespace) -> dict:
     """JSON-safe view of a command's own arguments for the run manifest."""
-    skip = {"fn", "trace", "metrics", "ledger", "log"}
+    skip = {"fn", "trace", "metrics", "ledger"}
     config = {}
     for key, value in vars(args).items():
         if key in skip:
@@ -779,19 +765,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="collect metrics and print a snapshot after the run",
     )
     obs_options.add_argument(
-        "--log",
-        metavar="FILE",
-        default=None,
-        help="write a structured JSONL event log of this run",
-    )
-    obs_options.add_argument(
         "--ledger",
         metavar="DIR",
         nargs="?",
         const=".repro-runs",
         default=None,
-        help="record this run (manifest + trace + event log) in the run "
-        "ledger (default dir: .repro-runs)",
+        help="record this run (manifest + trace) in the run ledger "
+        "(default dir: .repro-runs)",
     )
     parallel_options = argparse.ArgumentParser(add_help=False)
     parallel_options.add_argument(
@@ -993,15 +973,6 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run id, unique prefix, 'latest', or 'latest~N'"
     )
     p_runs_show.add_argument("--ledger", **ledger_dir_kwargs)
-    p_runs_diff = runs_sub.add_parser(
-        "diff", help="cell-by-cell diff of two runs (informational)"
-    )
-    p_runs_diff.add_argument("a", help="baseline run spec")
-    p_runs_diff.add_argument("b", help="current run spec")
-    p_runs_diff.add_argument("--ledger", **ledger_dir_kwargs)
-    p_runs_diff.add_argument(
-        "--all", action="store_true", help="show unchanged cells too"
-    )
     p_runs_gc = runs_sub.add_parser(
         "gc", help="delete the oldest recorded runs beyond --keep N"
     )
@@ -1020,9 +991,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="delete pruned runs outright instead of first compacting "
         "their manifest cells into the ledger's history.jsonl",
     )
-    p_runs.set_defaults(fn=_cmd_runs, trace=None, metrics=False, log=None)
-    for p in (p_runs_list, p_runs_show, p_runs_diff, p_runs_gc):
-        p.set_defaults(fn=_cmd_runs, trace=None, metrics=False, log=None)
+    p_runs.set_defaults(fn=_cmd_runs, trace=None, metrics=False)
+    for p in (p_runs_list, p_runs_show, p_runs_gc):
+        p.set_defaults(fn=_cmd_runs, trace=None, metrics=False)
 
     p_regress = sub.add_parser(
         "regress",
@@ -1059,7 +1030,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_regress.add_argument(
         "--all", action="store_true", help="show unchanged cells too"
     )
-    p_regress.set_defaults(fn=_cmd_regress, trace=None, metrics=False, log=None)
+    p_regress.set_defaults(fn=_cmd_regress, trace=None, metrics=False)
 
     p_cache = sub.add_parser(
         "cache", help="inspect or clear the persistent bitstream cache"
@@ -1080,7 +1051,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cache_clear.add_argument("--dir", **cache_dir_kwargs)
     for p in (p_cache, p_cache_stats, p_cache_clear):
-        p.set_defaults(fn=_cmd_cache, trace=None, metrics=False, log=None)
+        p.set_defaults(fn=_cmd_cache, trace=None, metrics=False)
 
     p_bench = sub.add_parser(
         "bench",
@@ -1286,12 +1257,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     trace_file = getattr(args, "trace", None)
     want_metrics = getattr(args, "metrics", False)
-    log_file = getattr(args, "log", None)
     ledger_dir = getattr(args, "ledger", None)
-    if not (trace_file or want_metrics or log_file or ledger_dir):
+    if not (trace_file or want_metrics or ledger_dir):
         return args.fn(args)
-
-    from pathlib import Path
 
     from repro import obs
 
@@ -1307,23 +1275,15 @@ def main(argv: list[str] | None = None) -> int:
             config=_run_config(args),
             argv=list(argv) if argv is not None else sys.argv[1:],
         )
-        if log_file is None:
-            log_file = str(Path(recorder.run_dir) / "log.jsonl")
     if trace_file or recorder is not None:
         obs.enable_tracing()
     if want_metrics or recorder is not None:
         obs.enable_metrics()
-    if log_file:
-        obs.enable_logging(
-            log_file, run_id=recorder.run_id if recorder else None
-        )
     status = None
     try:
         status = args.fn(args)
         return status
     finally:
-        if log_file:
-            obs.disable_logging()
         tracer = obs.disable_tracing() if obs.get_tracer().enabled else None
         registry = (
             obs.disable_metrics() if obs.get_metrics().enabled else None
@@ -1339,7 +1299,6 @@ def main(argv: list[str] | None = None) -> int:
                 tracer=tracer,
                 metrics=registry,
                 status=status if status is not None else -1,
-                log_path=log_file,
             )
             print(f"\nrecorded run {recorder.run_id} -> {manifest_path}")
 

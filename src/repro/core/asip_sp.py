@@ -33,7 +33,7 @@ from repro.fpga.toolflow import CadToolFlow, ImplementationResult
 from repro.fpga.timingmodel import StageTimes
 from repro.ir.module import Module
 from repro.ise.selection import CandidateSearch, CandidateSearchResult
-from repro.obs import get_log, get_metrics, get_tracer
+from repro.obs import get_metrics, get_tracer
 from repro.pivpav.estimator import CandidateEstimate
 from repro.vm.profiler import ExecutionProfile
 from repro.woolcano.reconfig import IcapModel, ReconfigurationEvent
@@ -121,7 +121,6 @@ class AsipSpecializationProcess:
 
     def run(self, module: Module, profile: ExecutionProfile) -> SpecializationReport:
         tracer = get_tracer()
-        log = get_log()
         cache = self.bitstream_cache
         with tracer.span("asip_sp.run", module=module.name) as sp_run:
             search_result = self.search.run(module, profile)
@@ -156,16 +155,7 @@ class AsipSpecializationProcess:
                                 # CAD failure: software fallback keeps the
                                 # application correct.
                                 failed.append((est, str(exc)))
-                                sp_cand.set_attr("failed", True)
-                                if log.enabled:
-                                    log.emit(
-                                        "asip.candidate",
-                                        level="warning",
-                                        decision="failed",
-                                        candidate=est.candidate.key,
-                                        custom_id=custom_id,
-                                        error=str(exc),
-                                    )
+                                sp_cand.set_attrs(failed=True, error=str(exc))
                                 continue
                         if cache is not None and not cached:
                             cache.put(self._cache_key(est), impl)
@@ -176,16 +166,6 @@ class AsipSpecializationProcess:
                         failed=False, cached=cached,
                         virtual_seconds=impl.times.total,
                     )
-                    if log.enabled:
-                        log.emit(
-                            "asip.candidate",
-                            decision="implemented",
-                            candidate=est.candidate.key,
-                            custom_id=custom_id,
-                            shared=shared,
-                            cached=cached,
-                            virtual_seconds=round(impl.times.total, 6),
-                        )
                     implementations.append(
                         CandidateImplementation(
                             estimate=est,

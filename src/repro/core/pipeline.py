@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from repro.core.asip_sp import AsipSpecializationProcess, SpecializationReport
 from repro.frontend.compiler import CompilationResult
 from repro.ir.verifier import verify_module
-from repro.obs import get_log, get_tracer
+from repro.obs import get_tracer
 from repro.vm.interpreter import ExecutionResult, Interpreter
 from repro.vm.jitruntime import JitRuntimeModel, RuntimeEstimate
 from repro.vm.patcher import BinaryPatcher
@@ -65,7 +65,6 @@ class JitIseSystem:
     ) -> AdaptationResult:
         module = compilation.module
         tracer = get_tracer()
-        log = get_log()
         with tracer.span("pipeline.run", app=module.name, entry=entry):
             # VM execution with profiling (the "VM" path of Figure 1).
             with tracer.span("pipeline.baseline") as sp:
@@ -73,26 +72,15 @@ class JitIseSystem:
                     module, dataset_size=dataset_size, dataset_seed=dataset_seed
                 ).run(entry, args)
                 sp.set_attr("steps", baseline.steps)
-                if log.enabled:
-                    log.emit(
-                        "pipeline.phase",
-                        phase="baseline",
-                        app=module.name,
-                        steps=baseline.steps,
-                    )
             runtime = self.runtime_model.estimate(module, baseline.profile)
 
             # ASIP specialization runs concurrently with execution.
-            with tracer.span("pipeline.specialize"):
+            with tracer.span("pipeline.specialize") as sp:
                 report = self.asip_sp.run(module, baseline.profile)
-                if log.enabled:
-                    log.emit(
-                        "pipeline.phase",
-                        phase="specialize",
-                        app=module.name,
-                        candidates=report.candidate_count,
-                        failed=len(report.failed),
-                    )
+                sp.set_attrs(
+                    candidates=report.candidate_count,
+                    failed=len(report.failed),
+                )
 
             # Speedup accounting must read the *unpatched* module (the patched
             # one contains CUSTOM instructions the base cost model cannot
@@ -111,13 +99,6 @@ class JitIseSystem:
                     [ci.estimate.candidate for ci in report.implementations],
                 )
                 sp.set_attr("custom_instructions", report.candidate_count)
-                if log.enabled:
-                    log.emit(
-                        "pipeline.phase",
-                        phase="adapt",
-                        app=module.name,
-                        custom_instructions=report.candidate_count,
-                    )
             with tracer.span("pipeline.verify") as sp:
                 verify_module(module)
                 interp = Interpreter(
@@ -127,14 +108,6 @@ class JitIseSystem:
                 adapted = interp.run(entry, args)
                 output_equal = baseline.output == adapted.output
                 sp.set_attr("output_equal", output_equal)
-                if log.enabled:
-                    log.emit(
-                        "pipeline.phase",
-                        level="info" if output_equal else "error",
-                        phase="verify",
-                        app=module.name,
-                        output_equal=output_equal,
-                    )
         return AdaptationResult(
             compilation=compilation,
             baseline=baseline,

@@ -27,7 +27,7 @@ from repro.fpga.techmap import MappedDesign, Mapper
 from repro.fpga.timingmodel import CadTimingModel, StageTimes
 from repro.fpga.translate import Translator
 from repro.ise.candidate import Candidate
-from repro.obs import get_log, get_metrics, get_tracer
+from repro.obs import get_metrics, get_tracer
 from repro.pivpav.netlistcache import NetlistCache
 from repro.pivpav.vhdlgen import DatapathGenerator, GeneratedVhdl
 
@@ -125,29 +125,6 @@ class CadToolFlow:
             sp_map.set_attr("virtual_seconds", times.map)
             sp_par.set_attr("virtual_seconds", times.par)
             sp_bitgen.set_attr("virtual_seconds", times.bitgen)
-            log = get_log()
-            if log.enabled:
-                # One completion record per CAD stage, correlated to the
-                # stage's own (already closed) span id; emitted after the
-                # timing model has priced the candidate so each record
-                # carries its Table III virtual runtime.
-                for stage, span, seconds in (
-                    ("c2v", sp_c2v, times.c2v),
-                    ("syntax", sp_syntax, times.syn),
-                    ("synthesis", sp_synthesis, times.xst),
-                    ("translate", sp_translate, times.tra),
-                    ("map", sp_map, times.map),
-                    ("par", sp_par, times.par),
-                    ("bitgen", sp_bitgen, times.bitgen),
-                ):
-                    log.emit(
-                        "cad.stage",
-                        level="debug",
-                        span_id=span.span_id or None,
-                        stage=stage,
-                        candidate=candidate.key,
-                        virtual_seconds=round(seconds, 6),
-                    )
         return ImplementationResult(
             candidate=candidate,
             vhdl=vhdl,

@@ -16,7 +16,7 @@ from repro.ir.module import Module
 from repro.ise.candidate import Candidate
 from repro.ise.maxmiso import MaxMisoIdentifier
 from repro.ise.pruning import PruningFilter
-from repro.obs import get_log, get_tracer
+from repro.obs import get_tracer
 from repro.pivpav.estimator import CandidateEstimate, PivPavEstimator
 from repro.vm.costmodel import CostModel, PPC405_COST_MODEL
 from repro.vm.profiler import BlockKey, ExecutionProfile, static_block_costs
@@ -153,21 +153,13 @@ class CandidateSearch:
                     e.candidate.key,
                 )
             )
-            sp.set_attrs(selected=len(selected), rejected=len(rejected))
-            log = get_log()
-            if log.enabled:
-                # One accept/reject record per candidate, after the
-                # fallback promotion, so the log reflects final decisions.
-                for decision, group in (("accept", selected), ("reject", rejected)):
-                    for est in group:
-                        log.emit(
-                            "search.candidate",
-                            level="debug",
-                            decision=decision,
-                            candidate=est.candidate.key,
-                            size=est.candidate.size,
-                            cycles_saved=round(est.cycles_saved, 6),
-                        )
+            # The final decisions, after the fallback promotion.
+            sp.set_attrs(
+                selected=len(selected),
+                rejected=len(rejected),
+                accepted_keys=[e.candidate.key for e in selected],
+                rejected_keys=[e.candidate.key for e in rejected],
+            )
 
         elapsed = time.perf_counter() - start
         sp_search.set_attrs(selected=len(selected), virtual_seconds=elapsed)

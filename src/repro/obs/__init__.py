@@ -15,10 +15,8 @@ evidence on demand:
 - :mod:`repro.obs.profile` — span trace folded into a hierarchical
   self-time/total-time profile tree with collapsed-stack flamegraph
   export and a top-N hot-path table;
-- :mod:`repro.obs.log` — leveled structured event log (JSONL), every
-  record stamped with the active run id and tracer span id;
 - :mod:`repro.obs.ledger` — append-only run ledger: each recorded run
-  becomes a durable ``manifest.json`` (+ trace + event log) under
+  becomes a durable ``manifest.json`` (+ its span trace) under
   ``.repro-runs/``;
 - :mod:`repro.obs.regress` — regression sentinel comparing two ledger
   manifests cell-by-cell under configurable tolerances and
@@ -38,8 +36,8 @@ Enable both at once with :func:`enable` (the CLI's ``--trace`` /
 ``--metrics`` flags call this). The suite runner's pool children
 (``--jobs N``) hand their evidence back through one pair:
 :func:`capture_worker` in the child and :func:`absorb_worker` in the
-parent, so a run sharded over processes records the same spans, metrics
-and event log as a serial one. The serve daemon needs neither: its
+parent, so a run sharded over processes records the same spans and
+metrics as a serial one. The serve daemon needs neither: its
 workers are threads recording into the daemon's own globals.
 """
 
@@ -83,17 +81,6 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.profile import Profile, ProfileNode, build_profile
-from repro.obs.log import (
-    LEVELS,
-    EventLog,
-    disable_logging,
-    enable_logging,
-    get_log,
-    log_enabled,
-    log_event,
-    read_log,
-    set_log,
-)
 from repro.obs.ledger import (
     DEFAULT_LEDGER_DIR,
     MANIFEST_SCHEMA,
@@ -132,61 +119,41 @@ def disable() -> None:
 # -- pool-child handoff ---------------------------------------------------------
 def worker_settings() -> dict:
     """The picklable observability settings a pool child should adopt."""
-    log = get_log()
     return {
         "tracing": get_tracer().enabled,
         "metrics": get_metrics().enabled,
-        "log_level_no": log.level_no if log.enabled else None,
-        "run_id": log.run_id,
     }
 
 
 def capture_worker(settings: dict):
     """Child side: install fresh globals configured like the parent's.
 
-    A forked child inherits the parent's tracer, registry and log along
-    with their open sinks; fresh instances keep the child's evidence to
-    exactly its own unit of work and out of the parent's files. Returns a
-    callable that collects that evidence for :func:`absorb_worker`.
+    A forked child inherits the parent's tracer and registry along with
+    their open sinks; fresh instances keep the child's evidence to exactly
+    its own unit of work and out of the parent's files. Returns a callable
+    that collects that evidence for :func:`absorb_worker`.
     """
     tracer = set_tracer(Tracer(enabled=settings["tracing"]))
     registry = set_metrics(MetricsRegistry(enabled=settings["metrics"]))
-    log = set_log(
-        EventLog(
-            enabled=settings["log_level_no"] is not None,
-            run_id=settings["run_id"],
-        )
-    )
-    if log.enabled:
-        log.level_no = settings["log_level_no"]
 
     def evidence() -> dict:
         return {
             "spans": tracer_records(tracer) if tracer.enabled else [],
             "metrics": registry.snapshot() if registry.enabled else None,
-            "log": log.records(),
         }
 
     return evidence
 
 
 def absorb_worker(evidence: dict, parent=None, base: float | None = None) -> None:
-    """Parent side: merge a child's spans, metrics and event-log records.
+    """Parent side: merge a child's spans and metrics.
 
-    Spans are reparented under *parent* (:meth:`Tracer.absorb`); each log
-    record's ``span_id`` is re-stamped with the id its span got here, and
-    a record emitted outside any child span takes *parent*'s id, as it
-    would have in-process. Records are appended in the order received.
+    Spans are reparented under *parent* (:meth:`Tracer.absorb`) and shifted
+    onto this process's clock by *base*.
     """
-    ids = get_tracer().absorb(evidence["spans"], parent=parent, base=base)
+    get_tracer().absorb(evidence["spans"], parent=parent, base=base)
     if evidence["metrics"] is not None:
         get_metrics().merge_snapshot(evidence["metrics"])
-    records = evidence["log"]
-    if records:
-        fallback = getattr(parent, "span_id", None) or None
-        for record in records:
-            record["span_id"] = ids.get(record["span_id"], fallback)
-        get_log().absorb(records)
 
 
 __all__ = [
@@ -201,26 +168,19 @@ __all__ = [
     "current_run",
     "DEFAULT_LEDGER_DIR",
     "disable",
-    "disable_logging",
     "disable_metrics",
     "disable_tracing",
     "enable",
-    "enable_logging",
     "enable_metrics",
     "enable_tracing",
-    "EventLog",
     "export_tracer",
     "finish_run",
     "flatten_cells",
     "fold_stages",
     "Gauge",
-    "get_log",
     "get_metrics",
     "get_tracer",
     "Histogram",
-    "LEVELS",
-    "log_enabled",
-    "log_event",
     "MANIFEST_SCHEMA",
     "median_mad",
     "metrics_enabled",
@@ -233,7 +193,6 @@ __all__ = [
     "ProfileNode",
     "prune_runs",
     "read_jsonl",
-    "read_log",
     "RegressionReport",
     "render_snapshot",
     "render_stage_table",
@@ -241,7 +200,6 @@ __all__ = [
     "RunLedger",
     "RunRecorder",
     "scalars_from_analyses",
-    "set_log",
     "set_metrics",
     "set_tracer",
     "Span",

@@ -11,8 +11,10 @@ one fresh run. The ledger is that history: an append-only on-disk store
   tracer (real and virtual clocks), the metrics snapshot, per-app scalar
   results (speedups, candidate counts, break-even times), the fidelity
   cell outcomes when a fidelity comparison ran, and artifact paths;
-- ``trace.jsonl`` — the full span trace of the run;
-- ``log.jsonl`` — the structured event log of the run.
+- ``trace.jsonl`` — the full span trace of the run, the one record of
+  what happened in it: every span carries the decisions and stage
+  results of its step (accepted and rejected candidates, CAD failures,
+  a served request's break-even).
 
 Recording is behind the CLI's ``--ledger`` flag (and the ``ledger=``
 parameter of :func:`repro.experiments.runner.analyze_suite`): a
@@ -352,8 +354,8 @@ class RunRecorder:
         One server (or load-generation) run is one ledger run; the summary
         holds the request counters, dedup savings, per-tenant cache stats
         and latency quantiles that :func:`repro.obs.regress.flatten_cells`
-        exposes as ``serve.*`` cells. Per-request child records live in a
-        ``requests.jsonl`` artifact next to the manifest, not inline.
+        exposes as ``serve.*`` cells. Each request is a ``serve.request``
+        span in the run's trace, not a manifest row.
         """
         if self.serve is None:
             self.serve = {}
@@ -408,7 +410,6 @@ class RunRecorder:
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         status: int | None = 0,
-        log_path=None,
     ) -> Path:
         """Fold the run's evidence into ``manifest.json``; returns its path."""
         stages: dict = {}
@@ -436,14 +437,6 @@ class RunRecorder:
                 if records:
                     export_tracer(tracer, self.run_dir / "trace.jsonl")
                     self.artifacts.setdefault("trace", "trace.jsonl")
-        if log_path is not None:
-            log_path = Path(log_path)
-            if log_path.is_file():
-                try:
-                    rel = log_path.relative_to(self.run_dir)
-                    self.artifacts.setdefault("log", str(rel))
-                except ValueError:
-                    self.artifacts.setdefault("log", str(log_path))
         manifest = {
             "schema": MANIFEST_SCHEMA,
             "run_id": self.run_id,
@@ -513,7 +506,6 @@ def finish_run(
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
     status: int | None = 0,
-    log_path=None,
 ) -> Path | None:
     """Finalize and clear the current run; returns the manifest path."""
     global _current_run
@@ -521,9 +513,7 @@ def finish_run(
     _current_run = None
     if recorder is None:
         return None
-    return recorder.finalize(
-        tracer=tracer, metrics=metrics, status=status, log_path=log_path
-    )
+    return recorder.finalize(tracer=tracer, metrics=metrics, status=status)
 
 
 def abandon_run() -> None:

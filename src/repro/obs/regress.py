@@ -72,7 +72,6 @@ HISTORY_NOISE_REL_FLOOR = 0.05
 _VOLATILE_CONFIG_KEYS = frozenset(
     {
         "ledger",
-        "log",
         "trace",
         "metrics",
         "out",

@@ -330,8 +330,7 @@ class Tracer:
         under *parent*, and times are rebased so the absorbed subtree
         starts at *base* (a ``perf_counter`` timestamp; default: the
         fan-out is assumed to have just finished). Returns the id map
-        (worker span id -> absorbed span id), so the worker's event-log
-        records can be re-stamped.
+        (worker span id -> absorbed span id).
         """
         recs = list(records)
         if not self.enabled or not recs:
@@ -368,28 +367,12 @@ class Tracer:
     def current_span(self) -> Span | None:
         """The innermost open span on this thread (None outside any span).
 
-        The event log (:mod:`repro.obs.log`) uses this to stamp each record
-        with the span it was emitted under, correlating log lines to the
-        exported trace of the same run.
+        The shared store (:mod:`repro.serve.store`) records it as the
+        leader of a single-flight CAD build, so a waiter's span can name
+        the span whose work it reused.
         """
         stack = getattr(self._local, "stack", None)
         return stack[-1] if stack else None
-
-    def current_trace_id(self) -> str | None:
-        """The distributed trace id carried by the innermost span that has one.
-
-        The serve plane stamps ``trace_id`` on its ``serve.request`` spans
-        (minted by the client, W3C-traceparent style); the event log uses
-        this to correlate log lines with the cross-process trace.
-        """
-        stack = getattr(self._local, "stack", None)
-        if not stack:
-            return None
-        for span in reversed(stack):
-            trace_id = span.attrs.get("trace_id")
-            if trace_id:
-                return str(trace_id)
-        return None
 
     def spans(self) -> list[Span]:
         """Snapshot of all finished spans, in completion order."""

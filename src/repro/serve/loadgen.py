@@ -21,7 +21,6 @@ and surface as a retry count.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 import shutil
@@ -188,12 +187,8 @@ def _run_phase(
     schedule: list[ScheduledRequest],
     store: SharedBitstreamStore,
     cfg: LoadGenConfig,
-) -> tuple[dict, list[dict]]:
-    """One phase: fresh embedded server over the shared store.
-
-    Returns the phase summary plus the server's per-request records (the
-    phase's ``requests.jsonl`` stream), each tagged with the phase label.
-    """
+) -> dict:
+    """One phase: fresh embedded server over the shared store."""
     stores_before = store.combined_stats()["stores"]
     dedup_before = store.dedup_saved
     server = SpecializationServer(
@@ -214,9 +209,6 @@ def _run_phase(
         server.request_shutdown(reason="loadgen-phase-complete")
         shutdown = server.drain()
     summary = server.summary(shutdown=shutdown)
-    records = server.request_records()
-    for record in records:
-        record["phase"] = label
     drive.client_latency_ms.sort()
 
     def client_pct(q: float) -> float | None:
@@ -245,7 +237,7 @@ def _run_phase(
         "tenants": summary["tenants"],
         "shutdown": summary.get("shutdown"),
     }
-    return phase, records
+    return phase
 
 
 def run_loadgen(
@@ -266,25 +258,13 @@ def run_loadgen(
     schedule = build_schedule(cfg)
     store = SharedBitstreamStore(store_root, tenant_budget=cfg.tenant_budget)
     try:
-        cold_phase, cold_records = _run_phase("cold", schedule, store, cfg)
-        warm_phase, warm_records = _run_phase("warm", schedule, store, cfg)
-        phases = {"cold": cold_phase, "warm": warm_phase}
+        phases = {
+            label: _run_phase(label, schedule, store, cfg)
+            for label in ("cold", "warm")
+        }
     finally:
         if owns_store:
             shutil.rmtree(store_root, ignore_errors=True)
-
-    # One combined request stream on one timeline: each phase's t_offset is
-    # relative to its own embedded server's start, so the warm phase is
-    # shifted past the end of the cold one before the streams are merged.
-    warm_shift = max(
-        (r.get("t_offset") or 0.0 for r in cold_records), default=0.0
-    ) + 1.0
-    request_records = list(cold_records)
-    for record in warm_records:
-        shifted = dict(record)
-        if shifted.get("t_offset") is not None:
-            shifted["t_offset"] = round(shifted["t_offset"] + warm_shift, 6)
-        request_records.append(shifted)
 
     def be(phase: str, q: str) -> float | None:
         return ((phases[phase].get("latency") or {}).get("break_even") or {}).get(q)
@@ -344,11 +324,6 @@ def run_loadgen(
             }
         )
         recorder.attach_cache(store.combined_stats())
-        requests_path = recorder.run_dir / "requests.jsonl"
-        with open(requests_path, "w", encoding="utf-8") as fh:
-            for record in request_records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-        recorder.artifacts.setdefault("requests", "requests.jsonl")
     return report
 
 

@@ -13,9 +13,10 @@ that layer and the memoized application contexts are shared by every
 request.
 
 Observability is first-class: each request is a ``serve.request`` span
-parented under the server's root span (one server run = one ledger run),
-live gauges track queue depth / in-flight workers / per-tenant cache hit
-rate, and latency histograms record queue-wait and service time (real
+parented under the server's root span (one server run = one ledger run)
+that carries the figures its reply reports (break-even, candidates,
+cache hits), live gauges track queue depth / in-flight workers /
+per-tenant cache hit rate, and latency histograms record queue-wait and service time (real
 clock) plus the **break-even** distribution (virtual clock) whose
 p50/p95/p99 are the headline quantiles. SIGINT/SIGTERM drain the
 queue, finish in-flight CAD work, and close the ledger run with an
@@ -24,7 +25,6 @@ explicit ``interrupted`` shutdown status — never a dangling manifest.
 
 from __future__ import annotations
 
-import json
 import queue
 import socket
 import threading
@@ -129,7 +129,6 @@ class SpecializationServer:
         self._inflight = 0
         self._max_queue_depth = 0
         self._service_ewma = 0.5  # seconds; seeds the retry-after estimate
-        self._records: list[dict] = []
         # Fleet-wide UDI slot telemetry summed over completed requests
         # (each request binds its implementations to its machine's slot
         # pool); the summary's occupancy and eviction rate come from it.
@@ -246,7 +245,7 @@ class SpecializationServer:
         return "interrupted" if reason == "signal" else "ok"
 
     def _record_run(self, status: str) -> None:
-        """Attach the serve summary (+ per-request records) to the run."""
+        """Attach the serve summary and store statistics to the run."""
         from repro.obs.ledger import current_run
 
         recorder = current_run()
@@ -254,14 +253,6 @@ class SpecializationServer:
             return
         recorder.attach_serve(self.summary(shutdown=status))
         recorder.attach_cache(self.store.combined_stats())
-        with self._stats_lock:
-            records = list(self._records)
-        if records:
-            path = recorder.run_dir / "requests.jsonl"
-            with open(path, "w", encoding="utf-8") as fh:
-                for record in records:
-                    fh.write(json.dumps(record, sort_keys=True) + "\n")
-            recorder.artifacts.setdefault("requests", "requests.jsonl")
 
     # -- acceptor ------------------------------------------------------------
     def _accept_loop(self) -> None:
@@ -372,32 +363,6 @@ class SpecializationServer:
     ) -> None:
         with self._stats_lock:
             self.requests["rejected"] += 1
-            # A turned-away request leaves a record too, so requests.jsonl
-            # accounts for every parsed request, admitted or rejected.
-            if request is not None and len(self._records) < 100_000:
-                self._records.append(
-                    {
-                        "t_offset": round(
-                            time.perf_counter() - self._started, 6
-                        ),
-                        "tenant": request["tenant"],
-                        "app": request["app"],
-                        "request_id": request["request_id"] or None,
-                        "status": "rejected",
-                        "reason": reason,
-                        "retry_after_ms": (
-                            round(retry_after_ms, 3)
-                            if retry_after_ms is not None
-                            else None
-                        ),
-                        "queue_wait_ms": None,
-                        "service_ms": None,
-                        "break_even_seconds": None,
-                        "error": None,
-                        "trace_id": request.get("trace_id"),
-                        "span_id": None,
-                    }
-                )
         self._count("serve.requests.rejected")
         response = {"status": "rejected", "reason": reason}
         if retry_after_ms is not None:
@@ -480,6 +445,13 @@ class SpecializationServer:
                     queue_wait_ms=round(queue_wait * 1000.0, 3),
                     service_ms=round(service * 1000.0, 3),
                 )
+                if result is not None:
+                    span.set_attrs(
+                        break_even_seconds=result.get("break_even_seconds"),
+                        candidates=result.get("candidates"),
+                        cache_hits=result.get("cache_hits"),
+                        shared=result.get("shared"),
+                    )
         self._account(ticket, result, error, queue_wait, service, span)
 
     def _execute(self, request: dict) -> dict:
@@ -530,27 +502,6 @@ class SpecializationServer:
                 )
                 totals["samples"] += 1
             self._service_ewma = 0.8 * self._service_ewma + 0.2 * service
-            if len(self._records) < 100_000:
-                self._records.append(
-                    {
-                        "t_offset": round(
-                            time.perf_counter() - self._started, 6
-                        ),
-                        "tenant": tenant,
-                        "app": request["app"],
-                        "request_id": request["request_id"] or None,
-                        "status": "ok" if error is None else "failed",
-                        "queue_wait_ms": round(queue_wait * 1000.0, 3),
-                        "service_ms": round(service * 1000.0, 3),
-                        "break_even_seconds": be,
-                        "candidates": (result or {}).get("candidates"),
-                        "cache_hits": (result or {}).get("cache_hits"),
-                        "shared": (result or {}).get("shared"),
-                        "error": error,
-                        "trace_id": request.get("trace_id"),
-                        "span_id": span_id,
-                    }
-                )
         registry = get_metrics()
         if registry.enabled:
             registry.counter(
@@ -683,8 +634,3 @@ class SpecializationServer:
         if shutdown is not None:
             summary["shutdown"] = shutdown
         return summary
-
-    def request_records(self) -> list[dict]:
-        """Snapshot of the per-request records (requests.jsonl rows)."""
-        with self._stats_lock:
-            return list(self._records)

@@ -168,7 +168,3 @@ class Memory:
         if acc.store_mask is not None:
             value = int(value) & acc.store_mask
         acc.store.pack_into(self.data, addr, value)
-
-    # -- bulk helpers (used by dataset loaders) -----------------------------
-    def read_array(self, addr: int, ty: Type, count: int) -> list:
-        return [self.load(addr + i * ty.size_bytes, ty) for i in range(count)]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.fpga.bitgen import PartialBitstream
-from repro.obs import get_log, get_metrics, get_tracer
+from repro.obs import get_metrics, get_tracer
 
 
 @dataclass(frozen=True)
@@ -50,23 +50,13 @@ class IcapModel:
         load from a reload forced by a slot eviction (the repeated ICAP
         cost the mix simulator charges against the fleet break-even)."""
         seconds = self.setup_seconds + bitstream.size_bytes / self.bytes_per_second
-        span = get_tracer().event(
+        get_tracer().event(
             "icap.reconfigure",
             custom_id=custom_id,
             bytes=bitstream.size_bytes,
             virtual_seconds=seconds,
             reason=reason,
         )
-        log = get_log()
-        if log.enabled:
-            log.emit(
-                "icap.reconfigure",
-                span_id=span.span_id or None,
-                custom_id=custom_id,
-                bytes=bitstream.size_bytes,
-                virtual_seconds=round(seconds, 9),
-                reason=reason,
-            )
         registry = get_metrics()
         if registry.enabled:
             registry.counter("icap.reconfigurations").inc()

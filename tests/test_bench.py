@@ -32,6 +32,9 @@ def _fake(gates: dict):
         ["runs", "trend"],
         ["mix", "--policies", "lru"],
         ["serve", "--backend", "thread"],
+        ["analyze", "fft", "--log", "x"],
+        ["serve", "--log", "x"],
+        ["runs", "diff", "latest~1", "latest"],
     ],
 )
 def test_removed_commands_and_options_are_usage_errors(argv):

@@ -1,4 +1,5 @@
-"""Tests for the run ledger, regression sentinel, and event log."""
+"""Tests for the run ledger, the regression sentinel, and the run's trace
+as its one record."""
 
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from repro.obs.ledger import (
     render_manifest,
     render_run_list,
 )
-from repro.obs.log import EventLog, read_log
 from repro.obs.regress import (
     CellDelta,
     compare_manifests,
@@ -339,61 +339,36 @@ class TestRegressionSentinel:
         assert "FAIL" in text and "scalars.per_app.sor.candidates" in text
 
 
-class TestEventLog:
-    def test_emit_levels_and_payload(self):
-        log = EventLog(level="info")
-        assert log.emit("skipped", level="debug") is None
-        record = log.emit("cad.stage", stage="par", virtual_seconds=1.5)
-        assert record["level"] == "info"
-        assert record["stage"] == "par"
-        assert record["run_id"] is None and record["span_id"] is None
-        assert log.records() == [record]
-
-    def test_disabled_log_drops_everything(self):
-        log = EventLog(enabled=False)
-        assert log.emit("anything") is None
-        assert log.records() == []
-
-    def test_span_id_defaults_to_open_span(self):
-        log = EventLog()
-        tracer = obs.enable_tracing()
-        try:
-            with tracer.span("search") as sp:
-                record = log.emit("search.candidate", decision="accept")
-            assert record["span_id"] == sp.span_id
-        finally:
-            obs.disable_tracing()
-
-    def test_jsonl_round_trip_and_bad_lines(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        log = EventLog()
-        log.open(path)
-        log.emit("a", x=1)
-        log.emit("b", level="warning")
-        log.close()
-        records = read_log(path)
-        assert [r["event"] for r in records] == ["a", "b"]
-        path.write_text('{"event": "ok"}\nnot json\n')
-        with pytest.raises(ValueError, match="log line 2"):
-            read_log(path)
-
-    def test_pipeline_emits_phase_boundary_events(self, fp_kernel):
+class TestTraceRecord:
+    def test_pipeline_spans_carry_phase_results(self, fp_kernel, monkeypatch):
+        """A CAD failure leaves its message on the candidate's span, and the
+        pipeline phases carry their outcomes."""
         from repro.core import JitIseSystem
+        from repro.fpga.placer import PlacementError
+        from repro.fpga.toolflow import CadToolFlow
 
-        obs.enable_logging()
+        def no_room(self, candidate):
+            raise PlacementError(f"no room for {candidate.key}")
+
+        monkeypatch.setattr(CadToolFlow, "implement", no_room)
+        tracer = obs.enable_tracing()
         try:
             JitIseSystem().run_application(
                 fp_kernel, dataset_size=16, dataset_seed=3
             )
-            phases = [
-                r["phase"]
-                for r in obs.get_log().records()
-                if r["event"] == "pipeline.phase"
-            ]
         finally:
-            obs.disable_logging()
-        assert phases == ["baseline", "specialize", "adapt", "verify"]
-
+            obs.disable_tracing()
+        candidates = tracer.find("asip_sp.candidate")
+        assert candidates
+        for span in candidates:
+            assert span.attrs["failed"] is True
+            assert span.attrs["error"] == f"no room for {span.attrs['candidate']}"
+        (specialize,) = tracer.find("pipeline.specialize")
+        assert specialize.attrs == {"candidates": 0, "failed": len(candidates)}
+        (adapt,) = tracer.find("pipeline.adapt")
+        assert adapt.attrs["custom_instructions"] == 0
+        (verify,) = tracer.find("pipeline.verify")
+        assert verify.attrs["output_equal"] is True
 
 
 @pytest.fixture(scope="module")
@@ -432,22 +407,32 @@ class TestCliEndToEnd:
         captured = capsys.readouterr()
         assert "REGRESSION stages.search.real_seconds" in captured.err
 
-    def test_log_records_resolve_against_saved_trace(self, recorded_runs):
+    def test_saved_trace_carries_candidate_decisions(self, recorded_runs):
         ledger = RunLedger(recorded_runs)
         run_dir = ledger.run_dir(ledger.resolve("latest"))
-        records = read_log(run_dir / "log.jsonl")
-        assert records, "a recorded analyze run must emit log events"
-        trace_ids = {
-            rec.span_id for rec in obs.read_jsonl(run_dir / "trace.jsonl")
-        }
-        run_id = run_dir.name
-        for rec in records:
-            assert rec["run_id"] == run_id
-            assert rec["span_id"] in trace_ids
-        events = {rec["event"] for rec in records}
-        # (pipeline.phase is only emitted by the end-to-end `jit` flow.)
-        assert {"search.candidate", "cad.stage", "asip.candidate",
-                "icap.reconfigure"} <= events
+        records = obs.read_jsonl(run_dir / "trace.jsonl")
+        selections = [r for r in records if r.name == "search.selection"]
+        assert selections
+        for rec in selections:
+            attrs = rec.attrs
+            assert len(attrs["accepted_keys"]) == attrs["selected"] >= 1
+            assert len(attrs["rejected_keys"]) == attrs["rejected"]
+        # The specialization's own search decides what gets implemented.
+        (run,) = [r for r in records if r.name == "asip_sp.run"]
+        searches = {r.span_id for r in records if r.parent_id == run.span_id}
+        (decided,) = [r for r in selections if r.parent_id in searches]
+        candidates = [r for r in records if r.name == "asip_sp.candidate"]
+        assert [r.attrs["candidate"] for r in candidates] == (
+            decided.attrs["accepted_keys"]
+        )
+        for rec in candidates:
+            assert {"custom_id", "size", "shared", "failed", "cached",
+                    "virtual_seconds"} <= set(rec.attrs)
+        reconfigurations = [r for r in records if r.name == "icap.reconfigure"]
+        assert len(reconfigurations) == len(candidates)
+        for rec in reconfigurations:
+            assert rec.attrs["bytes"] > 0 and rec.attrs["virtual_seconds"] > 0
+            assert {"custom_id", "reason"} <= set(rec.attrs)
 
     def test_manifest_records_scalars_and_argv(self, recorded_runs):
         ledger = RunLedger(recorded_runs)
@@ -467,8 +452,8 @@ class TestCliEndToEnd:
         ) == 0
         assert "Per-stage totals" in capsys.readouterr().out
         assert main(
-            ["runs", "diff", "latest~1", "latest", "--ledger",
-             str(recorded_runs)]
+            ["regress", "--baseline", "latest~1", "--candidate", "latest",
+             "--ledger", str(recorded_runs)]
         ) == 0
 
     def test_runs_list_empty_ledger_is_clean(self, tmp_path, capsys):

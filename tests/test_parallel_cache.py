@@ -4,7 +4,7 @@ Covers the cross-run realization of the paper's Section VI-A bitstream
 cache (:class:`repro.core.cache.PersistentBitstreamCache`) and the
 determinism contract of the process-sharded suite runner: ``--jobs N``
 and a warm cache may change where wall-clock time goes, but never the
-reported Table II numbers or the recorded event log.
+reported Table II numbers or the decisions in the recorded trace.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.fpga.device import VIRTEX4_FX20, VIRTEX4_FX100
 from repro.fpga.timingmodel import StageTimes
 from repro.fpga.toolflow import CadToolFlow
 from repro.ise.selection import CandidateSearch
-from repro.obs import disable_metrics, enable_metrics, read_jsonl, read_log
+from repro.obs import disable_metrics, enable_metrics, read_jsonl
 from repro.obs.regress import compare_manifests
 
 
@@ -548,27 +548,32 @@ class TestSuiteLedgerDeterminism:
         baseline, current = (
             json.loads(p.read_text(encoding="utf-8")) for p in manifests
         )
-        # The pool children's event-log records reach the parent's log:
-        # record for record the serial log, in order, up to the wall
-        # clock and the span ids (which differ run to run) ...
-        serial_log, parallel_log = (
-            read_log(p.parent / "log.jsonl") for p in manifests
+        # The pool children's spans reach the parent's trace carrying the
+        # serial run's per-candidate decisions, span name by span name
+        # (children are absorbed in suite order, so the order matches too).
+        serial_trace, parallel_trace = (
+            read_jsonl(p.parent / "trace.jsonl") for p in manifests
         )
-        assert parallel_log
 
-        def strip(records):
+        decision_attrs = {
+            "search.selection": ("accepted_keys", "rejected_keys"),
+            "asip_sp.candidate": (
+                "candidate", "custom_id", "shared", "failed", "cached",
+                "virtual_seconds",
+            ),
+            "icap.reconfigure": ("custom_id", "bytes", "virtual_seconds"),
+        }
+
+        def decisions(records, name):
+            keys = decision_attrs[name]
             return [
-                {k: v for k, v in r.items() if k not in ("ts", "span_id", "run_id")}
-                for r in records
+                [r.attrs[k] for k in keys] for r in records if r.name == name
             ]
 
-        assert strip(parallel_log) == strip(serial_log)
-        # ... and every span id resolves in that run's own trace.
-        span_ids = {
-            r.span_id for r in read_jsonl(manifests[1].parent / "trace.jsonl")
-        }
-        assert all(r["span_id"] in span_ids for r in parallel_log)
-        assert {r["run_id"] for r in parallel_log} == {current["run_id"]}
+        for name in decision_attrs:
+            parallel = decisions(parallel_trace, name)
+            assert parallel, name
+            assert parallel == decisions(serial_trace, name), name
         assert current["config"].get("jobs") == 4
         report = compare_manifests(baseline, current)
         assert report.ok, report.render()

@@ -636,6 +636,28 @@ class TestTracePropagation:
         assert executes
         assert all(s.parent_id == request_span.span_id for s in executes)
 
+    def test_request_span_carries_the_response_figures(self, tmp_path):
+        tracer = obs.enable_tracing()
+        try:
+            srv = SpecializationServer(
+                ServerConfig(workers=1, store_root=str(tmp_path / "store")),
+                record_run=False,
+            )
+            srv.start()
+            try:
+                response = ServeClient(port=srv.port).specialize("acme", "adpcm")
+            finally:
+                srv.request_shutdown(reason="test")
+                srv.drain()
+        finally:
+            obs.disable_tracing()
+        assert response["status"] == "ok"
+        result = response["result"]
+        (request_span,) = tracer.find("serve.request")
+        for key in ("break_even_seconds", "candidates", "cache_hits", "shared"):
+            assert request_span.attrs[key] == result[key], key
+        assert result["break_even_seconds"] > 0 and result["candidates"] >= 1
+
     def test_dedup_wait_span_links_to_leader(self, tmp_path):
         import time
 

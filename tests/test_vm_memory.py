@@ -65,8 +65,12 @@ class TestGlobals:
         mem = make_memory([g1, g2])
         assert g1.address is not None and g2.address is not None
         assert g2.address >= g1.address + g1.size_bytes
-        assert mem.read_array(g1.address, I32, 4) == [1, 2, 3, 4]
-        assert mem.read_array(g2.address, F64, 2) == [0.5, 1.5]
+        assert [mem.load(g1.address + 4 * i, I32) for i in range(4)] == [
+            1, 2, 3, 4,
+        ]
+        assert [mem.load(g2.address + 8 * i, F64) for i in range(2)] == [
+            0.5, 1.5,
+        ]
 
     def test_alignment(self):
         g1 = GlobalVariable("odd", I8, 3)
