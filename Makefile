@@ -14,8 +14,8 @@ test:
 bench-test:
 	$(PYTHON) -m pytest bench -q
 
-# Observability smoke: run one embedded app with tracing + metrics enabled,
-# validate the exported trace schema, and replay it as a stage-time table.
+# Observability smoke: run one embedded app with tracing enabled, validate
+# the exported trace schema, and replay it as a stage-time table.
 trace-smoke:
 	$(PYTHON) -m pytest -q -m trace_smoke tests/test_cli.py
 

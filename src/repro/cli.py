@@ -36,12 +36,11 @@ Commands:
   request mix (cold + warm phases).
 
 Every command accepts ``--trace FILE`` (export a JSONL span trace of the
-run), ``--metrics`` (print a metrics snapshot after the run), and
-``--ledger [DIR]`` (record the run — manifest and trace — in the run
-ledger);
-see :mod:`repro.obs`. The suite-running commands (``analyze``, ``tables``,
-``fidelity``) additionally accept ``--jobs N`` (shard the suite across N
-worker processes) and ``--cache [DIR]`` (persistent bitstream cache).
+run) and ``--ledger [DIR]`` (record the run — manifest and trace — in
+the run ledger); see :mod:`repro.obs`. The suite-running commands
+(``analyze``, ``tables``, ``fidelity``) additionally accept ``--jobs N``
+(shard the suite across N worker processes) and ``--cache [DIR]``
+(persistent bitstream cache).
 """
 
 from __future__ import annotations
@@ -258,30 +257,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print()
         print(obs.render_timeline(records))
     if args.chrome:
-        snapshot = _sibling_metrics(args.file)
-        obs.write_chrome_trace(records, args.chrome, snapshot=snapshot)
-        extra = " (+ metrics counter tracks)" if snapshot else ""
-        print(f"\nwrote Chrome trace_event file: {args.chrome}{extra}")
+        obs.write_chrome_trace(records, args.chrome)
+        print(f"\nwrote Chrome trace_event file: {args.chrome}")
     return 0
-
-
-def _sibling_metrics(trace_path) -> dict | None:
-    """Metrics snapshot from a ledger manifest next to *trace_path*, if any.
-
-    A ledger run directory holds ``trace.jsonl`` and ``manifest.json``
-    side by side; replaying such a trace can therefore also export the
-    run's counters as Chrome counter tracks.
-    """
-    import json
-    from pathlib import Path
-
-    manifest = Path(trace_path).parent / "manifest.json"
-    try:
-        data = json.loads(manifest.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    snapshot = data.get("metrics")
-    return snapshot if isinstance(snapshot, dict) else None
 
 
 def _traced_run_records(app_name: str):
@@ -737,7 +715,7 @@ def _cmd_mix(args: argparse.Namespace) -> int:
 
 def _run_config(args: argparse.Namespace) -> dict:
     """JSON-safe view of a command's own arguments for the run manifest."""
-    skip = {"fn", "trace", "metrics", "ledger"}
+    skip = {"fn", "trace", "ledger"}
     config = {}
     for key, value in vars(args).items():
         if key in skip:
@@ -758,11 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help="record a span trace of this run and export it as JSON lines",
-    )
-    obs_options.add_argument(
-        "--metrics",
-        action="store_true",
-        help="collect metrics and print a snapshot after the run",
     )
     obs_options.add_argument(
         "--ledger",
@@ -947,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write a Chrome trace_event file (chrome://tracing)",
     )
-    p_trace.set_defaults(fn=_cmd_trace, trace=None, metrics=False)
+    p_trace.set_defaults(fn=_cmd_trace, trace=None)
 
     ledger_dir_kwargs = dict(
         metavar="DIR",
@@ -991,9 +964,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="delete pruned runs outright instead of first compacting "
         "their manifest cells into the ledger's history.jsonl",
     )
-    p_runs.set_defaults(fn=_cmd_runs, trace=None, metrics=False)
+    p_runs.set_defaults(fn=_cmd_runs, trace=None)
     for p in (p_runs_list, p_runs_show, p_runs_gc):
-        p.set_defaults(fn=_cmd_runs, trace=None, metrics=False)
+        p.set_defaults(fn=_cmd_runs, trace=None)
 
     p_regress = sub.add_parser(
         "regress",
@@ -1030,7 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_regress.add_argument(
         "--all", action="store_true", help="show unchanged cells too"
     )
-    p_regress.set_defaults(fn=_cmd_regress, trace=None, metrics=False)
+    p_regress.set_defaults(fn=_cmd_regress, trace=None)
 
     p_cache = sub.add_parser(
         "cache", help="inspect or clear the persistent bitstream cache"
@@ -1051,7 +1024,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cache_clear.add_argument("--dir", **cache_dir_kwargs)
     for p in (p_cache, p_cache_stats, p_cache_clear):
-        p.set_defaults(fn=_cmd_cache, trace=None, metrics=False)
+        p.set_defaults(fn=_cmd_cache, trace=None)
 
     p_bench = sub.add_parser(
         "bench",
@@ -1256,9 +1229,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     trace_file = getattr(args, "trace", None)
-    want_metrics = getattr(args, "metrics", False)
     ledger_dir = getattr(args, "ledger", None)
-    if not (trace_file or want_metrics or ledger_dir):
+    if not (trace_file or ledger_dir):
         return args.fn(args)
 
     from repro import obs
@@ -1275,29 +1247,19 @@ def main(argv: list[str] | None = None) -> int:
             config=_run_config(args),
             argv=list(argv) if argv is not None else sys.argv[1:],
         )
-    if trace_file or recorder is not None:
-        obs.enable_tracing()
-    if want_metrics or recorder is not None:
-        obs.enable_metrics()
+    obs.enable_tracing()
     status = None
     try:
         status = args.fn(args)
         return status
     finally:
         tracer = obs.disable_tracing() if obs.get_tracer().enabled else None
-        registry = (
-            obs.disable_metrics() if obs.get_metrics().enabled else None
-        )
         if trace_file and tracer is not None:
             count = obs.export_tracer(tracer, trace_file)
             print(f"\nwrote {count} spans to {trace_file}")
-        if want_metrics and registry is not None:
-            print("\nmetrics snapshot:")
-            print(obs.render_snapshot(registry.snapshot()))
         if recorder is not None:
             manifest_path = obs.finish_run(
                 tracer=tracer,
-                metrics=registry,
                 status=status if status is not None else -1,
             )
             print(f"\nrecorded run {recorder.run_id} -> {manifest_path}")

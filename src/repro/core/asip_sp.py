@@ -33,7 +33,7 @@ from repro.fpga.toolflow import CadToolFlow, ImplementationResult
 from repro.fpga.timingmodel import StageTimes
 from repro.ir.module import Module
 from repro.ise.selection import CandidateSearch, CandidateSearchResult
-from repro.obs import get_metrics, get_tracer
+from repro.obs import get_tracer
 from repro.pivpav.estimator import CandidateEstimate
 from repro.vm.profiler import ExecutionProfile
 from repro.woolcano.reconfig import IcapModel, ReconfigurationEvent
@@ -183,18 +183,6 @@ class AsipSpecializationProcess:
                 failed=len(failed),
                 cache_hits=cache_hits,
             )
-            registry = get_metrics()
-            if registry.enabled:
-                registry.counter("asip.candidates_selected").inc(
-                    len(search_result.selected)
-                )
-                registry.counter("asip.candidates_implemented").inc(
-                    len(implementations)
-                )
-                registry.counter("asip.candidates_failed").inc(len(failed))
-                hist = registry.histogram("asip.toolflow_seconds")
-                for ci in implementations:
-                    hist.observe(ci.times.total)
         return SpecializationReport(
             search=search_result,
             implementations=implementations,

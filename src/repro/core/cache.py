@@ -192,8 +192,7 @@ class PersistentBitstreamCache:
     poison later ones. The index update is a read-modify-write without a
     cross-process lock: two concurrent writers can lose one index entry,
     which costs only a later miss (the object is rebuilt and re-stored).
-    Hit/miss/store/eviction counts feed both :meth:`stats` and the
-    ``cache.bitstream.*`` metrics counters.
+    Hit/miss/store/eviction counts feed :meth:`stats`.
 
     The instance keeps the index it last parsed or wrote, with the
     ``(inode, size, mtime_ns)`` of that file. A lookup costs one
@@ -310,10 +309,8 @@ class PersistentBitstreamCache:
                     pass
         if record is None:
             self.misses += 1
-            self._count("cache.bitstream.misses")
             return None
         self.hits += 1
-        self._count("cache.bitstream.hits")
         if candidate is not None:
             record = replace(record, candidate=candidate)
         return record
@@ -356,10 +353,8 @@ class PersistentBitstreamCache:
                 entries.pop(oldest)
                 self._object_path(oldest).unlink(missing_ok=True)
                 self.evictions += 1
-                self._count("cache.bitstream.evictions")
         self._write_index(entries)
         self.stores += 1
-        self._count("cache.bitstream.stores")
 
     def clear(self) -> int:
         """Remove every entry and any temp file a killed writer left;
@@ -413,14 +408,6 @@ class PersistentBitstreamCache:
         self.misses += int(counts.get("misses", 0))
         self.stores += int(counts.get("stores", 0))
         self.evictions += int(counts.get("evictions", 0))
-
-    @staticmethod
-    def _count(name: str) -> None:
-        from repro.obs import get_metrics
-
-        registry = get_metrics()
-        if registry.enabled:
-            registry.counter(name, measured=True).inc()
 
 
 def _stamp(st: os.stat_result) -> tuple[int, int, int]:

@@ -5,8 +5,7 @@ collects everything Tables I-IV need. :func:`analyze_suite` optionally
 shards the per-app analyses across worker processes (``jobs``) and
 consults a persistent bitstream cache (Section VI-A) before invoking the
 CAD flow — both default off, so the paper-faithful serial behaviour is
-unchanged. A sharded run records the same spans and metrics as a serial
-one.
+unchanged. A sharded run records the same spans as a serial one.
 """
 
 from __future__ import annotations
@@ -218,7 +217,7 @@ def _analyze_parallel(
 
     Apps already in the in-process memo are reused, as in a serial run.
     Each other app runs in a pool child; the parent absorbs the children's
-    spans and metrics (:func:`repro.obs.absorb_worker`) and cache counters
+    spans (:func:`repro.obs.absorb_worker`) and cache counters
     in suite order, so the recorded evidence is the serial run's, span for
     span.
     """

@@ -27,7 +27,7 @@ from repro.fpga.techmap import MappedDesign, Mapper
 from repro.fpga.timingmodel import CadTimingModel, StageTimes
 from repro.fpga.translate import Translator
 from repro.ise.candidate import Candidate
-from repro.obs import get_metrics, get_tracer
+from repro.obs import get_tracer
 from repro.pivpav.netlistcache import NetlistCache
 from repro.pivpav.vhdlgen import DatapathGenerator, GeneratedVhdl
 
@@ -65,12 +65,6 @@ class CadToolFlow:
     def implement(self, candidate: Candidate) -> ImplementationResult:
         """Run the full flow for one candidate."""
         tracer = get_tracer()
-        registry = get_metrics()
-        if registry.enabled:
-            # Counts *virtual work actually performed*: a persistent-cache
-            # hit (repro.core.cache) skips implement() entirely, so a warm
-            # rerun's manifest shows this counter dropping.
-            registry.counter("cad.implementations").inc()
         with tracer.span("cad.implement", candidate=candidate.key):
             # Phase 2: Netlist Generation (PivPav).
             with tracer.span("cad.c2v") as sp_c2v:

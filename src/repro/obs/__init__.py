@@ -1,4 +1,4 @@
-"""Observability: span tracing, metrics, and trace export.
+"""Observability: span tracing, trace export and the run ledger.
 
 The paper's results are per-stage time breakdowns (Tables II/III); this
 package makes every run of the reproduction produce the same shape of
@@ -7,8 +7,8 @@ evidence on demand:
 - :mod:`repro.obs.tracer` — thread-safe span tracer with nested
   parent/child spans and a process-global default that is a no-op until
   enabled (zero overhead on hot paths);
-- :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket
-  histograms behind a :class:`MetricsRegistry`;
+- :mod:`repro.obs.metrics` — the fixed-bucket :class:`Histogram` behind
+  the serve summary's latency quantiles;
 - :mod:`repro.obs.export` — JSONL round-trip, Chrome ``trace_event``
   dump, and ASCII stage-table / timeline renderers keyed to the paper's
   stage names;
@@ -32,27 +32,14 @@ annotations), :mod:`repro.obs.fidelity` (golden-reference comparison
 against the paper's published values), :mod:`repro.obs.bench` and
 :mod:`repro.obs.vmprof`.
 
-Enable both at once with :func:`enable` (the CLI's ``--trace`` /
-``--metrics`` flags call this). The suite runner's pool children
-(``--jobs N``) hand their evidence back through one pair:
-:func:`capture_worker` in the child and :func:`absorb_worker` in the
-parent, so a run sharded over processes records the same spans and
-metrics as a serial one. The serve daemon needs neither: its
-workers are threads recording into the daemon's own globals.
+The suite runner's pool children (``--jobs N``) hand their spans back
+through one pair: :func:`capture_worker` in the child and
+:func:`absorb_worker` in the parent, so a run sharded over processes
+records the same spans as a serial one. The serve daemon needs neither:
+its workers are threads recording into the daemon's own tracer.
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    disable_metrics,
-    enable_metrics,
-    get_metrics,
-    metrics_enabled,
-    render_snapshot,
-    set_metrics,
-)
+from repro.obs.metrics import Histogram
 from repro.obs.tracer import (
     NOOP_SPAN,
     Span,
@@ -103,57 +90,35 @@ from repro.obs.regress import (
     parse_tolerances,
 )
 
-def enable(tracing: bool = True, metrics: bool = True) -> None:
-    """Turn on tracing and/or metrics collection for this process."""
-    if tracing:
-        enable_tracing()
-    if metrics:
-        enable_metrics()
-
-
-def disable() -> None:
-    disable_tracing()
-    disable_metrics()
-
-
 # -- pool-child handoff ---------------------------------------------------------
 def worker_settings() -> dict:
     """The picklable observability settings a pool child should adopt."""
-    return {
-        "tracing": get_tracer().enabled,
-        "metrics": get_metrics().enabled,
-    }
+    return {"tracing": get_tracer().enabled}
 
 
 def capture_worker(settings: dict):
-    """Child side: install fresh globals configured like the parent's.
+    """Child side: install a fresh tracer configured like the parent's.
 
-    A forked child inherits the parent's tracer and registry along with
-    their open sinks; fresh instances keep the child's evidence to exactly
-    its own unit of work and out of the parent's files. Returns a callable
-    that collects that evidence for :func:`absorb_worker`.
+    A forked child inherits the parent's tracer along with its open sink;
+    a fresh instance keeps the child's spans to exactly its own unit of
+    work and out of the parent's files. Returns a callable that collects
+    those spans for :func:`absorb_worker`.
     """
     tracer = set_tracer(Tracer(enabled=settings["tracing"]))
-    registry = set_metrics(MetricsRegistry(enabled=settings["metrics"]))
 
     def evidence() -> dict:
-        return {
-            "spans": tracer_records(tracer) if tracer.enabled else [],
-            "metrics": registry.snapshot() if registry.enabled else None,
-        }
+        return {"spans": tracer_records(tracer) if tracer.enabled else []}
 
     return evidence
 
 
 def absorb_worker(evidence: dict, parent=None, base: float | None = None) -> None:
-    """Parent side: merge a child's spans and metrics.
+    """Parent side: merge a child's spans.
 
     Spans are reparented under *parent* (:meth:`Tracer.absorb`) and shifted
     onto this process's clock by *base*.
     """
     get_tracer().absorb(evidence["spans"], parent=parent, base=base)
-    if evidence["metrics"] is not None:
-        get_metrics().merge_snapshot(evidence["metrics"])
 
 
 __all__ = [
@@ -164,27 +129,18 @@ __all__ = [
     "CellDelta",
     "chrome_trace",
     "compare_manifests",
-    "Counter",
     "current_run",
     "DEFAULT_LEDGER_DIR",
-    "disable",
-    "disable_metrics",
     "disable_tracing",
-    "enable",
-    "enable_metrics",
     "enable_tracing",
     "export_tracer",
     "finish_run",
     "flatten_cells",
     "fold_stages",
-    "Gauge",
-    "get_metrics",
     "get_tracer",
     "Histogram",
     "MANIFEST_SCHEMA",
     "median_mad",
-    "metrics_enabled",
-    "MetricsRegistry",
     "NOOP_SPAN",
     "PAPER_STAGE_LABELS",
     "PAPER_STAGES",
@@ -194,13 +150,11 @@ __all__ = [
     "prune_runs",
     "read_jsonl",
     "RegressionReport",
-    "render_snapshot",
     "render_stage_table",
     "render_timeline",
     "RunLedger",
     "RunRecorder",
     "scalars_from_analyses",
-    "set_metrics",
     "set_tracer",
     "Span",
     "span",

@@ -203,18 +203,8 @@ def validate_trace(records: Sequence[SpanRecord]) -> list[str]:
 
 
 # -- Chrome trace_event --------------------------------------------------------
-def chrome_trace(records: Sequence[SpanRecord], snapshot: dict | None = None) -> dict:
-    """Chrome ``trace_event`` document (complete 'X' events, µs units).
-
-    With a metrics *snapshot* (the ``{"counters": ..., "gauges": ...}``
-    shape of :meth:`repro.obs.metrics.MetricsRegistry.snapshot`), counter
-    and gauge values are appended as ``"ph": "C"`` counter events so cache
-    hit/miss and candidate accept/reject rates render as counter tracks
-    alongside the spans in Perfetto. Counters are monotonic from zero, so
-    each gets a zero sample at the trace start and its final value at the
-    trace extent; gauges only get their final sample (intermediate values
-    were not recorded).
-    """
+def chrome_trace(records: Sequence[SpanRecord]) -> dict:
+    """Chrome ``trace_event`` document (complete 'X' events, µs units)."""
     events = []
     for rec in records:
         events.append(
@@ -229,35 +219,11 @@ def chrome_trace(records: Sequence[SpanRecord], snapshot: dict | None = None) ->
                 "args": rec.attrs,
             }
         )
-    if snapshot:
-        extent = max((rec.t1 for rec in records), default=0.0) * 1e6
-
-        def counter_event(name: str, ts: float, value) -> dict:
-            return {
-                "name": name,
-                "cat": "metrics",
-                "ph": "C",
-                "ts": ts,
-                "pid": 1,
-                "args": {"value": value},
-            }
-
-        for name, value in sorted((snapshot.get("counters") or {}).items()):
-            if not isinstance(value, (int, float)):
-                continue
-            events.append(counter_event(name, 0.0, 0))
-            events.append(counter_event(name, extent, value))
-        for name, value in sorted((snapshot.get("gauges") or {}).items()):
-            if not isinstance(value, (int, float)):
-                continue
-            events.append(counter_event(name, extent, value))
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(
-    records: Sequence[SpanRecord], path_or_file, snapshot: dict | None = None
-) -> None:
-    doc = chrome_trace(records, snapshot=snapshot)
+def write_chrome_trace(records: Sequence[SpanRecord], path_or_file) -> None:
+    doc = chrome_trace(records)
     if hasattr(path_or_file, "write"):
         json.dump(doc, path_or_file)
     else:

@@ -8,9 +8,10 @@ one fresh run. The ledger is that history: an append-only on-disk store
 
 - ``manifest.json`` — run id, timestamp, git revision, command/argv and
   config, environment, wall time, per-stage span totals folded from the
-  tracer (real and virtual clocks), the metrics snapshot, per-app scalar
-  results (speedups, candidate counts, break-even times), the fidelity
-  cell outcomes when a fidelity comparison ran, and artifact paths;
+  tracer (real and virtual clocks), per-app scalar results (speedups,
+  candidate counts, VM instructions and block executions, break-even
+  times), the fidelity cell outcomes when a fidelity comparison ran, and
+  artifact paths;
 - ``trace.jsonl`` — the full span trace of the run, the one record of
   what happened in it: every span carries the decisions and stage
   results of its step (accepted and rejected candidates, CAD failures,
@@ -40,7 +41,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs.export import PAPER_STAGE_LABELS, SpanRecord, export_tracer, tracer_records
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 
 #: Default on-disk location of the ledger (git-ignored).
@@ -140,6 +140,12 @@ def scalars_from_analyses(analyses) -> dict:
             "domain": a.domain,
             "candidates": a.specialization.candidate_count,
             "candidates_failed": len(a.specialization.failed),
+            "vm_instructions": sum(
+                p.total_dynamic_instructions for p in a.profiles.values()
+            ),
+            "vm_block_executions": sum(
+                p.total_block_executions for p in a.profiles.values()
+            ),
             "vm_ratio": round(a.runtime.ratio, 9),
             "asip_upper_ratio": round(a.asip_max.ratio, 9),
             "asip_pruned_ratio": round(a.asip_pruned.ratio, 9),
@@ -372,7 +378,7 @@ class RunRecorder:
         reserved = {
             "schema", "run_id", "timestamp", "command", "argv", "config",
             "git_rev", "environment", "status", "wall_seconds", "stages",
-            "metrics", "scalars", "fidelity", "cache", "serve", "artifacts",
+            "scalars", "fidelity", "cache", "serve", "artifacts",
             "measured",
         }
         if name in reserved:
@@ -408,7 +414,6 @@ class RunRecorder:
     def finalize(
         self,
         tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
         status: int | None = 0,
     ) -> Path:
         """Fold the run's evidence into ``manifest.json``; returns its path."""
@@ -450,7 +455,6 @@ class RunRecorder:
             "wall_seconds": round(time.perf_counter() - self.started, 6),
             "measured": ["wall_seconds"],
             "stages": _json_safe(stages),
-            "metrics": _json_safe(metrics.snapshot()) if metrics else None,
             "scalars": _json_safe(self.scalars),
             "fidelity": _json_safe(self.fidelity),
             "cache": _json_safe(self.cache),
@@ -504,7 +508,6 @@ def start_run(
 
 def finish_run(
     tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
     status: int | None = 0,
 ) -> Path | None:
     """Finalize and clear the current run; returns the manifest path."""
@@ -513,7 +516,7 @@ def finish_run(
     _current_run = None
     if recorder is None:
         return None
-    return recorder.finalize(tracer=tracer, metrics=metrics, status=status)
+    return recorder.finalize(tracer=tracer, status=status)
 
 
 def abandon_run() -> None:

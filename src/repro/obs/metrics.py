@@ -1,61 +1,19 @@
-"""Counters, gauges, and histograms for the JIT-ISE pipeline.
+"""Fixed-bucket histogram: the serve summary's always-on quantile tracker.
 
-Complements :mod:`repro.obs.tracer`: spans answer *where did the time go*,
-metrics answer *how much work happened* — instructions interpreted,
-intrinsic calls, candidates implemented, bitstream bytes written through
-the ICAP. All instruments live in a :class:`MetricsRegistry`;
-:meth:`MetricsRegistry.snapshot` returns a plain-dict view suitable for
-printing or JSON export.
-
-Like tracing, the process-global registry is **disabled** by default and
-instrumentation sites are expected to gate on :func:`metrics_enabled`
-(the interpreter bakes the check into block compilation, so a disabled
-registry costs the hot loop nothing).
+The paper's evidence is per-stage times and counts (Tables II/III).
+Spans answer *where did the time go*; the counts of a run (instructions
+interpreted, candidates implemented, bitstream bytes written) are span
+attributes, per-app scalars or a component's own ``stats()``. What a
+span trace cannot give cheaply is a streaming quantile, so the serve
+daemon keeps one :class:`Histogram` per distribution its summary
+reports (queue wait, service time, and the break-even times of
+Section V).
 """
 
 from __future__ import annotations
 
 import bisect
 import threading
-from dataclasses import dataclass, field
-
-
-class Counter:
-    """Monotonically increasing count."""
-
-    __slots__ = ("name", "value", "_lock")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-        self._lock = threading.Lock()
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(
-                f"counter {self.name!r} is monotonic: cannot inc by {amount}"
-            )
-        with self._lock:
-            self.value += amount
-
-
-class Gauge:
-    """Last-written value (e.g. current fabric slot occupancy)."""
-
-    __slots__ = ("name", "value", "_lock")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
-
-    def add(self, delta: float) -> None:
-        with self._lock:
-            self.value += float(delta)
 
 
 # Default histogram buckets: seconds, log-ish spacing spanning the paper's
@@ -134,30 +92,6 @@ class Histogram:
             cumulative += bucket_count
         return self.max
 
-    def merge_dict(self, data: dict) -> None:
-        """Fold a same-bucketed histogram snapshot (:meth:`as_dict`) in.
-
-        Used by the sharded experiment runner to merge worker-process
-        registries back into the suite registry: bucket counts, count, and
-        sum add; min/max widen. The bucket layout must match.
-        """
-        buckets = data.get("buckets") or {}
-        with self._lock:
-            labels = [f"le_{b:g}" for b in self.bounds] + ["inf"]
-            if set(buckets) != set(labels):
-                raise ValueError(
-                    f"histogram {self.name!r}: cannot merge snapshot with "
-                    f"different bucket layout"
-                )
-            for i, label in enumerate(labels):
-                self.bucket_counts[i] += int(buckets[label])
-            self.count += int(data.get("count", 0))
-            self.sum += float(data.get("sum", 0.0))
-            if data.get("min") is not None:
-                self.min = min(self.min, float(data["min"]))
-            if data.get("max") is not None:
-                self.max = max(self.max, float(data["max"]))
-
     def as_dict(self) -> dict:
         with self._lock:
             return {
@@ -174,131 +108,3 @@ class Histogram:
                     "inf": self.bucket_counts[-1],
                 },
             }
-
-
-@dataclass
-class MetricsRegistry:
-    """Named instruments, created on first use."""
-
-    enabled: bool = True
-    _counters: dict[str, Counter] = field(default_factory=dict)
-    _gauges: dict[str, Gauge] = field(default_factory=dict)
-    _histograms: dict[str, Histogram] = field(default_factory=dict)
-    _measured: set[str] = field(default_factory=set)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def counter(self, name: str, measured: bool = False) -> Counter:
-        """The counter *name*; *measured* marks a scheduling- or history-
-        dependent count (cache hits, admissions) the sentinel never gates."""
-        with self._lock:
-            inst = self._counters.get(name)
-            if inst is None:
-                inst = self._counters[name] = Counter(name)
-            if measured:
-                self._measured.add(name)
-            return inst
-
-    def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            inst = self._gauges.get(name)
-            if inst is None:
-                inst = self._gauges[name] = Gauge(name)
-            return inst
-
-    def histogram(self, name: str, buckets: tuple = DEFAULT_BUCKETS) -> Histogram:
-        with self._lock:
-            inst = self._histograms.get(name)
-            if inst is None:
-                inst = self._histograms[name] = Histogram(name, buckets)
-            return inst
-
-    def merge_snapshot(self, snap: dict) -> None:
-        """Fold a worker registry's :meth:`snapshot` into this registry.
-
-        Counters add, gauges take the incoming value (last write wins),
-        histograms merge bucket-by-bucket — so a suite run sharded over
-        worker processes produces the same totals as a serial run.
-        """
-        measured = set(snap.get("measured") or ())
-        for name, value in (snap.get("counters") or {}).items():
-            self.counter(name, f"counters.{name}" in measured).inc(int(value))
-        for name, value in (snap.get("gauges") or {}).items():
-            self.gauge(name).set(value)
-        for name, data in (snap.get("histograms") or {}).items():
-            self.histogram(name).merge_dict(data)
-
-    def snapshot(self) -> dict:
-        """Plain-dict view of every instrument's current state."""
-        with self._lock:
-            return {
-                "counters": {n: c.value for n, c in sorted(self._counters.items())},
-                "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
-                "histograms": {
-                    n: h.as_dict() for n, h in sorted(self._histograms.items())
-                },
-                "measured": [f"counters.{n}" for n in sorted(self._measured)],
-            }
-
-    def reset(self) -> None:
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-            self._measured.clear()
-
-
-def render_snapshot(snap: dict) -> str:
-    """Human-readable rendering of a :meth:`MetricsRegistry.snapshot`."""
-    lines: list[str] = []
-    if snap.get("counters"):
-        lines.append("counters:")
-        for name, value in snap["counters"].items():
-            lines.append(f"  {name:40s} {value}")
-    if snap.get("gauges"):
-        lines.append("gauges:")
-        for name, value in snap["gauges"].items():
-            lines.append(f"  {name:40s} {value:g}")
-    if snap.get("histograms"):
-        lines.append("histograms:")
-        for name, h in snap["histograms"].items():
-            quantiles = " ".join(
-                f"{label}={h[label]:.4g}" if h.get(label) is not None else f"{label}=-"
-                for label in ("p50", "p95", "p99")
-            )
-            lines.append(
-                f"  {name:40s} count={h['count']} mean={h['mean']:.4g} "
-                f"min={h['min'] if h['min'] is not None else '-'} "
-                f"max={h['max'] if h['max'] is not None else '-'} "
-                f"{quantiles}"
-            )
-    return "\n".join(lines) if lines else "(no metrics recorded)"
-
-
-# -- process-global default registry ------------------------------------------
-_default_registry = MetricsRegistry(enabled=False)
-
-
-def get_metrics() -> MetricsRegistry:
-    return _default_registry
-
-
-def set_metrics(registry: MetricsRegistry) -> MetricsRegistry:
-    global _default_registry
-    _default_registry = registry
-    return registry
-
-
-def enable_metrics(reset: bool = True) -> MetricsRegistry:
-    if reset:
-        _default_registry.reset()
-    _default_registry.enabled = True
-    return _default_registry
-
-
-def disable_metrics() -> MetricsRegistry:
-    _default_registry.enabled = False
-    return _default_registry
-
-
-def metrics_enabled() -> bool:
-    return _default_registry.enabled

@@ -2,8 +2,8 @@
 
 A ledger manifest (:mod:`repro.obs.ledger`) flattens into named numeric
 cells — per-stage virtual CAD seconds, span counts, per-app speedups and
-break-even times, candidate counts, fidelity cell outcomes, metrics
-counters. The sentinel compares a baseline manifest against a candidate
+break-even times, candidate counts, VM instruction counts, fidelity cell
+outcomes. The sentinel compares a baseline manifest against a candidate
 manifest under relative tolerances and exits non-zero on any regression,
 so CI can gate on ``repro regress --baseline <run>``.
 
@@ -46,13 +46,11 @@ EXACT_TOLERANCE = 1e-9
 
 #: Consulted after any user tolerances when the two compared runs used
 #: the persistent bitstream cache differently: a warm run legitimately
-#: skips CAD work, so the per-stage span counts and the implementation
-#: counter become informational. The *results* cells (toolflow seconds,
-#: speedups, break-even) stay gated — cached stage times are bit-identical
-#: to recomputed ones.
+#: skips CAD work, so the per-stage CAD span counts become informational.
+#: The *results* cells (toolflow seconds, speedups, break-even) stay
+#: gated — cached stage times are bit-identical to recomputed ones.
 CACHE_DEMOTED_TOLERANCES: tuple[tuple[str, float | None], ...] = (
     ("stages.cad.*", None),
-    ("metrics.counters.cad.*", None),
 )
 
 #: MAD multiplier for the history-derived noise band.
@@ -73,7 +71,6 @@ _VOLATILE_CONFIG_KEYS = frozenset(
     {
         "ledger",
         "trace",
-        "metrics",
         "out",
         "jobs",
         "cache",
@@ -175,10 +172,6 @@ def declared_cells(manifest: dict) -> dict[str, tuple[float, float | None]]:
     serve = dict(manifest.get("serve") or {})
     serve.pop("config", None)
     walk(serve, "serve.", "", serve)
-
-    metrics = manifest.get("metrics") or {}
-    for name, value in (metrics.get("counters") or {}).items():
-        put(metrics, "metrics.", f"counters.{name}", value)
 
     # The remaining blocks are nested dicts all the way down (e.g.
     # mix.cells.<preset>.c<NN>.<metric>), so the generic walk
@@ -402,7 +395,7 @@ def compare_manifests(
             "bitstream-cache usage differs between runs: "
             f"baseline hits={base_cache.get('hits', 0)} vs "
             f"current hits={cur_cache.get('hits', 0)}; "
-            "stages.cad.* and metrics.counters.cad.* demoted to informational"
+            "stages.cad.* demoted to informational"
         )
 
     for cell in sorted(set(base_cells) | set(cur_cells)):

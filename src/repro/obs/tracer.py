@@ -320,7 +320,7 @@ class Tracer:
 
     def absorb(
         self, records, parent: Span | None = None, base: float | None = None
-    ) -> dict[int, int]:
+    ) -> None:
         """Merge exported span records from a worker process into this tracer.
 
         *records* are :class:`repro.obs.export.SpanRecord`-shaped objects
@@ -329,12 +329,11 @@ class Tracer:
         ids are remapped onto this tracer's id space, roots are reparented
         under *parent*, and times are rebased so the absorbed subtree
         starts at *base* (a ``perf_counter`` timestamp; default: the
-        fan-out is assumed to have just finished). Returns the id map
-        (worker span id -> absorbed span id).
+        fan-out is assumed to have just finished).
         """
         recs = list(records)
         if not self.enabled or not recs:
-            return {}
+            return
         if base is None:
             extent = max(r.t1 for r in recs)
             base = time.perf_counter() - extent
@@ -361,7 +360,6 @@ class Tracer:
         with self._lock:
             self._finished.extend(absorbed)
             self._enforce_limit_locked()
-        return ids
 
     # -- inspection ----------------------------------------------------------
     def current_span(self) -> Span | None:

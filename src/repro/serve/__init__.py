@@ -11,7 +11,7 @@ work through a shared multi-tenant bitstream store with single-flight
 semantics — the serving-time generalization of the Section VI-A bitstream
 cache. Request-level telemetry (queue-wait / service latency, and
 p50/p95/p99 *break-even* quantiles as the headline) feeds the existing
-span tracer, metrics registry, and run ledger.
+span tracer and run ledger.
 """
 
 from repro.serve.protocol import ServeClient, recv_message, send_message

@@ -10,7 +10,7 @@ Request ops:
 
 - ``specialize`` — ``{"op": "specialize", "tenant": ..., "app": ...,
   "pruning": {"time_share_pct": ..., "max_blocks": ...}, "slots": ...}``;
-- ``stats`` — server summary + live metrics snapshot;
+- ``stats`` — server summary;
 - ``ping`` — liveness probe;
 - ``shutdown`` — ask the daemon to drain and exit.
 
@@ -18,12 +18,11 @@ Responses always carry a ``status`` field: ``ok``, ``rejected`` (with
 ``retry_after_ms`` when the admission queue is full — the backpressure
 contract), or ``error``.
 
-Every ``specialize`` request additionally carries a W3C-style
-``traceparent`` header (``00-<trace_id>-<parent_span_id>-01``) minted by
-:meth:`ServeClient.specialize`: the daemon continues the context across
-the admission queue, the worker pool (thread or forked process), and the
-shared store's single-flight waits, so one request yields one stitched
-cross-process span tree in the ledger run.
+A ``specialize`` request may carry a ``request_id``. The client's
+``serve.client`` span and the daemon's ``serve.request`` span both
+record it, so the two sides of one exchange pair by ``request_id`` in a
+traced run; the daemon's worker threads parent every ``serve.request``
+under its ``serve.run`` span.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import json
 import socket
 import struct
 import time
-import uuid
 from dataclasses import dataclass
 
 from repro.util.rng import DeterministicRng, stable_hash
@@ -48,55 +46,6 @@ _HEADER = struct.Struct(">I")
 
 class ProtocolError(RuntimeError):
     """Malformed frame (bad length prefix, oversized frame, bad JSON)."""
-
-
-# -- distributed trace context ------------------------------------------------
-#: traceparent version field (W3C Trace Context layout).
-TRACEPARENT_VERSION = "00"
-
-
-def mint_trace_id(request_id: str | None = None) -> str:
-    """A 128-bit hex trace id.
-
-    Derived deterministically from *request_id* when one is supplied (the
-    load generator names every request, so replayed schedules mint
-    replayable trace ids); random otherwise.
-    """
-    if request_id:
-        hi = stable_hash("serve/trace/hi", request_id)
-        lo = stable_hash("serve/trace/lo", request_id)
-        return f"{hi:016x}{lo:016x}"
-    return uuid.uuid4().hex
-
-
-def mint_traceparent(trace_id: str, span_id: int) -> str:
-    """Format a traceparent header from a trace id and a local span id."""
-    return f"{TRACEPARENT_VERSION}-{trace_id}-{int(span_id) & ((1 << 64) - 1):016x}-01"
-
-
-def parse_traceparent(header) -> dict | None:
-    """Parse a traceparent header into ``{"trace_id", "parent_span_id"}``.
-
-    Returns None for a missing or malformed header (trace context is
-    best-effort: a bad header never fails the request). A zero parent span
-    id (client had tracing disabled) maps to ``parent_span_id = None``.
-    """
-    if not isinstance(header, str):
-        return None
-    parts = header.split("-")
-    if len(parts) != 4:
-        return None
-    _, trace_id, parent_hex, _ = parts
-    if not trace_id or any(c not in "0123456789abcdef" for c in trace_id.lower()):
-        return None
-    try:
-        parent_span_id = int(parent_hex, 16)
-    except ValueError:
-        return None
-    return {
-        "trace_id": trace_id.lower(),
-        "parent_span_id": parent_span_id or None,
-    }
 
 
 def send_message(sock: socket.socket, message: dict) -> None:
@@ -185,7 +134,6 @@ class ServeClient:
         max_blocks: int = 3,
         slots: int | None = None,
         request_id: str | None = None,
-        trace_id: str | None = None,
     ) -> dict:
         from repro.obs import get_tracer
 
@@ -202,22 +150,11 @@ class ServeClient:
             message["slots"] = int(slots)
         if request_id is not None:
             message["request_id"] = request_id
-        if trace_id is None:
-            trace_id = mint_trace_id(request_id)
-        tracer = get_tracer()
-        with tracer.span(
-            "serve.client",
-            tenant=tenant,
-            app=app,
-            request_id=request_id,
-            trace_id=trace_id,
+        with get_tracer().span(
+            "serve.client", tenant=tenant, app=app, request_id=request_id
         ) as span:
-            message["traceparent"] = mint_traceparent(trace_id, span.span_id)
             response = self.request(message)
             span.set_attr("status", response.get("status"))
-            trace = response.get("trace")
-            if isinstance(trace, dict) and trace.get("span_id"):
-                span.set_attr("server_span_id", trace["span_id"])
         return response
 
     def specialize_retry(
@@ -248,9 +185,6 @@ class ServeClient:
         """
         seed_key = backoff_seed or kwargs.get("request_id") or f"{tenant}/{app}"
         rng = DeterministicRng("serve/backoff", stable_hash(seed_key))
-        # A shared trace id across retries: every attempt (including the
-        # rejected ones) lands in the same stitched trace.
-        kwargs.setdefault("trace_id", mint_trace_id(kwargs.get("request_id")))
         retries = 0
         for attempt in range(max_attempts):
             response = self.specialize(tenant, app, **kwargs)

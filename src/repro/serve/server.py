@@ -15,9 +15,8 @@ request.
 Observability is first-class: each request is a ``serve.request`` span
 parented under the server's root span (one server run = one ledger run)
 that carries the figures its reply reports (break-even, candidates,
-cache hits), live gauges track queue depth / in-flight workers /
-per-tenant cache hit rate, and latency histograms record queue-wait and service time (real
-clock) plus the **break-even** distribution (virtual clock) whose
+cache hits), and latency histograms record queue-wait and service time
+(real clock) plus the **break-even** distribution (virtual clock) whose
 p50/p95/p99 are the headline quantiles. SIGINT/SIGTERM drain the
 queue, finish in-flight CAD work, and close the ledger run with an
 explicit ``interrupted`` shutdown status — never a dangling manifest.
@@ -31,7 +30,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.obs import get_metrics, get_tracer
+from repro.obs import get_tracer
 from repro.obs.metrics import Histogram
 from repro.serve.protocol import (
     PROTOCOL_SCHEMA,
@@ -141,9 +140,8 @@ class SpecializationServer:
             "samples": 0,
         }
 
-        # Always-on latency histograms (independent of the global metrics
-        # registry, so the stats op reports latency from an un-instrumented
-        # daemon).
+        # Always-on latency histograms: the stats op and the summary report
+        # their quantiles whether or not the daemon is traced.
         self.queue_wait_hist = Histogram("serve.queue_wait_seconds")
         self.service_hist = Histogram("serve.service_seconds")
         self.break_even_hist = Histogram(
@@ -294,11 +292,6 @@ class SpecializationServer:
                         "status": "ok",
                         "op": "stats",
                         "stats": self.summary(),
-                        "metrics": (
-                            get_metrics().snapshot()
-                            if get_metrics().enabled
-                            else None
-                        ),
                     },
                 )
             elif op == "shutdown":
@@ -326,23 +319,17 @@ class SpecializationServer:
         except (KeyError, ValueError, TypeError) as exc:
             with self._stats_lock:
                 self.requests["failed"] += 1
-            self._count("serve.requests.failed")
             self._reply(conn, {"status": "error", "error": str(exc)})
             return False
         if self._stop.is_set():
-            self._reject(
-                conn, reason="shutting-down", retry_after_ms=None, request=request
-            )
+            self._reject(conn, reason="shutting-down", retry_after_ms=None)
             return False
         ticket = _Ticket(conn=conn, request=request)
         try:
             self._queue.put_nowait(ticket)
         except queue.Full:
             self._reject(
-                conn,
-                reason="queue-full",
-                retry_after_ms=self._retry_after_ms(),
-                request=request,
+                conn, reason="queue-full", retry_after_ms=self._retry_after_ms()
             )
             return False
         with self._stats_lock:
@@ -350,25 +337,14 @@ class SpecializationServer:
             self._max_queue_depth = max(
                 self._max_queue_depth, self._queue.qsize()
             )
-        self._count("serve.requests.accepted")
-        self._set_gauge("serve.queue_depth", self._queue.qsize())
         return True
 
-    def _reject(
-        self,
-        conn,
-        reason: str,
-        retry_after_ms: float | None,
-        request: dict | None = None,
-    ) -> None:
+    def _reject(self, conn, reason: str, retry_after_ms: float | None) -> None:
         with self._stats_lock:
             self.requests["rejected"] += 1
-        self._count("serve.requests.rejected")
         response = {"status": "rejected", "reason": reason}
         if retry_after_ms is not None:
             response["retry_after_ms"] = round(retry_after_ms, 3)
-        if request is not None and request.get("trace_id"):
-            response["trace"] = {"trace_id": request["trace_id"], "span_id": None}
         self._reply(conn, response)
 
     def _retry_after_ms(self) -> float:
@@ -392,17 +368,14 @@ class SpecializationServer:
             ticket = self._queue.get()
             if ticket is _SENTINEL:
                 return
-            self._set_gauge("serve.queue_depth", self._queue.qsize())
             with self._stats_lock:
                 self._inflight += 1
-            self._set_gauge("serve.inflight", self._inflight)
             try:
                 self._process_ticket(ticket, tracer)
             finally:
                 self.store.release_thread_flights()
                 with self._stats_lock:
                     self._inflight -= 1
-                self._set_gauge("serve.inflight", self._inflight)
                 try:
                     ticket.conn.close()
                 except OSError:
@@ -420,18 +393,13 @@ class SpecializationServer:
                 tenant=tenant,
                 app=request["app"],
                 request_id=request["request_id"] or None,
-                trace_id=request.get("trace_id"),
-                client_span_id=request.get("client_span_id"),
             ) as span:
                 # The queue wait is already over when a worker picks the
                 # ticket up; record it retroactively as a child of this
-                # request span so the stitched trace shows client wait vs
-                # queue wait vs CAD explicitly.
+                # request span so the trace shows queue wait vs CAD
+                # explicitly.
                 tracer.record_interval(
-                    "serve.queue.wait",
-                    ticket.enqueued_at,
-                    dequeued,
-                    trace_id=request.get("trace_id"),
+                    "serve.queue.wait", ticket.enqueued_at, dequeued
                 )
                 try:
                     result = self._execute(request)
@@ -452,7 +420,7 @@ class SpecializationServer:
                         cache_hits=result.get("cache_hits"),
                         shared=result.get("shared"),
                     )
-        self._account(ticket, result, error, queue_wait, service, span)
+        self._account(ticket, result, error, queue_wait, service)
 
     def _execute(self, request: dict) -> dict:
         tenant_cache = self.store.tenant(
@@ -462,7 +430,6 @@ class SpecializationServer:
             "serve.execute",
             tenant=request["tenant"],
             app=request["app"],
-            trace_id=request.get("trace_id"),
         ):
             return execute_specialize(request, tenant_cache)
 
@@ -473,11 +440,9 @@ class SpecializationServer:
         error: str | None,
         queue_wait: float,
         service: float,
-        span=None,
     ) -> None:
         request = ticket.request
         tenant = request["tenant"]
-        span_id = getattr(span, "span_id", 0) or None
         self.queue_wait_hist.observe(queue_wait)
         self.service_hist.observe(service)
         be = (result or {}).get("break_even_seconds")
@@ -491,7 +456,6 @@ class SpecializationServer:
             self._tenant_requests[tenant] = (
                 self._tenant_requests.get(tenant, 0) + 1
             )
-            tenant_count = self._tenant_requests[tenant]
             slot_stats = (result or {}).get("slots")
             if slot_stats:
                 totals = self._slot_totals
@@ -502,25 +466,6 @@ class SpecializationServer:
                 )
                 totals["samples"] += 1
             self._service_ewma = 0.8 * self._service_ewma + 0.2 * service
-        registry = get_metrics()
-        if registry.enabled:
-            registry.counter(
-                "serve.requests.completed"
-                if error is None
-                else "serve.requests.failed",
-                measured=True,
-            ).inc()
-            registry.histogram("serve.queue_wait_seconds").observe(queue_wait)
-            registry.histogram("serve.service_seconds").observe(service)
-            if be is not None:
-                registry.histogram(
-                    "serve.break_even_seconds", buckets=BREAK_EVEN_BUCKETS
-                ).observe(be)
-            hit_rate = self.store.tenant(tenant).cache.hit_rate
-            registry.gauge(f"serve.tenant.{tenant}.hit_rate").set(
-                round(hit_rate, 6)
-            )
-            registry.gauge(f"serve.tenant.{tenant}.requests").set(tenant_count)
         if error is None:
             response = {
                 "status": "ok",
@@ -535,24 +480,9 @@ class SpecializationServer:
             }
         else:
             response = {"status": "error", "error": error}
-        if request.get("trace_id"):
-            response["trace"] = {
-                "trace_id": request["trace_id"],
-                "span_id": f"{span_id:016x}" if span_id else None,
-            }
         self._reply(ticket.conn, response)
 
     # -- telemetry -----------------------------------------------------------
-    def _count(self, name: str) -> None:
-        registry = get_metrics()
-        if registry.enabled:
-            registry.counter(name, measured=True).inc()
-
-    def _set_gauge(self, name: str, value: float) -> None:
-        registry = get_metrics()
-        if registry.enabled:
-            registry.gauge(name).set(value)
-
     def summary(self, shutdown: str | None = None) -> dict:
         """JSON-safe serve-plane summary (stats op + ledger block)."""
         with self._stats_lock:

@@ -28,7 +28,7 @@ applications of the same tenant* map to one entry. The store proves the
 sharing happens: :meth:`tenant` accepts the requesting application's
 name, the first application to store a key is recorded as its owner, and
 every hit served to a different application increments
-``cross_app_hits`` (and the ``store.cross_app_hits`` metric) — the
+``cross_app_hits`` (reported by :meth:`stats`) — the
 fleet-mix simulator's evidence that one CAD run serves many apps.
 Cross-*tenant* sharing stays off by design: a tenant's candidate
 signatures leak its code structure, so isolation is a correctness
@@ -176,11 +176,6 @@ class SharedBitstreamStore:
     def _count_dedup(self) -> None:
         with self._lock:
             self.dedup_saved += 1
-        from repro.obs import get_metrics
-
-        registry = get_metrics()
-        if registry.enabled:
-            registry.counter("serve.dedup.saved", measured=True).inc()
 
     # -- cross-application attribution ---------------------------------------
     def _note_store(self, tenant: str, key: str, app: str | None) -> None:
@@ -199,11 +194,6 @@ class SharedBitstreamStore:
             if owner is None or owner == app:
                 return
             self.cross_app_hits += 1
-        from repro.obs import get_metrics
-
-        registry = get_metrics()
-        if registry.enabled:
-            registry.counter("store.cross_app_hits", measured=True).inc()
 
     # -- accounting ----------------------------------------------------------
     def stats(self) -> dict:

@@ -86,7 +86,6 @@ def app_context(name: str) -> AppContext:
 
 def parse_specialize_request(message: dict) -> dict:
     """Validate a ``specialize`` request; returns normalized fields."""
-    from repro.serve.protocol import parse_traceparent
     from repro.serve.store import validate_tenant
 
     tenant = validate_tenant(message.get("tenant"))
@@ -104,7 +103,6 @@ def parse_specialize_request(message: dict) -> dict:
         slots = int(slots)
         if slots < 1:
             raise ValueError(f"slots must be >= 1, got {slots}")
-    trace = parse_traceparent(message.get("traceparent"))
     return {
         "tenant": tenant,
         "app": app,
@@ -112,8 +110,6 @@ def parse_specialize_request(message: dict) -> dict:
         "max_blocks": max_blocks,
         "slots": slots,
         "request_id": str(message.get("request_id") or ""),
-        "trace_id": trace["trace_id"] if trace else None,
-        "client_span_id": trace["parent_span_id"] if trace else None,
     }
 
 

@@ -40,9 +40,9 @@ no interpreter of the same module has compiled that exact source
 before: ``Module.code_cache`` maps (source, filename) to the code
 object. The code object is ``exec``'d into a fresh namespace per unit,
 so everything the unit binds (memory, evaluators, the interpreter
-itself) stays this interpreter's own. A block the patcher rewrote,
-metrics or another memory size all change the source, so the cache
-needs no invalidation.
+itself) stays this interpreter's own. A block the patcher rewrote or
+another memory size changes the source, so the cache needs no
+invalidation.
 
 Invariants (pinned against the previous closure interpreter by
 ``tests/test_vm_blockjit.py``):
@@ -67,9 +67,7 @@ Invariants (pinned against the previous closure interpreter by
   the patcher installs evaluators after construction; a ``fold_binary``
   trap becomes ``VMError("fn: ...")``; memory faults go through
   :class:`Memory`'s own check, so every ``MemoryError_`` message is the
-  same;
-- intrinsic-call counting for metrics is decided when a unit is compiled,
-  so the disabled path pays nothing.
+  same.
 
 This is the execution half of the paper's LLVM JIT VM (Figure 1); the
 profiles it records feed the coverage analysis of Section IV-C.
@@ -94,7 +92,6 @@ from repro.ir.passes.constfold import (
     fold_fcmp,
     fold_icmp,
 )
-from repro.obs import get_metrics, metrics_enabled
 from repro.vm.intrinsics import INTRINSICS
 from repro.vm.memory import Memory, MemoryError_, accessor
 from repro.vm.profiler import BlockProfile, ExecutionProfile
@@ -156,10 +153,6 @@ class Interpreter:
         # Compiled-unit cache: entry block -> (profile key, size, unit)
         self._compiled: dict[BasicBlock, tuple] = {}
         self._plans: dict[Function, _FunctionPlan] = {}
-        # Observability: intrinsic-call counts, flushed to the metrics
-        # registry once per run (never touched on the hot path unless
-        # metrics were enabled when the unit was compiled).
-        self._intrinsic_counts: dict[str, int] = {}
 
     @property
     def cycles_executed(self) -> int:
@@ -174,18 +167,6 @@ class Interpreter:
         self._steps = 0
         self._profile = ExecutionProfile(self.module.name)
         value = self._call(func, list(args or []))
-        registry = get_metrics()
-        if registry.enabled:
-            # Counters are flushed once per run (sampled, not per step) so
-            # metrics collection never slows the interpretation loop.
-            registry.counter("vm.runs").inc()
-            registry.counter("vm.instructions").inc(self._steps)
-            registry.counter("vm.block_executions").inc(
-                self._profile.total_block_executions
-            )
-            for name, count in self._intrinsic_counts.items():
-                registry.counter(f"vm.intrinsic.{name}").inc(count)
-            self._intrinsic_counts.clear()
         return ExecutionResult(
             return_value=value,
             profile=self._profile,
@@ -921,9 +902,6 @@ class _BlockCodegen:
             intr = INTRINSICS.get(callee)
             if intr is None:
                 raise VMError(f"unknown intrinsic {callee!r}")
-            if metrics_enabled():
-                counts = self.bind(self.interp._intrinsic_counts)
-                L(f"{counts}[{callee!r}] = {counts}.get({callee!r}, 0) + 1")
             call = f"{self.bind(intr.fn)}({', '.join([self.bind(self.interp), *args])})"
         else:
             call_fn = self.bind(self.interp._call)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.fpga.bitgen import PartialBitstream
-from repro.obs import get_metrics, get_tracer
+from repro.obs import get_tracer
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,6 @@ class IcapModel:
             virtual_seconds=seconds,
             reason=reason,
         )
-        registry = get_metrics()
-        if registry.enabled:
-            registry.counter("icap.reconfigurations").inc()
-            registry.counter("icap.bytes_written").inc(bitstream.size_bytes)
-            registry.histogram("icap.seconds").observe(seconds)
-            if reason == "reload":
-                registry.counter("icap.reloads").inc()
         return ReconfigurationEvent(
             custom_id=custom_id,
             bytes_written=bitstream.size_bytes,

@@ -16,10 +16,9 @@ moves a break-even time measurably (EXPERIMENTS.md, "Workload mixes &
 slot contention").
 
 Observability: every load/evict emits a tracer event carrying the
-physical slot index (the per-slot occupancy timeline), ``slots.*``
-metrics count loads, reloads, hits and evictions, and a residency
-histogram records how many virtual clock ticks each occupant survived
-before eviction.
+physical slot index (the per-slot occupancy timeline); an eviction
+event also records how many virtual clock ticks its occupant survived.
+:meth:`CustomInstructionSlots.stats` counts loads, reloads, hits and evictions.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.fpga.bitgen import PartialBitstream
-from repro.obs import get_metrics, get_tracer
+from repro.obs import get_tracer
 
 
 class SlotError(Exception):
@@ -100,12 +99,6 @@ class CustomInstructionSlots:
             owner=owner,
         )
         self.loads += 1
-        registry = get_metrics()
-        if registry.enabled:
-            registry.counter("slots.loads", measured=True).inc()
-            if reload:
-                registry.counter("slots.reloads", measured=True).inc()
-            registry.gauge("slots.occupancy").set(len(self._slots))
         get_tracer().event(
             "slots.load",
             slot=slot_index,
@@ -125,20 +118,12 @@ class CustomInstructionSlots:
         self.evictions += 1
         self._evicted_ids.add(evicted.custom_id)
         self._free_indices.append(evicted.slot_index)
-        residency = self._clock - evicted.loaded_at
-        registry = get_metrics()
-        if registry.enabled:
-            registry.counter("slots.evictions", measured=True).inc()
-            registry.histogram("slots.residency_ticks").observe(
-                float(residency)
-            )
-            registry.gauge("slots.occupancy").set(len(self._slots))
         get_tracer().event(
             "slots.evict",
             slot=evicted.slot_index,
             custom_id=evicted.custom_id,
             owner=evicted.owner,
-            resident_ticks=residency,
+            resident_ticks=self._clock - evicted.loaded_at,
             use_count=evicted.use_count,
             tick=self._clock,
         )

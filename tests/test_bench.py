@@ -34,6 +34,8 @@ def _fake(gates: dict):
         ["serve", "--backend", "thread"],
         ["analyze", "fft", "--log", "x"],
         ["serve", "--log", "x"],
+        ["analyze", "fft", "--metrics"],
+        ["serve", "--metrics"],
         ["runs", "diff", "latest~1", "latest"],
     ],
 )

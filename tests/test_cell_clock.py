@@ -24,7 +24,6 @@ import pytest
 
 from repro.cli import main
 from repro.experiments import analyze_app
-from repro.obs import disable_metrics, enable_metrics
 from repro.obs.fidelity import fidelity_from_analyses
 from repro.obs.ledger import RunLedger, abandon_run, finish_run, start_run
 from repro.obs.regress import (
@@ -73,10 +72,7 @@ DEFAULT_TOLERANCES: tuple[tuple[str, float | None], ...] = (
     # admission counts' scheduling noise under backpressure.
     ("serve.*slots*", None),
     ("serve.*cross_app*", None),
-    ("metrics.counters.slots.*", None),
-    ("metrics.counters.store.cross_app_hits", None),
     ("serve.*cad_implementations*", None),
-    ("metrics.counters.serve.*", None),
     # Fleet-mix grid (repro mix): the candidate-search wall time is
     # excluded from every charged overhead, so the mix break-even cells
     # are fully virtual-clock and bit-identical — gate them exactly,
@@ -97,7 +93,6 @@ DEFAULT_TOLERANCES: tuple[tuple[str, float | None], ...] = (
     # cold run can race two apps to the same signature — legitimate
     # variation, not a result drift.
     ("cache.*", None),
-    ("metrics.counters.cache.*", None),
     # VM observatory (repro vmprof / bench-vm): opcode and digram
     # *counts* plus the virtual clock are deterministic and fall through
     # to the exact catch-all — that is the bit-identical guarantee VM
@@ -107,17 +102,15 @@ DEFAULT_TOLERANCES: tuple[tuple[str, float | None], ...] = (
     ("vm.wall_seconds", None),
     ("vm.instructions_per_second", None),
     ("vm.sampled.*", None),
+    # Per-app VM work, summed over the data-set runs: deterministic.
+    ("scalars.per_app.*.vm_instructions", 1e-9),
+    ("scalars.per_app.*.vm_block_executions", 1e-9),
     # Single-flight followers: how many requests wait on a leader's CAD
     # run depends on thread interleaving, so the wait span is measured.
     ("stages.store.dedup.wait.*", None),
     ("*", 1e-9),
 )
 
-#: Prepended (after any user tolerances) when the two compared runs used
-#: the persistent bitstream cache differently: a warm run legitimately
-#: skips CAD work, so the per-stage span counts and the implementation
-#: counter become informational. The *results* cells (toolflow seconds,
-#: speedups, break-even) stay gated — cached stage times are bit-identical
 def resolve_tolerance(
     cell: str, tolerances: list[tuple[str, float | None]]
 ) -> float | None:
@@ -146,7 +139,6 @@ def _record_fidelity(ledger: RunLedger) -> None:
 def _record_serve(ledger: RunLedger, store_root) -> None:
     """A daemon run: two requests, then a drain that records the summary."""
     start_run(ledger, command="serve")
-    metrics = enable_metrics()
     try:
         server = SpecializationServer(
             ServerConfig(workers=1, store_root=str(store_root))
@@ -157,9 +149,8 @@ def _record_serve(ledger: RunLedger, store_root) -> None:
             assert client.specialize("acme", "adpcm")["status"] == "ok"
         server.request_shutdown(reason="test")
         server.drain()
-        finish_run(metrics=metrics)
+        finish_run()
     finally:
-        disable_metrics()
         abandon_run()
 
 
@@ -195,11 +186,12 @@ def test_manifests_cover_every_block(manifests):
     }
     assert {cell.split(".")[0] for cell in cells} == {
         "wall_seconds", "status", "stages", "scalars", "fidelity", "cache",
-        "serve", "metrics", "vm", "mix",
+        "serve", "vm", "mix",
     }
     for prefix in (
-        "serve.phases.", "serve.uptime_seconds", "metrics.counters.cache.",
-        "metrics.counters.serve.", "metrics.counters.slots.",
+        "serve.phases.", "serve.uptime_seconds",
+        "scalars.per_app.fft.vm_instructions",
+        "scalars.per_app.fft.vm_block_executions",
     ):
         assert any(cell.startswith(prefix) for cell in cells), prefix
 

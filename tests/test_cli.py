@@ -85,16 +85,20 @@ class TestCommands:
 
 @pytest.mark.trace_smoke
 class TestTraceCommands:
-    def test_jit_trace_metrics_round_trip(self, tmp_path, capsys):
+    def test_jit_trace_round_trip(self, tmp_path, capsys):
         """One embedded app, traced end to end, then replayed."""
+        import re
+
         from repro import obs
 
         trace_file = tmp_path / "out.jsonl"
-        assert main(["jit", "sor", "--trace", str(trace_file), "--metrics"]) == 0
+        assert main(["jit", "sor", "--trace", str(trace_file)]) == 0
         out = capsys.readouterr().out
-        assert f"wrote" in out and "metrics snapshot:" in out
-        assert "vm.instructions" in out
-        assert not obs.tracing_enabled() and not obs.metrics_enabled()
+        assert f"wrote" in out
+        # Each implemented candidate is one CAD run and one ICAP load.
+        implemented = int(re.search(r"custom instructions: (\d+)", out).group(1))
+        assert implemented > 0
+        assert not obs.tracing_enabled()
 
         records = obs.read_jsonl(trace_file)
         assert obs.validate_trace(records) == []
@@ -107,6 +111,12 @@ class TestTraceCommands:
         assert "Per-stage times" in out
         for label in ("C2V", "Syn", "Xst", "Tra", "Map", "PAR", "Bitgen"):
             assert label in out
+        spans = {
+            m.group(1): int(m.group(2))
+            for m in re.finditer(r"^(\S+(?: \[\S+\])?)\s+(\d+)\s", out, re.M)
+        }
+        assert spans["cad.implement"] == implemented
+        assert spans["ICAP [icap.reconfigure]"] == implemented
         assert "pipeline.run" in out  # timeline section
 
     def test_trace_rejects_invalid_file(self, tmp_path, capsys):

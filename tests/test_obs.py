@@ -1,9 +1,8 @@
-"""Tests for the observability layer (repro.obs): tracer, metrics, export."""
+"""Tests for the observability layer (repro.obs): tracer, histogram, export."""
 
 from __future__ import annotations
 
 import io
-import json
 import threading
 import time
 
@@ -11,8 +10,7 @@ import pytest
 
 from repro import obs
 from repro.obs.tracer import NOOP_SPAN, Tracer
-from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.vm import Interpreter
+from repro.obs.metrics import Histogram
 
 
 @pytest.fixture
@@ -22,15 +20,6 @@ def tracer():
         yield obs.enable_tracing()
     finally:
         obs.disable_tracing()
-
-
-@pytest.fixture
-def metrics():
-    """A fresh, enabled global metrics registry; disabled on teardown."""
-    try:
-        yield obs.enable_metrics()
-    finally:
-        obs.disable_metrics()
 
 
 class TestTracer:
@@ -129,87 +118,35 @@ class TestNoOpOverhead:
         per_call = (time.perf_counter() - start) / n
         assert per_call < 5e-6, f"no-op span cost {per_call * 1e6:.2f} µs"
 
-    def test_disabled_metrics_leave_interpreter_untouched(self, fp_kernel):
-        obs.disable_metrics()
-        obs.get_metrics().reset()
-        interp = Interpreter(fp_kernel.module, dataset_size=16, dataset_seed=3)
-        result = interp.run("main")
-        assert result.steps > 0
-        assert interp._intrinsic_counts == {}
-        snap = obs.get_metrics().snapshot()
-        assert snap["counters"] == {} and snap["histograms"] == {}
-
-
 class TestMetrics:
-    def test_counter_gauge_histogram_snapshot(self):
-        reg = MetricsRegistry()
-        reg.counter("runs").inc()
-        reg.counter("runs").inc(2)
-        reg.gauge("occupancy").set(0.75)
-        hist = reg.histogram("seconds", buckets=(1.0, 10.0))
-        for v in (0.5, 5.0, 50.0):
-            hist.observe(v)
-        snap = reg.snapshot()
-        assert snap["counters"]["runs"] == 3
-        assert snap["gauges"]["occupancy"] == 0.75
-        h = snap["histograms"]["seconds"]
-        assert h["count"] == 3
-        assert h["sum"] == pytest.approx(55.5)
-        assert h["min"] == 0.5 and h["max"] == 50.0
-        assert h["buckets"] == {"le_1": 1, "le_10": 1, "inf": 1}
-
-    def test_counter_rejects_negative_increment(self):
-        reg = MetricsRegistry()
-        counter = reg.counter("runs")
-        counter.inc(2)
-        with pytest.raises(ValueError, match="monotonic"):
-            counter.inc(-1)
-        # The failed inc must not have corrupted the count.
-        assert counter.value == 2
-
-    def test_registry_is_thread_safe_under_contention(self):
-        reg = MetricsRegistry()
+    def test_histogram_is_thread_safe_under_contention(self):
+        hist = Histogram("values", buckets=(1.0,))
         threads, per_thread = 8, 2500
         barrier = threading.Barrier(threads)
 
-        def hammer(i: int) -> None:
+        def hammer() -> None:
             barrier.wait()
             for _ in range(per_thread):
-                # All threads hit the same named instruments, so lost
-                # updates would show up as short totals.
-                reg.counter("shared").inc()
-                reg.gauge("last_writer").set(i)
-                reg.histogram("values", buckets=(1.0,)).observe(0.5)
+                # All threads observe into one histogram, so lost updates
+                # would show up as short totals.
+                hist.observe(0.5)
 
-        workers = [
-            threading.Thread(target=hammer, args=(i,)) for i in range(threads)
-        ]
+        workers = [threading.Thread(target=hammer) for _ in range(threads)]
         for w in workers:
             w.start()
         for w in workers:
             w.join()
-        snap = reg.snapshot()
         expected = threads * per_thread
-        assert snap["counters"]["shared"] == expected
-        assert snap["histograms"]["values"]["count"] == expected
-        assert snap["histograms"]["values"]["sum"] == pytest.approx(
-            0.5 * expected
-        )
-        assert snap["gauges"]["last_writer"] in range(threads)
+        h = hist.as_dict()
+        assert h["count"] == expected
+        assert h["buckets"] == {"le_1": expected, "inf": 0}
+        assert h["sum"] == pytest.approx(0.5 * expected)
 
     def test_histogram_bucket_edges(self):
         hist = Histogram("h", buckets=(1.0,))
         hist.observe(1.0)  # on the bound -> first bucket (le semantics)
         hist.observe(1.0001)
         assert hist.bucket_counts == [1, 1]
-
-    def test_registry_reset_and_render(self):
-        reg = MetricsRegistry()
-        reg.counter("a").inc()
-        text = obs.render_snapshot(reg.snapshot())
-        assert "a" in text
-        reg.reset()
-        assert obs.render_snapshot(reg.snapshot()) == "(no metrics recorded)"
 
     def test_percentile_interpolates_within_buckets(self):
         hist = Histogram("h", buckets=(1.0, 10.0, 100.0))
@@ -238,32 +175,21 @@ class TestMetrics:
         for q in (0.0, 0.5, 0.95, 1.0):
             assert hist.percentile(q) == pytest.approx(3.0)
 
-    def test_snapshot_and_render_include_percentiles(self):
-        reg = MetricsRegistry()
-        hist = reg.histogram("seconds", buckets=(1.0, 10.0))
+    def test_as_dict_includes_percentiles(self):
+        hist = Histogram("seconds", buckets=(1.0, 10.0))
         for v in (0.5, 2.0, 5.0):
             hist.observe(v)
-        h = reg.snapshot()["histograms"]["seconds"]
+        h = hist.as_dict()
+        assert h["count"] == 3
+        assert h["sum"] == pytest.approx(7.5)
+        assert h["min"] == 0.5 and h["max"] == 5.0
+        assert h["buckets"] == {"le_1": 1, "le_10": 2, "inf": 0}
         assert h["p50"] == pytest.approx(hist.percentile(0.50))
         assert h["p95"] == pytest.approx(hist.percentile(0.95))
         assert h["p99"] == pytest.approx(hist.percentile(0.99))
-        text = obs.render_snapshot(reg.snapshot())
-        assert "p50=" in text and "p95=" in text and "p99=" in text
-        # Empty histograms render dashes, not crashes.
-        reg2 = MetricsRegistry()
-        reg2.histogram("empty")
-        assert "p50=-" in obs.render_snapshot(reg2.snapshot())
-
-    def test_interpreter_counts_instructions_and_intrinsics(
-        self, fp_kernel, metrics
-    ):
-        interp = Interpreter(fp_kernel.module, dataset_size=16, dataset_seed=3)
-        result = interp.run("main")
-        snap = metrics.snapshot()
-        assert snap["counters"]["vm.instructions"] == result.steps
-        assert snap["counters"]["vm.runs"] == 1
-        assert snap["counters"]["vm.intrinsic.rand"] > 0
-        assert snap["counters"]["vm.intrinsic.print_f64"] == 1
+        # An empty histogram reports no quantiles rather than crashing.
+        empty = Histogram("empty").as_dict()
+        assert empty["p50"] is None and empty["min"] is None
 
 
 class TestExport:
@@ -322,63 +248,6 @@ class TestExport:
         names = {e["name"] for e in doc["traceEvents"]}
         assert "Map" in names  # paper label substituted for cad.map
         assert all(e["dur"] >= 0 for e in doc["traceEvents"])
-
-    def test_chrome_trace_counter_events(self):
-        t = self._sample_tracer()
-        buf = io.StringIO()
-        obs.write_jsonl(t.spans(), buf, epoch=t.epoch)
-        records = obs.read_jsonl(io.StringIO(buf.getvalue()))
-        snapshot = {
-            "counters": {"cache.hits": 3, "cache.misses": 7},
-            "gauges": {"slots.used": 2.0},
-            "histograms": {"ignored": {"count": 1}},
-        }
-        doc = obs.chrome_trace(records, snapshot=snapshot)
-        counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
-        assert {e["cat"] for e in counters} == {"metrics"}
-        extent = max(r.t1 for r in records) * 1e6
-        by_name: dict[str, list] = {}
-        for e in counters:
-            by_name.setdefault(e["name"], []).append(e)
-        # Counters are monotonic-from-zero: a zero sample at the start
-        # and the final value at the trace extent.
-        hits = sorted(by_name["cache.hits"], key=lambda e: e["ts"])
-        assert [(e["ts"], e["args"]["value"]) for e in hits] == [
-            (0.0, 0),
-            (extent, 3),
-        ]
-        # Gauges only get their final sample.
-        assert [(e["ts"], e["args"]["value"]) for e in by_name["slots.used"]] == [
-            (extent, 2.0)
-        ]
-        assert "ignored" not in by_name
-
-    def test_chrome_trace_counter_events_skip_non_numeric(self):
-        records = [obs.SpanRecord("x", 1, None, 0.0, 1.0)]
-        doc = obs.chrome_trace(
-            records, snapshot={"counters": {"bad": "oops"}, "gauges": {}}
-        )
-        assert all(e["ph"] != "C" for e in doc["traceEvents"])
-
-    def test_chrome_trace_without_snapshot_has_no_counters(self):
-        t = self._sample_tracer()
-        buf = io.StringIO()
-        obs.write_jsonl(t.spans(), buf, epoch=t.epoch)
-        records = obs.read_jsonl(io.StringIO(buf.getvalue()))
-        doc = obs.chrome_trace(records, snapshot=None)
-        assert {e["ph"] for e in doc["traceEvents"]} == {"X"}
-
-    def test_write_chrome_trace_embeds_snapshot(self, tmp_path):
-        t = self._sample_tracer()
-        buf = io.StringIO()
-        obs.write_jsonl(t.spans(), buf, epoch=t.epoch)
-        records = obs.read_jsonl(io.StringIO(buf.getvalue()))
-        path = tmp_path / "trace.json"
-        obs.write_chrome_trace(
-            records, path, snapshot={"counters": {"icap.reconfigurations": 3}}
-        )
-        doc = json.loads(path.read_text())
-        assert any(e["ph"] == "C" for e in doc["traceEvents"])
 
     def test_stage_table_and_timeline_render(self):
         t = self._sample_tracer()

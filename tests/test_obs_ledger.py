@@ -52,8 +52,14 @@ def _manifest(run_id="r0001-test", **overrides) -> dict:
                 "virtual_seconds": 0.02,
                 "measured": ["*"],
             },
+            "icap.reconfigure": {
+                "label": "ICAP",
+                "spans": 3,
+                "real_seconds": 0.0001,
+                "virtual_seconds": 0.045,
+                "measured": ["real_seconds"],
+            },
         },
-        "metrics": {"counters": {"icap.reconfigurations": 3}},
         "scalars": {
             "per_app": {
                 "sor": {
@@ -126,7 +132,7 @@ class TestRunLedger:
         assert manifest["schema"] == "repro-run/1"
         for key in (
             "run_id", "timestamp", "command", "argv", "config", "git_rev",
-            "environment", "status", "wall_seconds", "stages", "metrics",
+            "environment", "status", "wall_seconds", "stages",
             "scalars", "fidelity", "artifacts",
         ):
             assert key in manifest
@@ -228,7 +234,7 @@ class TestRegressionSentinel:
         assert cells["wall_seconds"] == 3.5
         assert cells["stages.cad.par.virtual_seconds"] == 1336.9
         assert cells["scalars.per_app.sor.candidates"] == 3.0
-        assert cells["metrics.counters.icap.reconfigurations"] == 3.0
+        assert cells["stages.icap.reconfigure.spans"] == 3.0
 
     def test_median_mad(self):
         median, mad = median_mad([1.0, 2.0, 100.0])
@@ -369,6 +375,23 @@ class TestTraceRecord:
         assert adapt.attrs["custom_instructions"] == 0
         (verify,) = tracer.find("pipeline.verify")
         assert verify.attrs["output_equal"] is True
+
+
+@pytest.mark.parametrize("app", ["fft", "sor"])
+def test_vm_scalars_sum_the_dataset_runs(app):
+    """The per-app VM cells are the instructions and block executions of
+    the app's data-set runs, each run on a freshly compiled module."""
+    from repro.apps import compile_app, get_app
+    from repro.experiments import analyze_app
+    from repro.obs.ledger import scalars_from_analyses
+
+    cells = scalars_from_analyses([analyze_app(app)])["per_app"][app]
+    spec = get_app(app)
+    runs = [compile_app(spec).run(ds) for ds in spec.datasets]
+    assert cells["vm_instructions"] == sum(r.steps for r in runs) > 0
+    assert cells["vm_block_executions"] == sum(
+        r.profile.total_block_executions for r in runs
+    )
 
 
 @pytest.fixture(scope="module")

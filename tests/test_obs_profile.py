@@ -1,4 +1,4 @@
-"""Tests for the analysis layer over the span/metrics substrate:
+"""Tests for the analysis layer over the span substrate:
 
 - :mod:`repro.obs.profile` — profile tree, collapsed stacks, hot paths;
 - :mod:`repro.obs.heat` — per-block heat annotations through the IR printer;

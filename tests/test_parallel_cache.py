@@ -30,7 +30,7 @@ from repro.fpga.device import VIRTEX4_FX20, VIRTEX4_FX100
 from repro.fpga.timingmodel import StageTimes
 from repro.fpga.toolflow import CadToolFlow
 from repro.ise.selection import CandidateSearch
-from repro.obs import disable_metrics, enable_metrics, read_jsonl
+from repro.obs import disable_tracing, enable_tracing, read_jsonl
 from repro.obs.regress import compare_manifests
 
 
@@ -298,26 +298,21 @@ class TestAsipSpWithCacheAndJobs:
     ):
         module, profile, _ = fp_kernel_profile
         root = tmp_path / "bc"
-        registry = enable_metrics()
+        tracer = enable_tracing()
         try:
             cold_cache = PersistentBitstreamCache(root=root)
             r1 = AsipSpecializationProcess(bitstream_cache=cold_cache).run(
                 module, profile
             )
-            cold_cad = registry.snapshot()["counters"].get(
-                "cad.implementations", 0
-            )
+            cold_cad = len(tracer.find("cad.implement"))
 
             warm_cache = PersistentBitstreamCache(root=root)
             r2 = AsipSpecializationProcess(bitstream_cache=warm_cache).run(
                 module, profile
             )
-            warm_cad = (
-                registry.snapshot()["counters"].get("cad.implementations", 0)
-                - cold_cad
-            )
+            warm_cad = len(tracer.find("cad.implement")) - cold_cad
         finally:
-            disable_metrics()
+            disable_tracing()
 
         assert cold_cache.stores > 0 and warm_cache.hits > 0
         # A warm run does strictly less CAD work than a cold one ...
@@ -411,9 +406,9 @@ def _manifest(run_id, cad_virtual, cad_count, cache, ratio=2.0):
                 "spans": 4,
                 "real_seconds": 0.01,
                 "virtual_seconds": cad_virtual,
-            }
+            },
+            "cad.implement": {"label": "cad.implement", "spans": cad_count},
         },
-        "metrics": {"counters": {"cad.implementations": cad_count}},
         "scalars": {"suite": {"asip_ratio": ratio}},
         "cache": {**cache, "measured": ["*"]} if cache else None,
     }
@@ -428,7 +423,7 @@ class TestRegressCacheDemotion:
         assert not report.ok
         assert {d.cell for d in report.regressions} == {
             "stages.cad.map.virtual_seconds",
-            "metrics.counters.cad.implementations",
+            "stages.cad.implement.spans",
         }
 
     def test_cad_cells_demote_when_cache_hits_differ(self):

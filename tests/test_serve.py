@@ -39,15 +39,6 @@ from repro.serve.store import SharedBitstreamStore, validate_tenant
 from repro.serve.worker import execute_specialize, parse_specialize_request
 
 
-@pytest.fixture
-def metrics():
-    """A fresh, enabled global metrics registry; disabled on teardown."""
-    try:
-        yield obs.enable_metrics()
-    finally:
-        obs.disable_metrics()
-
-
 def _request(tenant="acme", app="adpcm", **overrides) -> dict:
     message = {
         "op": "specialize",
@@ -126,7 +117,7 @@ class TestStore:
         assert a.cache.root != b.cache.root
         assert a.cache.contains(key) and not b.cache.contains(key)
 
-    def test_single_flight_runs_cad_once(self, tmp_path, metrics):
+    def test_single_flight_runs_cad_once(self, tmp_path):
         """N concurrent equal-signature requests -> exactly one CAD run."""
         store = SharedBitstreamStore(tmp_path / "store")
         n = 6
@@ -146,16 +137,19 @@ class TestStore:
                 store.release_thread_flights()
 
         threads = [threading.Thread(target=worker) for _ in range(n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        tracer = obs.enable_tracing()
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            obs.disable_tracing()
         assert not errors
         assert len(results) == n
         # adpcm selects exactly one candidate: one builder implements it,
         # every other request observes a cache hit.
-        counters = metrics.snapshot()["counters"]
-        assert counters.get("cad.implementations", 0) == 1
+        assert len(tracer.find("cad.implement")) == 1
         combined = store.combined_stats()
         assert combined["stores"] == 1
         assert combined["misses"] == 1
@@ -574,29 +568,7 @@ class TestBoundedTracer:
 
 
 class TestTracePropagation:
-    def test_traceparent_round_trip(self):
-        from repro.serve.protocol import (
-            mint_trace_id,
-            mint_traceparent,
-            parse_traceparent,
-        )
-
-        tid = mint_trace_id("r0001")
-        assert tid == mint_trace_id("r0001")
-        assert tid != mint_trace_id("r0002")
-        assert len(tid) == 32
-        parsed = parse_traceparent(mint_traceparent(tid, 0x1234))
-        assert parsed == {"trace_id": tid, "parent_span_id": 0x1234}
-        # Malformed headers are best-effort: never an error, just no trace.
-        assert parse_traceparent(None) is None
-        assert parse_traceparent("garbage") is None
-        assert parse_traceparent("00-nothex!-0001-01") is None
-        # A zero parent span id (client had tracing disabled) maps to None.
-        assert parse_traceparent(mint_traceparent(tid, 0))["parent_span_id"] is None
-
     def test_thread_backend_stitches_one_trace(self, tmp_path):
-        from repro.serve.protocol import mint_trace_id
-
         tracer = obs.enable_tracing()
         try:
             srv = SpecializationServer(
@@ -614,22 +586,18 @@ class TestTracePropagation:
                 srv.drain()
         finally:
             obs.disable_tracing()
-        trace_id = mint_trace_id("r0001")
-        assert response["trace"]["trace_id"] == trace_id
-        (client_span,) = tracer.find("serve.client")
-        (request_span,) = tracer.find("serve.request")
+        assert response["request_id"] == "r0001"
+        (run_span,) = tracer.find("serve.run")
         (queue_span,) = tracer.find("serve.queue.wait")
         executes = tracer.find("serve.execute")
-        # Client, server request, queue wait, and CAD execution all carry
-        # the trace id the client minted from the request id.
-        for span in (client_span, request_span, queue_span, *executes):
-            assert span.attrs["trace_id"] == trace_id
-        # Each side learned the other's span id: the traceparent header
-        # carried the client's, the response trace block the server's.
-        assert request_span.attrs["client_span_id"] == client_span.span_id
-        assert (
-            client_span.attrs["server_span_id"] == f"{request_span.span_id:016x}"
-        )
+        # The client and the server side of one exchange pair by request id.
+        clients = {s.attrs["request_id"]: s for s in tracer.find("serve.client")}
+        requests = {s.attrs["request_id"]: s for s in tracer.find("serve.request")}
+        assert clients.keys() == requests.keys() == {"r0001"}
+        client_span, request_span = clients["r0001"], requests["r0001"]
+        assert client_span.attrs["status"] == "ok"
+        # The worker thread parents the request under the daemon's run span.
+        assert request_span.parent_id == run_span.span_id
         # Queue wait and execution are children of the request span, so the
         # stitched tree breaks client wait into queue wait vs CAD.
         assert queue_span.parent_id == request_span.span_id
@@ -770,12 +738,8 @@ class TestSpecializeRetryBackoff:
         # Exponential growth dominates the jitter band: attempt 2's
         # minimum (200ms * 0.5) exceeds attempt 0's maximum (50ms * 1.5).
         assert sleeps[2] > sleeps[0]
-        # Every attempt (including rejected ones) shares one trace id.
-        from repro.serve.protocol import mint_trace_id
-
-        assert {c.get("trace_id") for c in client.calls} == {
-            mint_trace_id("r0042")
-        }
+        # Every attempt (including rejected ones) carries the request id.
+        assert {c.get("request_id") for c in client.calls} == {"r0042"}
 
     def test_backoff_is_deterministic_per_request_identity(self, monkeypatch):
         _, _, first, _ = self._run(monkeypatch, "r0042")
@@ -802,7 +766,8 @@ class TestAbsorbAfterFlush:
         sink = tmp_path / "trace.jsonl"
         tracer = Tracer(enabled=True)
         tracer.configure_flush(sink, max_spans=8)
-        assert len(tracer.absorb(records, parent=None)) == 20
+        tracer.absorb(records, parent=None)
+        assert len(tracer.spans()) + tracer.spans_flushed == 20
         # absorb() appends the whole batch, then enforces the limit once:
         # 20 spans against max_spans=8 evicts down to 8 // 2 = 4 kept,
         # flushing exactly 16 to the sink and dropping none.
@@ -825,7 +790,8 @@ class TestAbsorbAfterFlush:
         records = self._worker_records(20)
         tracer = Tracer(enabled=True)
         tracer.configure_flush(None, max_spans=8)
-        assert len(tracer.absorb(records, parent=None)) == 20
+        tracer.absorb(records, parent=None)
+        assert len(tracer.spans()) + tracer.spans_dropped == 20
         # Same eviction math, but with no sink the overflow is dropped.
         assert tracer.spans_dropped == 16
         assert tracer.spans_flushed == 0

@@ -42,7 +42,6 @@ from repro.ir.passes.constfold import (
 )
 from repro.ir.types import F32, F64, I1, I8, I16, I32, I64, Type, wrap_int
 from repro.ir.values import Constant, GlobalVariable, UndefValue, Value
-from repro.obs import disable_metrics, enable_metrics, get_metrics, metrics_enabled
 from repro.vm.costmodel import PPC405_COST_MODEL, CostModel
 from repro.vm.interpreter import ExecutionResult, Interpreter, VMError, _FunctionPlan
 from repro.vm.intrinsics import INTRINSICS
@@ -124,10 +123,6 @@ class ClosureInterpreter:
         self.custom_evaluators: dict[int, object] = {}
         # Compiled-block cache: id(block) -> (phi_plan, body_handlers)
         self._compiled: dict[int, tuple] = {}
-        # Observability: intrinsic-call counts, flushed to the metrics
-        # registry once per run (never touched on the hot path unless
-        # metrics were enabled when the block was compiled).
-        self._intrinsic_counts: dict[str, int] = {}
 
     # -- public API ----------------------------------------------------------
     def run(self, function_name="main", args=None) -> ExecutionResult:
@@ -136,18 +131,6 @@ class ClosureInterpreter:
         self._steps = 0
         self._profile = ExecutionProfile(self.module.name)
         value = self._call(func, list(args or []))
-        registry = get_metrics()
-        if registry.enabled:
-            # Counters are flushed once per run (sampled, not per step) so
-            # metrics collection never slows the interpretation loop.
-            registry.counter("vm.runs").inc()
-            registry.counter("vm.instructions").inc(self._steps)
-            registry.counter("vm.block_executions").inc(
-                self._profile.total_block_executions
-            )
-            for name, count in self._intrinsic_counts.items():
-                registry.counter(f"vm.intrinsic.{name}").inc(count)
-            self._intrinsic_counts.clear()
         return ExecutionResult(
             return_value=value,
             profile=self._profile,
@@ -467,27 +450,6 @@ class ClosureInterpreter:
                 if intr is None:
                     raise VMError(f"unknown intrinsic {callee!r}")
                 fn = intr.fn
-
-                # Intrinsic-call counting is baked in at block-compile time:
-                # with metrics disabled (the default) the handlers below are
-                # count-free, so observability costs the hot loop nothing.
-                if metrics_enabled():
-                    counts = self._intrinsic_counts
-                    name = callee
-
-                    if has_result:
-
-                        def h(env):
-                            counts[name] = counts.get(name, 0) + 1
-                            env[key] = fn(self, *[g(env) for g in getters])
-
-                    else:
-
-                        def h(env):
-                            counts[name] = counts.get(name, 0) + 1
-                            fn(self, *[g(env) for g in getters])
-
-                    return h
 
                 if has_result:
 
@@ -826,36 +788,6 @@ def test_global_operands_bind_addresses():
     assert new.return_value == 42
 
 
-def test_metrics_enabled_intrinsic_counts():
-    """Intrinsic counting compiled in when metrics are on, counts equal."""
-
-    def build(b):
-        total = b.call("abs", [b.i32(-4)])
-        b.call("print_i32", [total])
-        b.call("print_f64", [b.call("sqrt", [b.f64(2.0)])])
-        b.call("print_i32", [b.call("rand", [])])
-        b.ret(total)
-
-    module = _straightline_module(build)
-    counters = []
-    for cls in (Interpreter, ClosureInterpreter):
-        registry = enable_metrics()
-        try:
-            cls(module).run("main")
-            counters.append(
-                {
-                    name: value
-                    for name, value in registry.snapshot()["counters"].items()
-                    if name.startswith("vm.")
-                }
-            )
-        finally:
-            disable_metrics()
-    assert counters[0] == counters[1]
-    assert counters[0]["vm.intrinsic.print_i32"] == 2
-    run_both(module)
-
-
 # -- trap parity -------------------------------------------------------------------
 def test_trap_parity_division_by_zero():
     def build(b):
@@ -995,8 +927,8 @@ def test_app_train_runs_identical(app):
 # Every interpreter of a module shares one code object per distinct unit
 # source (Module.code_cache). These pin that the dataset runs of one
 # compiled app equal runs on freshly compiled modules, that a patched
-# block or metrics each get code of their own, and that a sampled run
-# reuses the plain run's code.
+# block gets code of its own, and that a sampled run reuses the plain
+# run's code.
 def _counting_compile(monkeypatch) -> list:
     calls = []
     real = builtins.compile
@@ -1068,9 +1000,9 @@ def test_patched_module_misses_the_cache():
     assert_same(reused.module, patched, expected, cost_model)
 
 
-def test_sampled_and_metrics_runs_after_a_plain_run(monkeypatch):
+def test_sampled_run_after_a_plain_run(monkeypatch):
     """A sampled run after a plain one runs its code objects (no compile,
-    no new cache entry) and equals it; a metrics run gets code of its own."""
+    no new cache entry) and equals it."""
     from repro.apps import compile_app, get_app
 
     spec = get_app("fft")
@@ -1085,24 +1017,6 @@ def test_sampled_and_metrics_runs_after_a_plain_run(monkeypatch):
     assert sampler.sample_count > 0
     assert set(sampler.samples) <= set(sampled.profile.blocks)
     assert_same(reused.module, sampled, plain)
-    monkeypatch.undo()
-    outcomes = []
-    for compiled in (reused, compile_app(spec)):
-        registry = enable_metrics()
-        try:
-            counted = compiled.run(spec.datasets[1])
-            counters = {
-                name: value
-                for name, value in registry.snapshot()["counters"].items()
-                if name.startswith("vm.")
-            }
-        finally:
-            disable_metrics()
-        outcomes.append((counted, counters))
-    (counted, counters), expected = outcomes
-    assert_same(reused.module, counted, expected[0])
-    assert counters == expected[1]
-    assert any(name.startswith("vm.intrinsic.") for name in counters)
 
 
 def test_step_limit_trap_leaves_the_next_run_alone():
