@@ -59,13 +59,13 @@ serve-smoke:
 # VM regression leg: record two vmprof runs of one app in the ledger and
 # gate the second against the first — opcode/digram counts and the
 # virtual clock must reproduce exactly (rel 1e-9) while the measured
-# wall/sampler cells stay informational until `--history` noise bands
-# promote them (declared measured by `vm_manifest_block`).
+# wall/sampler cells stay informational (declared measured by
+# `vm_manifest_block`).
 regress-vm:
 	$(PYTHON) -m repro vmprof adpcm --ledger
 	$(PYTHON) -m repro vmprof adpcm --ledger
 	$(PYTHON) -m repro runs list --limit 5
-	$(PYTHON) -m repro regress --baseline latest~1 --history 5
+	$(PYTHON) -m repro regress --baseline latest~1
 
 # Mix regression leg: record two identical runs of the default grid
 # (2 presets x 3 slot counts, LRU slot pool) in the ledger and gate the

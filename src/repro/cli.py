@@ -16,11 +16,11 @@ Commands:
 - ``fidelity`` — compare a run's tables against the paper's published
   values and write a machine-readable ``BENCH_*.json`` report;
 - ``runs list|show|gc`` — inspect or garbage-collect the run
-  ledger (``.repro-runs/``); ``gc`` compacts pruned manifests into
-  ``history.jsonl``;
+  ledger (``.repro-runs/``);
 - ``regress`` — compare the latest recorded run against a baseline run
-  cell-by-cell, exiting non-zero on regression (CI gate); ``--history N``
-  derives measured-cell noise bands from the last N runs;
+  cell-by-cell, exiting non-zero on regression (CI gate); it gates the
+  deterministic cells, while measured (host-clock) cells are
+  informational and timing is judged by ``python -m bench compare``;
 - ``mix`` — sweep the fleet workload-mix grid (mix entropy x slot
   capacity) through the slot-contention simulator, exiting non-zero if
   the most-evicting cell does not reproduce bit-identically;
@@ -450,9 +450,8 @@ def _cmd_runs(args: argparse.Namespace) -> int:
     if args.runs_command == "gc":
         from repro.obs.ledger import prune_runs
 
-        compact = not args.no_compact
         try:
-            removed = prune_runs(ledger, args.keep, compact=compact)
+            removed = prune_runs(ledger, args.keep)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -460,13 +459,6 @@ def _cmd_runs(args: argparse.Namespace) -> int:
             print(
                 f"removed {len(removed)} run(s): {', '.join(removed)}"
             )
-            if compact:
-                from repro.obs.history import history_path
-
-                print(
-                    f"compacted {len(removed)} manifest(s) into "
-                    f"{history_path(ledger)}"
-                )
         else:
             print(
                 f"nothing to remove ({len(ledger.run_ids())} run(s) "
@@ -516,29 +508,12 @@ def _cmd_regress(args: argparse.Namespace) -> int:
     except LookupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    noise_bands = None
-    if args.history > 0:
-        from repro.obs.history import collect_entries, derive_noise_bands
-
-        candidate_manifest = ledger.load(current_id)
-        entries = collect_entries(
-            ledger,
-            command=candidate_manifest.get("command"),
-            limit=args.history,
-        )
-        noise_bands = derive_noise_bands(entries)
     report = compare_manifests(
         ledger.load(baseline_id),
         ledger.load(current_id),
         tolerances=tolerances,
-        noise_bands=noise_bands,
     )
     print(report.render(show_all=args.all))
-    if report.noise_banded:
-        print(
-            f"({len(report.noise_banded)} measured cell(s) gated by "
-            f"history-derived noise bands)"
-        )
     for warning in report.config_mismatches:
         print(f"warning: {warning}", file=sys.stderr)
     if not report.ok:
@@ -958,12 +933,6 @@ def build_parser() -> argparse.ArgumentParser:
         "never removed)",
     )
     p_runs_gc.add_argument("--ledger", **ledger_dir_kwargs)
-    p_runs_gc.add_argument(
-        "--no-compact",
-        action="store_true",
-        help="delete pruned runs outright instead of first compacting "
-        "their manifest cells into the ledger's history.jsonl",
-    )
     p_runs.set_defaults(fn=_cmd_runs, trace=None)
     for p in (p_runs_list, p_runs_show, p_runs_gc):
         p.set_defaults(fn=_cmd_runs, trace=None)
@@ -990,15 +959,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATTERN=REL",
         help="override a cell tolerance (REL float, or 'info' to make the "
         "cells informational); repeatable, first match wins",
-    )
-    p_regress.add_argument(
-        "--history",
-        type=int,
-        default=0,
-        metavar="N",
-        help="derive noise bands for measured (informational) cells from "
-        "the last N same-command runs in the ledger history, and gate "
-        "them at median +/- (5%% + 3*MAD) (default: 0 = off)",
     )
     p_regress.add_argument(
         "--all", action="store_true", help="show unchanged cells too"

@@ -19,11 +19,8 @@ evidence on demand:
   becomes a durable ``manifest.json`` (+ its span trace) under
   ``.repro-runs/``;
 - :mod:`repro.obs.regress` — regression sentinel comparing two ledger
-  manifests cell-by-cell under configurable tolerances and
-  history-derived noise bands;
-- :mod:`repro.obs.history` — the cell history every ledger run leaves
-  (live + gc-compacted) and the noise bands the regression sentinel
-  derives from it.
+  manifests cell-by-cell: deterministic cells gated exactly, measured
+  (host-clock) cells informational.
 
 The layers above the substrate are not re-exported here, because they
 import the IR/VM/experiments packages, which themselves import
@@ -86,7 +83,6 @@ from repro.obs.regress import (
     RegressionReport,
     compare_manifests,
     flatten_cells,
-    median_mad,
     parse_tolerances,
 )
 
@@ -140,7 +136,6 @@ __all__ = [
     "get_tracer",
     "Histogram",
     "MANIFEST_SCHEMA",
-    "median_mad",
     "NOOP_SPAN",
     "PAPER_STAGE_LABELS",
     "PAPER_STAGES",

@@ -226,9 +226,6 @@ class RunLedger:
         except OSError as exc:
             raise LookupError(f"no manifest for run {run_id!r}: {exc}") from None
 
-    def manifests(self) -> list[dict]:
-        return [self.load(run_id) for run_id in self.run_ids()]
-
     def resolve(self, spec: str) -> str:
         """Resolve ``latest``, ``latest~N``, an exact id, or a unique prefix."""
         ids = self.run_ids()
@@ -256,18 +253,14 @@ class RunLedger:
         raise LookupError(f"unknown run {spec!r} in ledger {self.path}")
 
     # -- garbage collection --------------------------------------------------
-    def prune(self, keep: int, compact: bool = True) -> list[str]:
+    def prune(self, keep: int) -> list[str]:
         """Delete the oldest finished runs beyond the *keep* newest.
 
         A run that is currently being recorded is never removed: unfinished
         run directories have no manifest (so they are not enumerated), and
         the process-global :func:`current_run` recorder's directory is
-        skipped explicitly as well. Returns the removed run ids.
-
-        With *compact* (the default), each pruned run's flattened manifest
-        cells are first appended to the ledger's ``history.jsonl`` summary
-        (:mod:`repro.obs.history`), so history-derived noise bands
-        survive garbage collection.
+        skipped explicitly as well. Returns the removed run ids; nothing
+        of a pruned run is kept.
         """
         if keep < 0:
             raise ValueError("--keep must be >= 0")
@@ -284,15 +277,6 @@ class RunLedger:
             run_dir = self.run_dir(run_id)
             if active_dir is not None and run_dir.resolve() == active_dir:
                 continue  # refuse to delete the run being recorded
-            if compact:
-                from repro.obs.history import append_history
-
-                try:
-                    manifest = self.load(run_id)
-                except LookupError:
-                    manifest = None
-                if manifest is not None:
-                    append_history(self, [manifest])
             shutil.rmtree(run_dir)
             removed.append(run_id)
         return removed
@@ -526,12 +510,12 @@ def abandon_run() -> None:
 
 
 def prune_runs(
-    ledger: RunLedger | str | os.PathLike, keep: int, compact: bool = True
+    ledger: RunLedger | str | os.PathLike, keep: int
 ) -> list[str]:
     """Delete the oldest ledger runs beyond *keep*; see :meth:`RunLedger.prune`."""
     if not isinstance(ledger, RunLedger):
         ledger = RunLedger(ledger)
-    return ledger.prune(keep, compact=compact)
+    return ledger.prune(keep)
 
 
 # -- ASCII renderings ----------------------------------------------------------

@@ -14,8 +14,9 @@ block such as ``scalars`` or ``vm``) may carry two keys, relative to it:
 - ``measured``: globs naming host-clock cells (wall time, Table II's
   candidate-search milliseconds, serve latencies, cache hits). They are
   informational — reported, never failing — unless ``--tol`` sets a
-  tolerance for them (e.g. ``--tol 'stages.search.*=0.5'``) or
-  ``--history`` noise bands promote them;
+  tolerance for them (e.g. ``--tol 'stages.search.*=0.5'``). Speed is
+  judged by ``python -m bench compare``, whose runs are paired and
+  alternated, never by two unpaired ledger runs;
 - ``tolerance``: ``{glob: rel}`` for modelled cells that fold a measured
   term in, such as break-even times (reproducible to ~1e-6).
 
@@ -26,11 +27,6 @@ declarations apply; a cell only the baseline has keeps the baseline's.
 The rules that compare two runs live here: ``--tol`` patterns win (first
 match), and cells are demoted when the runs used the bitstream cache
 differently or only one of them swept the fleet-mix grid.
-
-Noise bands: with ``--history N`` a measured cell's allowance comes from
-the last N same-command runs, widened by ``3 x MAD`` (median absolute
-deviation), so a flaky cell needs a real shift — not one unlucky
-sample — to fail.
 """
 
 from __future__ import annotations
@@ -52,16 +48,6 @@ EXACT_TOLERANCE = 1e-9
 CACHE_DEMOTED_TOLERANCES: tuple[tuple[str, float | None], ...] = (
     ("stages.cad.*", None),
 )
-
-#: MAD multiplier for the history-derived noise band.
-NOISE_BAND_MADS = 3.0
-
-#: Relative floor applied when a measured cell is promoted to *checked*
-#: by a history-derived noise band (repro regress --history N): the
-#: allowance is ``HISTORY_NOISE_REL_FLOOR * |baseline| + 3 x MAD``, so a
-#: cell whose fleet history happens to be constant still tolerates small
-#: drift instead of becoming an exact gate.
-HISTORY_NOISE_REL_FLOOR = 0.05
 
 #: Manifest config keys that are expected to differ between runs. ``jobs``
 #: and ``cache`` are execution strategy, not experiment configuration: a
@@ -187,21 +173,6 @@ def flatten_cells(manifest: dict) -> dict[str, float]:
     return {name: cell[0] for name, cell in declared_cells(manifest).items()}
 
 
-def median_mad(values: list[float]) -> tuple[float, float]:
-    """Median and median-absolute-deviation of *values* (non-empty)."""
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    median = (
-        ordered[mid] if n % 2 else 0.5 * (ordered[mid - 1] + ordered[mid])
-    )
-    deviations = sorted(abs(v - median) for v in ordered)
-    mad = (
-        deviations[mid] if n % 2 else 0.5 * (deviations[mid - 1] + deviations[mid])
-    )
-    return median, mad
-
-
 @dataclass
 class CellDelta:
     """One cell compared between baseline and candidate manifests."""
@@ -210,7 +181,6 @@ class CellDelta:
     baseline: float | None
     current: float | None
     tolerance: float | None  # None = informational
-    noise: float = 0.0  # MAD of the cell's history-derived noise band
 
     @property
     def abs_delta(self) -> float | None:
@@ -237,7 +207,6 @@ class CellDelta:
         if self.baseline is None or self.current is None:
             return True  # a checked cell appeared or disappeared
         allowance = self.tolerance * max(abs(self.baseline), 1e-12)
-        allowance += NOISE_BAND_MADS * self.noise
         return abs(self.current - self.baseline) > allowance
 
     def describe(self) -> str:
@@ -249,9 +218,7 @@ class CellDelta:
         return (
             f"{self.cell}: baseline {self.baseline:g} -> current "
             f"{self.current:g} (delta {100.0 * rel:+.3f}%, "
-            f"tol {self.tolerance:g}"
-            + (f", noise band {NOISE_BAND_MADS:g}*MAD={self.noise:g}" if self.noise else "")
-            + ")"
+            f"tol {self.tolerance:g})"
         )
 
 
@@ -263,8 +230,6 @@ class RegressionReport:
     current_id: str
     deltas: list[CellDelta] = field(default_factory=list)
     config_mismatches: list[str] = field(default_factory=list)
-    #: Measured cells promoted to checked by history-derived noise bands.
-    noise_banded: list[str] = field(default_factory=list)
 
     @property
     def regressions(self) -> list[CellDelta]:
@@ -327,21 +292,11 @@ def compare_manifests(
     baseline: dict,
     current: dict,
     tolerances: list[tuple[str, float | None]] | None = None,
-    noise_bands: dict[str, dict] | None = None,
 ) -> RegressionReport:
     """Compare *current* against *baseline* cell by cell.
 
     *tolerances* are ``(pattern, rel)`` pairs that override the cells'
     declared tolerances (first match wins; ``rel`` None = informational).
-
-    *noise_bands* maps cell names to ``{"median", "mad", "samples"}``
-    dicts derived from fleet history (:func:`repro.obs.history.
-    derive_noise_bands`). A banded cell that is informational by its
-    declaration or by *tolerances* — not one demoted by the cache or
-    one-sided mix rules — is promoted to *checked* with allowance
-    ``HISTORY_NOISE_REL_FLOOR * |baseline| + 3 x MAD`` — measured-cell
-    tolerances come from observed history instead of hand tuning, while
-    deterministic (virtual-clock) cells keep their exact gates untouched.
     """
     tolerances = list(tolerances or [])
     demoted: list[tuple[str, float | None]] = []
@@ -401,25 +356,12 @@ def compare_manifests(
     for cell in sorted(set(base_cells) | set(cur_cells)):
         base_value, base_declared = base_cells.get(cell, (None, None))
         value, declared = cur_cells.get(cell, (None, base_declared))
-        noise = 0.0
-        tolerance = _first_match(cell, resolved, declared)
-        if (
-            tolerance is None
-            and noise_bands
-            and _first_match(cell, tolerances, declared) is None
-        ):
-            band = noise_bands.get(cell)
-            if band and int(band.get("samples", 0)) >= 2:
-                tolerance = HISTORY_NOISE_REL_FLOOR
-                noise = float(band.get("mad", 0.0))
-                report.noise_banded.append(cell)
         report.deltas.append(
             CellDelta(
                 cell=cell,
                 baseline=base_value,
                 current=value,
-                tolerance=tolerance,
-                noise=noise,
+                tolerance=_first_match(cell, resolved, declared),
             )
         )
     return report

@@ -189,8 +189,8 @@ def vm_manifest_block(prof: VmProfile, top_digrams_n: int = 20) -> dict:
 
     Count cells (steps, opcode/digram counts, virtual clocks) are
     deterministic and gated at 1e-9 by the regression sentinel; the
-    host-clock cells are declared measured (informational until
-    ``--history`` noise bands promote them).
+    host-clock cells are declared measured, so the sentinel reports them
+    as informational and never gates them.
     """
     digrams = {
         "+".join(pair): count

@@ -37,6 +37,8 @@ def _fake(gates: dict):
         ["analyze", "fft", "--metrics"],
         ["serve", "--metrics"],
         ["runs", "diff", "latest~1", "latest"],
+        ["regress", "--history", "5"],
+        ["runs", "gc", "--keep", "1", "--no-compact"],
     ],
 )
 def test_removed_commands_and_options_are_usage_errors(argv):

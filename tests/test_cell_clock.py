@@ -97,8 +97,7 @@ DEFAULT_TOLERANCES: tuple[tuple[str, float | None], ...] = (
     # *counts* plus the virtual clock are deterministic and fall through
     # to the exact catch-all — that is the bit-identical guarantee VM
     # work is gated on. Everything measured on the host clock (run wall
-    # time, sampler attribution) is informational until --history noise
-    # bands promote it.
+    # time, sampler attribution) is informational.
     ("vm.wall_seconds", None),
     ("vm.instructions_per_second", None),
     ("vm.sampled.*", None),

@@ -4,12 +4,15 @@ as its one record."""
 from __future__ import annotations
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from repro import obs
 from repro.obs.ledger import (
     RunLedger,
+    RunRecorder,
     fold_stages,
     render_manifest,
     render_run_list,
@@ -18,10 +21,11 @@ from repro.obs.regress import (
     CellDelta,
     compare_manifests,
     flatten_cells,
-    median_mad,
     parse_tolerances,
 )
 from repro.obs.tracer import Tracer
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _manifest(run_id="r0001-test", **overrides) -> dict:
@@ -236,12 +240,6 @@ class TestRegressionSentinel:
         assert cells["scalars.per_app.sor.candidates"] == 3.0
         assert cells["stages.icap.reconfigure.spans"] == 3.0
 
-    def test_median_mad(self):
-        median, mad = median_mad([1.0, 2.0, 100.0])
-        assert median == 2.0 and mad == 1.0
-        median, mad = median_mad([4.0])
-        assert median == 4.0 and mad == 0.0
-
     def test_identical_manifests_pass(self):
         report = compare_manifests(_manifest(), _manifest(run_id="r0002-test"))
         assert report.ok
@@ -299,7 +297,6 @@ class TestRegressionSentinel:
     @staticmethod
     def _fidelity_block(tmp_path, drift: float = 0.0, cell: str = "") -> dict:
         from repro.obs.fidelity import CellCheck, FidelityReport
-        from repro.obs.ledger import RunRecorder
 
         cells = [
             CellCheck("I/II", "AVG-E", "kernel_size_pct", 26.3, 25.0, "info"),
@@ -511,3 +508,54 @@ class TestCliEndToEnd:
         )
         assert status == 2
         assert "unknown run" in capsys.readouterr().err
+
+
+def _makefile_regress_legs() -> list[list[str]]:
+    """The ``repro regress`` arguments of every Makefile regression leg."""
+    return [
+        shlex.split(line.split("-m repro ", 1)[1])
+        for line in (REPO / "Makefile").read_text().splitlines()
+        if "-m repro regress" in line
+    ]
+
+
+class TestRegressGatesOneClock:
+    """``regress`` gates deterministic cells; host-clock cells are info."""
+
+    @staticmethod
+    def _record(ledger: RunLedger, search_ms: float, candidates: float) -> None:
+        recorder = RunRecorder(
+            ledger=ledger, run_id=ledger.reserve_run("demo"), command="demo"
+        )
+        recorder.attach_scalars(
+            {
+                "search_ms": search_ms,
+                "candidates": candidates,
+                "measured": ["search_ms"],
+            }
+        )
+        recorder.finalize(status=0)
+
+    def test_measured_jitter_is_info_and_exact_drift_fails(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        ledger = RunLedger(tmp_path)
+        # The measured scalar jitters by +/-50 % from run to run.
+        for search_ms in (10.0, 15.0, 10.0, 5.0, 10.0):
+            self._record(ledger, search_ms, candidates=7.0)
+        legs = _makefile_regress_legs()
+        assert len(legs) == 4
+        for argv in legs:
+            assert main([*argv, "--ledger", str(tmp_path)]) == 0
+            (row,) = [
+                line
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith("scalars.search_ms ")
+            ]
+            assert row.split()[-2:] == ["info", "info"]
+
+        self._record(ledger, 10.0, candidates=7.0 * (1.0 + 1e-8))
+        assert main(["regress", "--ledger", str(tmp_path)]) == 1
+        assert "REGRESSION scalars.candidates" in capsys.readouterr().err

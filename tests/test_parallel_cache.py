@@ -435,14 +435,6 @@ class TestRegressCacheDemotion:
         assert report.ok
         # The demotion is surfaced as a (non-fatal) config note.
         assert any("cache" in note for note in report.config_mismatches)
-        # A demoted deterministic cell is not promoted by a noise band.
-        band = {"median": 100.0, "mad": 0.0, "samples": 5}
-        report = compare_manifests(
-            _manifest("a", 100.0, 5, None),
-            _manifest("b", 90.0, 0, warm),
-            noise_bands={"stages.cad.map.virtual_seconds": band},
-        )
-        assert report.ok and not report.noise_banded
 
     def test_demotion_never_covers_result_cells(self):
         warm = {"hits": 22, "misses": 0, "stores": 0, "entries": 21}
