@@ -10,64 +10,74 @@ cycles (and hence virtual seconds) after the run by
 :class:`repro.vm.jitruntime.JitRuntimeModel`. This keeps app runs fast in
 Python while making the reported runtimes deterministic.
 
-Implementation: code is compiled once, lazily, into ``exec``-generated
-Python functions called *units*, one per entry point of the dispatch
-loop (:meth:`Interpreter._call`). Which unit a block gets follows from the
-CFG alone (:class:`_FunctionPlan`):
+Implementation: every IR function is compiled, on its first call, into
+one ``exec``-generated Python function, its **function unit**.
+:meth:`Interpreter._call` checks the arguments, pushes a stack frame and
+calls the unit; there is no dispatch loop. In the unit every SSA value is
+a Python local and every edge between the function's blocks a local
+jump. The layout follows from the CFG alone (:class:`_FunctionPlan`):
+each block is emitted exactly once, by a walk of the dominator tree in
+the manner of Relooper (Zakai, 2011; Ramsey, "Beyond Relooper", 2022):
 
-- the header of an innermost natural loop gets a **loop unit**: the whole
-  loop runs inside one function, its member blocks selected by a small
-  int, with loop-carried phis and values whose defining block dominates
-  the use held in Python locals, block counts in local ints and the step
-  count in a local;
-- every other block gets a **block unit**: its phis resolved for the
-  actual predecessor, its body with block-local values in Python locals.
+- a block with one forward in-edge is emitted inline at that edge;
+- a merge block (two or more forward in-edges) is emitted after its
+  immediate dominator's code, so both arms of an ``if``/``else`` fall
+  through to it; where a jump to it would skip other code, that code is
+  wrapped in a one-pass ``while True:`` left by ``break``;
+- a natural loop becomes ``while True:``, a back edge ``continue``, and
+  the loop's *follow*, the last block in reverse postorder that its
+  members dominate outside it, is emitted after the loop and reached by
+  ``break``;
+- a jump that leaves more than one Python loop sets the ``_go`` state
+  int and breaks out; after each loop it leaves, ``if _go == k:``
+  continues it.
 
-A unit ``unit(env, prev)`` returns ``(exiting_block, next_block)`` or
-``(_RETURN, value)``. The dispatch loop counts the block it enters, adds
-its static size to the step count, checks the step limit and calls the
-unit; a loop unit does the same accounting itself for every block it
-enters internally. Both unit kinds share :class:`_BlockCodegen`'s
-per-instruction emitter; only phi moves, terminators and accounting
-differ. Each unit's ``exec`` namespace binds ``_KEYS``, the profile
-keys of the blocks it runs (the members in ``state`` order for a loop
-unit), which is how :class:`repro.vm.profiler.BlockTimeSampler` names
-the block an interrupted unit frame is in: the units carry no sampling
-code, so a sampled and a plain run execute the same code objects.
+An irreducible CFG, or one whose structured code would pass CPython's 20
+statically nested blocks or 100 indentation levels, is emitted as one
+``while True:`` over a ``state`` int that selects the block instead.
+
+Each edge carries the block accounting: the entered block's local count
+(its profile entry inserted at its first execution, so key order stays
+first-execution order), ``steps += size`` and the step-limit check, then
+the target's phi moves as one parallel assignment. Counts and the step
+count are flushed in ``finally``, traps included. Each unit's ``exec``
+namespace binds ``_LINES``, the profile key of every source line, which
+is how :class:`repro.vm.profiler.BlockTimeSampler` names the block an
+interrupted unit frame is in: the units carry no sampling code, so a
+sampled and a plain run execute the same code objects.
 
 Each interpreter generates its units' source, but compiles it only if
 no interpreter of the same module has compiled that exact source
 before: ``Module.code_cache`` maps (source, filename) to the code
 object. The code object is ``exec``'d into a fresh namespace per unit,
-so everything the unit binds (memory, evaluators, the interpreter
-itself) stays this interpreter's own. A block the patcher rewrote or
-another memory size changes the source, so the cache needs no
-invalidation.
+so everything the unit binds (memory, evaluators) stays this
+interpreter's own. The interpreter itself is the unit's first argument,
+``_I``, not a binding, so units and interpreter form no reference cycle:
+an interpreter, and its memory image, is freed as soon as its caller
+drops it. A block the patcher rewrote or another memory size changes
+the source, so the cache needs no invalidation.
 
 Invariants (pinned against the previous closure interpreter by
 ``tests/test_vm_blockjit.py``):
 
 - return values, ``output`` and ``steps`` are bit-identical;
 - every block count is identical and ``ExecutionProfile.blocks`` keeps
-  first-execution *key order* — a loop unit inserts a block's entry at
-  its first execution and flushes its local counts on every exit, traps
-  included — because ``total_cycles`` sums floats in dict order, so the
-  virtual clock is bit-identical too;
-- the step-limit trap fires on the same block, after counting it; a loop
-  unit publishes its step count to ``_steps`` before every call, so
-  ``clock()`` and callees see the same count as before;
+  first-execution *key order*, because ``total_cycles`` sums floats in
+  dict order, so the virtual clock is bit-identical too;
+- the step-limit trap fires on the same block, after counting it; a unit
+  stores its step count to ``_steps`` before every call, so ``clock()``
+  and callees see the same count as before;
 - ``cycles_executed`` (what ``clock()`` reads) is the steps of every run
   so far;
-- only the SSA results some unit reads from ``env`` are stored there
-  (:attr:`_FunctionPlan.published`); every read that is not a local still
-  goes through ``env``, so error behaviour is unchanged: an undefined
-  value raises ``VMError("use of undefined value %name")`` (the missing
-  ``env`` key is mapped to its name through a table bound at compile
-  time); a CUSTOM instruction looks its evaluator up at run time, because
-  the patcher installs evaluators after construction; a ``fold_binary``
-  trap becomes ``VMError("fn: ...")``; memory faults go through
-  :class:`Memory`'s own check, so every ``MemoryError_`` message is the
-  same.
+- error behaviour is unchanged: reading a value whose definition did not
+  run raises ``UnboundLocalError``, which the unit maps, through the
+  ``_NAMES`` table bound at code generation, to ``VMError("use of
+  undefined value %name")``; a CUSTOM instruction looks its evaluator up
+  at run time, because the patcher installs evaluators after
+  construction; a ``fold_binary`` trap becomes ``VMError("fn: ...")``;
+  memory faults go through :class:`Memory`'s own check, so every
+  ``MemoryError_`` message is the same; a block that cannot be compiled
+  raises its ``VMError`` when it is first entered, uncounted.
 
 This is the execution half of the paper's LLVM JIT VM (Figure 1); the
 profiles it records feed the coverage analysis of Section IV-C.
@@ -84,7 +94,7 @@ from repro.ir.function import Function
 from repro.ir.instructions import Instruction
 from repro.ir.module import Module
 from repro.ir.opcodes import BINARY_OPS, CAST_OPS, FCmpPred, ICmpPred, Opcode
-from repro.ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
+from repro.ir.values import Constant, GlobalVariable, UndefValue, Value
 from repro.ir.passes.constfold import (
     ConstantFoldError,
     fold_binary,
@@ -109,10 +119,6 @@ class ExecutionResult:
     profile: ExecutionProfile
     output: list = field(default_factory=list)
     steps: int = 0
-
-
-# First element of the control tuple a unit returns for a function return.
-_RETURN = object()
 
 
 def _step_limit_error(max_steps: int, fname: str) -> VMError:
@@ -150,9 +156,8 @@ class Interpreter:
         # Custom-instruction evaluators installed by the binary patcher:
         # custom_id -> callable(list_of_operand_values) -> value
         self.custom_evaluators: dict[int, object] = {}
-        # Compiled-unit cache: entry block -> (profile key, size, unit)
-        self._compiled: dict[BasicBlock, tuple] = {}
-        self._plans: dict[Function, _FunctionPlan] = {}
+        # Function units, compiled on first call.
+        self._units: dict[Function, object] = {}
 
     @property
     def cycles_executed(self) -> int:
@@ -163,6 +168,10 @@ class Interpreter:
     def run(self, function_name: str = "main", args: list | None = None) -> ExecutionResult:
         """Execute *function_name* to completion and return its result."""
         func = self.module.function(function_name)
+        if not func.is_declaration and func not in self._units:
+            # Outside _generate's frame: no unit runs yet, so the sampler
+            # charges the entry function's generation to no block.
+            self._units[func] = _FunctionCodegen(self, func).compile()
         self._steps_before += self._steps
         self._steps = 0
         self._profile = ExecutionProfile(self.module.name)
@@ -182,81 +191,39 @@ class Interpreter:
             raise VMError(
                 f"{func.name}: expected {len(func.args)} args, got {len(args)}"
             )
+        unit = self._units.get(func)
+        if unit is None:
+            unit = self._units[func] = _generate(self, func)
         frame_token = self.memory.push_frame()
-        env: dict[int, object] = {}
-        for formal, actual in zip(func.args, args):
-            env[id(formal)] = actual
-
-        block = func.entry
-        prev = None
-        fname = func.name
-        compiled = self._compiled
-        max_steps = self.max_steps
-        blocks = self._profile.blocks
-
         try:
-            while True:
-                plan = compiled.get(block)
-                if plan is None:
-                    plan = compiled[block] = self._compile(func, block)
-                key, size, unit = plan
-
-                # A block's first execution inserts its key, which fixes the
-                # profile's key order.
-                prof = blocks.get(key)
-                if prof is None:
-                    blocks[key] = BlockProfile(fname, block.name, 1, size)
-                else:
-                    prof.count += 1
-                steps = self._steps + size
-                self._steps = steps
-                if steps > max_steps:
-                    raise _step_limit_error(self.max_steps, fname)
-
-                prev, block = unit(env, prev)
-                if prev is _RETURN:
-                    return block
+            return unit(self, *args)
         except MemoryError_ as exc:
-            raise VMError(f"{fname}: {exc}") from None
+            raise VMError(f"{func.name}: {exc}") from None
         finally:
             self.memory.pop_frame(frame_token)
 
-    def _compile(self, func: Function, block: BasicBlock):
-        """Compile the unit entered at *block* into ``(key, size, unit)``.
 
-        ``size`` is the block's static instruction count (phis and the
-        terminator included): the unit of step and cycle accounting.
-        """
-        plan = self._plans.get(func)
-        if plan is None:
-            plan = self._plans[func] = _FunctionPlan(func)
-        codegen = _BlockCodegen(self, func.name, plan)
-        loop = plan.loops.get(block)
-        unit = codegen.compile_block(block) if loop is None else codegen.compile_loop(loop)
-        return ((func.name, block.name), len(block.instructions), unit)
+# Runs the code generator in a frame whose globals bind ``_LINES``.
+_GENERATE = compile(
+    "def generate(interp, func):\n    return _FunctionCodegen(interp, func).compile()\n",
+    "<generate>",
+    "exec",
+)
 
 
-# -- which values live where --------------------------------------------------------
-def _is_ssa(value: Value) -> bool:
-    """Whether *value* is computed at run time (else it is inlined)."""
-    return not isinstance(value, (Constant, GlobalVariable, UndefValue))
+def _generate(interp: Interpreter, func: Function):
+    """*func*'s unit, generated under a frame that charges its every line
+    to *func*'s entry block: the sampler counts a callee's generation as
+    the callee's time, not the calling block's."""
+    namespace = {
+        "_LINES": ((func.name, func.entry.name),) * 3,
+        "_FunctionCodegen": _FunctionCodegen,
+    }
+    exec(_GENERATE, namespace)
+    return namespace.pop("generate")(interp, func)
 
 
-def _body_env_reads(block: BasicBlock, available: set[int]) -> set[int]:
-    """Operands of *block*'s non-phi instructions that are neither in
-    *available* nor defined earlier in the block."""
-    available = available | {id(phi) for phi in block.phis()}
-    reads: set[int] = set()
-    for instr in block.instructions[len(block.phis()) :]:
-        for value in instr.operands:
-            if _is_ssa(value) and id(value) not in available:
-                reads.add(id(value))
-        if instr.has_result:
-            available.add(id(instr))
-    return reads
-
-
-def _incoming(phi, pred: BasicBlock) -> Value | None:
+def _incoming(phi, pred: BasicBlock | None) -> Value | None:
     """The value *phi* takes coming from *pred* (the last entry wins)."""
     value = None
     for candidate, block in phi.incoming:
@@ -265,108 +232,54 @@ def _incoming(phi, pred: BasicBlock) -> Value | None:
     return value
 
 
-class _LoopPlan:
-    """One innermost natural loop compiled as a unit.
-
-    ``members`` are in reverse postorder, so the header comes first and
-    every block follows the members that dominate it. ``prefetch`` lists
-    the values defined outside the loop, by a block dominating the header
-    (or as arguments), that the loop reads: they are read from ``env``
-    once per entry. ``available[id(block)]`` holds the values that are
-    Python locals when *block* starts: the prefetched ones and the results
-    of the members strictly dominating it, which ran earlier in the same
-    iteration.
-    """
-
-    def __init__(self, cfg: ControlFlowInfo, members: list[BasicBlock]) -> None:
-        self.members = members
-        self.header = header = members[0]
-        self.ids = ids = {id(block) for block in members}
-
-        def defined_outside(value: Value) -> bool:
-            return isinstance(value, Argument) or (
-                isinstance(value, Instruction)
-                and id(value.parent) not in ids
-                and cfg.dominates(value.parent, header)
-            )
-
-        self.prefetch: list[Value] = []
-        seen: set[int] = set()
-        for block in members:
-            for instr in block.instructions:
-                if instr.opcode is Opcode.PHI:
-                    used = [v for v, inc in instr.incoming if id(inc) in ids]
-                else:
-                    used = instr.operands
-                for value in used:
-                    if id(value) not in seen and defined_outside(value):
-                        seen.add(id(value))
-                        self.prefetch.append(value)
-
-        results = {
-            id(block): {id(instr) for instr in block.instructions if instr.has_result}
-            for block in members
-        }
-        # The members strictly dominating a member are its dominator-tree
-        # ancestors below the header, and the header itself.
-        self.available: dict[int, set[int]] = {}
-        for block in members:
-            available = set(seen)
-            node = block
-            while node is not header:
-                node = cfg.immediate_dominator(node)
-                available |= results[id(node)]
-            self.available[id(block)] = available
-
-        # Values this unit reads from env.
-        self.env_reads = set(seen)
-        for phi in header.phis():
-            for value, inc in phi.incoming:
-                if id(inc) not in ids and _is_ssa(value):
-                    self.env_reads.add(id(value))
-        for block in members:
-            self.env_reads |= _body_env_reads(block, self.available[id(block)])
-            at_end = self.available[id(block)] | results[id(block)]
-            for succ in block.successors:
-                if id(succ) not in ids:
-                    continue
-                for phi in succ.phis():
-                    value = _incoming(phi, block)
-                    if value is not None and _is_ssa(value) and id(value) not in at_end:
-                        self.env_reads.add(id(value))
-
-
 class _FunctionPlan:
-    """The unit layout of one function, derived from its CFG alone.
+    """The control-flow facts a function unit is laid out from.
 
-    ``loops`` maps the header of every innermost natural loop (one that
-    contains no other loop's header) to its :class:`_LoopPlan`; every other
-    reachable block is a block unit. ``published`` holds the ids of the
-    values some unit reads from ``env``: a block unit reads every phi
-    incoming and every operand not defined earlier in its own block, a
-    loop unit what :class:`_LoopPlan` says. Only those are stored.
+    ``rpo`` lists the reachable blocks in reverse postorder and ``index``
+    numbers them by it; ``children`` holds every block's dominator-tree
+    children in that order. ``merges`` are the ids of the blocks with two
+    or more forward in-edges. ``loops`` maps each natural loop's header to
+    the ids of its members. ``follows`` maps a header's id to the block
+    emitted after its loop: of the blocks that loop members immediately
+    dominate outside the loop and no enclosing loop claimed, the last in
+    reverse postorder, which no other of them can jump to; ``claimed``
+    holds the follows' ids. ``reducible`` is whether every retreating
+    edge is a back edge.
     """
 
     def __init__(self, func: Function) -> None:
         cfg = ControlFlowInfo(func)
-        headers = {id(loop.header) for loop in cfg.loops}
-        self.loops: dict[BasicBlock, _LoopPlan] = {}
-        in_loops: set[int] = set()
-        for loop in cfg.loops:
-            if any(h in loop.blocks for h in headers if h != id(loop.header)):
-                continue  # not innermost
-            members = [block for block in cfg.rpo if id(block) in loop.blocks]
-            self.loops[loop.header] = _LoopPlan(cfg, members)
-            in_loops |= loop.blocks
-
-        self.published: set[int] = set()
-        for block in cfg.rpo:
-            if id(block) not in in_loops:
-                for phi in block.phis():
-                    self.published.update(id(v) for v in phi.operands if _is_ssa(v))
-                self.published |= _body_env_reads(block, set())
-        for loop in self.loops.values():
-            self.published |= loop.env_reads
+        self.rpo = cfg.rpo
+        self.index = index = {id(block): i for i, block in enumerate(self.rpo)}
+        self.children: dict[int, list[BasicBlock]] = {key: [] for key in index}
+        for block in self.rpo[1:]:
+            self.children[id(cfg.immediate_dominator(block))].append(block)
+        forward = dict.fromkeys(index, 0)
+        self.reducible = True
+        for block in self.rpo:
+            for succ in dict.fromkeys(block.successors):
+                if index[id(succ)] > index[id(block)]:
+                    forward[id(succ)] += 1
+                elif not cfg.dominates(succ, block):
+                    self.reducible = False
+        self.merges = {key for key, count in forward.items() if count > 1}
+        self.loops = {loop.header: loop.blocks for loop in cfg.loops}
+        self.follows: dict[int, BasicBlock] = {}
+        claimed: set[int] = set()
+        for header in sorted(self.loops, key=lambda h: index[id(h)]):
+            members = self.loops[header]
+            outside = [
+                child
+                for block in self.rpo
+                if id(block) in members
+                for child in self.children[id(block)]
+                if id(child) not in members and id(child) not in claimed
+            ]
+            if outside:
+                follow = max(outside, key=lambda b: index[id(b)])
+                claimed.add(id(follow))
+                self.follows[id(header)] = follow
+        self.claimed = claimed
 
 
 # -- unit code generation -------------------------------------------------------
@@ -390,6 +303,11 @@ _ICMP_FAST = {
     ICmpPred.EQ: "==",
     ICmpPred.NE: "!=",
 }
+# CPython allows 20 statically nested blocks and 100 indentation levels.
+# A unit spends three blocks on try statements (its own two and one a
+# folded instruction opens) and up to four levels around its items.
+_MAX_LOOPS = 17
+_MAX_INDENT = 95
 
 
 def _wrap_lines(res: str, bits: int) -> list[str]:
@@ -401,44 +319,52 @@ def _wrap_lines(res: str, bits: int) -> list[str]:
     return [f"{res} &= {mask}", f"if {res} >= {half}: {res} -= {1 << bits}"]
 
 
-def _phi_preds(phis) -> list[BasicBlock]:
-    """The predecessors *phis* name, in order of first appearance."""
-    preds: list[BasicBlock] = []
-    for phi in phis:
-        for _, inc in phi.incoming:
-            if not any(inc is p for p in preds):
-                preds.append(inc)
-    return preds
+class _FunctionCodegen:
+    """Generates the source of one function unit and compiles it.
 
+    Objects the code needs (evaluators, types, memory functions) are
+    bound by name in the ``exec`` namespace; integer constants, global
+    addresses and profile keys are literals; the interpreter is the
+    unit's first argument, ``_I``.
 
-class _BlockCodegen:
-    """Generates the source of one unit and compiles it.
-
-    Objects the code needs (evaluators, types, global addresses, memory
-    functions, successor blocks) are bound by name in the ``exec``
-    namespace; integer constants and ``env`` keys are literals. A value
-    in ``_available`` is read from its Python local, any other computed
-    value from ``env``.
+    Generation has two steps. :meth:`node`, :meth:`within` and
+    :meth:`branch` turn the CFG into *items*: ``("line", key, text)``,
+    ``("if", key, cond, then, else)``,
+    ``("loop", key, target, body, after)``, ``("block", key, target,
+    body)`` (a Relooper block: a jump to *target* goes to its end),
+    ``("jump", key, target, follow)`` and ``("switch", cases)``. A target is
+    ``("loop", id(header))`` or ``("block", id(block))``; *follow* is the
+    target that control reaches by falling off the end of the code around
+    the jump. :meth:`render` then writes the Python statements, choosing
+    for every jump between falling through, ``continue``, ``break`` and
+    the ``_go`` state int.
     """
 
-    def __init__(self, interp: Interpreter, fname: str, plan: _FunctionPlan) -> None:
+    def __init__(self, interp: Interpreter, func: Function) -> None:
         self.interp = interp
-        self.fname = fname
-        self.published = plan.published
+        self.func = func
+        self.fname = func.name
+        self.plan = _FunctionPlan(func)
         self.lines: list[str] = []
-        # id(value) -> name, for values read from env: a missing key
-        # becomes "use of undefined value %name".
-        self._names: dict[int, str] = {}
+        # Python local -> IR value name, for the undefined-value trap.
+        self._names: dict[str, str] = {}
         self.namespace: dict[str, object] = {
             "_VME": VMError,
             "_NAMES": self._names,
-            "_RETURN": _RETURN,
+            "_CALL": Interpreter._call,
+            "_BP": BlockProfile,
+            "_SLE": _step_limit_error,
         }
         self._bound: dict[int, str] = {}
         self._local_names: dict[int, str] = {}
-        self._available: set[int] = set()
-        # Loop units keep the step count in a local; calls must see it.
-        self._in_loop = False
+        self.counters = {id(b): f"n{i}" for i, b in enumerate(self.plan.rpo)}
+        # id(block) -> its body's source lines, or the message of the
+        # fault that compiling it raised.
+        self.bodies: dict[int, list | str] = {}
+        self.flat_mode = not self.plan.reducible
+        self.emulated: set[tuple] = set()
+        # The blocks and the loops' exits open around the item being built.
+        self.open: list[tuple] = []
 
     # -- bindings ----------------------------------------------------------
     def bind(self, obj: object) -> str:
@@ -450,16 +376,15 @@ class _BlockCodegen:
         return name
 
     def local(self, value: Value) -> str:
-        """The Python local holding *value* in this unit."""
+        """The Python local holding *value*."""
         name = self._local_names.get(id(value))
         if name is None:
             name = self._local_names[id(value)] = f"v{len(self._local_names)}"
+            self._names[name] = getattr(value, "name", "?")
         return name
 
     def operand(self, value: Value) -> str:
         """Expression for one operand."""
-        if id(value) in self._available:
-            return self.local(value)
         if isinstance(value, Constant):
             v = value.value
             return repr(v) if type(v) is int else self.bind(v)
@@ -469,219 +394,308 @@ class _BlockCodegen:
             return repr(value.address)
         if isinstance(value, UndefValue):
             return "0.0" if value.type.is_float else "0"
-        self._names[id(value)] = getattr(value, "name", "?")
-        return f"env[{id(value)}]"
+        return self.local(value)
 
-    def define(self, value: Value) -> None:
-        """*value* was just assigned to its local: publish it if read from env."""
-        self._available.add(id(value))
-        if id(value) in self.published:
-            self.lines.append(f"env[{id(value)}] = {self.local(value)}")
-
-    def finish(self, kind: str, lines: list[str]) -> object:
-        """Wrap *lines* in ``unit(env, prev)`` with the undefined-value trap."""
-        body = "\n".join(f"        {line}" for line in lines)
-        source = (
-            "def unit(env, prev):\n"
-            "    try:\n"
-            f"{body}\n"
-            "    except KeyError as exc:\n"
-            "        key = exc.args[0] if exc.args else None\n"
-            "        if type(key) is int and key in _NAMES:\n"
-            '            raise _VME("use of undefined value %" + _NAMES[key]) '
-            "from None\n"
-            "        raise\n"
+    # -- the unit ------------------------------------------------------------
+    def compile(self):
+        """Generate, compile (or fetch from the code cache) and bind the unit."""
+        params = ", ".join(["_I"] + [self.local(arg) for arg in self.func.args])
+        for block in self.plan.rpo:
+            self.bodies[id(block)] = self.emit_body(block)
+        entry = self.func.entry
+        entry_key = (self.fname, entry.name)
+        rendered = None
+        if not self.flat_mode:
+            # The walk recurses once per nesting level, as the code does:
+            # too deep for the stack is too deep for CPython's compiler.
+            try:
+                rendered = self.render(self.edge(None, entry) + self.node(entry, None))
+            except RecursionError:
+                pass
+        if rendered is None:
+            self.flat_mode = True
+            cases = [((self.fname, x.name), self.within(x, [], None)) for x in self.plan.rpo]
+            loop = ("loop", entry_key, None, [("switch", cases)], None)
+            rendered = self.render(self.edge(None, entry) + [loop])
+        body, keys = rendered
+        counters = list(self.counters.values())
+        head = [
+            f"def unit({params}):",
+            "    steps = _I._steps",
+            "    blocks = _I._profile.blocks",
+            "    limit = _I.max_steps",
+            f"    {' = '.join(counters)} = _go = state = 0",
+            "    try:",
+        ]
+        tail = [
+            "    except UnboundLocalError as exc:",
+            "        if exc.__traceback__.tb_next is None:",
+            '            raise _VME("use of undefined value %" + '
+            "_NAMES[str(exc).split(\"'\")[1]]) from None",
+            "        raise",
+            "    finally:",
+            # A callee that trapped has already counted past `steps`.
+            "        if steps > _I._steps:",
+            "            _I._steps = steps",
+        ]
+        for block in self.plan.rpo:
+            n = self.counters[id(block)]
+            key = (self.fname, block.name)
+            tail.append(f"        if {n}: blocks[{key!r}].count += {n}")
+        source = "\n".join(head + body + tail) + "\n"
+        # Line numbers are 1-based; the lines around the blocks' code are
+        # charged to the entry block.
+        self.namespace["_LINES"] = (
+            (entry_key,) * (len(head) + 1) + tuple(keys) + (entry_key,) * len(tail)
         )
         # The code object is a pure function of the source and its label,
         # so every interpreter of the module shares it; the namespace, and
         # with it every per-interpreter object, is this unit's own.
-        key = (source, f"<{kind} {self.fname}>")
+        key = (source, f"<unit {self.fname}>")
         cache = self.interp.module.code_cache
         code = cache.get(key)
         if code is None:
             code = cache[key] = compile(source, key[1], "exec")
         exec(code, self.namespace)
-        return self.namespace["unit"]
+        # Popped, so that the unit and its globals form no cycle: an
+        # interpreter, and its memory image, is freed when it is dropped.
+        return self.namespace.pop("unit")
 
-    def sync(self, load: bool) -> list[str]:
-        """A loop unit's step count stored to the interpreter, or with
-        *load* read back from it."""
-        owner = f"{self.bind(self.interp)}._steps"
-        return [f"steps = {owner}" if load else f"{owner} = steps"]
+    # -- rendering -----------------------------------------------------------
+    def render(self, items: list):
+        """The source lines of *items* and the profile key of each, or None
+        where they would pass CPython's nesting limits."""
+        self.out: list[str] = []
+        self.keys: list[tuple] = []
+        # One (continue target, break target, pending _go jumps) per
+        # enclosing Python loop.
+        self.frames: list[tuple] = []
+        self.go: dict[tuple, int] = {}
+        self.deepest = self.widest = 0
+        self.put_items(items, 2)
+        if self.deepest > _MAX_LOOPS or self.widest > _MAX_INDENT:
+            return None
+        return self.out, self.keys
 
-    def emit_body(self, block: BasicBlock, terminator) -> None:
-        """Every non-phi instruction; *terminator* emits the last one."""
-        instrs = block.instructions
-        for instr in instrs[len(block.phis()) :]:
-            if instr.is_terminator:
-                terminator(instr)
-            else:
-                self.emit(instr)
-        if not instrs or not instrs[-1].is_terminator:
-            message = f"{self.fname}/{block.name}: fell off block end"
-            self.lines.append(f"raise _VME({message!r})")
+    def put(self, level: int, key: tuple, text: str) -> None:
+        # Levels past the try body are one column each.
+        self.out.append(" " * (level + 6) + text)
+        self.keys.append(key)
 
-    def emit_ret(self, instr: Instruction) -> None:
-        if instr.operands:
-            self.lines.append(f"return (_RETURN, {self.operand(instr.operands[0])})")
+    def put_items(self, items: list, level: int) -> None:
+        self.widest = max(self.widest, level)
+        for item in items:
+            tag = item[0]
+            if tag == "line":
+                self.put(level, item[1], item[2])
+            elif tag == "if":
+                _, key, cond, then, other = item
+                self.put(level, key, f"if {cond}:")
+                self.put_arm(then, level + 1, key)
+                # A then-arm that cannot fall through needs no else.
+                last = self.out[-1]
+                if last[level + 7] != " " and last.lstrip().startswith(
+                    ("return", "continue", "break", "raise")
+                ):
+                    self.put_items(other, level)
+                else:
+                    self.put(level, key, "else:")
+                    self.put_arm(other, level + 1, key)
+            elif tag == "loop" or tag == "block":
+                _, key, target, body = item[:4]
+                if tag == "block" and target not in self.emulated:
+                    self.put_items(body, level)
+                    continue
+                self.put(level, key, "while True:")
+                if tag == "loop":
+                    self.frames.append((target, item[4], {}))
+                else:  # a one-pass loop, left by break
+                    self.frames.append((None, target, {}))
+                    body = body + [("line", key, "break")]
+                self.deepest = max(self.deepest, len(self.frames))
+                self.put_items(body, level + 1)
+                _, after, pending = self.frames.pop()
+                for k, (jkey, jtarget) in pending.items():
+                    self.put(level, jkey, f"if _go == {k}:")
+                    self.put_items([("jump", jkey, jtarget, after, k)], level + 1)
+            elif tag == "jump":
+                self.jump(level, *item[1:])
+            else:  # the switch of the state-int form
+                for index, (key, case) in enumerate(item[1]):
+                    self.put(level, key, f"{'el' if index else ''}if state == {index}:")
+                    self.put_arm(case, level + 1, key)
+
+    def put_arm(self, items: list, level: int, key: tuple) -> None:
+        mark = len(self.out)
+        self.put_items(items, level)
+        if len(self.out) == mark:
+            self.put(level, key, "pass")
+
+    def jump(self, level, key, target, follow, k=None) -> None:
+        """Source jumping to *target* where falling off reaches *follow*;
+        *k* is set where a ``_go`` jump left a loop and continues here."""
+        cont, brk, pending = self.frames[-1] if self.frames else (None, None, None)
+        if target == follow:
+            action = None
+        elif target == cont:
+            action = "continue"
+        elif target == brk:
+            action = "break"
         else:
-            self.lines.append(f"return {self.bind((_RETURN, None))}")
+            if k is None:
+                k = self.go.setdefault(target, len(self.go) + 1)
+                self.put(level, key, f"_go = {k}")
+            pending[k] = (key, target)
+            self.put(level, key, "break")
+            return
+        if k is not None:
+            self.put(level, key, "_go = 0")
+        if action is not None:
+            self.put(level, key, action)
 
-    # -- block unit ----------------------------------------------------------
-    def compile_block(self, block: BasicBlock):
-        self.namespace["_KEYS"] = ((self.fname, block.name),)
-        phis = block.phis()
-        if phis:
-            self.emit_phis(phis, _phi_preds(phis))
+    def emit_body(self, block: BasicBlock) -> list | str:
+        """*block*'s non-phi, non-terminator instructions as source lines,
+        or the message of the fault that compiling them raised."""
+        self.lines = []
+        instrs = block.instructions[len(block.phis()) :]
+        if block.terminator is not None:
+            instrs = instrs[:-1]
+        try:
+            for instr in instrs:
+                self.emit(instr)
+        except VMError as exc:
+            return str(exc)
+        return self.lines
 
-        def terminator(instr: Instruction) -> None:
-            op = instr.opcode
-            if op is Opcode.BR:
-                self.lines.append(f"return {self.bind((block, instr.targets[0]))}")
-            elif op is Opcode.CONDBR:
-                c = self.operand(instr.operands[0])
-                taken = self.bind((block, instr.targets[0]))
-                other = self.bind((block, instr.targets[1]))
-                self.lines.append(f"return {taken} if {c} else {other}")
-            else:
-                self.emit_ret(instr)
-
-        self.emit_body(block, terminator)
-        return self.finish(f"block {block.name} of", self.lines)
-
-    def emit_phis(self, phis, preds: list[BasicBlock]) -> None:
-        # Resolve *phis* for the actual predecessor among *preds*. Every
-        # incoming value is read before any phi is assigned, because none
-        # of them is available as a local yet. A predecessor listed twice
-        # in one phi keeps its last value.
-        L = self.lines.append
-        keyword = "if"
-        for pred in preds:
-            L(f"{keyword} prev is {self.bind(pred)}:")
-            keyword = "elif"
-            for phi in phis:
-                value = _incoming(phi, pred)
-                if value is None:
-                    L("    raise KeyError(prev)")
-                    break
-                L(f"    {self.local(phi)} = {self.operand(value)}")
-        L("else:")
-        L("    raise KeyError(prev)")
-        for phi in phis:
-            self.define(phi)
-
-    # -- loop unit ---------------------------------------------------------------
-    def compile_loop(self, loop: _LoopPlan):
-        """One function running the whole loop until it leaves or returns.
-
-        The dispatch loop has counted the header's first execution; every
-        later block entry inside the loop is counted here in a local int
-        (inserting the block's profile entry at its first execution) and
-        the counts and the step count are flushed by ``finally``.
-        """
-        self._in_loop = True
-        header = loop.header
-        members = loop.members
-        state = {id(block): index for index, block in enumerate(members)}
-        I = self.bind(self.interp)
-        L = self.lines.append
-
-        self.namespace["_KEYS"] = tuple((self.fname, b.name) for b in members)
-        self.lines.extend(self.sync(load=True))
-        phis = header.phis()
-        if phis:
-            outside = [p for p in _phi_preds(phis) if id(p) not in loop.ids]
-            self.emit_phis(phis, outside)
-        for value in loop.prefetch:
-            L(f"{self.local(value)} = {self.operand(value)}")
-        L(f"blocks = {I}._profile.blocks")
-        L(f"limit = {I}.max_steps")
-        L(" = ".join(f"n{index}" for index in range(len(members))) + " = 0")
-        if len(members) > 1:
-            L("state = 0")
-        prologue = self.lines
-
-        def enter(source: BasicBlock, target: BasicBlock) -> list[str]:
-            """Lines taking the edge *source* -> *target*."""
-            if id(target) not in loop.ids:
-                return [f"return {self.bind((source, target))}"]
-            index = state[id(target)]
-            size = len(target.instructions)
-            key = self.bind((self.fname, target.name))
-            lines = [f"n{index} += 1"]
-            if target is not header:
-                lines += [
-                    f"if n{index} == 1 and {key} not in blocks:",
-                    f"    blocks[{key}] = {self.bind(BlockProfile)}"
-                    f"({self.fname!r}, {target.name!r}, 0, {size})",
-                ]
-            lines += [
-                f"steps += {size}",
-                "if steps > limit:",
-                f"    raise {self.bind(_step_limit_error)}(limit, {self.fname!r})",
-            ]
-            # The phi moves, as one parallel assignment.
-            targets, values = [], []
-            for phi in target.phis():
-                value = _incoming(phi, source)
-                if value is None:
-                    return lines + [f"raise KeyError({self.bind(source)})"]
-                targets.append(self.local(phi))
-                values.append(self.operand(value))
+    # -- items -------------------------------------------------------------
+    def edge(self, source, target: BasicBlock) -> list:
+        """Items taking the edge *source* -> *target* up to the jump."""
+        key = (self.fname, target.name)
+        body = self.bodies[id(target)]
+        if isinstance(body, str):
+            return [("line", key, f"raise _VME({body!r})")]
+        n = self.counters[id(target)]
+        size = len(target.instructions)
+        lines = [
+            f"{n} += 1",
+            f"if {n} == 1 and {key!r} not in blocks:",
+            f"    blocks[{key!r}] = _BP({self.fname!r}, {target.name!r}, 0, {size})",
+            f"steps += {size}",
+            "if steps > limit:",
+            f"    raise _SLE(limit, {self.fname!r})",
+        ]
+        # The phi moves, as one parallel assignment.
+        targets, values = [], []
+        for phi in target.phis():
+            value = _incoming(phi, source)
+            if value is None:
+                name = None if source is None else source.name
+                lines.append(f"raise KeyError({name!r})")
+                break
+            targets.append(self.local(phi))
+            values.append(self.operand(value))
+        else:
             if targets:
                 lines.append(f"{', '.join(targets)} = {', '.join(values)}")
-            lines += [
-                f"env[{id(phi)}] = {self.local(phi)}"
-                for phi in target.phis()
-                if id(phi) in self.published
+        return [("line", key, line) for line in lines]
+
+    def node(self, x: BasicBlock, follow) -> list:
+        """Items for *x* and the blocks it dominates, less merges and follows
+        emitted elsewhere. The code after a loop or a Relooper block (its
+        follow or merge) continues the same list, so a run of statements
+        does not recurse."""
+        plan = self.plan
+        items: list = []
+        while True:
+            key = (self.fname, x.name)
+            ys = [
+                y
+                for y in plan.children[id(x)]
+                if id(y) in plan.merges and id(y) not in plan.claimed
             ]
-            if len(members) > 1:
-                lines.append(f"state = {index}")
-            return lines
+            if x in plan.loops:
+                e = plan.follows.get(id(x))
+                after = follow if e is None else ("block", id(e))
+                self.open.append(("exit", after))
+                body = self.within(x, ys, ("loop", id(x)))
+                self.open.pop()
+                items.append(("loop", key, ("loop", id(x)), body, after))
+                if e is None:
+                    return items
+                x = e  # a jump to the follow breaks out of the loop
+            elif ys:
+                y = ys[-1]
+                target = ("block", id(y))
+                self.open.append(target)
+                items.append(("block", key, target, self.within(x, ys[:-1], target)))
+                self.open.pop()
+                x = y
+            else:
+                return items + self.within(x, [], follow)
 
-        branches = []
-        for block in members:
-            self.lines = []
-            self._available = loop.available[id(block)] | {id(p) for p in block.phis()}
+    def within(self, x: BasicBlock, ys: list, follow) -> list:
+        """Ramsey's ``nodeWithin``: *x*'s code, each merge child in *ys*
+        emitted after a block that holds the code before it."""
+        if ys:
+            y = ys[-1]
+            target = ("block", id(y))
+            self.open.append(target)
+            inner = self.within(x, ys[:-1], target)
+            self.open.pop()
+            return [("block", (self.fname, x.name), target, inner)] + self.node(y, follow)
+        key = (self.fname, x.name)
+        body = self.bodies[id(x)]
+        if isinstance(body, str):  # every edge into x raises the fault
+            return []
+        items = [("line", key, line) for line in body]
+        term = x.terminator
+        if term is None:
+            message = f"{self.fname}/{x.name}: fell off block end"
+            return items + [("line", key, f"raise _VME({message!r})")]
+        op = term.opcode
+        if op is Opcode.BR:
+            return items + self.branch(x, term.targets[0], follow)
+        if op is Opcode.CONDBR:
+            cond = self.operand(term.operands[0])
+            taken, other = term.targets
+            if taken is other:
+                return items + [("line", key, cond)] + self.branch(x, taken, follow)
+            return items + [
+                (
+                    "if",
+                    key,
+                    cond,
+                    self.branch(x, taken, follow),
+                    self.branch(x, other, follow),
+                )
+            ]
+        if term.operands:
+            return items + [("line", key, f"return {self.operand(term.operands[0])}")]
+        return items + [("line", key, "return None")]
 
-            def terminator(instr: Instruction, block=block) -> None:
-                op = instr.opcode
-                if op is Opcode.BR:
-                    self.lines.extend(enter(block, instr.targets[0]))
-                elif op is Opcode.CONDBR:
-                    self.lines.append(f"if {self.operand(instr.operands[0])}:")
-                    self.lines.extend(f"    {x}" for x in enter(block, instr.targets[0]))
-                    self.lines.append("else:")
-                    self.lines.extend(f"    {x}" for x in enter(block, instr.targets[1]))
-                else:
-                    self.emit_ret(instr)
-
-            self.emit_body(block, terminator)
-            branches.append(self.lines)
-
-        lines = prologue + ["try:", "    while True:"]
-        if len(branches) == 1:
-            lines.extend(f"        {x}" for x in branches[0])
+    def branch(self, x: BasicBlock, y: BasicBlock, follow) -> list:
+        """Items taking the edge *x* -> *y*: the edge, then *y* inline or a
+        jump to it."""
+        items = self.edge(x, y)
+        plan = self.plan
+        if self.flat_mode:
+            return items + [("line", (self.fname, y.name), f"state = {plan.index[id(y)]}")]
+        if plan.index[id(y)] <= plan.index[id(x)]:
+            target = ("loop", id(y))
+        elif id(y) in plan.merges or id(y) in plan.claimed:
+            target = ("block", id(y))
+            # Unless it falls through, the jump breaks out of a Python
+            # loop: one around it that exits to *y*, else a one-pass loop
+            # wrapped around the code y's block holds.
+            for opened in reversed(self.open if target != follow else ()):
+                if opened == ("exit", target):
+                    break
+                if opened == target:
+                    self.emulated.add(target)
+                    break
         else:
-            for index, branch in enumerate(branches):
-                if index == 0:
-                    lines.append("        if state == 0:")
-                elif index < len(branches) - 1:
-                    lines.append(f"        elif state == {index}:")
-                else:
-                    lines.append("        else:")
-                lines.extend(f"            {x}" for x in branch)
-        lines += [
-            "finally:",
-            # A callee that trapped has already counted past `steps`.
-            f"    if steps > {I}._steps:",
-            f"        {I}._steps = steps",
-        ]
-        for index, block in enumerate(members):
-            key = self.bind((self.fname, block.name))
-            lines.append(f"    if n{index}:")
-            lines.append(f"        blocks[{key}].count += n{index}")
-        return self.finish(f"loop {header.name} of", lines)
+            return items + self.node(y, follow)
+        return items + [("jump", (self.fname, y.name), target, follow)]
 
     # -- instructions --------------------------------------------------------
     def emit(self, instr: Instruction) -> None:
@@ -757,7 +771,6 @@ class _BlockCodegen:
             self.emit_load(res, instr)
         elif op is Opcode.STORE:
             self.emit_store(instr)
-            return
         elif op is Opcode.GEP:
             p, i = (self.operand(o) for o in operands)
             L(f"{res} = {p} + {i} * {instr.elem_size}")
@@ -765,8 +778,7 @@ class _BlockCodegen:
             alloca = self.bind(self.interp.memory.alloca)
             L(f"{res} = {alloca}({instr.elem_size * instr.alloc_count})")
         elif op is Opcode.CALL:
-            if not self.emit_call(res, instr):
-                return
+            self.emit_call(res, instr)
         elif op is Opcode.CUSTOM:
             evaluators = self.bind(self.interp.custom_evaluators)
             cid = instr.custom_id
@@ -777,7 +789,6 @@ class _BlockCodegen:
             L(f"{res} = ev([{args}])")
         else:
             raise VMError(f"cannot interpret opcode {op}")  # pragma: no cover
-        self.define(instr)
 
     def folded_binary(self, res: str, instr: Instruction, a: str, b: str):
         """Source calling fold_binary, its trap raised as a VMError."""
@@ -893,8 +904,7 @@ class _BlockCodegen:
             f"{self.bind(memory.store)}(addr, {self.bind(value.type)}, {v})",
         )
 
-    def emit_call(self, res: str, instr: Instruction) -> bool:
-        """Emit a call; returns whether it produces a result."""
+    def emit_call(self, res: str, instr: Instruction) -> None:
         callee = instr.callee
         args = [self.operand(o) for o in instr.operands]
         L = self.lines.append
@@ -902,13 +912,11 @@ class _BlockCodegen:
             intr = INTRINSICS.get(callee)
             if intr is None:
                 raise VMError(f"unknown intrinsic {callee!r}")
-            call = f"{self.bind(intr.fn)}({', '.join([self.bind(self.interp), *args])})"
+            call = f"{self.bind(intr.fn)}({', '.join(['_I', *args])})"
         else:
-            call_fn = self.bind(self.interp._call)
-            call = f"{call_fn}({self.bind(callee)}, [{', '.join(args)}])"
-        if self._in_loop:
-            self.lines.extend(self.sync(load=False))
+            call = f"_CALL(_I, {self.bind(callee)}, [{', '.join(args)}])"
+        # The unit keeps the step count in a local; calls must see it.
+        L("_I._steps = steps")
         L(f"{res} = {call}" if instr.has_result else call)
-        if self._in_loop and not isinstance(callee, str):
-            self.lines.extend(self.sync(load=True))
-        return instr.has_result
+        if not isinstance(callee, str):
+            L("steps = _I._steps")

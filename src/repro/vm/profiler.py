@@ -23,7 +23,6 @@ import threading
 from dataclasses import dataclass, field
 from time import perf_counter
 
-from repro.ir.basicblock import BasicBlock
 from repro.ir.module import Module
 from repro.ir.opcodes import Opcode
 from repro.vm.costmodel import CostModel
@@ -244,16 +243,17 @@ class BlockTimeSampler:
     Entering arms ``setitimer(ITIMER_REAL)`` every ``interval`` seconds
     under a ``SIGALRM`` handler; leaving disarms it and restores the
     previous handler, also when the run raises. The handler charges the
-    wall time since the previous sample to the block of the nearest unit
-    frame on the stack. A unit frame is either a generated unit, whose
-    globals hold the ``_KEYS`` the interpreter binds, indexed in a loop
-    unit by its ``state`` local (absent before the loop starts and in a
-    one-block loop: the header), or an ``Interpreter._call`` frame,
-    charged to the block its dispatch loop is entering (its ``func`` and
-    ``block`` locals), so a callee's dispatch and unit generation are the
-    callee's time. Intrinsics are charged to the calling block, and a
-    sample with no unit frame is dropped. The units carry no sampling
-    code, so a sampled run executes a plain run's code.
+    wall time since the previous sample to the block of the nearest
+    function-unit frame on the stack: a unit's globals hold the
+    ``_LINES`` table the interpreter binds, the profile key of each of
+    its source lines, and the frame's ``f_lineno`` indexes it.
+    ``Interpreter._call`` and intrinsics are charged to the calling
+    block. A callee's unit is generated on its first call under a frame
+    whose ``_LINES`` names the callee's entry block, so its generation
+    is the callee's time; the run's entry function is generated before
+    any unit runs, and a sample with no unit frame is dropped. The units
+    carry no sampling code, so a sampled run executes a plain run's
+    code.
 
     ``ITIMER_REAL`` because a sample then stays wall time, as
     ``perf_counter`` measures it, and because ``ITIMER_PROF``, asked for
@@ -274,7 +274,6 @@ class BlockTimeSampler:
     sample_count: int = 0
     last: float = 0.0
     _previous: object = field(default=None, repr=False)
-    _dispatch: object = field(default=None, repr=False)
 
     def __enter__(self) -> "BlockTimeSampler":
         if threading.current_thread() is not threading.main_thread():
@@ -288,9 +287,6 @@ class BlockTimeSampler:
             )
         if signal.getitimer(signal.ITIMER_REAL) != (0.0, 0.0):
             raise RuntimeError("BlockTimeSampler: ITIMER_REAL is already armed")
-        from repro.vm.interpreter import Interpreter
-
-        self._dispatch = Interpreter._call.__code__
         self._previous = signal.signal(signal.SIGALRM, self._on_alarm)
         self.last = perf_counter()
         signal.setitimer(signal.ITIMER_REAL, self.interval, self.interval)
@@ -308,18 +304,12 @@ class BlockTimeSampler:
         elapsed = now - self.last
         self.last = now
         while frame is not None:
-            keys = frame.f_globals.get("_KEYS")
-            if keys is not None:
-                if len(keys) == 1:
-                    key = keys[0]
-                else:
-                    key = keys[frame.f_locals.get("state", 0)]
-                break
-            if frame.f_code is self._dispatch:
-                block = frame.f_locals.get("block")
-                if not isinstance(block, BasicBlock):
-                    return  # not yet entered, or holding the return value
-                key = (frame.f_locals["func"].name, block.name)
+            lines = frame.f_globals.get("_LINES")
+            if lines is not None:
+                # Exception clean-up code has no line: drop its samples.
+                if frame.f_lineno is None:
+                    return
+                key = lines[frame.f_lineno]
                 break
             frame = frame.f_back
         else:

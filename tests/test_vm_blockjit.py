@@ -1,7 +1,7 @@
-"""Block and loop units: differential tests against the closure oracle.
+"""Function units: differential tests against the closure oracle.
 
-The interpreter compiles every innermost loop, and every other basic
-block, into one generated function. The reference here is the
+The interpreter compiles every IR function into one generated Python
+function with structured control flow. The reference here is the
 interpreter that design replaced — the per-instruction closure compiler
 with its dispatch loop and the format-table memory access — copied
 verbatim into this file, where it lives only as an oracle. For every
@@ -909,7 +909,9 @@ def test_patched_custom_module_identical(fp_kernel_profile):
     )
 
 
-@pytest.mark.parametrize("app", ["fft", "adpcm", "179.art", "473.astar"])
+@pytest.mark.parametrize(
+    "app", ["fft", "adpcm", "179.art", "473.astar", "164.gzip", "458.sjeng"]
+)
 def test_app_train_runs_identical(app):
     from repro.apps import compile_app, get_app
 
@@ -927,7 +929,7 @@ def test_app_train_runs_identical(app):
 # Every interpreter of a module shares one code object per distinct unit
 # source (Module.code_cache). These pin that the dataset runs of one
 # compiled app equal runs on freshly compiled modules, that a patched
-# block gets code of its own, and that a sampled run reuses the plain
+# function gets code of its own, and that a sampled run reuses the plain
 # run's code.
 def _counting_compile(monkeypatch) -> list:
     calls = []
@@ -1044,7 +1046,7 @@ def test_pickled_module_drops_its_code_cache():
     assert_same(copy, again, first)
 
 
-# -- loop units ----------------------------------------------------------------------
+# -- loops that call --------------------------------------------------------------------
 def _looping_caller_module() -> Module:
     """A four-block loop in ``main`` that calls ``bump``, itself a loop.
 
@@ -1111,15 +1113,15 @@ def test_loop_with_call_identical():
     module = _looping_caller_module()
     plan = _FunctionPlan(module.function("main"))
     assert [h.name for h in plan.loops] == ["header"]
-    assert len(plan.loops[module.function("main").blocks[1]].members) == 4
+    assert len(plan.loops[module.function("main").blocks[1]]) == 4
     new, _ = run_both(module)
     assert new.steps > 1000
 
 
 @pytest.mark.parametrize("interval", [1, 3, 64])
 def test_sampler_across_loop_calls_identical(interval):
-    """Samples that interrupt a loop unit, or a callee it is waiting on,
-    leave its step count and block counts alone."""
+    """Samples that interrupt a loop, or a callee it is waiting on, leave
+    its step count and block counts alone."""
     assert_sampled_equals_plain(_looping_caller_module(), interval * 1e-4)
 
 
@@ -1242,74 +1244,514 @@ def test_clock_and_key_order_across_runs():
     assert new.output == old.output and len(set(new.output)) == len(new.output)
 
 
-def test_env_read_analysis():
-    """Only values some unit reads from ``env`` are published."""
-    module = Module("reads")
-    func = module.declare_function("f", I32, [("a", I32)])
+
+# -- function units ----------------------------------------------------------------
+# Every function is one generated unit: structured control flow from the
+# dominator tree, the `_go` state int for a jump out of two loops, and the
+# `state` int form for an irreducible or too deeply nested CFG.
+def unit_source(module: Module, fname: str) -> str:
+    """The one cached unit source of *fname*."""
+    sources = [src for src, label in module.code_cache if label == f"<unit {fname}>"]
+    assert len(sources) == 1, sources
+    return sources[0]
+
+
+def assert_each_block_emitted_once(module: Module, interp: Interpreter) -> None:
+    """Every computed value of every block is assigned on source lines of
+    one unbroken run that ``_LINES`` charges to its block."""
+    for func, unit in interp._units.items():
+        namespace = unit.__globals__
+        lines = unit_source(module, func.name).split("\n")
+        local_of = {name: local for local, name in namespace["_NAMES"].items()}
+        for block in func.blocks:
+            key = (func.name, block.name)
+            for instr in block.instructions[len(block.phis()) :]:
+                if not instr.has_result or instr.name not in local_of:
+                    continue
+                prefix = f"{local_of[instr.name]} = "
+                rows = [
+                    number
+                    for number, line in enumerate(lines, 1)
+                    if line.lstrip().startswith(prefix)
+                ]
+                assert rows, (key, instr.name)
+                span = namespace["_LINES"][rows[0] : rows[-1] + 1]
+                assert set(span) == {key}, (key, instr.name)
+
+
+def _diamond_chain_module(length: int = 6) -> Module:
+    """``main(x)``: diamond *k* tests bit *k* of ``x``. Its left arm enters
+    diamond *k+1*; its right arm enters diamond *k+1* or, on bit *k+8*,
+    skips to *k+2*, so merges are shared and a jump skips a merge."""
+    module = Module("diamonds")
+    func = module.declare_function("main", I32, [("x", I32)])
+    x = func.args[0]
     entry = func.add_block("entry")
-    left = func.add_block("left")
-    right = func.add_block("right")
-    join = func.add_block("join")
+    heads = [func.add_block(f"d{k}") for k in range(length + 2)]
     b = IRBuilder(entry)
-    x = b.add(func.args[0], b.i32(1), "x")
-    y = b.add(x, b.i32(2), "y")  # x: read only later in its own block
-    early = b.add(b.i32(0), b.i32(0), "early")
-    w = b.add(func.args[0], b.i32(3), "w")
-    early.operands[1] = w  # a same-block use before the definition
-    b.condbr(b.icmp(ICmpPred.SLT, y, b.i32(0)), left, right)
-    b.set_block(left)
-    u = b.add(y, b.i32(1), "u")  # y: a cross-block use
-    b.br(join)
-    b.set_block(right)
-    b.br(join)
-    b.set_block(join)
-    p = b.phi(I32, "p")
-    p.add_incoming(u, left)  # u: a phi incoming
-    p.add_incoming(early, right)
-    b.ret(b.add(p, b.i32(1)))
+    b.br(heads[0])
+    accs = []
+    for head in heads:
+        b.set_block(head)
+        accs.append(b.phi(I32, "acc"))
+    accs[0].add_incoming(b.i32(1), entry)
+    for k in range(length):
+        b.set_block(heads[k])
+        bit = b.and_(b.lshr(x, b.i32(k)), b.i32(1))
+        left = func.add_block(f"l{k}")
+        right = func.add_block(f"r{k}")
+        b.condbr(b.icmp(ICmpPred.NE, bit, b.i32(0)), left, right)
+        b.set_block(left)
+        grown = b.mul(accs[k], b.i32(3 + k))
+        b.br(heads[k + 1])
+        b.set_block(right)
+        shrunk = b.sub(accs[k], b.i32(7 * k + 1))
+        skip = b.icmp(ICmpPred.NE, b.and_(x, b.i32(1 << (k + 8))), b.i32(0))
+        b.condbr(skip, heads[k + 2], heads[k + 1])
+        accs[k + 1].add_incoming(grown, left)
+        accs[k + 1].add_incoming(shrunk, right)
+        accs[k + 2].add_incoming(shrunk, right)
+    for k in (length, length + 1):
+        b.set_block(heads[k])
+        b.ret(b.add(accs[k], b.i32(k)))
+    return module
 
-    published = _FunctionPlan(func).published
-    assert id(x) not in published
-    assert id(p) not in published
-    assert {id(y), id(u), id(w), id(early)} <= published
+
+@pytest.mark.parametrize("x", [0, 5, 0b101101, 0x3F00, 0x2A15, 0x7FFF])
+def test_diamond_chain_identical(x):
+    module = _diamond_chain_module()
+    run_both(module, args=[x])
 
 
-def test_loop_locals_are_not_published():
-    """A loop unit keeps its loop-carried phi in a local; a value the exit
-    block reads is still published, and only innermost loops are units."""
-    module = Module("nest")
+def _hot_outer_loop_module() -> Module:
+    """An outer loop of 3 000 iterations whose inner loop runs on every
+    500th only: the hot path is the outer loop's own blocks."""
+    module = Module("outer")
+    func = module.declare_function("main", I32, [])
+    entry, oh, ob, ih, ib, olatch, done = (
+        func.add_block(name)
+        for name in ("entry", "oh", "ob", "ih", "ib", "olatch", "done")
+    )
+    b = IRBuilder(entry)
+    b.br(oh)
+    b.set_block(oh)
+    i = b.phi(I32, "i")
+    acc = b.phi(I32, "acc")
+    b.condbr(b.icmp(ICmpPred.SLT, i, b.i32(3000)), ob, done)
+    b.set_block(ob)
+    t = b.add(b.mul(acc, b.i32(5)), i)
+    rare = b.icmp(ICmpPred.EQ, b.srem(i, b.i32(500)), b.i32(0))
+    b.condbr(rare, ih, olatch)
+    b.set_block(ih)
+    j = b.phi(I32, "j")
+    s = b.phi(I32, "s")
+    b.condbr(b.icmp(ICmpPred.SLT, j, b.i32(3)), ib, olatch)
+    b.set_block(ib)
+    s2 = b.add(s, j)
+    j2 = b.add(j, b.i32(1))
+    b.br(ih)
+    b.set_block(olatch)
+    merged = b.phi(I32, "merged")
+    i2 = b.add(i, b.i32(1))
+    b.br(oh)
+    b.set_block(done)
+    b.ret(acc)
+    i.add_incoming(b.i32(0), entry)
+    i.add_incoming(i2, olatch)
+    acc.add_incoming(b.i32(0), entry)
+    acc.add_incoming(merged, olatch)
+    j.add_incoming(b.i32(0), ob)
+    j.add_incoming(j2, ib)
+    s.add_incoming(t, ob)
+    s.add_incoming(s2, ib)
+    merged.add_incoming(t, ob)
+    merged.add_incoming(s, ih)
+    return module
+
+
+def test_hot_outer_loop_identical():
+    module = _hot_outer_loop_module()
+    new, _ = run_both(module)
+    assert new.profile.count_of("main", "olatch") == 3000
+    assert new.profile.count_of("main", "ib") == 18
+
+
+def _two_deep_exits_module() -> Module:
+    """``main(n, brk)``: a loop nest whose inner body returns early when
+    ``i * j == 42`` and breaks out of both loops when ``i + j == brk``."""
+    module = Module("exits")
+    func = module.declare_function("main", I32, [("n", I32), ("brk", I32)])
+    n, brk = func.args
+    entry, oh, ih, ib, early, check, il, olatch, done = (
+        func.add_block(name)
+        for name in ("entry", "oh", "ih", "ib", "early", "check", "il", "olatch", "done")
+    )
+    b = IRBuilder(entry)
+    b.br(oh)
+    b.set_block(oh)
+    i = b.phi(I32, "i")
+    acc = b.phi(I32, "acc")
+    b.condbr(b.icmp(ICmpPred.SLT, i, n), ih, done)
+    b.set_block(ih)
+    j = b.phi(I32, "j")
+    s = b.phi(I32, "s")
+    b.condbr(b.icmp(ICmpPred.SLT, j, b.i32(4)), ib, olatch)
+    b.set_block(ib)
+    p = b.mul(i, j)
+    b.condbr(b.icmp(ICmpPred.EQ, p, b.i32(42)), early, check)
+    b.set_block(early)
+    b.ret(b.add(p, b.add(s, b.i32(1000))))
+    b.set_block(check)
+    b.condbr(b.icmp(ICmpPred.EQ, b.add(i, j), brk), done, il)
+    b.set_block(il)
+    s2 = b.add(s, p)
+    j2 = b.add(j, b.i32(1))
+    b.br(ih)
+    b.set_block(olatch)
+    i2 = b.add(i, b.i32(1))
+    b.br(oh)
+    b.set_block(done)
+    result = b.phi(I32, "result")
+    b.ret(result)
+    i.add_incoming(b.i32(0), entry)
+    i.add_incoming(i2, olatch)
+    acc.add_incoming(b.i32(0), entry)
+    acc.add_incoming(s, olatch)
+    j.add_incoming(b.i32(0), oh)
+    j.add_incoming(j2, il)
+    s.add_incoming(acc, oh)
+    s.add_incoming(s2, il)
+    result.add_incoming(acc, oh)
+    result.add_incoming(s, check)
+    return module
+
+
+@pytest.mark.parametrize("n, brk", [(5, 99), (20, 99), (20, 9), (3, 4)])
+def test_early_return_and_break_out_of_a_loop_nest_identical(n, brk):
+    module = _two_deep_exits_module()
+    run_both(module, args=[n, brk])
+    # Leaving both loops takes the `_go` state int.
+    assert "_go = 1" in unit_source(module, "main")
+
+
+def _repeated_predecessor_module() -> Module:
+    """A phi naming one predecessor twice, on a conditional branch whose
+    targets are the same block and on a loop's back edge: the last entry
+    wins."""
+    module = Module("twice")
+    func = module.declare_function("main", I32, [("x", I32)])
+    entry, head, latch, done = (
+        func.add_block(name) for name in ("entry", "head", "latch", "done")
+    )
+    b = IRBuilder(entry)
+    a = b.add(func.args[0], b.i32(1))
+    c = b.mul(func.args[0], b.i32(2))
+    b.condbr(b.icmp(ICmpPred.SGT, func.args[0], b.i32(0)), head, head)
+    b.set_block(head)
+    i = b.phi(I32, "i")
+    b.condbr(b.icmp(ICmpPred.SLT, i, b.i32(50)), latch, done)
+    b.set_block(latch)
+    one = b.add(i, b.i32(1))
+    two = b.add(i, b.i32(2))
+    b.br(head)
+    b.set_block(done)
+    b.ret(i)
+    i.add_incoming(a, entry)
+    i.add_incoming(c, entry)
+    i.add_incoming(one, latch)
+    i.add_incoming(two, latch)
+    return module
+
+
+@pytest.mark.parametrize("x", [-3, 0, 7])
+def test_phi_naming_a_predecessor_twice_identical(x):
+    run_both(_repeated_predecessor_module(), args=[x])
+
+
+def _two_entry_loop_module() -> Module:
+    """An irreducible loop: ``a`` and ``b`` branch to each other and are
+    both entered from ``entry``."""
+    module = Module("irreducible")
+    func = module.declare_function("main", I32, [("x", I32)])
+    entry, a, b_, out = (func.add_block(name) for name in ("entry", "a", "b", "out"))
+    b = IRBuilder(entry)
+    odd = b.icmp(ICmpPred.NE, b.and_(func.args[0], b.i32(1)), b.i32(0))
+    b.condbr(odd, a, b_)
+    b.set_block(a)
+    va = b.phi(I32, "va")
+    a2 = b.add(va, b.i32(3))
+    b.condbr(b.icmp(ICmpPred.SLT, a2, b.i32(50)), b_, out)
+    b.set_block(b_)
+    vb = b.phi(I32, "vb")
+    b2 = b.add(vb, b.i32(5))
+    b.condbr(b.icmp(ICmpPred.SLT, b2, b.i32(60)), a, out)
+    b.set_block(out)
+    r = b.phi(I32, "r")
+    b.ret(r)
+    va.add_incoming(b.i32(0), entry)
+    va.add_incoming(b2, b_)
+    vb.add_incoming(func.args[0], entry)
+    vb.add_incoming(a2, a)
+    r.add_incoming(a2, a)
+    r.add_incoming(b2, b_)
+    return module
+
+
+@pytest.mark.parametrize("x", [0, 1, 12, 33])
+def test_irreducible_loop_takes_the_state_int(x):
+    module = _two_entry_loop_module()
+    assert not _FunctionPlan(module.function("main")).reducible
+    run_both(module, args=[x])
+    assert "state == 1" in unit_source(module, "main")
+
+
+def _nested_loops_module(depth: int) -> Module:
+    """*depth* nested loops of one iteration each."""
+    module = Module(f"nest{depth}")
     func = module.declare_function("main", I32, [])
     entry = func.add_block("entry")
-    outer = func.add_block("outer")
-    inner = func.add_block("inner")
-    step = func.add_block("step")
-    latch = func.add_block("latch")
+    heads = [func.add_block(f"h{k}") for k in range(depth)]
+    latches = [func.add_block(f"l{k}") for k in range(depth)]
     done = func.add_block("done")
     b = IRBuilder(entry)
-    b.br(outer)
-    b.set_block(outer)
-    o = b.phi(I32, "o")
-    b.condbr(b.icmp(ICmpPred.SLT, o, b.i32(5)), inner, done)
-    b.set_block(inner)
-    k = b.phi(I32, "k")
-    kk = b.mul(k, k, "kk")
-    b.condbr(b.icmp(ICmpPred.SLT, k, o), step, latch)
-    b.set_block(step)
-    k2 = b.add(b.add(k, kk), b.i32(1), "k2")
-    b.br(inner)
-    b.set_block(latch)
-    o2 = b.add(b.add(o, kk), b.i32(1), "o2")
-    b.br(outer)
+    b.br(heads[0])
+    for k, head in enumerate(heads):
+        b.set_block(head)
+        i = b.phi(I32, f"i{k}")
+        inner = heads[k + 1] if k + 1 < depth else latches[k]
+        outer = latches[k - 1] if k else done
+        b.condbr(b.icmp(ICmpPred.EQ, i, b.i32(0)), inner, outer)
+        i.add_incoming(b.i32(0), heads[k - 1] if k else entry)
+        i.add_incoming(b.i32(1), latches[k])
+        b.set_block(latches[k])
+        b.br(head)
     b.set_block(done)
-    b.ret(o)
-    o.add_incoming(b.i32(0), entry)
-    o.add_incoming(o2, latch)
-    k.add_incoming(b.i32(0), outer)
-    k.add_incoming(k2, step)
+    b.ret(b.i32(depth))
+    return module
 
-    plan = _FunctionPlan(func)
-    assert list(plan.loops) == [inner]
-    assert id(k) not in plan.published and id(k2) not in plan.published
-    assert id(kk) in plan.published  # read by the outer latch
-    assert id(o) in plan.published  # read by the inner loop at entry
-    run_both(module, max_steps=100_000)
+
+def _guard_chain_module(depth: int) -> Module:
+    """``main(x)``: *depth* nested tests, each else-arm a return."""
+    module = Module(f"guards{depth}")
+    func = module.declare_function("main", I32, [("x", I32)])
+    tests = [func.add_block(f"t{k}") for k in range(depth)]
+    b = IRBuilder(tests[0])
+    for k, test in enumerate(tests):
+        b.set_block(test)
+        out = func.add_block(f"r{k}")
+        onward = tests[k + 1] if k + 1 < depth else out
+        b.condbr(b.icmp(ICmpPred.SGT, func.args[0], b.i32(k)), onward, out)
+        b.set_block(out)
+        b.ret(b.i32(k))
+    return module
+
+
+@pytest.mark.parametrize(
+    "module, flat",
+    [
+        (_nested_loops_module(17), False),
+        (_nested_loops_module(18), True),
+        (_guard_chain_module(90), False),
+        (_guard_chain_module(100), True),
+    ],
+    ids=["loops17", "loops18", "guards90", "guards100"],
+)
+def test_nesting_past_the_limit_takes_the_state_int(module, flat):
+    """Past 17 nested loops (CPython allows 20 static blocks) or 95
+    indentation levels the unit falls back to the state int."""
+    for args in ([], [50], [1000]):
+        if len(args) == len(module.function("main").args):
+            run_both(module, args=args)
+    assert ("state == 1" in unit_source(module, "main")) == flat
+
+
+def test_each_block_is_emitted_once():
+    modules = [
+        (_diamond_chain_module(), [0x2A15]),
+        (_hot_outer_loop_module(), []),
+        (_two_deep_exits_module(), [20, 9]),
+        (_looping_caller_module(), []),
+    ]
+    for module, args in modules:
+        interp = Interpreter(module)
+        interp.run("main", args)
+        assert_each_block_emitted_once(module, interp)
+
+
+# -- trap parity from an outer-loop block and from a loop-free block ---------------
+def trap_state(cls, module, args, **kwargs) -> tuple:
+    """The trap and what it leaves behind: steps, clock and profile."""
+    interp = cls(module, **kwargs)
+    with pytest.raises(Exception) as info:
+        interp.run("main", args)
+    return (
+        type(info.value),
+        str(info.value),
+        interp._steps,
+        interp.cycles_executed,
+        [
+            (key, prof.count, prof.static_instructions)
+            for key, prof in interp._profile.blocks.items()
+        ],
+    )
+
+
+def _trap_site_module(shape: str, kind: str) -> Module:
+    """``main(x)`` reaching a *site* block that traps by *kind*.
+
+    With *shape* ``"outer"`` the site is a block of an outer loop, entered
+    on its iteration 5; ``late`` is defined on iteration 8 only. With
+    ``"free"`` the site is the merge of a loop-free diamond, and ``late``
+    is defined on its left arm, taken when ``x`` is non-zero.
+    """
+    module = Module(f"{shape}-{kind}")
+    module.add_global("buf", I32, 4, [0] * 4)
+    func = module.declare_function("main", I32, [("x", I32)])
+    names = ("entry", "oh", "ob", "ob2", "defn", "site", "ih", "ib", "olatch", "done")
+    if shape == "free":
+        names = ("entry", "left", "right", "site", "tail")
+    blocks = {name: func.add_block(name) for name in names}
+    slot = module.globals["buf"]
+    b = IRBuilder(blocks["entry"])
+    if shape == "outer":
+        b.br(blocks["oh"])
+        b.set_block(blocks["oh"])
+        i = b.phi(I32, "i")
+        b.condbr(b.icmp(ICmpPred.SLT, i, b.i32(9)), blocks["ob"], blocks["done"])
+        b.set_block(blocks["ob"])
+        b.condbr(b.icmp(ICmpPred.EQ, i, b.i32(5)), blocks["site"], blocks["ob2"])
+        b.set_block(blocks["ob2"])
+        b.condbr(b.icmp(ICmpPred.EQ, i, b.i32(8)), blocks["defn"], blocks["ih"])
+        b.set_block(blocks["defn"])
+        late = b.mul(i, b.i32(3), "late")
+        b.br(blocks["ih"])
+    else:
+        i = func.args[0]
+        b.condbr(b.icmp(ICmpPred.NE, i, b.i32(0)), blocks["left"], blocks["right"])
+        b.set_block(blocks["left"])
+        late = b.mul(i, b.i32(3), "late")
+        b.br(blocks["site"])
+        b.set_block(blocks["right"])
+        b.br(blocks["site"])
+    b.set_block(blocks["site"])
+    if kind == "memory":
+        value = b.load(I32, b.gep(slot, b.i32(1 << 22), 4))
+    elif kind == "undefined":
+        value = b.add(late, b.i32(1))
+    elif kind == "custom":
+        value = Instruction(Opcode.CUSTOM, I32, [i], "c", custom_id=7)
+        b.block.append(value)
+    else:  # step: a long site, so many limits fall in it
+        value = i
+        for k in range(20):
+            value = b.add(value, b.i32(k))
+    b.store(value, slot)
+    if shape == "free":
+        b.br(blocks["tail"])
+        b.set_block(blocks["tail"])
+        b.ret(b.load(I32, slot))
+        return module
+    b.br(blocks["ih"])
+    b.set_block(blocks["ih"])
+    j = b.phi(I32, "j")
+    b.condbr(b.icmp(ICmpPred.SLT, j, b.i32(2)), blocks["ib"], blocks["olatch"])
+    b.set_block(blocks["ib"])
+    j2 = b.add(j, b.i32(1))
+    b.br(blocks["ih"])
+    b.set_block(blocks["olatch"])
+    i2 = b.add(i, b.i32(1))
+    b.br(blocks["oh"])
+    b.set_block(blocks["done"])
+    b.ret(b.load(I32, slot))
+    i.add_incoming(b.i32(0), blocks["entry"])
+    i.add_incoming(i2, blocks["olatch"])
+    for pred in ("ob2", "defn", "site"):
+        j.add_incoming(b.i32(0), blocks[pred])
+    j.add_incoming(j2, blocks["ib"])
+    return module
+
+
+@pytest.mark.parametrize("shape", ["outer", "free"])
+@pytest.mark.parametrize(
+    "kind, match",
+    [
+        ("memory", "out of range"),
+        ("undefined", "use of undefined value %late"),
+        ("custom", "no evaluator for custom instruction #7"),
+    ],
+)
+def test_trap_from_a_site_leaves_identical_state(shape, kind, match):
+    module = _trap_site_module(shape, kind)
+    new = trap_state(Interpreter, module, [0])
+    old = trap_state(ClosureInterpreter, module, [0])
+    assert new == old
+    assert match in new[1]
+    assert ("main", "site") in [key for key, _, _ in new[4]]
+
+
+@pytest.mark.parametrize("shape", ["outer", "free"])
+def test_step_limit_at_every_block_leaves_identical_state(shape):
+    module = _trap_site_module(shape, "step")
+    total = run_both(module, args=[1])[0].steps
+    for max_steps in range(1, total):
+        new = trap_state(Interpreter, module, [1], max_steps=max_steps)
+        old = trap_state(ClosureInterpreter, module, [1], max_steps=max_steps)
+        assert new == old
+        assert "step limit exceeded" in new[1]
+
+
+# -- one unit per function, one unit frame per call ----------------------------------
+@pytest.mark.parametrize("app", ["fft", "458.sjeng"])
+def test_one_cache_entry_per_executed_function(app):
+    from repro.apps import compile_app, get_app
+
+    spec = get_app(app)
+    compiled = compile_app(spec)
+    executed = set()
+    for ds in spec.datasets:
+        executed |= {fname for fname, _ in compiled.run(ds).profile.blocks}
+    labels = [label for _, label in compiled.module.code_cache]
+    assert sorted(labels) == sorted(f"<unit {fname}>" for fname in executed)
+
+
+def test_one_unit_frame_per_ir_call(monkeypatch):
+    """Every IR call, and the run itself, is one frame of its unit; each
+    executed function is compiled once."""
+    import sys
+
+    module = _looping_caller_module()
+    compiles = _counting_compile(monkeypatch)
+    frames = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "unit":
+            frames.append(frame.f_code.co_filename)
+
+    sys.setprofile(profile)
+    try:
+        result = Interpreter(module).run("main")
+    finally:
+        sys.setprofile(None)
+    assert sorted(compiles) == ["<unit bump>", "<unit main>"]
+    calls = 1 + result.profile.count_of("main", "body")
+    assert len(frames) == calls
+    assert frames.count("<unit main>") == 1
+
+
+def test_a_dropped_interpreter_is_freed_without_the_cycle_collector():
+    """A unit takes its interpreter as an argument and holds no reference
+    to it, so an interpreter and its memory image go as soon as the caller
+    drops them, not at the next cycle collection."""
+    import gc
+    import weakref
+
+    module = _looping_caller_module()
+    gc.disable()
+    try:
+        interp = Interpreter(module)
+        interp.run("main")
+        refs = [weakref.ref(interp), weakref.ref(interp.memory)]
+        del interp
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

@@ -87,7 +87,7 @@ class TestOpcodeAccounting:
 
 
 def _cheap_and_costly_loop(iterations: int) -> Module:
-    """One loop unit: ``cheap`` does one add, ``costly`` (the latch) eight
+    """One loop: ``cheap`` does one add, ``costly`` (the latch) eight
     multiply-xor pairs, which take about ten times as long."""
     module = Module("ranking")
     func = module.declare_function("main", I32, [])
@@ -120,9 +120,56 @@ def _cheap_and_costly_loop(iterations: int) -> Module:
     return module
 
 
-def _caller_of_a_dispatched_loop(iterations: int) -> Module:
-    """``main``'s one block calls ``work`` once. ``work``'s outer loop runs
-    through the dispatch loop; only its one-block inner loop is a unit."""
+def _loop_calling_a_loop_free_callee(iterations: int) -> Module:
+    """``main`` calls ``encode`` every iteration, as adpcm calls its
+    per-sample coder: ``encode`` is loop-free, and its ``costly`` block
+    does 24 multiply-xor pairs where ``cheap`` does one add, so it
+    outweighs the call's own cost too."""
+    module = Module("callee")
+    encode = module.declare_function("encode", I32, [("x", I32)])
+    entry, cheap, costly, done = (
+        encode.add_block(name) for name in ("entry", "cheap", "costly", "done")
+    )
+    b = IRBuilder(entry)
+    b.br(cheap)
+    b.set_block(cheap)
+    x = b.add(encode.args[0], b.i32(1))
+    b.br(costly)
+    b.set_block(costly)
+    y = x
+    for k in range(24):
+        y = b.xor(b.mul(y, b.i32(3)), b.i32(k))
+    b.br(done)
+    b.set_block(done)
+    b.ret(y)
+
+    func = module.declare_function("main", I32, [])
+    entry = func.add_block("entry")
+    head = func.add_block("head")
+    body = func.add_block("body")
+    out = func.add_block("out")
+    b = IRBuilder(entry)
+    b.br(head)
+    b.set_block(head)
+    i = b.phi(I32, "i")
+    acc = b.phi(I32, "acc")
+    b.condbr(b.icmp(ICmpPred.SLT, i, b.i32(iterations)), body, out)
+    b.set_block(body)
+    acc2 = b.call(encode, [acc])
+    i2 = b.add(i, b.i32(1))
+    b.br(head)
+    b.set_block(out)
+    b.ret(acc)
+    i.add_incoming(b.i32(0), entry)
+    i.add_incoming(i2, body)
+    acc.add_incoming(b.i32(0), entry)
+    acc.add_incoming(acc2, body)
+    return module
+
+
+def _caller_of_a_nested_loop(iterations: int) -> Module:
+    """``main``'s one block calls ``work`` once; ``work`` runs a loop
+    nest, its outer loop *iterations* times around a two-pass inner one."""
     module = Module("dispatch")
     work = module.declare_function("work", I32, [])
     entry = work.add_block("entry")
@@ -214,32 +261,39 @@ class TestSampler:
         assert signal.getsignal(signal.SIGALRM) is handler
         assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
-    def test_shares_rank_the_costly_block_first(self):
-        """A loop member costing about ten times another takes the larger
-        share: the sampler names loop members by the unit's ``state``."""
-        module = _cheap_and_costly_loop(2_000)
+    @staticmethod
+    def ranked_shares(module: Module) -> dict:
+        """Block shares of repeated runs of *module*, 200 samples or more."""
         with BlockTimeSampler(interval=2e-4) as sampler:
             for _ in range(500):
                 Interpreter(module).run("main")
                 if sampler.sample_count >= 200:
                     break
         assert sampler.sample_count >= 200
-        shares = sampler.shares()
+        return sampler.shares()
+
+    def test_shares_rank_the_costly_block_first(self):
+        """A loop member costing about ten times another takes the larger
+        share: the sampler names the block from the interrupted unit
+        frame's line."""
+        shares = self.ranked_shares(_cheap_and_costly_loop(2_000))
         ranked = sorted(shares, key=shares.get, reverse=True)
         assert ranked[0] == ("main", "costly")
         assert shares[("main", "costly")] > 3 * shares.get(("main", "cheap"), 0.0)
 
+    def test_shares_rank_a_loop_free_callees_costly_block_first(self):
+        """The same ranking inside a loop-free callee, entered once per
+        call: the adpcm shape."""
+        shares = self.ranked_shares(_loop_calling_a_loop_free_callee(2_000))
+        ranked = sorted(shares, key=shares.get, reverse=True)
+        assert ranked[0] == ("encode", "costly")
+        assert shares[("encode", "costly")] > 3 * shares.get(("encode", "cheap"), 0.0)
+
     def test_callee_dispatch_is_not_charged_to_the_caller(self):
-        """Time in a callee's dispatch loop belongs to the callee: the
-        calling block, which runs once, keeps a share near zero."""
-        module = _caller_of_a_dispatched_loop(5_000)
-        with BlockTimeSampler(interval=2e-4) as sampler:
-            for _ in range(500):
-                Interpreter(module).run("main")
-                if sampler.sample_count >= 200:
-                    break
-        assert sampler.sample_count >= 200
-        shares = sampler.shares()
+        """Time in a callee, its unit generation included, belongs to the
+        callee: the calling block, which runs once, keeps a share near
+        zero."""
+        shares = self.ranked_shares(_caller_of_a_nested_loop(5_000))
         assert shares.get(("main", "entry"), 0.0) < 0.05
         assert shares.get(("work", "outer"), 0.0) > 0.1
 
