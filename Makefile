@@ -15,7 +15,8 @@ bench-test:
 	$(PYTHON) -m pytest bench -q
 
 # Observability smoke: run one embedded app with tracing enabled, validate
-# the exported trace schema, and replay it as a stage-time table.
+# the exported trace schema, and replay it through `repro profile` (stage
+# table, call-path tree, Chrome export).
 trace-smoke:
 	$(PYTHON) -m pytest -q -m trace_smoke tests/test_cli.py
 

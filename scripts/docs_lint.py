@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation lint for the reproduction tree.
 
-Four checks, all enforced by ``make docs-lint`` (and the CI lint job):
+Five checks, all enforced by ``make docs-lint`` (and the CI lint job):
 
 1. every Python module under ``src/repro/`` carries a non-empty module
    docstring that names its paper anchor — a Section/Table/Figure
@@ -14,9 +14,14 @@ Four checks, all enforced by ``make docs-lint`` (and the CI lint job):
    dispatch architecture guide (docs/VM.md);
 4. every ``python -m repro`` subcommand registered in ``src/repro/cli.py``
    appears in the README's command table — a new subcommand without a
-   README row fails the lint.
+   README row fails the lint;
+5. every ``python -m repro <name>`` example in the current docs
+   (README.md, DESIGN.md, EXPERIMENTS.md, docs/*.md, bench/README.md and
+   the verify skill) names a registered subcommand, so a retired command
+   cannot linger in an example. ROADMAP.md and CHANGES.md are history
+   and may name retired commands.
 
-The subcommand check is AST-based (no ``repro`` import: the CI lint job
+The subcommand checks are is AST-based (no ``repro`` import: the CI lint job
 installs no third-party packages, and ``repro`` pulls numpy),
 so it understands both registration idioms used in ``cli.py``: direct
 ``sub.add_parser("name", ...)`` calls and the loop form
@@ -40,6 +45,19 @@ ANCHOR = re.compile(r"Section|Table|Figure|Fig\.|paper", re.IGNORECASE)
 
 #: Markdown files whose relative links must resolve.
 DOC_FILES = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md")
+
+#: Docs whose ``python -m repro <name>`` examples must name a registered
+#: subcommand (with docs/*.md).
+EXAMPLE_FILES = (
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    "bench/README.md",
+    ".claude/skills/verify/SKILL.md",
+)
+
+#: A CLI example: the subcommand name after ``python -m repro``.
+REPRO_EXAMPLE = re.compile(r"python -m repro ([a-z][\w-]*)")
 
 #: Inline markdown links: [text](target). Reference-style links are not
 #: used in this tree.
@@ -156,12 +174,34 @@ def check_cli_coverage() -> list[str]:
     return problems
 
 
+def check_examples() -> list[str]:
+    """Every ``python -m repro <name>`` example names a subcommand."""
+    names = cli_subcommands()
+    files = [REPO / name for name in EXAMPLE_FILES]
+    files += sorted((REPO / "docs").glob("*.md"))
+    problems: list[str] = []
+    for doc in files:
+        if not doc.is_file():
+            continue
+        for lineno, line in enumerate(
+            doc.read_text(encoding="utf-8").splitlines(), start=1
+        ):
+            for name in REPRO_EXAMPLE.findall(line):
+                if name not in names:
+                    problems.append(
+                        f"{doc.relative_to(REPO)}:{lineno}: "
+                        f"`python -m repro {name}` is not a subcommand"
+                    )
+    return problems
+
+
 def main() -> int:
     problems = (
         check_docstrings()
         + check_links()
         + check_architecture_link()
         + check_cli_coverage()
+        + check_examples()
     )
     for problem in problems:
         print(problem)

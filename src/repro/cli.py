@@ -8,11 +8,14 @@ Commands:
 - ``analyze <app>`` — full analysis of one application (Table I+II row);
 - ``jit <app>`` — run the end-to-end JIT flow on one application;
 - ``timeline <app>`` — concurrent-specialization timeline (extension);
-- ``trace <file>`` — replay a saved trace as a per-stage time table;
-- ``profile <app|file>`` — hierarchical self/total-time profile of a run
-  (hot-path table, collapsed-stack flamegraph lines, profile tree);
-- ``heat <app>`` — heat-annotated IR listing (per-block time share,
-  kernel blocks flagged);
+- ``profile <app|file>`` — where a run's time went: the per-stage table
+  on both clocks (paper taxonomy first), then the hot-path table; the
+  profile tree, collapsed-stack flamegraph lines and a Chrome
+  ``trace_event`` file on request;
+- ``vmprof <app>`` — where an app's execution time goes: opcode and
+  digram profile, per-block virtual and sampled real time shares with
+  the 90 % kernel flagged (Table I's size/freq), and the heat-annotated
+  IR listing;
 - ``fidelity`` — compare a run's tables against the paper's published
   values and write a machine-readable ``BENCH_*.json`` report;
 - ``runs list|show|gc`` — inspect or garbage-collect the run
@@ -236,32 +239,6 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro import obs
-
-    try:
-        records = obs.read_jsonl(args.file)
-    except OSError as exc:
-        print(f"cannot read trace: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"invalid trace: {exc}", file=sys.stderr)
-        return 1
-    errors = obs.validate_trace(records)
-    if errors:
-        for err in errors:
-            print(f"invalid trace: {err}", file=sys.stderr)
-        return 1
-    print(obs.render_stage_table(records))
-    if args.timeline:
-        print()
-        print(obs.render_timeline(records))
-    if args.chrome:
-        obs.write_chrome_trace(records, args.chrome)
-        print(f"\nwrote Chrome trace_event file: {args.chrome}")
-    return 0
-
-
 def _traced_run_records(app_name: str):
     """Run the end-to-end JIT flow on *app_name* under the global tracer
     and return the finished spans as records.
@@ -300,11 +277,21 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if os.path.exists(args.target):
         try:
             records = obs.read_jsonl(args.target)
+        except OSError as exc:
+            print(f"cannot read trace: {exc}", file=sys.stderr)
+            return 1
         except ValueError as exc:
             print(f"invalid trace: {exc}", file=sys.stderr)
             return 1
+        errors = obs.validate_trace(records)
+        for err in errors:
+            print(f"invalid trace: {err}", file=sys.stderr)
+        if errors:
+            return 1
     else:
         records = _traced_run_records(args.target)
+    print(obs.stage_table(obs.fold_stages(records)).render())
+    print()
     if not records:
         print("(empty trace: nothing to profile)")
         return 0
@@ -326,40 +313,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 f"\nwrote {len(lines)} collapsed stacks ({args.clock} time) "
                 f"to {args.collapsed}"
             )
-    return 0
-
-
-def _cmd_heat(args: argparse.Namespace) -> int:
-    from repro.apps import compile_app, get_app
-    from repro.obs.heat import compute_heat, render_heat
-
-    spec = get_app(args.app)
-    compiled = compile_app(spec)
-    profile = compiled.run(spec.train).profile
-    heat = compute_heat(
-        compiled.module, profile, kernel_threshold=args.threshold
-    )
-    try:
-        print(
-            render_heat(
-                compiled.module, heat, function=args.function, top=args.top
-            )
-        )
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 1
-    if args.top_opcodes:
-        from repro.obs.vmprof import opcode_table
-        from repro.vm.costmodel import PPC405_COST_MODEL
-
-        table = opcode_table(
-            profile.opcode_counts(compiled.module),
-            profile.opcode_cycles(compiled.module, PPC405_COST_MODEL),
-            args.top_opcodes,
-            title=f"Opcode rollup (top {args.top_opcodes})",
-        )
-        print()
-        print(table.render())
+    if args.chrome:
+        obs.write_chrome_trace(records, args.chrome)
+        print(f"\nwrote Chrome trace_event file: {args.chrome}")
     return 0
 
 
@@ -375,7 +331,11 @@ def _cmd_vmprof(args: argparse.Namespace) -> int:
     )
 
     prof = profile_app(args.app, dataset=args.dataset)
-    print(render_vmprof(prof, top=args.top))
+    try:
+        print(render_vmprof(prof, top=args.top, function=args.function))
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 1
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json_mod.dump(vmprof_json(prof), fh, indent=2)
@@ -784,7 +744,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile = sub.add_parser(
         "profile",
         parents=[obs_options],
-        help="hierarchical self/total-time profile of a run",
+        help="where a run's time went: per-stage table on both clocks, "
+        "then the hot paths",
     )
     p_profile.add_argument(
         "target", help="application name, or a JSONL trace written by --trace"
@@ -809,40 +770,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="write Brendan-Gregg collapsed stacks for flamegraph.pl / "
         "speedscope ('-' = stdout)",
     )
+    p_profile.add_argument(
+        "--chrome",
+        metavar="FILE",
+        default=None,
+        help="also write a Chrome trace_event file (chrome://tracing)",
+    )
     p_profile.set_defaults(fn=_cmd_profile)
-
-    p_heat = sub.add_parser(
-        "heat",
-        parents=[obs_options],
-        help="heat-annotated IR listing (block time shares, kernel flags)",
-    )
-    p_heat.add_argument("app", help="application name, e.g. fft or 470.lbm")
-    p_heat.add_argument(
-        "--function", default=None, help="print only this function"
-    )
-    p_heat.add_argument(
-        "--top", type=int, default=10, help="rows in the hottest-block table"
-    )
-    p_heat.add_argument(
-        "--threshold",
-        type=float,
-        default=0.90,
-        help="kernel time-coverage threshold (paper: 0.90)",
-    )
-    p_heat.add_argument(
-        "--top-opcodes",
-        type=int,
-        default=0,
-        metavar="N",
-        help="also print a dynamic opcode rollup (counts x cost model)",
-    )
-    p_heat.set_defaults(fn=_cmd_heat)
 
     p_vmprof = sub.add_parser(
         "vmprof",
         parents=[obs_options],
-        help="VM observatory: opcode profile and real-vs-virtual "
-        "divergence",
+        help="VM observatory: opcodes, per-block virtual and real time "
+        "shares with kernel flags, heat-annotated IR",
     )
     p_vmprof.add_argument("app", help="application name, e.g. fft or adpcm")
     p_vmprof.add_argument(
@@ -853,6 +793,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_vmprof.add_argument(
         "--json", metavar="FILE", default=None, help="write the full report"
+    )
+    p_vmprof.add_argument(
+        "--function", default=None, help="print only this function's listing"
     )
     p_vmprof.set_defaults(fn=_cmd_vmprof)
 
@@ -879,23 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also check the Table IV cache/CAD extrapolation factor",
     )
     p_fidelity.set_defaults(fn=_cmd_fidelity)
-
-    p_trace = sub.add_parser(
-        "trace", help="replay a saved JSONL trace as a per-stage time table"
-    )
-    p_trace.add_argument("file", help="trace file written by --trace")
-    p_trace.add_argument(
-        "--timeline",
-        action="store_true",
-        help="also render the ASCII span timeline",
-    )
-    p_trace.add_argument(
-        "--chrome",
-        metavar="FILE",
-        default=None,
-        help="also write a Chrome trace_event file (chrome://tracing)",
-    )
-    p_trace.set_defaults(fn=_cmd_trace, trace=None)
 
     ledger_dir_kwargs = dict(
         metavar="DIR",

@@ -10,8 +10,8 @@ evidence on demand:
 - :mod:`repro.obs.metrics` — the fixed-bucket :class:`Histogram` behind
   the serve summary's latency quantiles;
 - :mod:`repro.obs.export` — JSONL round-trip, Chrome ``trace_event``
-  dump, and ASCII stage-table / timeline renderers keyed to the paper's
-  stage names;
+  dump, and the per-stage fold and table keyed to the paper's stage
+  names (``repro profile`` and ``repro runs show`` print it);
 - :mod:`repro.obs.profile` — span trace folded into a hierarchical
   self-time/total-time profile tree with collapsed-stack flamegraph
   export and a top-N hot-path table;
@@ -24,10 +24,10 @@ evidence on demand:
 
 The layers above the substrate are not re-exported here, because they
 import the IR/VM/experiments packages, which themselves import
-:mod:`repro.obs`: :mod:`repro.obs.heat` (per-basic-block heat
-annotations), :mod:`repro.obs.fidelity` (golden-reference comparison
+:mod:`repro.obs`: :mod:`repro.obs.fidelity` (golden-reference comparison
 against the paper's published values), :mod:`repro.obs.bench` and
-:mod:`repro.obs.vmprof`.
+:mod:`repro.obs.vmprof` (opcode profile, per-block virtual and real
+time shares, kernel flags and the heat-annotated IR listing).
 
 The suite runner's pool children (``--jobs N``) hand their spans back
 through one pair: :func:`capture_worker` in the child and
@@ -55,9 +55,8 @@ from repro.obs.export import (
     SpanRecord,
     chrome_trace,
     export_tracer,
+    fold_stages,
     read_jsonl,
-    render_stage_table,
-    render_timeline,
     stage_table,
     tracer_records,
     validate_trace,
@@ -73,7 +72,6 @@ from repro.obs.ledger import (
     abandon_run,
     current_run,
     finish_run,
-    fold_stages,
     prune_runs,
     scalars_from_analyses,
     start_run,
@@ -145,8 +143,6 @@ __all__ = [
     "prune_runs",
     "read_jsonl",
     "RegressionReport",
-    "render_stage_table",
-    "render_timeline",
     "RunLedger",
     "RunRecorder",
     "scalars_from_analyses",

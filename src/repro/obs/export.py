@@ -4,12 +4,13 @@ Three output formats for a finished trace:
 
 - **JSON lines** (:func:`write_jsonl` / :func:`read_jsonl`): one span per
   line, losslessly round-trippable — the on-disk format behind the CLI's
-  ``--trace FILE`` flag and the ``repro trace`` replay subcommand;
+  ``--trace FILE`` flag, replayed by ``repro profile FILE``;
 - **Chrome trace_event** (:func:`chrome_trace`): loadable in
   ``chrome://tracing`` / Perfetto for interactive flame views;
-- **ASCII** (:func:`render_stage_table`, :func:`render_timeline`): a
-  per-stage time table keyed to the paper's Table II/III column names,
-  and an indented span-tree timeline.
+- **ASCII** (:func:`stage_table`): a per-stage time table keyed to the
+  paper's Table II/III column names, rendered from :func:`fold_stages`'
+  totals — the same dict a ledger manifest stores as its ``stages``, so
+  ``repro profile`` and ``repro runs show`` print one table.
 
 Stage aggregation understands the pipeline's two clocks: real
 ``perf_counter`` durations for phases that genuinely run (candidate
@@ -242,104 +243,82 @@ def _fmt_seconds(value: float | None) -> str:
     return f"{value:.2f} s"
 
 
-def stage_table(records: Sequence[SpanRecord]) -> Table:
-    """Aggregate a trace into a per-stage time table (paper taxonomy first).
+def fold_stages(records: Sequence[SpanRecord]) -> dict:
+    """Aggregate a trace into per-span-name totals on both clocks.
 
-    Rows follow the order of :data:`PAPER_STAGES` for stages present in
-    the trace; any other span names follow, sorted by real time spent.
-    Real time is the measured ``perf_counter`` interval; virtual time sums
-    the ``virtual_seconds`` attributes (the modelled Table II/III values).
+    Returns ``{name: {label, spans, real_seconds, virtual_seconds,
+    measured}}`` where ``label`` is the paper column name for Table II/III
+    stages and ``virtual_seconds`` is None for span names that never
+    carried one. ``measured`` (:mod:`repro.obs.regress`) names the host-
+    clock fields: all of them for spans opened with ``measured=True``.
+    This is the manifest's ``stages`` block and what :func:`stage_table`
+    renders.
     """
-    by_name: dict[str, list[SpanRecord]] = {}
+    stages: dict[str, dict] = {}
     for rec in records:
-        by_name.setdefault(rec.name, []).append(rec)
+        entry = stages.setdefault(
+            rec.name,
+            {
+                "label": PAPER_STAGE_LABELS.get(rec.name),
+                "spans": 0,
+                "real_seconds": 0.0,
+                "virtual_seconds": None,
+                "measured": ["real_seconds"],
+            },
+        )
+        if rec.attrs.get("measured"):
+            entry["measured"] = ["*"]
+        entry["spans"] += 1
+        entry["real_seconds"] += rec.duration
+        virtual = rec.virtual_seconds
+        if virtual is not None:
+            entry["virtual_seconds"] = (entry["virtual_seconds"] or 0.0) + virtual
+    for entry in stages.values():
+        entry["real_seconds"] = round(entry["real_seconds"], 9)
+        if entry["virtual_seconds"] is not None:
+            entry["virtual_seconds"] = round(entry["virtual_seconds"], 9)
+    return stages
 
+
+def stage_table(stages: dict) -> Table:
+    """Per-stage time table of :func:`fold_stages`' dict, both clocks.
+
+    Rows follow the order of :data:`PAPER_STAGES` for stages present;
+    any other span names follow, sorted by real time spent. Real time is
+    the measured ``perf_counter`` interval; virtual time sums the
+    ``virtual_seconds`` attributes (the modelled Table II/III values).
+    """
     table = Table(
         columns=["stage", "spans", "real", "virtual"],
         title="Per-stage times",
     )
-    paper_names = [name for name, _ in PAPER_STAGES if name in by_name]
+    paper_names = [name for name, _ in PAPER_STAGES if name in stages]
     other_names = sorted(
-        (n for n in by_name if n not in PAPER_STAGE_LABELS),
-        key=lambda n: -sum(r.duration for r in by_name[n]),
+        (n for n in stages if n not in PAPER_STAGE_LABELS),
+        key=lambda n: -stages[n]["real_seconds"],
     )
-
-    total_real = 0.0
-    total_virtual = 0.0
-    any_virtual = False
+    virtuals = [
+        st["virtual_seconds"]
+        for st in stages.values()
+        if st["virtual_seconds"] is not None
+    ]
     for name in paper_names + other_names:
-        group = by_name[name]
-        real = sum(r.duration for r in group)
-        virtuals = [r.virtual_seconds for r in group if r.virtual_seconds is not None]
-        virtual = sum(virtuals) if virtuals else None
-        label = PAPER_STAGE_LABELS.get(name)
-        display = f"{label} [{name}]" if label else name
+        st = stages[name]
+        label = st["label"]
         table.add_row(
-            [display, len(group), _fmt_seconds(real), _fmt_seconds(virtual)]
+            [
+                f"{label} [{name}]" if label else name,
+                st["spans"],
+                _fmt_seconds(st["real_seconds"]),
+                _fmt_seconds(st["virtual_seconds"]),
+            ]
         )
-        total_real += real
-        if virtual is not None:
-            total_virtual += virtual
-            any_virtual = True
     table.add_footer(
         [
             "total",
-            sum(len(g) for g in by_name.values()),
-            _fmt_seconds(total_real),
-            _fmt_seconds(total_virtual if any_virtual else None),
+            sum(st["spans"] for st in stages.values()),
+            _fmt_seconds(sum(st["real_seconds"] for st in stages.values())),
+            _fmt_seconds(sum(virtuals) if virtuals else None),
         ]
     )
     return table
-
-
-def render_stage_table(records: Sequence[SpanRecord]) -> str:
-    return stage_table(records).render()
-
-
-def render_timeline(records: Sequence[SpanRecord], width: int = 40) -> str:
-    """Indented span tree with proportional bars over the real time axis."""
-    if not records:
-        return "(empty trace)"
-    t_min = min(r.t0 for r in records)
-    t_max = max(r.t1 for r in records)
-    extent = max(t_max - t_min, 1e-9)
-
-    children: dict[int | None, list[SpanRecord]] = {}
-    ids = {r.span_id for r in records}
-    for rec in records:
-        # Treat spans with a missing parent (partial trace) as roots.
-        parent = rec.parent_id if rec.parent_id in ids else None
-        children.setdefault(parent, []).append(rec)
-    for group in children.values():
-        group.sort(key=lambda r: (r.t0, r.span_id))
-
-    name_width = min(
-        48, max(len(r.name) + 2 * _depth(r, records) for r in records) + 2
-    )
-    lines: list[str] = []
-
-    def emit(rec: SpanRecord, depth: int) -> None:
-        lo = int((rec.t0 - t_min) / extent * width)
-        hi = max(lo + 1, int((rec.t1 - t_min) / extent * width))
-        bar = " " * lo + "#" * (hi - lo)
-        label = ("  " * depth + rec.name).ljust(name_width)
-        timing = _fmt_seconds(rec.duration)
-        if rec.virtual_seconds is not None:
-            timing += f"  (virt {_fmt_seconds(rec.virtual_seconds)})"
-        lines.append(f"{label} |{bar.ljust(width)}| {timing}")
-        for child in children.get(rec.span_id, []):
-            emit(child, depth + 1)
-
-    for root in children.get(None, []):
-        emit(root, 0)
-    return "\n".join(lines)
-
-
-def _depth(rec: SpanRecord, records: Sequence[SpanRecord]) -> int:
-    by_id = {r.span_id: r for r in records}
-    depth = 0
-    cur = rec
-    while cur.parent_id is not None and cur.parent_id in by_id and depth < 32:
-        cur = by_id[cur.parent_id]
-        depth += 1
-    return depth

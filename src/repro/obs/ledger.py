@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.obs.export import PAPER_STAGE_LABELS, SpanRecord, export_tracer, tracer_records
+from repro.obs.export import export_tracer, fold_stages, stage_table, tracer_records
 from repro.obs.tracer import Tracer
 
 #: Default on-disk location of the ledger (git-ignored).
@@ -89,41 +89,6 @@ def environment_info() -> dict:
         "platform": platform.platform(),
         "argv0": sys.argv[0] if sys.argv else None,
     }
-
-
-def fold_stages(records: list[SpanRecord]) -> dict:
-    """Aggregate a trace into per-span-name totals on both clocks.
-
-    Returns ``{name: {label, spans, real_seconds, virtual_seconds,
-    measured}}`` where ``label`` is the paper column name for Table II/III
-    stages and ``virtual_seconds`` is None for span names that never
-    carried one. ``measured`` (:mod:`repro.obs.regress`) names the host-
-    clock fields: all of them for spans opened with ``measured=True``.
-    """
-    stages: dict[str, dict] = {}
-    for rec in records:
-        entry = stages.setdefault(
-            rec.name,
-            {
-                "label": PAPER_STAGE_LABELS.get(rec.name),
-                "spans": 0,
-                "real_seconds": 0.0,
-                "virtual_seconds": None,
-                "measured": ["real_seconds"],
-            },
-        )
-        if rec.attrs.get("measured"):
-            entry["measured"] = ["*"]
-        entry["spans"] += 1
-        entry["real_seconds"] += rec.duration
-        virtual = rec.virtual_seconds
-        if virtual is not None:
-            entry["virtual_seconds"] = (entry["virtual_seconds"] or 0.0) + virtual
-    for entry in stages.values():
-        entry["real_seconds"] = round(entry["real_seconds"], 9)
-        if entry["virtual_seconds"] is not None:
-            entry["virtual_seconds"] = round(entry["virtual_seconds"], 9)
-    return stages
 
 
 def scalars_from_analyses(analyses) -> dict:
@@ -567,25 +532,7 @@ def render_manifest(manifest: dict) -> str:
     ]
     stages = manifest.get("stages") or {}
     if stages:
-        table = Table(
-            columns=["stage", "label", "spans", "real [s]", "virtual [s]"],
-            title="Per-stage totals",
-        )
-        for name in sorted(
-            stages, key=lambda n: -(stages[n].get("virtual_seconds") or 0.0)
-        ):
-            st = stages[name]
-            virtual = st.get("virtual_seconds")
-            table.add_row(
-                [
-                    name,
-                    st.get("label") or "-",
-                    st.get("spans", 0),
-                    f"{st.get('real_seconds', 0.0):.4f}",
-                    f"{virtual:.2f}" if virtual is not None else "-",
-                ]
-            )
-        lines += ["", table.render()]
+        lines += ["", stage_table(stages).render()]
     scalars = manifest.get("scalars") or {}
     per_app = scalars.get("per_app") or {}
     if per_app:

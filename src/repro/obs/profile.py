@@ -182,8 +182,9 @@ class Profile:
 def build_profile(records: Sequence[SpanRecord]) -> Profile:
     """Fold a span list into a :class:`Profile`.
 
-    Spans whose parent is missing from the trace (partial export) are
-    treated as roots, mirroring :func:`repro.obs.export.render_timeline`.
+    Spans whose parent is missing from the trace (a tracer's partial
+    export, e.g. with the run's root span still open) are treated as
+    roots.
     """
     ids = {rec.span_id for rec in records}
     children: dict[int | None, list[SpanRecord]] = {}

@@ -26,8 +26,8 @@ in memory is fine; a long-running specialization daemon
 buffer: :meth:`Tracer.configure_flush` sets a ``max_spans`` limit and,
 optionally, a JSONL sink — when the buffer overflows, the oldest spans
 are either appended to the sink (same schema as ``--trace`` exports, so
-``repro trace``/Chrome export keep working on the flushed file) or
-dropped ring-style.
+``repro profile`` and its Chrome export keep working on the flushed
+file) or dropped ring-style.
 """
 
 from __future__ import annotations

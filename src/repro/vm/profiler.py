@@ -12,8 +12,9 @@ per-opcode counts and opcode-digram (adjacent-pair) counts are derived from
 the static block composition multiplied by the block counts, so the
 interpreter never pays a per-instruction hook. :class:`BlockTimeSampler`
 adds the one thing counts cannot give — *real*-clock attribution per block —
-as an opt-in statistical sampler that ``repro vmprof`` and ``repro
-bench vm`` run around an unchanged interpreter.
+as an opt-in statistical sampler run around an unchanged interpreter:
+``repro vmprof`` prints each block's sampled real share beside its
+virtual share and kernel flag, and ``repro bench vm`` prices the sampler.
 """
 
 from __future__ import annotations

@@ -39,6 +39,11 @@ def _fake(gates: dict):
         ["runs", "diff", "latest~1", "latest"],
         ["regress", "--history", "5"],
         ["runs", "gc", "--keep", "1", "--no-compact"],
+        ["trace", "x.jsonl"],
+        ["heat", "sor"],
+        ["profile", "sor", "--timeline"],
+        ["vmprof", "fft", "--top-opcodes", "5"],
+        ["vmprof", "fft", "--threshold", "0.8"],
     ],
 )
 def test_removed_commands_and_options_are_usage_errors(argv):

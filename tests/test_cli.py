@@ -106,23 +106,27 @@ class TestTraceCommands:
         assert "search" in names and "icap.reconfigure" in names
         assert set(obs.TABLE3_SPAN_NAMES) <= names
 
-        assert main(["trace", str(trace_file), "--timeline"]) == 0
+        assert main(["profile", str(trace_file), "--tree"]) == 0
         out = capsys.readouterr().out
-        assert "Per-stage times" in out
+        stages, rest = out.split("\n\n", 1)
+        assert "Per-stage times" in stages
         for label in ("C2V", "Syn", "Xst", "Tra", "Map", "PAR", "Bitgen"):
-            assert label in out
+            assert label in stages
         spans = {
             m.group(1): int(m.group(2))
-            for m in re.finditer(r"^(\S+(?: \[\S+\])?)\s+(\d+)\s", out, re.M)
+            for m in re.finditer(
+                r"^(\S+(?: \[\S+\])?)\s+(\d+)\s", stages, re.M
+            )
         }
         assert spans["cad.implement"] == implemented
         assert spans["ICAP [icap.reconfigure]"] == implemented
-        assert "pipeline.run" in out  # timeline section
+        tree = rest.split("profile (real time)", 1)[1]
+        assert "pipeline.run" in tree
 
     def test_trace_rejects_invalid_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"name": "", "span_id": 1, "t0": 0, "t1": 1}\n')
-        assert main(["trace", str(bad)]) == 1
+        assert main(["profile", str(bad)]) == 1
         assert "invalid trace" in capsys.readouterr().err
 
     def test_trace_chrome_export(self, tmp_path, capsys):
@@ -137,7 +141,7 @@ class TestTraceCommands:
         obs.export_tracer(tracer, trace_file)
 
         chrome_file = tmp_path / "chrome.json"
-        assert main(["trace", str(trace_file), "--chrome", str(chrome_file)]) == 0
+        assert main(["profile", str(trace_file), "--chrome", str(chrome_file)]) == 0
         doc = json.loads(chrome_file.read_text())
         assert doc["traceEvents"][0]["name"] == "Map"
 
@@ -161,7 +165,7 @@ class TestTraceEdgeCases:
     def test_trace_replays_empty_span_file(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
-        assert main(["trace", str(empty)]) == 0
+        assert main(["profile", str(empty)]) == 0
         out = capsys.readouterr().out
         assert "Per-stage times" in out
 
@@ -184,7 +188,7 @@ class TestTraceEdgeCases:
             + "\n"
         )
         chrome_file = tmp_path / "chrome.json"
-        assert main(["trace", str(trace_file), "--chrome", str(chrome_file)]) == 0
+        assert main(["profile", str(trace_file), "--chrome", str(chrome_file)]) == 0
         (event,) = json.loads(chrome_file.read_text())["traceEvents"]
         assert event["name"] == "Map"
         assert event["dur"] == 0.0
@@ -223,6 +227,20 @@ class TestProfileCommand:
         bad.write_text("not json\n")
         assert main(["profile", str(bad)]) == 1
         assert "invalid trace" in capsys.readouterr().err
+        # Well-formed JSON, but a span whose parent is not in the trace.
+        bad.write_text(
+            '{"name": "cad.map", "span_id": 2, "parent_id": 9, '
+            '"t0": 0, "t1": 1}\n'
+        )
+        assert main(["profile", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "invalid trace: span 2 ('cad.map'): unknown parent_id 9" in (
+            captured.err
+        )
+        assert captured.out == ""
+        # A path that exists but is not a readable file.
+        assert main(["profile", str(tmp_path)]) == 1
+        assert "cannot read trace" in capsys.readouterr().err
 
     def test_profile_of_empty_trace(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
@@ -232,15 +250,18 @@ class TestProfileCommand:
 
 
 class TestHeatCommand:
+    """The heat-annotated IR listing, printed by ``repro vmprof``."""
+
     def test_heat_annotates_kernel_blocks(self, capsys):
-        assert main(["heat", "sor"]) == 0
+        assert main(["vmprof", "sor"]) == 0
         out = capsys.readouterr().out
-        assert "Hottest blocks" in out
+        assert "Blocks by virtual cycles" in out
+        assert "Top opcodes" in out
         assert "[kernel]" in out
         assert "define" in out  # annotated IR listing
 
     def test_heat_unknown_function(self, capsys):
-        assert main(["heat", "sor", "--function", "nope"]) == 1
+        assert main(["vmprof", "sor", "--function", "nope"]) == 1
         assert "no function" in capsys.readouterr().err
 
 

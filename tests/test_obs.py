@@ -249,16 +249,19 @@ class TestExport:
         assert "Map" in names  # paper label substituted for cad.map
         assert all(e["dur"] >= 0 for e in doc["traceEvents"])
 
-    def test_stage_table_and_timeline_render(self):
+    def test_stage_table_render(self):
         t = self._sample_tracer()
         buf = io.StringIO()
         obs.write_jsonl(t.spans(), buf, epoch=t.epoch)
         records = obs.read_jsonl(io.StringIO(buf.getvalue()))
-        table = obs.render_stage_table(records)
+        table = obs.stage_table(obs.fold_stages(records)).render()
         assert "Map [cad.map]" in table and "total" in table
-        timeline = obs.render_timeline(records)
-        assert "pipeline.run" in timeline and "cad.map" in timeline
-        assert obs.render_timeline([]) == "(empty trace)"
+        assert "pipeline.run" in table
+        # Paper stages lead, in paper order; the rest follow.
+        rows = [line.split()[0] for line in table.splitlines()[4:]]
+        assert rows.index("Map") < rows.index("pipeline.run")
+        empty = obs.stage_table({}).render()
+        assert "Per-stage times" in empty and "total" in empty
 
 
 class TestEndToEndPipelineTrace:
@@ -313,6 +316,6 @@ class TestEndToEndPipelineTrace:
         obs.export_tracer(tracer, path)
         records = obs.read_jsonl(path)
         assert obs.validate_trace(records) == []
-        table = obs.render_stage_table(records)
+        table = obs.stage_table(obs.fold_stages(records)).render()
         for label in ("C2V", "Syn", "Xst", "Tra", "Map", "PAR", "Bitgen", "ICAP"):
             assert label in table

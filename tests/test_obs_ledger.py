@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 from repro import obs
+from repro.obs.export import fold_stages
 from repro.obs.ledger import (
     RunLedger,
     RunRecorder,
-    fold_stages,
     render_manifest,
     render_run_list,
 )
@@ -170,7 +170,8 @@ class TestRunLedger:
         listing = render_run_list([manifest])
         assert "r0001-test" in listing and "analyze" in listing
         shown = render_manifest(manifest)
-        assert "cad.par" in shown and "PAR" in shown
+        assert "Per-stage times" in shown
+        assert "PAR [cad.par]" in shown and "1336.90 s" in shown
         assert "sor" in shown and "2.35" in shown
 
     def _finished_runs(self, ledger, count):
@@ -470,7 +471,7 @@ class TestCliEndToEnd:
         assert main(
             ["runs", "show", "latest", "--ledger", str(recorded_runs)]
         ) == 0
-        assert "Per-stage totals" in capsys.readouterr().out
+        assert "Per-stage times" in capsys.readouterr().out
         assert main(
             ["regress", "--baseline", "latest~1", "--candidate", "latest",
              "--ledger", str(recorded_runs)]

@@ -1,7 +1,8 @@
 """Tests for the analysis layer over the span substrate:
 
 - :mod:`repro.obs.profile` — profile tree, collapsed stacks, hot paths;
-- :mod:`repro.obs.heat` — per-block heat annotations through the IR printer;
+- the per-block heat view of :mod:`repro.obs.vmprof` — virtual time
+  shares, kernel flags and annotations through the IR printer;
 - :mod:`repro.obs.fidelity` — golden-reference comparison vs. the paper.
 """
 
@@ -201,65 +202,72 @@ class TestPipelineProfile:
 
 
 class TestHeat:
+    """The per-block heat view of ``repro vmprof`` (:mod:`repro.obs.vmprof`):
+    virtual time shares, kernel flags and the annotated IR listing."""
+
     @pytest.fixture(scope="class")
-    def sor_heat(self):
-        from repro.apps import compile_app, get_app
-        from repro.obs.heat import compute_heat
+    def sor_prof(self):
+        from repro.obs.vmprof import profile_app
 
-        spec = get_app("sor")
-        compiled = compile_app(spec)
-        profile = compiled.run(spec.train).profile
-        return compiled.module, profile, compute_heat(compiled.module, profile)
+        return profile_app("sor")
 
-    def test_every_module_block_present(self, sor_heat):
-        module, _profile, heat = sor_heat
-        n_blocks = sum(len(f.blocks) for f in module.defined_functions())
-        assert len(heat.blocks) == n_blocks
+    def test_every_module_block_present(self, sor_prof):
+        rows = sor_prof.block_rows()
+        keys = {
+            (f.name, b.name)
+            for f in sor_prof.module.defined_functions()
+            for b in f.blocks
+        }
+        assert {(r.function, r.block) for r in rows} == keys
+        assert len(rows) == len(keys)
+        # Cold blocks (never executed) are rows too, with no time share.
+        cold = [r for r in rows if r.executions == 0]
+        assert cold and all(r.virtual_share == 0.0 for r in cold)
 
-    def test_shares_sum_to_one(self, sor_heat):
-        _module, _profile, heat = sor_heat
-        assert sum(b.share for b in heat.blocks.values()) == pytest.approx(1.0)
-        assert heat.total_cycles > 0
+    def test_shares_sum_to_one(self, sor_prof):
+        rows = sor_prof.block_rows()
+        assert sum(r.virtual_share for r in rows) == pytest.approx(1.0)
+        assert sor_prof.virtual_cycles > 0
+        # Ranked by virtual cycles, hottest first.
+        shares = [r.virtual_share for r in rows]
+        assert shares == sorted(shares, reverse=True)
 
-    def test_kernel_flags_match_kernel_analysis(self, sor_heat):
-        _module, _profile, heat = sor_heat
-        flagged = {b.key for b in heat.blocks.values() if b.in_kernel}
-        assert flagged == heat.kernel.block_set
+    def test_kernel_flags_match_kernel_analysis(self, sor_prof):
+        flagged = {(r.function, r.block) for r in sor_prof.block_rows() if r.in_kernel}
+        assert flagged == sor_prof.kernel.block_set
         assert flagged  # sor has a hot kernel
         for key in flagged:
-            assert key in heat.kernel  # KernelAnalysis.__contains__
+            assert key in sor_prof.kernel  # KernelAnalysis.__contains__
 
-    def test_kernel_share_meets_threshold(self, sor_heat):
-        _module, _profile, heat = sor_heat
+    def test_kernel_share_meets_threshold(self, sor_prof):
         kernel_share = sum(
-            b.share for b in heat.blocks.values() if b.in_kernel
+            r.virtual_share for r in sor_prof.block_rows() if r.in_kernel
         )
         assert kernel_share >= 0.90
         assert kernel_share * 100 == pytest.approx(
-            heat.kernel.freq_pct, abs=0.1
+            sor_prof.kernel.freq_pct, abs=0.1
         )
 
-    def test_annotated_listing(self, sor_heat):
-        module, _profile, heat = sor_heat
-        from repro.obs.heat import render_heat
+    def test_annotated_listing(self, sor_prof):
+        from repro.obs.vmprof import render_vmprof
 
-        text = render_heat(module, heat)
+        text = render_vmprof(sor_prof)
         assert "[kernel]" in text
         assert "% time" in text
-        assert "; cold" in text or "cold" not in text  # cold only as comment
+        assert "; cold" in text
         assert "define" in text  # IR listing present
-        # The summary header mirrors Table I's kernel size/freq columns.
-        assert f"size {heat.kernel.size_pct:.1f}%" in text
-        assert f"freq {heat.kernel.freq_pct:.1f}%" in text
+        # The summary line mirrors Table I's kernel size/freq columns.
+        k = sor_prof.kernel
+        assert f"size {k.size_pct:.1f}%" in text
+        assert f"freq {k.freq_pct:.1f}%" in text
 
-    def test_single_function_filter(self, sor_heat):
-        module, _profile, heat = sor_heat
-        from repro.obs.heat import render_heat
+    def test_single_function_filter(self, sor_prof):
+        from repro.obs.vmprof import render_listing
 
-        text = render_heat(module, heat, function="sor_sweep")
+        text = render_listing(sor_prof, function="sor_sweep")
         assert "@sor_sweep" in text and "@main" not in text
         with pytest.raises(KeyError):
-            render_heat(module, heat, function="nope")
+            render_listing(sor_prof, function="nope")
 
     def test_printer_annotate_hook(self):
         from repro.frontend.compiler import compile_source

@@ -423,15 +423,15 @@ class TestCliCommands:
         assert manifest["vm"]["app"] == "fft"
         assert manifest["vm"]["opcodes"]
 
-    def test_heat_top_opcodes_rollup(self, capsys):
-        assert main(["heat", "fft", "--top-opcodes", "5"]) == 0
+    def test_vmprof_prints_every_view(self, capsys):
+        assert main(["vmprof", "fft", "--top", "5"]) == 0
         out = capsys.readouterr().out
-        assert "Opcode rollup (top 5)" in out
+        assert "Top opcodes (by virtual cycles, top 5)" in out
         assert "cycles %" in out
-
-    def test_heat_without_rollup_unchanged(self, capsys):
-        assert main(["heat", "fft"]) == 0
-        assert "Opcode rollup" not in capsys.readouterr().out
+        assert "Top opcode digrams (top 5)" in out
+        assert "Blocks by virtual cycles (top 5;" in out
+        assert "kernel (" in out  # the block table's kernel footer
+        assert "[kernel]" in out and "define" in out  # annotated listing
 
 
 class TestVmBench:
